@@ -285,7 +285,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    """One fabric worker node: lease chunks until the queue runs dry."""
+    """One fabric worker node: lease chunks until the queue or job is done."""
     import json
 
     from .engine import HTTPRemoteStore, TieredCache
@@ -733,7 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chunks", type=int, default=None, dest="max_chunks",
                    help="stop after this many chunks")
     p.add_argument("--idle-exit", type=float, default=5.0, dest="idle_exit",
-                   help="exit after this many idle seconds")
+                   help="exit after this many idle seconds (a --job-id "
+                        "worker exits as soon as its job's chunks settle)")
     p.add_argument("--once", action="store_true",
                    help="exit on the first idle poll (drain mode)")
     p.add_argument("--points-limit", type=int, default=None,

@@ -33,6 +33,10 @@ as "one process pool, one cache dir".  This module distributes the
   (``np.array_equal``) with the serial reference path, because workers
   compute each point through the same solo fused path serial sweeps
   use.
+* A job ends when its last chunk settles (``done`` or ``failed``): a
+  worker bound to one job returns as soon as none of the job's chunks
+  is queued or leased, so a spawned worker's exit is the coordinator's
+  wake-up, not an idle timer running out.
 
 Workers compute leased points solo (reference-identical), not through
 the columnar batch engine: the fabric's bit-exactness contract is
@@ -43,11 +47,14 @@ nodes running N chunks concurrently, not from per-point batching.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import socket
+import sys
 import time
 import uuid
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_exit
 
 from ..errors import FabricError
 from .cache import TieredCache
@@ -79,6 +86,16 @@ CRASH_EXIT_CODE = 43
 def fabric_worker_id() -> str:
     """A collision-resistant worker identity (``host-pid-hex4``)."""
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:4]}"
+
+
+def _chunks_settled(counts: dict[str, int]) -> bool:
+    """True when a job has chunks and every one is ``done`` or ``failed``.
+
+    Settled chunks never change state again, so once this holds there
+    is nothing left to lease, nor any lease left to wait out.
+    """
+    settled = counts.get("done", 0) + counts.get("failed", 0)
+    return bool(counts) and settled == sum(counts.values())
 
 
 def _fault_seconds(payload, default: float) -> float:
@@ -197,7 +214,9 @@ class FabricWorker:
 
         Returns after ``max_chunks`` chunks, after ``idle_exit``
         seconds without winning a lease (``None`` = one idle poll),
-        or immediately upon self-quarantine.
+        immediately upon self-quarantine, or — for a worker bound to
+        one ``job_id`` — as soon as every chunk of that job has
+        settled, however long ``idle_exit`` is.
         """
         idle_since: float | None = None
         while True:
@@ -216,9 +235,9 @@ class FabricWorker:
                 self.job_id,
             )
             if lease is None:
-                now = time.monotonic()
-                if idle_exit is None:
+                if idle_exit is None or self._job_settled():
                     return self.stats
+                now = time.monotonic()
                 if idle_since is None:
                     idle_since = now
                 elif now - idle_since >= idle_exit:
@@ -231,6 +250,19 @@ class FabricWorker:
     def _store_call(self, fn, *args):
         """One store round-trip through the seeded retry policy."""
         return self.retry.run(fn, *args, key=self.worker_id)
+
+    def _job_settled(self) -> bool:
+        """True once the bound job has no chunk queued or leased.
+
+        A job without chunk rows may still be planned, and an unbound
+        worker serves a queue that can grow, so neither ever counts as
+        settled: both fall back to the idle timer.
+        """
+        if self.job_id is None:
+            return False
+        return _chunks_settled(
+            self._store_call(self.store.chunk_counts, self.job_id)
+        )
 
     # -- one chunk ------------------------------------------------------------
 
@@ -434,7 +466,12 @@ def submit_fabric_job(store, base_spec, path: str, values, *,
 
 
 def _worker_process_main(db_path, cache_dir, worker_kwargs) -> None:
-    """Entry point of one spawned local fabric worker process."""
+    """Entry point of one spawned local fabric worker process.
+
+    The worker serves its job until the job's last chunk settles, and
+    exits then: its exit is what wakes the coordinator.  It never gives
+    up while a sibling's lease may still expire back into the queue.
+    """
     from ..service.store import open_job_store
 
     os.environ.setdefault("REPRO_KERNEL_THREADS", "1")
@@ -442,7 +479,14 @@ def _worker_process_main(db_path, cache_dir, worker_kwargs) -> None:
     store = open_job_store(db_path)
     cache = TieredCache(cache_dir)
     worker = FabricWorker(store, cache, **worker_kwargs)
-    worker.run(idle_exit=2.0)
+    worker.run(idle_exit=math.inf)
+    # every point is on disk and every store call committed: skip the
+    # interpreter's module teardown (~0.1 s with scipy loaded), which
+    # the coordinator would otherwise wait out before returning
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 def run_fabric_sweep(
@@ -502,65 +546,87 @@ def run_fabric_sweep(
             procs.append(proc)
 
     try:
-        deadline = time.monotonic() + wait_timeout
-        while True:
-            counts = store.chunk_counts(record.job_id)
-            total = sum(counts.values())
-            settled = counts.get("done", 0) + counts.get("failed", 0)
-            if total and settled == total:
-                break
-            store.expire_chunk_leases()
-            if workers > 0 and not any(p.is_alive() for p in procs):
-                # every worker died (crash rehearsal, OOM): finish the
-                # remaining chunks in-process rather than hanging
-                _drain_in_process(store, cache, record.job_id,
-                                  lease_seconds, max_attempts)
-                continue
-            if workers == 0:
-                _drain_in_process(store, cache, record.job_id,
-                                  lease_seconds, max_attempts)
-                continue
-            if time.monotonic() > deadline:
-                raise FabricError(
-                    f"fabric sweep timed out after {wait_timeout}s "
-                    f"({settled}/{total} chunks settled)"
-                )
-            time.sleep(poll_interval)
+        _await_settled(store, cache, record.job_id, procs,
+                       lease_seconds=lease_seconds,
+                       max_attempts=max_attempts,
+                       wait_timeout=wait_timeout,
+                       poll_interval=poll_interval)
+        failed = [c for c in store.chunks(record.job_id)
+                  if c.state == "failed"]
+        if failed:
+            store.update(record.advanced(
+                phase="failed", finished_at=time.time(),
+                error=failed[0].error,
+            ))
+            raise FabricError(
+                f"{len(failed)} chunk(s) failed permanently; first error: "
+                f"{failed[0].error}"
+            )
+        result = _assemble_from_cache(
+            record, cache, _cache_parameter, _collect,
+            parameter_name if parameter_name is not None else path,
+        )
+        finalize_fabric_job(store, cache, record)
     finally:
+        # workers leave on their own once the job settles; an idle
+        # sibling still noticing that overlaps the assembly above
         for proc in procs:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-
-    failed = [c for c in store.chunks(record.job_id) if c.state == "failed"]
-    if failed:
-        store.update(record.advanced(
-            phase="failed", finished_at=time.time(),
-            error=failed[0].error,
-        ))
-        raise FabricError(
-            f"{len(failed)} chunk(s) failed permanently; first error: "
-            f"{failed[0].error}"
-        )
-
-    result = _assemble_from_cache(
-        record, cache, _cache_parameter, _collect,
-        parameter_name if parameter_name is not None else path,
-    )
-    finalize_fabric_job(store, cache, record)
     return result
 
 
+def _await_settled(store, cache, job_id: str, procs: list, *,
+                   lease_seconds: float, max_attempts: int,
+                   wait_timeout: float, poll_interval: float) -> None:
+    """Block until every chunk of ``job_id`` is done or failed.
+
+    A spawned worker exits as soon as the job settles, so waiting on
+    the workers' exit sentinels wakes the coordinator the moment the
+    last one leaves; the ``poll_interval`` timeout still re-reads the
+    chunk table and expires stale leases while they work.  With no
+    live worker (``workers=0``, crashes, OOM) the remaining chunks run
+    in this process rather than hang.
+    """
+    deadline = time.monotonic() + wait_timeout
+    while True:
+        counts = store.chunk_counts(job_id)
+        if _chunks_settled(counts):
+            return
+        store.expire_chunk_leases()
+        live = [p for p in procs if p.is_alive()]
+        if not live and _drain_in_process(store, cache, job_id,
+                                          lease_seconds, max_attempts):
+            continue
+        if time.monotonic() > deadline:
+            settled = counts.get("done", 0) + counts.get("failed", 0)
+            raise FabricError(
+                f"fabric sweep timed out after {wait_timeout}s "
+                f"({settled}/{sum(counts.values())} chunks settled)"
+            )
+        if live:
+            wait_for_exit([p.sentinel for p in live], timeout=poll_interval)
+        else:
+            # nothing leasable yet (an orphaned lease has not expired):
+            # wait it out instead of spinning on the store
+            time.sleep(poll_interval)
+
+
 def _drain_in_process(store, cache, job_id: str, lease_seconds: float,
-                      max_attempts: int) -> None:
-    """Run remaining chunks of a job in this process (degraded path)."""
+                      max_attempts: int) -> bool:
+    """Run remaining chunks of a job in this process (degraded path).
+
+    Returns whether any chunk was leased, i.e. whether it got anywhere.
+    """
     worker = FabricWorker(
         store, cache, job_id=job_id, lease_seconds=lease_seconds,
         max_attempts=max_attempts,
         worker_id=f"{fabric_worker_id()}-inline",
     )
-    worker.run(idle_exit=None)
+    stats = worker.run(idle_exit=None)
+    return bool(stats.chunks_done + stats.chunks_failed + stats.leases_lost)
 
 
 def _assemble_from_cache(record, cache, cache_parameter, collect,

@@ -11,12 +11,17 @@ The acceptance criteria of the fabric PR live here:
 * repeated chunk failure parks the chunk and quarantines the worker
   through its circuit breaker;
 * the chunk planner and job submission are idempotent, so resumes
-  never duplicate work.
+  never duplicate work;
+* a job ends when its last chunk settles: bound workers leave then,
+  not after an idle timer.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import sqlite3
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +38,7 @@ from repro.engine.fabric import (
 )
 from repro.errors import FabricError
 from repro.service import JobRecord, JobSpec, JobState, new_job_id
-from repro.service.store import open_job_store
+from repro.service.store import SQLiteJobStore, open_job_store
 
 DURATION = 0.003
 PATH = "cantilever.length_um"
@@ -114,6 +119,7 @@ class TestBitExactness:
             duration=DURATION, workers=2, chunk_size=8,
             lease_seconds=30.0,
         )
+        returned_at = time.time()
         assert_bit_exact(serial_reference(values), result)
         record = store.list_jobs()[0]
         assert record.state.phase == "done"
@@ -122,6 +128,12 @@ class TestBitExactness:
         # at least two distinct workers actually leased chunks
         workers = {c.worker_id for c in store.chunks(record.job_id)}
         assert len(workers) >= 2
+        # the sweep ends with its last chunk: the workers leave then,
+        # rather than after an idle timer the coordinator must join
+        with sqlite3.connect(tmp_path / "jobs.sqlite") as conn:
+            (last_settled,) = conn.execute(
+                "SELECT MAX(updated_at) FROM chunks").fetchone()
+        assert returned_at - last_settled < 1.0
 
     def test_rerun_is_pure_cache_hits(self, tmp_path):
         values = values_for(12)
@@ -181,6 +193,85 @@ class TestKillAndResume:
         entries = sum(1 for _ in cache_dir.rglob("*.pkl"))
         assert entries == len(values) + 1
         assert_bit_exact(serial_reference(values), result)
+
+
+class TestJobEnd:
+    """A job ends when its last chunk settles, not when a timer runs out."""
+
+    def make_job(self, store, n=8):
+        return submit_fabric_job(
+            store, REFERENCE_RESONANT_SENSOR, PATH, values_for(n),
+            duration=DURATION, chunk_size=4,
+        )
+
+    def test_bound_worker_returns_when_its_job_settles(self, tmp_path):
+        store = open_job_store(tmp_path / "jobs.sqlite")
+        record = self.make_job(store)
+        worker = FabricWorker(store, TieredCache(tmp_path / "cache"),
+                              job_id=record.job_id)
+        started = time.monotonic()
+        stats = worker.run(idle_exit=30.0)
+        assert stats.chunks_done == 2
+        assert time.monotonic() - started < 10.0  # not the 30 s timer
+
+    def test_bound_worker_waits_out_a_siblings_lease(self, tmp_path):
+        """Idle is not settled: a held lease may still come back."""
+        store = open_job_store(tmp_path / "jobs.sqlite")
+        record = self.make_job(store)
+        held = store.lease_chunk("worker-a", 30.0, record.job_id)
+        worker = FabricWorker(store, TieredCache(tmp_path / "cache"),
+                              job_id=record.job_id, poll_interval=0.02)
+        runner = threading.Thread(target=worker.run,
+                                  kwargs={"idle_exit": 30.0})
+        runner.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while worker.stats.chunks_done < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            time.sleep(0.2)
+            assert runner.is_alive()  # chunk 0 is still leased to A
+            assert store.complete_chunk(record.job_id, held.chunk_id,
+                                        "worker-a")
+        finally:
+            runner.join(timeout=10.0)
+        assert not runner.is_alive()
+        assert worker.stats.chunks_done == 1
+
+    def test_unbound_or_unplanned_worker_keeps_its_idle_timer(self, tmp_path):
+        store = open_job_store(tmp_path / "jobs.sqlite")
+        cache = TieredCache(tmp_path / "cache")
+        for job_id in (None, "job-without-chunks"):
+            worker = FabricWorker(store, cache, job_id=job_id,
+                                  poll_interval=0.02)
+            started = time.monotonic()
+            worker.run(idle_exit=0.3)
+            assert time.monotonic() - started >= 0.3
+
+    def test_coordinator_waits_out_an_orphaned_lease_without_spinning(
+            self, tmp_path, monkeypatch):
+        values = values_for(8)
+        db = tmp_path / "jobs.sqlite"
+        store = open_job_store(db)
+        record = self.make_job(store)
+        # a worker died holding chunk 0; its lease runs out in 0.5 s
+        assert store.lease_chunk("dead-worker", 0.5, record.job_id)
+        polls = []
+        original = SQLiteJobStore.chunk_counts
+
+        def chunk_counts(self, job_id):
+            polls.append(job_id)
+            return original(self, job_id)
+
+        monkeypatch.setattr(SQLiteJobStore, "chunk_counts", chunk_counts)
+        result = run_fabric_sweep(
+            REFERENCE_RESONANT_SENSOR, PATH, values,
+            db=db, cache_dir=tmp_path / "cache", duration=DURATION,
+            workers=0, chunk_size=4, poll_interval=0.05,
+        )
+        assert_bit_exact(serial_reference(values), result)
+        # about one poll per interval while the lease runs out
+        assert len(polls) < 50
 
 
 class TestQuarantine:
