@@ -13,7 +13,7 @@ Shape targets:
 * more viscous liquids demand monotonically more VGA gain;
 * the counter tracks the oscillation to its +/-1-count resolution;
 * the fused kernel reproduces the reference waveform bit-for-bit at
-  >= 5x the samples/sec (>= 10x for numba, when installed).
+  >= 5x the samples/sec.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pytest
 from repro.biochem import FunctionalizedSurface, get_analyte
 from repro.circuits import FrequencyCounter
 from repro.core import ResonantCantileverSensor
-from repro.engine import numba_available
 from repro.feedback import analyze, predict_amplitude, predicted_startup_time
 from repro.materials import get_liquid
 
@@ -137,15 +136,11 @@ def backend_speedup_experiment(device, duration=0.12, repeats=3):
                       loop.vga, loop.limiter, loop.buffer):
             block.reset()
 
-    backends = ["reference", "fused", "interp"]
-    if numba_available():  # pragma: no cover - numba-only
-        backends.append("numba")
-
     rows = []
     baseline = None
-    for backend in backends:
+    for backend in ("reference", "fused"):
         best, record = np.inf, None
-        for _ in range(repeats if backend != "interp" else 1):
+        for _ in range(repeats):
             reset_chain()
             t0 = time.perf_counter()
             record = loop.run(duration, backend=backend)
@@ -191,8 +186,6 @@ def test_fig5_backend_speedup(benchmark, reference_device):
 
     by_backend = {r["backend"]: r for r in rows}
     assert by_backend["fused"]["speedup"] >= 5.0
-    if "numba" in by_backend:  # pragma: no cover - numba-only
-        assert by_backend["numba"]["speedup"] >= 10.0
 
 
 def tracking_experiment(device):

@@ -347,7 +347,7 @@ def _cache_info_dict(cache) -> dict:
 
 
 def cmd_health(args) -> int:
-    from .engine import breaker_report, cc_available, kernel_info, numba_available
+    from .engine import breaker_report, cc_available, kernel_info
 
     if args.url:
         import json
@@ -370,7 +370,6 @@ def cmd_health(args) -> int:
     print(f"compiler        : {'available' if cc_available() else 'absent'}")
     if info.cc_build_error:
         print(f"compiler error  : {info.cc_build_error}")
-    print(f"numba           : {'available' if numba_available() else 'absent'}")
     print(f"cc quarantined  : {'yes' if info.cc_quarantined else 'no'}")
     runs = " ".join(f"{k}={v}" for k, v in sorted(info.runs.items())) or "none"
     print(f"kernel runs     : {runs} (batch {info.batch_runs} / "
@@ -637,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="auto",
-        choices=["auto", "reference", "fused", "numba", "interp"],
+        choices=["auto", "reference", "fused"],
         help="closed-loop execution backend (default: auto)",
     )
     _add_set_flag(p, "set_cmd")

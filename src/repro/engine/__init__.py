@@ -54,11 +54,9 @@ from .kernel import (
     AUTO_ORDER,
     BACKENDS as KERNEL_BACKENDS,
     BATCH_AUTO_ORDER,
-    BATCH_DECLINE_MIN_SAMPLES,
     BATCH_ENGINES,
     CC_ENV,
     COLUMNAR_ENV,
-    COLUMNAR_MIN_ENV,
     FusedLoopKernel,
     KERNEL_THREADS_ENV,
     KernelBatch,
@@ -75,7 +73,6 @@ from .kernel import (
     kernel_batch_threads,
     kernel_info,
     lower_block,
-    numba_available,
     record_degrade,
     record_fallback,
     reset_compiler_probe,
@@ -106,12 +103,10 @@ __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
     "BATCH_AUTO_ORDER",
-    "BATCH_DECLINE_MIN_SAMPLES",
     "BATCH_ENGINES",
     "CACHE_VERSION",
     "CC_ENV",
     "COLUMNAR_ENV",
-    "COLUMNAR_MIN_ENV",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
     "FAULT_SITES",
@@ -157,7 +152,6 @@ __all__ = [
     "kernel_batch_threads",
     "kernel_info",
     "lower_block",
-    "numba_available",
     "poll_fault",
     "quarantined_backends",
     "record_degrade",

@@ -1,7 +1,7 @@
 """Distributed sweep fabric: chunk-leasing workers over a shared store.
 
 ROADMAP item 1: the engine must stop topping out at one box.  The
-kernel is fast (columnar batches, pthread rows) but a sweep still ran
+kernel is fast (columnar batches, compiled solo runs) but a sweep still ran
 as "one process pool, one cache dir".  This module distributes the
 *sweep* instead:
 

@@ -19,12 +19,10 @@ flat *stage program* and runs it in one allocation-free inner loop:
   Python inner loop generated from the program (no attribute lookups,
   no method dispatch, literal coefficients) — still several times the
   reference path;
-* the **numba** backend JIT-compiles a generic array interpreter of the
-  same program when :mod:`numba` is importable (auto-detected, never a
-  hard dependency);
-* the **interp** backend runs that same interpreter in pure Python —
-  slow, but it lets the test suite pin the interpreter's semantics
-  (what the C and numba engines compile) on any machine.
+* :class:`KernelBatch` runs N same-shape programs at once: batches at
+  least :data:`COLUMNAR_MIN_INSTANCES` wide go through the columnar
+  engine in :mod:`~repro.engine.kernel_columnar`, narrower ones as
+  per-instance solo fused runs.
 
 Equivalence is the contract: each primitive replicates the reference
 ``step()`` arithmetic operation-for-operation, so the fused waveforms
@@ -47,7 +45,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,7 +60,6 @@ __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
     "BATCH_AUTO_ORDER",
-    "BATCH_DECLINE_MIN_SAMPLES",
     "BATCH_ENGINES",
     "CC_ENV",
     "COLUMNAR_ENV",
@@ -87,9 +83,7 @@ __all__ = [
     "kernel_batch_threads",
     "kernel_info",
     "lower_block",
-    "numba_available",
     "record_batch",
-    "record_batch_declined",
     "record_degrade",
     "record_fallback",
     "reset_compiler_probe",
@@ -120,30 +114,27 @@ OP_TAP_DRIVE = 12   # record v into the drive waveform
 _N_PARAMS = 5
 
 #: Loop-level backend choices accepted by ``run(..., backend=)``.
-BACKENDS = ("auto", "reference", "fused", "numba", "interp")
+BACKENDS = ("auto", "reference", "fused")
 
-#: Resolution order of ``backend="auto"``, pinned by regression tests:
-#: the C-compiled fused engine when a compiler exists, else numba when
-#: importable, else the generated-Python fused engine.  ``interp`` is
-#: *never* eligible — it exists to verify the interpreter's semantics
-#: and benches slower than the reference path it would replace
-#: (BENCH_fig5.json: 0.51x).
-AUTO_ORDER = ("fused:cc", "numba", "fused:codegen")
+#: The engines under the ``fused`` backend (``auto`` resolves to it), in
+#: the order :meth:`FusedLoopKernel.run` tries them, pinned by regression
+#: tests: the C-compiled interpreter when a compiler exists and is
+#: trusted (:func:`cc_usable`), else generated straight-line Python.
+AUTO_ORDER = ("fused:cc", "fused:codegen")
 
 #: Batch-level engine choices accepted by ``KernelBatch.run(engine=)``.
-#: ``row`` is the PR-4 pthreaded per-instance interpreter (bit-identical
-#: to solo fused runs); ``columnar`` is the vectorized structure-of-arrays
-#: engine in :mod:`~repro.engine.kernel_columnar` (its own tolerance
-#: contract, see ``docs/FASTPATH.md``).
-BATCH_ENGINES = ("auto", "columnar", "row")
+#: ``columnar`` is the vectorized structure-of-arrays engine in
+#: :mod:`~repro.engine.kernel_columnar` (its own tolerance contract, see
+#: ``docs/FASTPATH.md``).
+BATCH_ENGINES = ("auto", "columnar")
 
 #: Resolution order of batch ``engine="auto"``: the columnar SoA C
-#: engine when a compiler is trusted and the batch is wide enough
-#: (``COLUMNAR_MIN_INSTANCES``, or forced via ``REPRO_COLUMNAR``), the
-#: row-major pthread batch otherwise, per-instance solo fused runs
-#: without a compiler.  ``auto`` never picks the NumPy columnar twin —
-#: it relaxes bit-exactness and is only reachable by explicit request.
-BATCH_AUTO_ORDER = ("columnar:cc", "row:cc", "fused:solo")
+#: engine when a compiler is trusted and the batch is at least
+#: :data:`COLUMNAR_MIN_INSTANCES` wide (or forced via ``REPRO_COLUMNAR``),
+#: otherwise per-instance solo fused runs — bit-identical to running
+#: each kernel alone.  ``auto`` never picks the NumPy columnar twin: it
+#: is only reachable by explicit request.
+BATCH_AUTO_ORDER = ("columnar:cc", "fused:solo")
 
 #: ``REPRO_COLUMNAR=1`` forces the columnar batch engine everywhere
 #: (degrading to its NumPy twin without a compiler);
@@ -152,16 +143,8 @@ COLUMNAR_ENV = "REPRO_COLUMNAR"
 
 #: Minimum batch width before ``auto`` routes to the columnar engine —
 #: below this the stride-1 instance sweeps are too narrow to pay for
-#: the SoA transposes.  Override with ``REPRO_COLUMNAR_MIN``.
+#: the SoA transposes, and the instances run solo fused instead.
 COLUMNAR_MIN_INSTANCES = 8
-COLUMNAR_MIN_ENV = "REPRO_COLUMNAR_MIN"
-
-#: Decline heuristic for the row batch: a narrow batch of programs at
-#: least this long, at one C thread, gains nothing from batch dispatch
-#: (the padded matrices and strided partition cost more than the serial
-#: fused loop) — ``KernelBatch.run`` then falls through to solo fused
-#: runs and counts it in ``kernel_info().batch_declined``.
-BATCH_DECLINE_MIN_SAMPLES = 8192
 
 
 def _columnar_override() -> bool | None:
@@ -172,18 +155,6 @@ def _columnar_override() -> bool | None:
     if env in ("0", "off", "never", "false"):
         return False
     return None
-
-
-def _columnar_min_instances() -> int:
-    env = os.environ.get(COLUMNAR_MIN_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning(
-                "ignoring non-integer %s=%r", COLUMNAR_MIN_ENV, env
-            )
-    return COLUMNAR_MIN_INSTANCES
 
 
 @dataclass(frozen=True)
@@ -245,8 +216,9 @@ class KernelRunInfo:
     """How one closed-loop run executed (see also :func:`kernel_info`).
 
     ``engine`` names the machinery under the backend: ``"cc"`` (the
-    C-compiled interpreter), ``"codegen"`` (generated Python source),
-    ``"numba"``, or ``"interp"`` (pure-Python interpreter).
+    C-compiled interpreter) or ``"codegen"`` (generated Python source)
+    for solo runs; ``"cc-columnar"``, ``"cc-columnar-fused"`` or
+    ``"columnar-np"`` for an instance of a columnar batch.
     """
 
     backend: str
@@ -277,26 +249,6 @@ class KernelRunResult:
     drive_voltage: np.ndarray
     mode_state: list[float]
     info: KernelRunInfo
-
-
-# -- numba auto-detection ---------------------------------------------------------
-
-_NUMBA_CHECKED = False
-_NUMBA = None
-_NUMBA_INTERPRET = None
-
-
-def numba_available() -> bool:
-    """True when :mod:`numba` is importable (checked once, lazily)."""
-    global _NUMBA_CHECKED, _NUMBA
-    if not _NUMBA_CHECKED:
-        try:
-            import numba  # type: ignore
-            _NUMBA = numba
-        except ImportError:
-            _NUMBA = None
-        _NUMBA_CHECKED = True
-    return _NUMBA is not None
 
 
 _CC_CHECKED = False
@@ -375,46 +327,58 @@ def cc_usable() -> bool:
     """True when the compiled C engine is available *and* trusted.
 
     ``cc_available() and`` no memoized build failure ``and`` the
-    ``kernel-cc`` circuit breaker is closed — the condition ``auto``
-    resolution uses, so a quarantined engine degrades down
+    ``kernel-cc`` circuit breaker is closed — the condition under which
+    fused runs try the C engine, so a quarantined engine degrades down
     :data:`AUTO_ORDER` instead of being retried forever.
     """
     return cc_available() and _cc_engine_blocked() is None
 
 
-def resolve_backend(backend: str) -> str:
-    """Map a requested backend to the one that will execute.
+def _load_cc_engine(
+    build: Callable[[], Callable], timer: StageTimer, fallback: str
+) -> Callable | None:
+    """Run ``build()`` under the C engine's trust machinery.
 
-    ``auto`` follows :data:`AUTO_ORDER`: the fused path when a C
-    compiler exists *and is trusted* (see :func:`cc_usable` — a
-    memoized build failure or an open ``kernel-cc`` circuit breaker
-    degrades past it), numba when it is importable, else the fused
-    generated-Python engine.  ``auto`` can never resolve to ``interp``
-    (slower than the reference path it would replace).  Requesting
-    ``numba`` explicitly on a machine without numba raises
-    :class:`~repro.errors.KernelError` (the implicit ``auto`` never
-    does).
+    Returns ``None`` when there is no compiler, when the engine is
+    blocked (a memoized build failure or an open ``kernel-cc`` breaker),
+    or when ``build()`` fails now.  The blocked and failed cases count
+    as degrades, logged with ``fallback`` (the engine that runs
+    instead); a failed build also counts against the breaker.  The solo
+    interpreter and the columnar engine share this gate.
+    """
+    if not cc_available():
+        return None
+    blocked = _cc_engine_blocked()
+    if blocked is not None:
+        record_degrade(blocked)
+        logger.info("C kernel engine skipped (%s); using %s", blocked, fallback)
+        return None
+    breaker = get_breaker("kernel-cc")
+    try:
+        with timer.stage("compile"):
+            fn = build()
+    except KernelError as err:
+        breaker.record_failure(str(err))
+        record_degrade(str(err))
+        logger.warning(
+            "C kernel engine unavailable (%s); using %s", err, fallback
+        )
+        return None
+    breaker.record_success()
+    return fn
+
+
+def resolve_backend(backend: str) -> str:
+    """Validate a requested backend and map ``auto`` to ``fused``.
+
+    The engine under ``fused`` is chosen per run by
+    :meth:`FusedLoopKernel.run`, following :data:`AUTO_ORDER`.
     """
     if backend not in BACKENDS:
         raise KernelError(
             f"unknown backend {backend!r}; choose one of {BACKENDS}"
         )
-    if backend == "auto":
-        if cc_usable():
-            chosen = "fused"          # AUTO_ORDER[0]: fused:cc
-        elif numba_available():
-            chosen = "numba"          # AUTO_ORDER[1]
-        else:
-            chosen = "fused"          # AUTO_ORDER[2]: fused:codegen
-        if chosen == "interp":  # pragma: no cover - defensive
-            raise KernelError("auto resolution must never pick 'interp'")
-        return chosen
-    if backend == "numba" and not numba_available():
-        raise KernelError(
-            "backend 'numba' requested but numba is not installed; "
-            "use 'auto' (falls back to 'fused') or install numba"
-        )
-    return backend
+    return "fused" if backend == "auto" else backend
 
 
 # -- global counters ---------------------------------------------------------------
@@ -424,7 +388,6 @@ def resolve_backend(backend: str) -> str:
 class KernelInfo:
     """Snapshot of the module-wide kernel counters."""
 
-    numba_available: bool
     cc_available: bool
     runs: dict[str, int]
     total_samples: int
@@ -445,14 +408,14 @@ class KernelInfo:
     #: compiler installed" are not degrades.
     degrades: int = 0
     last_degrade_reason: str | None = None
-    #: Row batches declined by the overhead heuristic (the instances ran
-    #: serial fused instead; ``batch_runs`` does not count them).
+    #: Every ``KernelBatch.run`` counts once in ``batch_runs`` and once
+    #: in exactly one of these two: ``batch_columnar_runs`` (the SoA C
+    #: engine or its NumPy twin) or ``batch_declined`` (per-instance solo
+    #: fused runs: narrower than ``COLUMNAR_MIN_INSTANCES``,
+    #: ``REPRO_COLUMNAR=0``, or no trusted C engine).
     batch_declined: int = 0
     last_decline_reason: str | None = None
-    #: Batch dispatch counts per engine family: columnar (SoA C engine
-    #: or its NumPy twin) vs row (the PR-4 pthreaded interpreter).
     batch_columnar_runs: int = 0
-    batch_row_runs: int = 0
     last_batch_engine: str | None = None
     #: Per-op profile histogram: op name -> instance-samples executed
     #: (one instance running one op for n samples adds n).
@@ -492,7 +455,6 @@ def reset_kernel_info() -> None:
         batch_declined=0,
         last_decline_reason=None,
         batch_columnar_runs=0,
-        batch_row_runs=0,
         last_batch_engine=None,
         op_samples={},
         fusion_decisions=[],
@@ -505,7 +467,6 @@ reset_kernel_info()
 def kernel_info() -> KernelInfo:
     """Backend usage, compile time, and throughput counters."""
     return KernelInfo(
-        numba_available=numba_available(),
         cc_available=cc_available(),
         runs=dict(_STATS["runs"]),
         total_samples=_STATS["total_samples"],
@@ -524,7 +485,6 @@ def kernel_info() -> KernelInfo:
         batch_declined=_STATS["batch_declined"],
         last_decline_reason=_STATS["last_decline_reason"],
         batch_columnar_runs=_STATS["batch_columnar_runs"],
-        batch_row_runs=_STATS["batch_row_runs"],
         last_batch_engine=_STATS["last_batch_engine"],
         op_samples=dict(_STATS["op_samples"]),
         fusion_decisions=tuple(_STATS["fusion_decisions"]),
@@ -546,34 +506,30 @@ def record_run(
 def record_batch(
     n_instances: int, threads: int,
     total_samples: int = 0, run_seconds: float = 0.0,
-    engine: str = "row",
+    engine: str = "solo", reason: str | None = None,
 ) -> None:
-    """Account one batched kernel call (:class:`KernelBatch` internal).
+    """Account one :meth:`KernelBatch.run` call.
 
-    ``engine`` is the batch machinery that dispatched: ``"row"``,
-    ``"columnar"``/``"columnar-np"``, or ``"solo"`` (the no-compiler
-    per-instance fallback, which still counts as a batch run).
+    ``engine`` is the batch machinery that ran: ``"columnar"`` or
+    ``"columnar-np"`` (counted in ``batch_columnar_runs``), or
+    ``"solo"`` — per-instance solo fused runs, counted in
+    ``batch_declined`` with ``reason``.
     """
     _STATS["batch_runs"] += 1
     _STATS["batch_instances"] += int(n_instances)
     _STATS["last_batch_threads"] = int(threads)
     _STATS["last_batch_engine"] = str(engine)
-    if engine in ("columnar", "columnar-np"):
+    if engine == "solo":
+        _STATS["batch_declined"] += 1
+        _STATS["last_decline_reason"] = str(reason)
+        logger.info(
+            "kernel batch of %d instances ran solo fused (%s)",
+            n_instances, reason,
+        )
+    else:
         _STATS["batch_columnar_runs"] += 1
-    elif engine == "row":
-        _STATS["batch_row_runs"] += 1
     if run_seconds > 0.0 and total_samples:
         _STATS["last_samples_per_second"] = total_samples / run_seconds
-
-
-def record_batch_declined(n_instances: int, reason: str) -> None:
-    """Account one batch the overhead heuristic sent to serial fused."""
-    _STATS["batch_declined"] += 1
-    _STATS["last_decline_reason"] = str(reason)
-    logger.info(
-        "kernel batch declined for %d instances (%s); running serial fused",
-        n_instances, reason,
-    )
 
 
 #: Op-kind index -> display name (order matches the OP_* constants).
@@ -797,51 +753,19 @@ class FusedLoopKernel:
         """Execute the program for ``n`` samples.
 
         ``noise`` is the per-sample bridge-noise waveform (zeros when
-        noise is disabled).  Backends: ``fused`` (C-compiled program
-        interpreter, or generated Python without a C compiler),
-        ``numba`` (JIT of the array interpreter), ``interp`` (the same
-        interpreter in pure Python — the semantics-verification path).
+        noise is disabled).  The one kernel backend is ``fused``; its
+        engine follows :data:`AUTO_ORDER` — the C-compiled program
+        interpreter when the compiler is trusted, else generated Python.
         """
-        if backend not in ("fused", "numba", "interp"):
+        if backend != "fused":
             raise KernelError(
-                f"kernel backend must be fused/numba/interp, got {backend!r}"
+                f"kernel backend must be 'fused', got {backend!r}"
             )
         timer = StageTimer()
         state = list(self._state0)
         mode_state = [c for m in self.modes for c in (m.x0, m.v0)]
 
-        engine = backend
-        fn_arrays = None
-        if backend == "fused":
-            if cc_available():
-                breaker = get_breaker("kernel-cc")
-                blocked = _cc_engine_blocked()
-                if blocked is None:
-                    try:
-                        with timer.stage("compile"):
-                            fn_arrays = _cc_interpreter()
-                        engine = "cc"
-                        breaker.record_success()
-                    except KernelError as err:
-                        breaker.record_failure(str(err))
-                        record_degrade(str(err))
-                        logger.warning(
-                            "C kernel engine unavailable (%s); "
-                            "using generated Python", err,
-                        )
-                else:
-                    record_degrade(blocked)
-                    logger.info(
-                        "C kernel engine skipped (%s); "
-                        "using generated Python", blocked,
-                    )
-        elif backend == "numba":
-            with timer.stage("compile"):
-                fn_arrays = _numba_interpreter()
-        else:
-            fn_arrays = _interpret_program
-            timer.record("compile", 0.0)
-
+        fn_arrays = _load_cc_engine(_cc_interpreter, timer, "generated Python")
         if fn_arrays is not None:
             arrs = self._program_arrays()
             state_arr = np.asarray(state, dtype=float)
@@ -861,6 +785,7 @@ class FusedLoopKernel:
             state = [float(s) for s in state_arr]
             mode_state = [float(s) for s in mode_arr]
             arrays = outs
+            engine = "cc"
         else:
             engine = "codegen"
             with timer.stage("compile"):
@@ -925,13 +850,14 @@ def _allocate_lists(n: int):
 
 # -- batched multi-instance execution ----------------------------------------------
 #
-# A whole sweep as ONE compiled call: N independent instances of the
-# same program *shape* (op kinds + state layout), each with its own
-# parameter/state/noise/actuator block, partitioned across C pthreads.
-# Per-instance arithmetic is the exact solo interpreter loop, so every
-# instance's waveforms are bit-identical to its solo fused run.
+# A whole sweep as one call: N independent instances of the same
+# program *shape* (op kinds + state layout), each with its own
+# parameter/state/noise/actuator block.  Wide batches run on the
+# columnar engine (:mod:`~repro.engine.kernel_columnar`), partitioned
+# across C pthreads; narrow ones run each instance solo fused, which is
+# bit-identical to running the kernels one by one.
 
-#: Hard ceiling on C-level batch threads (matches the C entry point).
+#: Hard ceiling on C-level batch threads (matches the columnar C entry).
 MAX_BATCH_THREADS = 64
 
 #: Environment variable capping C-level batch threads.  Process-pool
@@ -980,7 +906,7 @@ def batch_signature(kernel: FusedLoopKernel) -> tuple:
 
 
 class KernelBatch:
-    """N same-shape kernel instances executed as one compiled call.
+    """N same-shape kernel instances executed as one batch.
 
     Parameters
     ----------
@@ -995,11 +921,10 @@ class KernelBatch:
         Per-instance bridge-noise (or drive-force) waveforms, each at
         least ``ns[i]`` samples.
 
-    ``run()`` executes every instance through the C ``run_program_batch``
-    entry point when a compiler is available (pthread-partitioned, no
-    shared mutable state) and otherwise falls back to per-instance solo
-    fused runs — both bit-identical to solo execution, which the golden
-    suite pins with ``np.array_equal``.
+    ``run()`` executes a batch at least :data:`COLUMNAR_MIN_INSTANCES`
+    wide through the compiled columnar engine (within its tolerance
+    contract) and any other batch as per-instance solo fused runs
+    (bit-identical to solo execution, pinned with ``np.array_equal``).
     """
 
     def __init__(
@@ -1050,14 +975,13 @@ class KernelBatch:
         """Execute all instances; one :class:`KernelRunResult` each, in
         input order.
 
-        ``engine`` picks the batch machinery: ``"row"`` is the
-        pthreaded per-instance interpreter (bit-identical to solo fused
-        runs), ``"columnar"`` the vectorized structure-of-arrays engine
-        (within-tolerance contract — see ``docs/FASTPATH.md``), and
-        ``"auto"`` follows :data:`BATCH_AUTO_ORDER`: columnar for wide
-        batches when the C engine is trusted (or ``REPRO_COLUMNAR=1``),
-        the row engine otherwise, with the decline heuristic sending
-        narrow batches of long programs straight to serial fused.
+        ``engine="columnar"`` runs the vectorized structure-of-arrays
+        engine (within-tolerance contract — see ``docs/FASTPATH.md``),
+        on its NumPy twin when the C engine is unavailable.  ``"auto"``
+        follows :data:`BATCH_AUTO_ORDER`: the compiled columnar engine
+        when the batch is at least :data:`COLUMNAR_MIN_INSTANCES` wide
+        (or ``REPRO_COLUMNAR=1``), else per-instance solo fused runs —
+        also when ``REPRO_COLUMNAR=0`` or no C engine is trusted.
         """
         if engine not in BATCH_ENGINES:
             raise KernelError(
@@ -1066,55 +990,25 @@ class KernelBatch:
             )
         threads_used = kernel_batch_threads(threads, self.n_instances)
         override = _columnar_override()
-        explicit = engine == "columnar" or override is True
-        if engine == "auto":
-            choice, reason = self._resolve_engine(threads_used, override)
+        if engine == "columnar" or override is True:
+            return self._run_columnar(threads_used, explicit=True)
+        if override is False:
+            reason = f"{COLUMNAR_ENV}=0"
+        elif self.n_instances < COLUMNAR_MIN_INSTANCES:
+            reason = (
+                f"{self.n_instances} instances < {COLUMNAR_MIN_INSTANCES}"
+            )
         else:
-            choice, reason = engine, "requested"
-
-        if choice == "columnar":
-            results = self._run_columnar(threads_used, explicit)
+            results = self._run_columnar(threads_used, explicit=False)
             if results is not None:
                 return results
-            choice = "row"  # columnar C engine degraded: row path next
-
-        if choice == "declined":
-            record_batch_declined(self.n_instances, reason)
-            return [
-                kernel.run(n, noise, backend="fused")
-                for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
-            ]
-
-        return self._run_row(threads_used)
-
-    def _resolve_engine(
-        self, threads_used: int, override: bool | None
-    ) -> tuple[str, str]:
-        """``engine="auto"`` resolution (see :data:`BATCH_AUTO_ORDER`)."""
-        if override is True:
-            return "columnar", f"forced by {COLUMNAR_ENV}"
-        cc = cc_usable()
-        if (
-            override is not False
-            and cc
-            and self.n_instances >= _columnar_min_instances()
-        ):
-            return "columnar", (
-                f"{self.n_instances} instances >= "
-                f"{_columnar_min_instances()}"
-            )
-        if (
-            cc
-            and threads_used == 1
-            and self.n_instances < _columnar_min_instances()
-            and min(self.ns) >= BATCH_DECLINE_MIN_SAMPLES
-        ):
-            return "declined", (
-                f"{self.n_instances} instances x >= {min(self.ns)} "
-                "samples at 1 thread: batch dispatch would not beat "
-                "serial fused"
-            )
-        return "row", "default"
+            reason = "no trusted C engine"
+        results = [
+            kernel.run(n, noise, backend="fused")
+            for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
+        ]
+        record_batch(self.n_instances, 1, engine="solo", reason=reason)
+        return results
 
     def _run_columnar(
         self, threads_used: int, explicit: bool
@@ -1123,33 +1017,18 @@ class KernelBatch:
 
         Returns ``None`` when the compiled columnar engine is
         unavailable and the request was implicit (``auto``) — the
-        caller then degrades to the bit-identical row path.  An
-        explicit request (``engine="columnar"`` / ``REPRO_COLUMNAR=1``)
-        falls back to the NumPy columnar twin instead, keeping the
-        columnar tolerance contract rather than silently switching it.
+        caller then runs the instances solo fused.  An explicit request
+        (``engine="columnar"`` / ``REPRO_COLUMNAR=1``) falls back to the
+        NumPy columnar twin instead, keeping the columnar tolerance
+        contract rather than silently switching it.
         """
         from . import kernel_columnar
 
         timer = StageTimer()
-        fn = None
-        if cc_available():
-            blocked = _cc_engine_blocked()
-            if blocked is None:
-                breaker = get_breaker("kernel-cc")
-                try:
-                    with timer.stage("compile"):
-                        fn = kernel_columnar.columnar_interpreter()
-                    breaker.record_success()
-                except KernelError as err:
-                    breaker.record_failure(str(err))
-                    record_degrade(str(err))
-                    logger.warning(
-                        "columnar C engine unavailable (%s); using %s",
-                        err, "NumPy twin" if explicit else "row batch",
-                    )
-            else:
-                record_degrade(blocked)
-                logger.info("columnar C engine skipped (%s)", blocked)
+        fn = _load_cc_engine(
+            kernel_columnar.columnar_interpreter, timer,
+            "NumPy twin" if explicit else "solo fused runs",
+        )
         if fn is not None:
             return kernel_columnar.run_columnar_cc(
                 self, fn, threads_used, timer
@@ -1157,136 +1036,6 @@ class KernelBatch:
         if explicit:
             return kernel_columnar.run_columnar_numpy(self, timer)
         return None
-
-    def _run_row(self, threads_used: int) -> list[KernelRunResult]:
-        """The PR-4 row-major pthreaded batch (bit-identical to solo)."""
-        timer = StageTimer()
-        batch_fn = None
-        if cc_available():
-            breaker = get_breaker("kernel-cc")
-            blocked = _cc_engine_blocked()
-            if blocked is None:
-                try:
-                    with timer.stage("compile"):
-                        batch_fn = _cc_batch_interpreter()
-                    breaker.record_success()
-                except KernelError as err:
-                    breaker.record_failure(str(err))
-                    record_degrade(str(err))
-                    logger.warning(
-                        "C batch engine unavailable (%s); "
-                        "running instances solo", err,
-                    )
-            else:
-                record_degrade(blocked)
-                logger.info(
-                    "C batch engine skipped (%s); "
-                    "running instances solo", blocked,
-                )
-        if batch_fn is None:
-            results = [
-                kernel.run(n, noise, backend="fused")
-                for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
-            ]
-            record_batch(self.n_instances, 1, engine="solo")
-            return results
-        return self._run_cc(batch_fn, threads_used, timer)
-
-    def _run_cc(self, batch_fn, threads_used: int, timer: StageTimer):
-        n_inst = self.n_instances
-        n_max = self.n_max
-        rep = self.kernels[0]
-        n_ops, n_modes, n_state = rep.n_ops, len(rep.modes), rep.n_state
-
-        kinds = np.asarray(rep._kinds, dtype=np.int64)
-        sidx = np.asarray(rep._sidx, dtype=np.int64)
-        params = np.asarray(
-            [k._params for k in self.kernels], dtype=float
-        ).reshape(n_inst, n_ops, _N_PARAMS)
-        p_cols = tuple(
-            np.ascontiguousarray(params[:, :, j]) for j in range(_N_PARAMS)
-        )
-        state = np.asarray(
-            [k._state0 for k in self.kernels], dtype=float
-        ).reshape(n_inst, n_state)
-        mode_coef = np.asarray(
-            [[c for m in k.modes
-              for c in (m.a11, m.a12, m.a21, m.a22, m.b1, m.b2, m.coef)]
-             for k in self.kernels], dtype=float,
-        ).reshape(n_inst, 7 * n_modes)
-        mode_state = np.asarray(
-            [[c for m in k.modes for c in (m.x0, m.v0)]
-             for k in self.kernels], dtype=float,
-        ).reshape(n_inst, 2 * n_modes)
-        act = np.asarray(
-            [[k.act_r, k.act_imax, k.act_fpc] for k in self.kernels],
-            dtype=float,
-        )
-        ns_arr = np.asarray(self.ns, dtype=np.int64)
-        noise = np.zeros((n_inst, n_max))
-        for i, w in enumerate(self.noises):
-            noise[i, :len(w)] = w
-
-        out_disp = np.empty((n_inst, n_max))
-        out_bridge = np.empty((n_inst, n_max))
-        if rep.has_taps:
-            aux_stride = n_max
-            aux = [np.empty((n_inst, n_max)) for _ in range(3)]
-        else:
-            aux_stride = 0
-            aux = [np.zeros(1) for _ in range(3)]
-
-        with timer.stage("run"):
-            batch_fn(
-                n_inst, threads_used, n_max, aux_stride,
-                n_modes, n_ops, n_state,
-                ns_arr, kinds, sidx, *p_cols,
-                state, mode_coef, mode_state, noise, act,
-                out_disp, out_bridge, *aux,
-            )
-
-        run_seconds = timer.seconds("run")
-        compile_seconds = timer.seconds("compile")
-        total = sum(self.ns)
-        record_op_profile(rep._kinds, total)
-        _note_program_samples(self.signature, total)
-        results = []
-        for i, kernel in enumerate(self.kernels):
-            n_i = self.ns[i]
-            kernel._sync_stages([float(s) for s in state[i]])
-            if rep.has_taps:
-                limin = aux[0][i, :n_i]
-                limout = aux[1][i, :n_i]
-                drive = aux[2][i, :n_i]
-            else:
-                # tapless program: the taps were never computed — one
-                # shared zero row stands in for all three waveforms
-                limin = limout = drive = np.zeros(n_i)
-            info = KernelRunInfo(
-                backend="fused",
-                engine="cc-batch",
-                n_samples=n_i,
-                n_ops=n_ops,
-                n_state=n_state,
-                lower_seconds=0.0,
-                compile_seconds=compile_seconds if i == 0 else 0.0,
-                run_seconds=run_seconds if i == 0 else 0.0,
-            )
-            record_run("fused", n_i, 0.0, 0.0)
-            # row slices are views into the batch matrices (no copy);
-            # they keep the matrices alive, which callers slicing a few
-            # instances out of a huge batch may np.ascontiguousarray()
-            results.append(KernelRunResult(
-                displacement=out_disp[i, :n_i],
-                bridge_voltage=out_bridge[i, :n_i],
-                limiter_input=limin,
-                limiter_output=limout,
-                drive_voltage=drive,
-                mode_state=[float(s) for s in mode_state[i]],
-                info=info,
-            ))
-        record_batch(n_inst, threads_used, total, run_seconds)
-        return results
 
 
 # -- code generation ---------------------------------------------------------------
@@ -1426,133 +1175,11 @@ def _compile_source(source: str) -> Callable:
     return fn
 
 
-# -- generic array interpreter (the numba-compiled program) ------------------------
-
-
-def _interpret_program(
-    n, n_modes, kinds, p0, p1, p2, p3, p4, sidx,
-    state, mode_coef, mode_state, noise,
-    act_r, act_imax, act_fpc,
-    out_disp, out_bridge, out_limin, out_limout, out_drive,
-):
-    """Interpret a stage program over typed arrays.
-
-    Written in a numba-compatible subset of Python (while loops, scalar
-    arithmetic, flat indexing only); ``numba.njit`` compiles exactly
-    this function for the ``numba`` backend, and the ``interp`` backend
-    runs it as-is so its semantics are testable without numba.  Every
-    op replicates the arithmetic of the generated fused source.
-    """
-    n_ops = len(kinds)
-    i = 0
-    while i < n:
-        if n_modes == 1:
-            v = mode_coef[6] * mode_state[0] + noise[i]
-        else:
-            v = mode_coef[6] * mode_state[0]
-            m = 1
-            while m < n_modes:
-                v = v + mode_coef[7 * m + 6] * mode_state[2 * m]
-                m += 1
-            v = v + noise[i]
-        out_bridge[i] = v
-        j = 0
-        while j < n_ops:
-            k = kinds[j]
-            if k == 2:  # OP_SOS
-                p = sidx[j]
-                y = p0[j] * v + state[p]
-                state[p] = p1[j] * v - p3[j] * y + state[p + 1]
-                state[p + 1] = p2[j] * v - p4[j] * y
-                v = y
-            elif k == 1:  # OP_GAIN
-                v = v * p0[j]
-            elif k == 0:  # OP_BIAS
-                v = v + p0[j]
-            elif k == 3:  # OP_RC
-                p = sidx[j]
-                state[p] = state[p] + p0[j] * (v - state[p])
-                v = state[p]
-            elif k == 4:  # OP_CLIP
-                if v < p0[j]:
-                    v = p0[j]
-                elif v > p1[j]:
-                    v = p1[j]
-            elif k == 5:  # OP_TANH
-                v = p1[j] * math.tanh(p0[j] * v / p1[j])
-            elif k == 6:  # OP_DIFF
-                p = sidx[j]
-                y = (v - state[p]) * p0[j]
-                state[p] = v
-                v = y
-            elif k == 7:  # OP_DEADZONE
-                if v <= p0[j] and v >= p1[j]:
-                    v = 0.0
-                elif v > 0.0:
-                    v = v - p0[j]
-                else:
-                    v = v - p1[j]
-            elif k == 8:  # OP_SLEW
-                p = sidx[j]
-                y = v - state[p]
-                if y > p0[j]:
-                    v = state[p] + p0[j]
-                elif y < p1[j]:
-                    v = state[p] + p1[j]
-                state[p] = v
-            elif k == 9:  # OP_LATCH
-                state[sidx[j]] = v
-            elif k == 10:  # OP_TAP_LIMIN
-                out_limin[i] = v
-            elif k == 11:  # OP_TAP_LIMOUT
-                out_limout[i] = v
-            else:  # OP_TAP_DRIVE
-                out_drive[i] = v
-            j += 1
-        cur = v / act_r
-        if cur > act_imax:
-            cur = act_imax
-        elif cur < -act_imax:
-            cur = -act_imax
-        f = act_fpc * cur
-        m = 0
-        while m < n_modes:
-            b = 7 * m
-            x0 = mode_state[2 * m]
-            v0 = mode_state[2 * m + 1]
-            mode_state[2 * m] = (
-                mode_coef[b] * x0 + mode_coef[b + 1] * v0 + mode_coef[b + 4] * f
-            )
-            mode_state[2 * m + 1] = (
-                mode_coef[b + 2] * x0 + mode_coef[b + 3] * v0
-                + mode_coef[b + 5] * f
-            )
-            m += 1
-        out_disp[i] = mode_state[0]
-        i += 1
-
-
-def _numba_interpreter():
-    """The njit-compiled interpreter (compiled once, on first use)."""
-    global _NUMBA_INTERPRET
-    if not numba_available():  # pragma: no cover - numba-only
-        raise KernelError("numba is not installed")
-    if _NUMBA_INTERPRET is None:  # pragma: no cover - numba-only
-        t0 = time.perf_counter()
-        _NUMBA_INTERPRET = _NUMBA.njit(cache=False, fastmath=False)(
-            _interpret_program
-        )
-        logger.info(
-            "numba kernel interpreter compiled in %.2f s",
-            time.perf_counter() - t0,
-        )
-    return _NUMBA_INTERPRET
-
-
 # -- C-compiled interpreter (the fused backend's fast engine) ----------------------
 #
-# A literal C translation of ``_interpret_program``, compiled once per
-# machine with strict IEEE flags (``-ffp-contract=off`` forbids FMA
+# A generic interpreter of the stage program: every op replicates the
+# generated-Python arithmetic of :func:`_generate_source`.  Compiled once
+# per machine with strict IEEE flags (``-ffp-contract=off`` forbids FMA
 # contraction, no fast-math) so every double operation rounds exactly
 # like the Python reference — the golden suite pins this bit-for-bit.
 # The shared object is cached on disk keyed by the source hash; a cache
@@ -1643,97 +1270,9 @@ void run_program(
         out_disp[i] = mode_state[0];
     }
 }
-
-/* -- batched execution: N independent instances of one program shape --
- *
- * All instances share the op-kind/state-index layout (kinds, sidx) but
- * carry per-instance parameter, state, mode, noise and actuator blocks,
- * laid out as C-contiguous rows.  Each worker thread owns a strided
- * partition of the instances; instances never share mutable memory, so
- * there is no locking and the per-instance arithmetic is the exact
- * run_program() loop above (bit-identity with solo runs).
- *
- * aux_stride is the row stride of the limiter/drive tap outputs; a
- * tapless program passes aux_stride == 0 with 1-element dummies (the
- * taps are never written).
- */
-
-#include <pthread.h>
-
-typedef struct {
-    long start, step;
-    long n_instances, n_max, aux_stride;
-    long n_modes, n_ops, n_state;
-    const long *ns; const long *kinds; const long *sidx;
-    const double *p0; const double *p1; const double *p2;
-    const double *p3; const double *p4;
-    double *state; const double *mode_coef; double *mode_state;
-    const double *noise; const double *act;
-    double *out_disp; double *out_bridge;
-    double *out_limin; double *out_limout; double *out_drive;
-} batch_args;
-
-static void *batch_worker(void *arg)
-{
-    batch_args *a = (batch_args *)arg;
-    for (long i = a->start; i < a->n_instances; i += a->step) {
-        long aux = i * a->aux_stride;
-        run_program(
-            a->ns[i], a->n_modes, a->n_ops,
-            a->kinds,
-            a->p0 + i * a->n_ops, a->p1 + i * a->n_ops,
-            a->p2 + i * a->n_ops, a->p3 + i * a->n_ops,
-            a->p4 + i * a->n_ops,
-            a->sidx,
-            a->state + i * a->n_state,
-            a->mode_coef + i * 7 * a->n_modes,
-            a->mode_state + i * 2 * a->n_modes,
-            a->noise + i * a->n_max,
-            a->act[3*i], a->act[3*i + 1], a->act[3*i + 2],
-            a->out_disp + i * a->n_max,
-            a->out_bridge + i * a->n_max,
-            a->out_limin + aux, a->out_limout + aux, a->out_drive + aux);
-    }
-    return 0;
-}
-
-void run_program_batch(
-    long n_instances, long n_threads, long n_max, long aux_stride,
-    long n_modes, long n_ops, long n_state,
-    const long *ns, const long *kinds, const long *sidx,
-    const double *p0, const double *p1, const double *p2,
-    const double *p3, const double *p4,
-    double *state, const double *mode_coef, double *mode_state,
-    const double *noise, const double *act,
-    double *out_disp, double *out_bridge, double *out_limin,
-    double *out_limout, double *out_drive)
-{
-    if (n_threads > n_instances) n_threads = n_instances;
-    if (n_threads > 64) n_threads = 64;
-    if (n_threads < 1) n_threads = 1;
-    batch_args args[64];
-    pthread_t tids[64];
-    for (long t = 0; t < n_threads; t++) {
-        batch_args a = { t, n_threads, n_instances, n_max, aux_stride,
-            n_modes, n_ops, n_state, ns, kinds, sidx, p0, p1, p2, p3, p4,
-            state, mode_coef, mode_state, noise, act,
-            out_disp, out_bridge, out_limin, out_limout, out_drive };
-        args[t] = a;
-    }
-    long launched = 0;
-    for (long t = 1; t < n_threads; t++) {
-        if (pthread_create(&tids[launched], 0, batch_worker, &args[t]) != 0)
-            batch_worker(&args[t]);   /* spawn failed: run inline */
-        else
-            launched++;
-    }
-    batch_worker(&args[0]);
-    for (long t = 0; t < launched; t++)
-        pthread_join(tids[t], 0);
-}
 """
 
-_CC_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread"]
+_CC_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 
 def _cc_cache_dir() -> str:
@@ -1751,7 +1290,7 @@ def _cc_compile_so(
     The shared object lands in the per-user cache directory keyed by
     ``sha256(source + flags)`` with an atomic replace, so concurrent
     builders agree and a cache hit makes "compile time" a dlopen.  The
-    solo/row interpreter (``stem="kernel"``) and the columnar engine
+    solo interpreter (``stem="kernel"``) and the columnar engine
     (``stem="columnar"``, :mod:`~repro.engine.kernel_columnar`) share
     this machinery.  Raises :class:`KernelError` on build failure.
     """
@@ -1800,30 +1339,8 @@ def _cc_build() -> Callable:
             state, mode_coef, mode_state, noise,
             act_r, act_imax, act_fpc, *outs)
 
-    lib.run_program_batch.restype = None
-    lib.run_program_batch.argtypes = (
-        [ctypes.c_long] * 7     # n_instances/threads/n_max/aux_stride/modes/ops/state
-        + [idx] * 3             # ns, kinds, sidx
-        + [dbl] * 5             # p0..p4 (rows per instance)
-        + [dbl] * 5             # state, mode_coef, mode_state, noise, act
-        + [dbl] * 5             # the five output waveform matrices
-    )
-    run._batch = lib.run_program_batch
-
     run._lib = lib  # keep the CDLL alive alongside the wrapper
     return run
-
-
-def _cc_batch_interpreter() -> Callable:
-    """The C batched entry point (``run_program_batch``), built with the
-    solo interpreter.  Raises :class:`KernelError` when no compiler is
-    on PATH or the build fails; :class:`KernelBatch` then falls back to
-    per-instance solo runs (bit-identical by construction)."""
-    fn = _cc_interpreter()
-    batch = getattr(fn, "_batch", None)
-    if batch is None:  # pragma: no cover - defensive
-        raise KernelError("C batch entry point unavailable")
-    return batch
 
 
 def _cc_interpreter() -> Callable:

@@ -1,10 +1,8 @@
 """Columnar (structure-of-arrays) batch engine for the fused kernel.
 
-The PR-4 row-major batch (``run_program_batch`` in
-:mod:`~repro.engine.kernel`) partitions *instances* across pthreads and
-walks each instance's program independently — on narrow batches or
-few-core boxes that leaves the vector units idle and loses to serial
-fused runs.  This module turns the batch inside out:
+Running a batch instance by instance walks each program independently,
+which leaves the vector units idle.  This module turns the batch inside
+out:
 
 * every per-instance block (params, state, mode coefficients, noise,
   actuator constants, outputs) is **transposed** to structure-of-arrays
@@ -23,10 +21,8 @@ fused runs.  This module turns the batch inside out:
   op list into plan segments once a program shape is hot
   (``kernel_info().op_samples`` / the per-shape profile): consecutive
   SOS biquads fuse into a single-pass two-section sweep (bit-preserving
-  — the per-sample arithmetic order is unchanged), and, opt-in via
-  ``REPRO_COLUMNAR_FUSION=affine``, runs of GAIN/BIAS ops fold into one
-  ``v = a*v + b`` sweep (re-associates rounding — tolerance-relaxing).
-  Decisions are recorded in ``kernel_info().fusion_decisions``;
+  — the per-sample arithmetic order is unchanged).  Decisions are
+  recorded in ``kernel_info().fusion_decisions``;
 * without a C compiler the same SoA program runs through a vectorized
   **NumPy twin** (:func:`run_columnar_numpy`) — identical semantics, no
   build step, used when the columnar engine is explicitly requested on
@@ -39,15 +35,14 @@ bit-for-bit — in practice the C engine preserves the exact per-sample
 operation order and lands bit-identical on this machine, but SIMD
 codegen freedom is part of the engine's contract, so its golden suite
 (``tests/engine/test_kernel_columnar.py``) pins tolerances instead.
-The existing fused/numba/interp backends and the row batch keep the
-bit-identity contract untouched.
+Solo fused runs, including the per-instance route that narrow batches
+take, keep the bit-identity contract untouched.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -85,15 +80,11 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "ATOL_SCALE",
     "COLUMNAR_FLAGS",
-    "FUSION_DEFAULT_THRESHOLD",
-    "FUSION_ENV",
-    "FUSION_THRESHOLD_ENV",
-    "MALLOC_ENV",
+    "FUSION_THRESHOLD",
     "RTOL",
     "ColumnarPlan",
     "build_plan",
     "columnar_interpreter",
-    "fusion_mode",
     "max_ulp_distance",
     "run_columnar_cc",
     "run_columnar_numpy",
@@ -114,23 +105,17 @@ __all__ = [
 RTOL = 1e-9
 ATOL_SCALE = 1e-12
 
-# -- fusion pass knobs -------------------------------------------------------------
+# -- fusion pass -------------------------------------------------------------------
 
-#: ``off`` disables the fusion pass; ``safe`` (default) applies only
-#: bit-preserving rewrites (fused SOS pairs); ``affine`` additionally
-#: folds GAIN/BIAS runs into one a*v+b sweep (re-associated rounding —
-#: within-tolerance, never default).
-FUSION_ENV = "REPRO_COLUMNAR_FUSION"
 #: A program shape must have executed this many instance-samples before
 #: the fusion pass rewrites it (profile-guided: cold shapes run the
-#: plain per-op plan).  Override with REPRO_COLUMNAR_FUSION_THRESHOLD.
-FUSION_DEFAULT_THRESHOLD = 100_000
-FUSION_THRESHOLD_ENV = "REPRO_COLUMNAR_FUSION_THRESHOLD"
+#: plain per-op plan).  The pass applies only bit-preserving rewrites:
+#: fused SOS pairs.
+FUSION_THRESHOLD = 100_000
 
 # plan-segment opcodes (the C plan interpreter's instruction set)
 PK_OP = 0       # one KernelOp, dispatched by kinds[pa]
 PK_SOS2 = 1     # ops pa, pa+1: two SOS sections in one pass (bit-safe)
-PK_AFFINE = 2   # folded GAIN/BIAS run: v = aff_a[pa]*v + aff_b[pa]
 
 # -- allocation reuse --------------------------------------------------------------
 #
@@ -147,10 +132,7 @@ PK_AFFINE = 2   # folded GAIN/BIAS run: v = aff_a[pa]*v + aff_b[pa]
 # allocated; _tune_malloc() instead asks glibc to recycle their pages
 # across result generations rather than returning them to the kernel
 # (raises M_MMAP_THRESHOLD / M_TRIM_THRESHOLD once per process).
-# REPRO_COLUMNAR_MALLOC=0 opts out of the malloc tuning; the scratch
-# pool is unconditional.
 
-MALLOC_ENV = "REPRO_COLUMNAR_MALLOC"
 _M_TRIM_THRESHOLD = -1   # glibc mallopt() parameter ids
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 64 << 20
@@ -187,13 +169,11 @@ def _aligned_rows(n_rows: int, stride: int) -> np.ndarray:
 
 
 def _tune_malloc() -> None:
-    """One-shot glibc allocator tuning (no-op off glibc / when opted out)."""
+    """One-shot glibc allocator tuning (no-op off glibc)."""
     global _MALLOC_TUNED
     if _MALLOC_TUNED:
         return
     _MALLOC_TUNED = True
-    if os.environ.get(MALLOC_ENV, "").strip().lower() in ("0", "off", "no", "false"):
-        return
     try:
         mallopt = ctypes.CDLL(None, use_errno=True).mallopt
     except (OSError, AttributeError):
@@ -202,28 +182,6 @@ def _tune_malloc() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
-def fusion_mode() -> str:
-    """The active fusion mode: ``off``, ``safe``, or ``affine``."""
-    env = os.environ.get(FUSION_ENV, "").strip().lower()
-    if env in ("off", "none", "0"):
-        return "off"
-    if env in ("affine", "aggressive"):
-        return "affine"
-    return "safe"
-
-
-def _fusion_threshold() -> int:
-    env = os.environ.get(FUSION_THRESHOLD_ENV, "").strip()
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            logger.warning(
-                "ignoring non-integer %s=%r", FUSION_THRESHOLD_ENV, env
-            )
-    return FUSION_DEFAULT_THRESHOLD
 
 
 def max_ulp_distance(a: np.ndarray, b: np.ndarray) -> int:
@@ -255,18 +213,14 @@ def max_ulp_distance(a: np.ndarray, b: np.ndarray) -> int:
 class ColumnarPlan:
     """One program shape rewritten as columnar plan segments.
 
-    ``pk``/``pa`` drive the C plan interpreter; ``aff_a``/``aff_b`` are
-    the folded affine coefficient rows (``(n_aff or 1, n_inst)``);
-    ``segments`` is the human-readable rewrite, and ``fused`` is True
-    when any multi-op segment was emitted.
+    ``pk``/``pa`` drive the C plan interpreter; ``segments`` is the
+    human-readable rewrite, and ``fused`` is True when any multi-op
+    segment was emitted.
     """
 
     pk: np.ndarray
     pa: np.ndarray
-    aff_a: np.ndarray
-    aff_b: np.ndarray
     segments: tuple
-    mode: str
     hot: bool
 
     @property
@@ -274,12 +228,12 @@ class ColumnarPlan:
         return any(kind != "op" for kind, _, _ in self.segments)
 
 
-#: Memoized segment rewrites keyed by (signature, mode, hot) — the
-#: decision is recorded in kernel_info() once per distinct key.
+#: Memoized segment rewrites keyed by (signature, hot) — the decision is
+#: recorded in kernel_info() once per distinct key.
 _SEGMENT_CACHE: dict[tuple, tuple] = {}
 
 
-def _plan_segments(kinds: Sequence[int], mode: str, apply: bool) -> tuple:
+def _plan_segments(kinds: Sequence[int], apply: bool) -> tuple:
     segments: list[tuple] = []
     n = len(kinds)
     j = 0
@@ -288,44 +242,28 @@ def _plan_segments(kinds: Sequence[int], mode: str, apply: bool) -> tuple:
             segments.append(("sos2", j, 2))
             j += 2
             continue
-        if apply and mode == "affine" and kinds[j] in (OP_GAIN, OP_BIAS):
-            j2 = j
-            while j2 < n and kinds[j2] in (OP_GAIN, OP_BIAS):
-                j2 += 1
-            if j2 - j >= 2:
-                segments.append(("affine", j, j2 - j))
-                j = j2
-                continue
         segments.append(("op", j, 1))
         j += 1
     return tuple(segments)
 
 
-def build_plan(
-    signature: tuple,
-    kinds: Sequence[int],
-    p_cols: Sequence[np.ndarray],
-    n_inst: int,
-) -> ColumnarPlan:
-    """The fusion-pass rewrite of one program shape for one batch.
+def build_plan(signature: tuple, kinds: Sequence[int]) -> ColumnarPlan:
+    """The fusion-pass rewrite of one program shape.
 
-    Segment structure is profile-guided and memoized per
-    ``(signature, mode, hot)``; the affine coefficient rows are folded
-    from this batch's (already instance-sorted) parameter columns.
+    Segment structure is profile-guided (a shape is *hot* once it has
+    run :data:`FUSION_THRESHOLD` instance-samples) and memoized per
+    ``(signature, hot)``.
     """
-    mode = fusion_mode()
     profile = _k._PROGRAM_PROFILE.get(signature, 0)
-    hot = profile >= _fusion_threshold()
-    apply = mode != "off" and hot
-    key = (signature, mode, hot)
+    hot = profile >= FUSION_THRESHOLD
+    key = (signature, hot)
     segments = _SEGMENT_CACHE.get(key)
     if segments is None:
-        segments = _plan_segments(kinds, mode, apply)
+        segments = _plan_segments(kinds, hot)
         _SEGMENT_CACHE[key] = segments
         record_fusion_decision({
             "engine": "columnar",
             "n_ops": len(kinds),
-            "mode": mode,
             "hot": hot,
             "profile_samples": int(profile),
             "fused_segments": [
@@ -334,41 +272,10 @@ def build_plan(
             ],
         })
 
-    pk = np.empty(len(segments), dtype=np.int64)
-    pa = np.empty(len(segments), dtype=np.int64)
-    aff_rows_a: list[np.ndarray] = []
-    aff_rows_b: list[np.ndarray] = []
-    for s, (kind, j, ln) in enumerate(segments):
-        if kind == "op":
-            pk[s] = PK_OP
-            pa[s] = j
-        elif kind == "sos2":
-            pk[s] = PK_SOS2
-            pa[s] = j
-        else:  # affine: fold the GAIN/BIAS run into per-instance (a, b)
-            a = np.ones(n_inst)
-            b = np.zeros(n_inst)
-            for jj in range(j, j + ln):
-                if kinds[jj] == OP_GAIN:
-                    g = p_cols[0][jj]
-                    a = a * g
-                    b = b * g
-                else:  # OP_BIAS
-                    b = b + p_cols[0][jj]
-            pk[s] = PK_AFFINE
-            pa[s] = len(aff_rows_a)
-            aff_rows_a.append(a)
-            aff_rows_b.append(b)
-    if aff_rows_a:
-        aff_a = np.ascontiguousarray(np.vstack(aff_rows_a))
-        aff_b = np.ascontiguousarray(np.vstack(aff_rows_b))
-    else:  # never indexed; 1 dummy row keeps the ctypes signature happy
-        aff_a = np.zeros((1, max(1, n_inst)))
-        aff_b = np.zeros((1, max(1, n_inst)))
-    return ColumnarPlan(
-        pk=pk, pa=pa, aff_a=aff_a, aff_b=aff_b,
-        segments=segments, mode=mode, hot=hot,
-    )
+    codes = {"op": PK_OP, "sos2": PK_SOS2}
+    pk = np.asarray([codes[kind] for kind, _, _ in segments], dtype=np.int64)
+    pa = np.asarray([j for _, j, _ in segments], dtype=np.int64)
+    return ColumnarPlan(pk=pk, pa=pa, segments=segments, hot=hot)
 
 
 # -- SoA block assembly ------------------------------------------------------------
@@ -550,7 +457,6 @@ typedef struct {
     const long *kinds, *sidx;
     const long *pk, *pa;
     const double *p0, *p1, *p2, *p3, *p4;
-    const double *aff_a, *aff_b;
     double *state;
     const double *mode_coef;
     double *mode_state;
@@ -696,13 +602,6 @@ static void *col_worker(void *argp)
                 }
                 continue;
             }
-            if (a->pk[s] == 2) {            /* PK_AFFINE: folded run */
-                const double *restrict fa = a->aff_a + j*ni;
-                const double *restrict fb = a->aff_b + j*ni;
-                for (long k = lo; k < hi; k++)
-                    v[k] = fa[k]*v[k] + fb[k];
-                continue;
-            }
             /* PK_OP: one primitive, dispatched once per sweep */
             const long kind = a->kinds[j];
             const double *restrict q0 = a->p0 + j*ni;
@@ -828,7 +727,6 @@ void run_columnar(
     const long *pk, const long *pa,
     const double *p0, const double *p1, const double *p2,
     const double *p3, const double *p4,
-    const double *aff_a, const double *aff_b,
     double *state, const double *mode_coef, double *mode_state,
     const double *noise, const double *act, double *vbuf,
     double *noise_sm,
@@ -850,7 +748,7 @@ void run_columnar(
         if (lo >= hi) break;
         col_args a = { lo, hi, n_inst, n_modes, n_plan, n_max, row_stride,
             has_taps,
-            ns, kinds, sidx, pk, pa, p0, p1, p2, p3, p4, aff_a, aff_b,
+            ns, kinds, sidx, pk, pa, p0, p1, p2, p3, p4,
             state, mode_coef, mode_state, noise, act, vbuf, noise_sm,
             out_disp, out_bridge, out_limin, out_limout, out_drive,
             row_disp, row_bridge, row_limin, row_limout, row_drive };
@@ -1004,20 +902,15 @@ def _generate_specialized_source(
     ``run_columnar`` (plan arguments accepted and ignored)."""
 
     # linearize plan segments, splitting the chain at every tanh
-    chains: list[list[tuple]] = [[]]
+    chains: list[list[int]] = [[]]
     tanhs: list[int] = []
-    aff_no = 0
-    for kind, j, ln in segments:
-        if kind == "affine":
-            chains[-1].append(("affine", aff_no))
-            aff_no += 1
-            continue
+    for _, j, ln in segments:
         for jj in range(j, j + ln):
             if kinds[jj] == OP_TANH:
                 tanhs.append(jj)
                 chains.append([])
             else:
-                chains[-1].append(("op", jj))
+                chains[-1].append(jj)
     n_c = len(chains)
     with_v = n_c > 1
 
@@ -1168,15 +1061,8 @@ def _generate_specialized_source(
             body += emit_bridge(params)
         else:
             body.append("double x = v[k];")
-        for item in chain:
-            if item[0] == "op":
-                body += emit_op(params, item[1])
-            else:
-                fa = row(params, f"fa{item[1]}",
-                         f"a->aff_a + {item[1]}*ni", True)
-                fb = row(params, f"fb{item[1]}",
-                         f"a->aff_b + {item[1]}*ni", True)
-                body.append(f"x = {fa}[k]*x + {fb}[k];")
+        for jj in chain:
+            body += emit_op(params, jj)
         if t == n_c - 1:
             body += emit_epilogue(params)
         else:
@@ -1312,7 +1198,7 @@ def specialized_interpreter(blocks: "_Blocks", plan: ColumnarPlan):
     key = (
         tuple(int(k) for k in blocks.kinds),
         tuple(int(s) for s in blocks.sidx),
-        blocks.n_modes, plan.mode, plan.segments,
+        blocks.n_modes, plan.segments,
     )
     if key in _SPECIALIZED:
         return _SPECIALIZED[key]
@@ -1347,7 +1233,6 @@ def specialized_interpreter(blocks: "_Blocks", plan: ColumnarPlan):
         "built": fn is not None,
         "vector_tanh": vec,
         "n_ops": len(key[0]),
-        "mode": plan.mode,
     })
     _SPECIALIZED[key] = fn
     return fn
@@ -1373,7 +1258,7 @@ def _build_so(
     libs: Sequence[str] = ("-lm",),
 ) -> Callable:
     """Compile + wrap one columnar entry point (generic or specialized —
-    both export the same 35-argument ``run_columnar`` signature)."""
+    both export the same 33-argument ``run_columnar`` signature)."""
     lib = _k._cc_compile_so(source, list(flags), stem, libs=libs)
     dbl = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     idx = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
@@ -1381,7 +1266,7 @@ def _build_so(
     lib.run_columnar.argtypes = (
         [ctypes.c_long] * 7     # n_inst, n_threads, n_modes, n_plan, n_max, row_stride, has_taps
         + [idx] * 5             # ns, kinds, sidx, pk, pa
-        + [dbl] * 7             # p0..p4, aff_a, aff_b
+        + [dbl] * 5             # p0..p4
         + [dbl] * 7             # state, mode_coef, mode_state, noise, act, vbuf, noise_sm
         + [dbl] * 5             # the five sample-major waveform scratch matrices
         + [dbl] * 5             # the five instance-major waveform row matrices
@@ -1417,8 +1302,8 @@ def columnar_interpreter() -> Callable:
     ``kernel.compile`` fault raises per its plan, and a real build
     failure is memoized into the module-wide ``cc_build_error`` (a
     compiler that cannot build one kernel source cannot build the
-    other).  :meth:`KernelBatch.run` degrades to the row path (auto) or
-    the NumPy twin (explicit) on :class:`KernelError`.
+    other).  :meth:`KernelBatch.run` degrades to solo fused runs (auto)
+    or the NumPy twin (explicit) on :class:`KernelError`.
     """
     global _COLUMNAR_FN
     if poll_fault("kernel.compile") is not None:
@@ -1442,11 +1327,9 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
     """Execute a :class:`~repro.engine.kernel.KernelBatch` through the
     compiled columnar engine (engine tag ``cc-columnar``)."""
     blocks = _assemble(batch)
-    plan = build_plan(
-        batch.signature, list(blocks.kinds), blocks.p_cols, blocks.n_inst
-    )
+    plan = build_plan(batch.signature, list(blocks.kinds))
     engine = "cc-columnar"
-    if plan.hot and plan.mode != "off":
+    if plan.hot:
         with timer.stage("compile"):
             spec = specialized_interpreter(blocks, plan)
         if spec is not None:
@@ -1473,7 +1356,7 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
             n_inst, threads_used, blocks.n_modes, len(plan.pk),
             n_max, row_stride, 1 if blocks.has_taps else 0,
             blocks.ns_sorted, blocks.kinds, blocks.sidx, plan.pk, plan.pa,
-            *blocks.p_cols, plan.aff_a, plan.aff_b,
+            *blocks.p_cols,
             blocks.state, blocks.mode_coef, blocks.mode_state,
             blocks.noise, blocks.act, vbuf, noise_sm,
             out_disp, out_bridge, *taps, *rows,
@@ -1495,9 +1378,7 @@ def run_columnar_numpy(batch, timer: StageTimer) -> list:
     the explicit-request fallback, not an auto path.
     """
     blocks = _assemble(batch)
-    plan = build_plan(
-        batch.signature, list(blocks.kinds), blocks.p_cols, blocks.n_inst
-    )
+    plan = build_plan(batch.signature, list(blocks.kinds))
     n_inst, n_max = blocks.n_inst, blocks.n_max
     kinds, sidx = blocks.kinds, blocks.sidx
     p0, p1, p2, p3, p4 = blocks.p_cols
@@ -1547,9 +1428,6 @@ def run_columnar_numpy(batch, timer: StageTimer) -> list:
                 if code == PK_SOS2:
                     va = apply_sos(j, a, va)
                     apply_sos(j + 1, a, va)
-                    continue
-                if code == PK_AFFINE:
-                    v[:a] = plan.aff_a[j][:a] * va + plan.aff_b[j][:a]
                     continue
                 kind = int(kinds[j])
                 if kind == 2:  # OP_SOS

@@ -293,14 +293,11 @@ class ResonantFeedbackLoop:
         backend:
             Execution path: ``"reference"`` steps every block in Python
             sample-by-sample; ``"fused"`` lowers the loop to the fused
-            kernel (same waveforms, ~20x faster); ``"numba"`` JIT-
-            compiles the kernel program (requires numba); ``"auto"``
-            (default) picks the fastest available.  Blocks that cannot
-            lower (custom subclasses, patched ``step``, per-sample
-            noise sources) make the kernel backends fall back to the
-            reference path with a logged reason — never an error —
-            unless ``"numba"``/``"fused"`` was requested on a machine
-            that cannot provide it.  See ``docs/FASTPATH.md``.
+            kernel (same waveforms, ~20x faster); ``"auto"`` (default)
+            means ``"fused"``.  Blocks that cannot lower (custom
+            subclasses, patched ``step``, per-sample noise sources)
+            make the kernel fall back to the reference path with a
+            logged reason — never an error.  See ``docs/FASTPATH.md``.
         """
         resolved = resolve_backend(backend)
         prep = self._prepare_run(duration, initial_kick)
@@ -506,10 +503,11 @@ def run_batch(
 
     Loops whose chains lower to the same program *shape* (see
     :func:`~repro.engine.kernel.batch_signature`) are grouped into one
-    :class:`~repro.engine.kernel.KernelBatch` — a single compiled call,
-    pthread-partitioned across instances — so a whole sweep pays one
-    ctypes dispatch instead of N.  Every record is bit-identical
-    (``np.array_equal``) to the loop's solo fused run.
+    :class:`~repro.engine.kernel.KernelBatch`.  A group at least
+    :data:`~repro.engine.kernel.COLUMNAR_MIN_INSTANCES` wide runs as one
+    compiled columnar call, pthread-partitioned across instances, within
+    the columnar tolerance contract of each loop's solo fused run; a
+    narrower group runs each loop solo fused (``np.array_equal``).
 
     Parameters
     ----------

@@ -33,7 +33,6 @@ def resilience_snapshot() -> dict[str, Any]:
         "batch_instances": info.batch_instances,
         "batch_declined": info.batch_declined,
         "batch_columnar_runs": info.batch_columnar_runs,
-        "batch_row_runs": info.batch_row_runs,
         "op_samples": dict(info.op_samples or {}),
         "fusion_decisions": [dict(d) for d in info.fusion_decisions],
         "fallbacks": info.fallbacks,
@@ -71,7 +70,7 @@ def health_snapshot(
     the compiled engine is quarantined, a breaker is open, or the cache
     scan found damage it was not allowed to evict.
     """
-    from ..engine import cc_available, kernel_info, numba_available
+    from ..engine import cc_available, kernel_info
     from .transport import transport_report
 
     info = kernel_info()
@@ -79,7 +78,6 @@ def health_snapshot(
     snapshot: dict[str, Any] = {
         "compiler_available": bool(cc_available()),
         "compiler_error": info.cc_build_error or None,
-        "numba_available": bool(numba_available()),
         **resilience,
         # outbound HTTP vitals: retry / deadline-shed / breaker counters
         # for this process's ServiceClient + HTTPRemoteStore traffic

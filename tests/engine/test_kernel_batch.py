@@ -4,9 +4,8 @@ The batching contract extends the fused kernel's bit-identity: every
 instance of a batch must return waveforms ``np.array_equal`` to its
 solo fused run — across heterogeneous durations, per-instance
 fallbacks, open-loop swept-sine tones, and the executor/sweep-planner
-plumbing above it.  Also pins the ``auto`` backend resolution order
-(never ``interp``), the thread-resolution rules, and the
-double-parallelism guard.
+plumbing above it.  Also pins the ``auto`` backend resolution, the
+thread-resolution rules, and the double-parallelism guard.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.engine import (
     KERNEL_THREADS_ENV,
     KernelBatch,
     batch_signature,
-    cc_available,
     kernel_batch_threads,
     kernel_info,
     reset_kernel_info,
@@ -74,9 +72,9 @@ class TestClosedLoopBatch:
             for length in LENGTHS
         ]
         reset_kernel_info()
-        # threads=2 keeps the row engine selected on a 1-CPU box (the
-        # decline heuristic only fires for narrow batches at 1 thread;
-        # pinned in tests/engine/test_kernel_columnar.py)
+        # three loops are narrower than COLUMNAR_MIN_INSTANCES, so the
+        # batch runs each instance solo fused (pinned in
+        # tests/engine/test_kernel_columnar.py)
         records = run_batch(
             [build_loop(length) for length in LENGTHS], DURATION, threads=2
         )
@@ -88,6 +86,7 @@ class TestClosedLoopBatch:
         info = kernel_info()
         assert info.fallbacks == 0
         assert info.batch_runs == 1
+        assert info.batch_runs == info.batch_columnar_runs + info.batch_declined
         assert info.batch_instances == len(LENGTHS)
         assert info.runs.get("fused", 0) == len(LENGTHS)
 
@@ -119,14 +118,6 @@ class TestClosedLoopBatch:
             batch_loop.resonator.state.velocity
             == solo_loop.resonator.state.velocity
         )
-
-    @pytest.mark.skipif(not cc_available(), reason="needs a C compiler")
-    def test_batch_runs_compiled_engine(self):
-        loops = [build_loop(length) for length in LENGTHS]
-        run_batch(loops, DURATION, threads=2)
-        for loop in loops:
-            assert loop.last_kernel_info is not None
-            assert loop.last_kernel_info.engine == "cc-batch"
 
     def test_reference_backend_bypasses_batching(self):
         reset_kernel_info()
@@ -268,32 +259,22 @@ class TestSweptSineBatch:
 
 
 class TestAutoResolution:
-    """``auto`` follows AUTO_ORDER and can never pick ``interp``."""
+    """``auto`` resolves to ``fused``, whose engine follows AUTO_ORDER."""
 
     def test_auto_order_pinned(self):
-        assert AUTO_ORDER == ("fused:cc", "numba", "fused:codegen")
-        assert "interp" not in AUTO_ORDER
+        assert AUTO_ORDER == ("fused:cc", "fused:codegen")
 
     @pytest.mark.parametrize(
-        "cc,numba,expected",
+        "cc,expected",
         [
-            (True, True, "fused"),    # AUTO_ORDER[0]: fused:cc
-            (True, False, "fused"),   # AUTO_ORDER[0]: fused:cc
-            (False, True, "numba"),   # AUTO_ORDER[1]
-            (False, False, "fused"),  # AUTO_ORDER[2]: fused:codegen
+            (True, "fused"),   # AUTO_ORDER[0]: fused:cc
+            (False, "fused"),  # AUTO_ORDER[1]: fused:codegen
         ],
     )
-    def test_resolution_order(self, monkeypatch, cc, numba, expected):
+    def test_resolution_order(self, monkeypatch, cc, expected):
         monkeypatch.setattr(kernel_mod, "_CC_CHECKED", True)
         monkeypatch.setattr(kernel_mod, "_CC", "cc" if cc else None)
-        monkeypatch.setattr(kernel_mod, "_NUMBA_CHECKED", True)
-        monkeypatch.setattr(kernel_mod, "_NUMBA", object() if numba else None)
-        resolved = resolve_backend("auto")
-        assert resolved == expected
-        assert resolved != "interp"
-
-    def test_explicit_interp_still_allowed(self):
-        assert resolve_backend("interp") == "interp"
+        assert resolve_backend("auto") == expected
 
 
 class TestThreadResolution:
@@ -354,10 +335,12 @@ class TestDoubleParallelismGuard:
     def test_env_caps_batch_threads_end_to_end(self, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV, "1")
         reset_kernel_info()
-        run_batch([build_loop(length) for length in LENGTHS], 0.004, threads=4)
+        # wide enough for the columnar engine, the one that uses threads
+        lengths = np.linspace(180.0, 220.0, kernel_mod.COLUMNAR_MIN_INSTANCES)
+        run_batch([build_loop(length) for length in lengths], 0.004, threads=4)
         info = kernel_info()
-        if info.batch_runs:  # compiled path only; codegen fallback runs solo
-            assert info.last_batch_threads == 1
+        assert info.batch_runs == 1
+        assert info.last_batch_threads == 1
 
 
 class _BatchySquare:
@@ -434,11 +417,11 @@ class TestLoopSweepTaskPlanner:
         for key in serial.columns:
             assert serial.columns[key] == batched.columns[key]
         info = kernel_info()
-        # one batch either way: a row batch when threads are available,
-        # or the decline heuristic running it serial fused (1-CPU box)
-        assert info.batch_runs + info.batch_declined == 1
-        if info.batch_runs:
-            assert info.batch_instances == len(LENGTHS)
+        # three points are narrower than COLUMNAR_MIN_INSTANCES: one
+        # batch, run per-instance solo fused (hence the exact columns)
+        assert info.batch_runs == 1
+        assert info.batch_declined == 1
+        assert info.batch_instances == len(LENGTHS)
 
     def test_warm_cache_skips_the_batch(self, tmp_path):
         from repro.engine import ResultCache

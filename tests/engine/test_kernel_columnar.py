@@ -1,6 +1,6 @@
 """Golden-tolerance suite for the columnar SoA batch engine.
 
-The columnar engine trades the row path's bit-identity for speed under
+The columnar engine trades solo fused bit-identity for speed under
 an explicit numerical contract (``docs/FASTPATH.md``): every waveform
 of every instance must agree with its solo fused run within
 ``RTOL = 1e-9`` relative / ``ATOL_SCALE * max|ref|`` absolute.  This
@@ -8,9 +8,8 @@ suite pins that contract across reference-spec variants, liquids,
 modes, noise on/off, multimode stacks, heterogeneous durations,
 per-instance lowering fallbacks, the no-compiler NumPy twin, and a
 property-based sweep — plus the ``auto`` engine-resolution order, the
-batch-declined heuristic (bit-exact serial fused), and the
-profile/fusion counters surfaced through ``kernel_info()`` and
-``repro health``.
+narrow-batch route (bit-exact solo fused), and the profile/fusion
+counters surfaced through ``kernel_info()`` and ``repro health``.
 """
 
 from __future__ import annotations
@@ -24,15 +23,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro.engine.kernel as kernel_mod
 import repro.engine.kernel_columnar as columnar
 from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
 from repro.engine import (
     BATCH_AUTO_ORDER,
-    BATCH_DECLINE_MIN_SAMPLES,
     BATCH_ENGINES,
     COLUMNAR_ENV,
-    COLUMNAR_MIN_ENV,
     KernelBatch,
     cc_available,
     kernel_info,
@@ -110,7 +108,7 @@ def assert_within_contract(ref, rec, label):
 
 
 def assert_records_equal(ref, rec, label):
-    """Bit-exactness (the declined path re-runs serial fused)."""
+    """Bit-exactness (narrow batches run each instance solo fused)."""
     __tracebackhide__ = True
     for name in WAVEFORMS:
         a = np.asarray(getattr(ref, name))
@@ -273,44 +271,44 @@ class TestColumnarGolden:
 
 
 class TestEngineSelection:
-    """``auto`` resolution order, env gates, and the declined pin."""
+    """``auto`` resolution order, the width gate, and the narrow pin."""
 
     def test_batch_engines_pinned(self):
-        assert BATCH_ENGINES == ("auto", "columnar", "row")
-        assert BATCH_AUTO_ORDER == ("columnar:cc", "row:cc", "fused:solo")
-        assert BATCH_DECLINE_MIN_SAMPLES == 8192
+        assert BATCH_ENGINES == ("auto", "columnar")
+        assert BATCH_AUTO_ORDER == ("columnar:cc", "fused:solo")
+        assert kernel_mod.COLUMNAR_MIN_INSTANCES == 8
 
     def test_unknown_engine_raises(self):
         kern, prep = lowered(build_loop())
         batch = KernelBatch([kern], [prep.n], [prep.bridge_noise])
-        with pytest.raises(KernelError, match="unknown batch engine"):
-            batch.run(engine="sideways")
+        for engine in ("sideways", "row", "interp", "numba"):
+            with pytest.raises(KernelError, match="unknown batch engine"):
+                batch.run(engine=engine)
 
     @needs_cc
     def test_wide_auto_batch_selects_columnar(self, monkeypatch):
         monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        monkeypatch.delenv(COLUMNAR_MIN_ENV, raising=False)
         loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
         reset_kernel_info()
         run_batch(loops, 0.002)
         info = kernel_info()
         assert info.batch_columnar_runs == 1
-        assert info.batch_row_runs == 0
+        assert info.batch_declined == 0
+        assert info.batch_runs == info.batch_columnar_runs + info.batch_declined
         for loop in loops:
             assert loop.last_kernel_info.engine.startswith("cc-columnar")
 
     @needs_cc
     def test_columnar_min_env_gates_auto(self, monkeypatch):
         monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        monkeypatch.setenv(COLUMNAR_MIN_ENV, "99")
+        monkeypatch.setattr(kernel_mod, "COLUMNAR_MIN_INSTANCES", 99)
         loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
         reset_kernel_info()
-        # 0.002 s keeps every instance under BATCH_DECLINE_MIN_SAMPLES,
-        # so a 1-thread box routes to the row engine, not "declined"
         run_batch(loops, 0.002)
         info = kernel_info()
         assert info.batch_columnar_runs == 0
         assert info.batch_runs == 1
+        assert info.batch_declined == 1
 
     @needs_cc
     def test_env_off_disables_columnar(self, monkeypatch):
@@ -318,32 +316,34 @@ class TestEngineSelection:
         loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
         reset_kernel_info()
         run_batch(loops, 0.002)
-        assert kernel_info().batch_columnar_runs == 0
+        info = kernel_info()
+        assert info.batch_columnar_runs == 0
+        assert info.batch_declined == 1
 
-    @needs_cc
     def test_batch_declined_runs_serial_fused(self, monkeypatch):
-        """Narrow batch of long programs at 1 thread: serial fused,
-        bit-exact, counted in ``batch_declined`` — the regression pin
-        for the overhead heuristic."""
+        """A batch narrower than COLUMNAR_MIN_INSTANCES runs each
+        instance solo fused at the default thread count: bit-exact,
+        counted once in ``batch_runs`` and once in ``batch_declined``
+        — the regression pin for narrow batches."""
         monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        monkeypatch.delenv(COLUMNAR_MIN_ENV, raising=False)
         lengths = LENGTHS[:3]
         solos = [
             build_loop(length).run(DURATION, backend="fused")
             for length in lengths
         ]
-        assert all(len(s.displacement) >= BATCH_DECLINE_MIN_SAMPLES
-                   for s in solos)
         reset_kernel_info()
-        records = run_batch(
-            [build_loop(length) for length in lengths], DURATION, threads=1
-        )
+        loops = [build_loop(length) for length in lengths]
+        records = run_batch(loops, DURATION)
         info = kernel_info()
+        assert info.batch_runs == 1
         assert info.batch_declined == 1
-        assert info.batch_runs == 0
+        assert info.batch_columnar_runs == 0
+        assert info.last_batch_engine == "solo"
         assert info.runs.get("fused", 0) == len(lengths)
         for length, solo, rec in zip(lengths, solos, records):
             assert_records_equal(solo, rec, f"declined[{length}]")
+        for loop in loops:
+            assert loop.last_kernel_info.engine in ("cc", "codegen")
         assert resilience_snapshot()["batch_declined"] == 1
 
 
@@ -359,11 +359,17 @@ class TestNumpyTwin:
                 for length in lengths
             ]
             loops = [build_loop(length) for length in lengths]
+            reset_kernel_info()
             records = run_batch(loops, 0.002)
             for length, solo, rec in zip(lengths, solos, records):
                 assert_within_contract(solo, rec, f"twin[{length}]")
             for loop in loops:
                 assert loop.last_kernel_info.engine == "columnar-np"
+            info = kernel_info()
+            assert info.batch_columnar_runs == 1
+            assert info.batch_runs == (
+                info.batch_columnar_runs + info.batch_declined
+            )
 
     def test_explicit_engine_twin_at_kernel_level(self, tmp_path):
         kern_solo, prep_solo = lowered(build_loop(), 0.002)
@@ -390,7 +396,7 @@ class TestFusionProfile:
         assert hist.get("SOS", 0) > 0  # every loop has biquad sections
 
     def test_hot_plan_fuses_sos_pairs(self, columnar_forced, monkeypatch):
-        monkeypatch.setenv(columnar.FUSION_THRESHOLD_ENV, "0")
+        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 0)
         columnar._SEGMENT_CACHE.clear()
         reset_kernel_info()
         run_batch([build_loop(length) for length in LENGTHS], 0.002)
@@ -399,45 +405,32 @@ class TestFusionProfile:
                 and "fused_segments" in d]
         assert plan, "hot batch must record a fusion decision"
         assert plan[-1]["hot"] is True
-        assert plan[-1]["mode"] == "safe"
         assert any(seg[0] == "sos2" for seg in plan[-1]["fused_segments"])
 
     def test_cold_plan_stays_generic(self, columnar_forced, monkeypatch):
-        monkeypatch.setenv(columnar.FUSION_THRESHOLD_ENV, str(10**15))
-        columnar._SEGMENT_CACHE.clear()
-        reset_kernel_info()
-        loops = [build_loop(length) for length in LENGTHS]
-        run_batch(loops, 0.002)
-        decisions = kernel_info().fusion_decisions
-        plan = [d for d in decisions if d.get("engine") == "columnar"
-                and "fused_segments" in d]
-        assert plan and plan[-1]["hot"] is False
-        assert plan[-1]["fused_segments"] == []
-        if cc_available():
-            for loop in loops:
-                assert loop.last_kernel_info.engine == "cc-columnar"
-
-    def test_fusion_off_env(self, columnar_forced, monkeypatch):
-        monkeypatch.setenv(columnar.FUSION_ENV, "off")
+        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 10**15)
         columnar._SEGMENT_CACHE.clear()
         solos = [
             build_loop(length).run(0.002, backend="fused")
             for length in LENGTHS
         ]
         reset_kernel_info()
-        records = run_batch(
-            [build_loop(length) for length in LENGTHS], 0.002
-        )
-        plan = [d for d in kernel_info().fusion_decisions
-                if d.get("engine") == "columnar" and "fused_segments" in d]
-        assert plan and plan[-1]["mode"] == "off"
+        loops = [build_loop(length) for length in LENGTHS]
+        records = run_batch(loops, 0.002)
+        decisions = kernel_info().fusion_decisions
+        plan = [d for d in decisions if d.get("engine") == "columnar"
+                and "fused_segments" in d]
+        assert plan and plan[-1]["hot"] is False
         assert plan[-1]["fused_segments"] == []
         for solo, rec in zip(solos, records):
-            assert_within_contract(solo, rec, "fusion-off")
+            assert_within_contract(solo, rec, "cold-plan")
+        if cc_available():
+            for loop in loops:
+                assert loop.last_kernel_info.engine == "cc-columnar"
 
     @needs_cc
     def test_specialize_decision_recorded(self, columnar_forced, monkeypatch):
-        monkeypatch.setenv(columnar.FUSION_THRESHOLD_ENV, "0")
+        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 0)
         columnar._SEGMENT_CACHE.clear()
         columnar._SPECIALIZED.clear()
         reset_kernel_info()
@@ -455,7 +448,7 @@ class TestFusionProfile:
         run_batch([build_loop(length) for length in LENGTHS], 0.002)
         snap = resilience_snapshot()
         for key in ("batch_declined", "batch_columnar_runs",
-                    "batch_row_runs", "op_samples", "fusion_decisions"):
+                    "op_samples", "fusion_decisions"):
             assert key in snap
         assert snap["batch_columnar_runs"] == 1
         json.dumps(snap)  # the whole snapshot must stay JSON-clean

@@ -17,7 +17,7 @@ import pytest
 import repro.engine.kernel as kernel_mod
 from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
-from repro.engine import kernel_info, numba_available, reset_kernel_info
+from repro.engine import kernel_info, reset_kernel_info
 
 DURATION = 0.01
 WAVEFORMS = (
@@ -58,7 +58,7 @@ def assert_records_equal(ref, other, backend):
 
 
 class TestGoldenSpecs:
-    """Reference == fused == interp on every reference-spec variant."""
+    """Reference == fused on every reference-spec variant."""
 
     @pytest.mark.parametrize("variant", sorted(SPEC_VARIANTS))
     def test_fused_matches_reference(self, variant):
@@ -66,23 +66,12 @@ class TestGoldenSpecs:
         rec = build_spec_loop(variant).run(DURATION, backend="fused")
         assert_records_equal(ref, rec, "fused")
 
-    def test_interp_matches_reference(self):
-        ref = build_spec_loop("reference").run(DURATION, backend="reference")
-        rec = build_spec_loop("reference").run(DURATION, backend="interp")
-        assert_records_equal(ref, rec, "interp")
-
     def test_auto_matches_reference(self):
         ref = build_spec_loop("reference").run(DURATION, backend="reference")
         loop = build_spec_loop("reference")
         rec = loop.run(DURATION, backend="auto")
         assert loop.last_kernel_info is not None, "auto fell back unexpectedly"
         assert_records_equal(ref, rec, "auto")
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_matches_reference(self):  # pragma: no cover - numba-only
-        ref = build_spec_loop("reference").run(DURATION, backend="reference")
-        rec = build_spec_loop("reference").run(DURATION, backend="numba")
-        assert_records_equal(ref, rec, "numba")
 
 
 class TestGoldenLoopStates:
@@ -99,12 +88,12 @@ class TestGoldenLoopStates:
 
     def test_final_state_matches(self, make_loop):
         loops = []
-        for backend in ("reference", "fused", "interp"):
+        for backend in ("reference", "fused"):
             loop = make_loop(include_noise=True)
             loop.auto_gain(1.0 / loop.resonator.timestep)
             loop.run(DURATION, backend=backend)
             loops.append(self.collect_state(loop))
-        assert loops[0] == loops[1] == loops[2]
+        assert loops[0] == loops[1]
 
     def test_consecutive_runs_continue_identically(self, make_loop):
         """State round-trips: run #2 picks up exactly where #1 ended."""
@@ -165,11 +154,13 @@ class TestFusedEngines:
     """Both fused engines (compiled C, generated Python) agree."""
 
     def test_cc_engine_selected_when_compiler_present(self, make_loop):
-        if not kernel_mod.cc_available():
-            pytest.skip("no C compiler on this machine")
         loop = make_loop()
         loop.auto_gain(1.0 / loop.resonator.timestep)
         loop.run(DURATION, backend="fused")
+        # asked after the run, when a compiler that cannot build the
+        # kernel (CC=/bin/false) has memoized its failure
+        if not kernel_mod.cc_usable():
+            pytest.skip("no working C compiler on this machine")
         assert loop.last_kernel_info.engine == "cc"
 
     def test_codegen_engine_matches(self, make_loop, monkeypatch):
@@ -183,7 +174,7 @@ class TestFusedEngines:
             rec = loop.run(DURATION, backend="fused")
             recs[forced_cc] = rec
             engine = loop.last_kernel_info.engine
-            assert engine == ("cc" if forced_cc and kernel_mod.cc_available()
+            assert engine == ("cc" if forced_cc and kernel_mod.cc_usable()
                               else "codegen")
         ref = make_loop(include_noise=True)
         ref.auto_gain(1.0 / ref.resonator.timestep)

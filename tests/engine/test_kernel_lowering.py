@@ -172,17 +172,9 @@ class TestResolveBackend:
     def test_known_backends(self):
         assert resolve_backend("reference") == "reference"
         assert resolve_backend("fused") == "fused"
-        assert resolve_backend("interp") == "interp"
-        assert resolve_backend("auto") in ("fused", "numba")
+        assert resolve_backend("auto") == "fused"
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(KernelError, match="unknown"):
-            resolve_backend("turbo")
-
-    def test_numba_without_numba_raises(self):
-        from repro.engine import numba_available
-
-        if numba_available():  # pragma: no cover - numba-only
-            pytest.skip("numba installed on this machine")
-        with pytest.raises(KernelError, match="numba"):
-            resolve_backend("numba")
+        for backend in ("turbo", "row", "interp", "numba"):
+            with pytest.raises(KernelError, match="unknown"):
+                resolve_backend(backend)

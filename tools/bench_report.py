@@ -2,7 +2,7 @@
 
 Default mode runs the closed-loop backend-throughput experiment plus the
 three FIG5 bench experiments and writes ``BENCH_fig5.json``: samples/sec
-per backend, the fused/numba speedups over the reference path, and the
+per backend, the fused speedup over the reference path, and the
 wall time of each bench — the numbers the README performance table and
 the perf-trajectory tracking across PRs are built from.
 
@@ -11,11 +11,11 @@ sweep report — a 64-point resonance curve timed serial-fused vs batched
 (points/sec, speedup, bit-identical flag), a closed-loop spec sweep
 serial-fused vs ``kernel-batch``, the C-level thread-scaling curve
 (annotated and truncated to one row on a 1-CPU box, where multi-thread
-rows measure nothing), the columnar row family: a pre-lowered
-16-instance closed-loop batch timed serial-fused vs the row engine vs
-the columnar SoA engine, with the agreement flags (bit-identity for
-row, the documented RTOL/ATOL_SCALE tolerance plus max ulp distance
-for columnar), and the fabric scaling curve: the chunk-leasing worker
+rows measure nothing), the columnar kernel family: a pre-lowered
+16-instance closed-loop batch timed serial-fused vs the columnar SoA
+engine, with its agreement flags (the documented RTOL/ATOL_SCALE
+tolerance plus max ulp distance), and the fabric scaling curve: the
+chunk-leasing worker
 fabric at 1/2/4 leased workers (points/sec, per-tier cache counters,
 bit-identity vs serial), truncated to one row on a 1-CPU box with the
 same skip-note convention as the thread curve.
@@ -41,7 +41,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 from repro.core.presets import reference_cantilever  # noqa: E402
-from repro.engine import cc_available, kernel_info, numba_available  # noqa: E402
+from repro.engine import cc_available, kernel_info  # noqa: E402
 
 from bench_fig5_feedback_loop import (  # noqa: E402
     backend_speedup_experiment,
@@ -77,7 +77,6 @@ def build_report(duration: float, repeats: int, quick: bool) -> dict:
         "report": "FIG5 closed-loop performance",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numba_available": numba_available(),
         "cc_available": cc_available(),
         "loop_duration_s": duration,
         "backends": [
@@ -295,21 +294,19 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         scale = np.maximum(np.abs(a), 1e-300)
         loop_max_rel = max(loop_max_rel, float(np.max(np.abs(a - b) / scale)))
 
-    # -- columnar row family: pre-lowered closed-loop kernels ----------------
+    # -- columnar kernel family: pre-lowered closed-loop kernels -------------
     # The whole-pipeline sweep above shares its dominant cost (noise
     # synthesis + lowering, ~2/3 of the wall per instance) between both
     # paths, so it cannot show what the batch *kernel* buys.  This
     # family lowers the same closed-loop sweep once and times only the
-    # kernel execution: serial fused vs the row engine vs the columnar
-    # SoA engine.
+    # kernel execution: serial fused vs the columnar SoA engine.
     from repro.core import ResonantCantileverSensor
     from repro.engine import KernelBatch
     from repro.engine import kernel_columnar as columnar
 
     col_points = loop_points
     col_lengths = np.linspace(170.0, 260.0, col_points)
-    # the golden-suite batch duration (tests/engine): long enough that
-    # every instance clears the decline threshold, short enough that
+    # the golden-suite batch duration (tests/engine): short enough that
     # the working set stays cache-friendly
     col_duration = 0.006
 
@@ -357,15 +354,15 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
 
     # kernel-only walls are a few ms and the columnar engine streams a
     # multi-MB working set, so co-tenant memory pressure can double a
-    # single wall: interleave the engines round-robin (all three sample
-    # the same machine states) and take best-of, with the rounds spread
+    # single wall: interleave the engines round-robin (both sample the
+    # same machine states) and take best-of, with the rounds spread
     # across a multi-second window (contention comes in bursts — spaced
     # sampling gives every engine a shot at a quiet slice of the
     # machine, where back-to-back repeats would all land in one burst)
     col_repeats = max(repeats, 12)
     col_round_gap_s = 1.5
     run_engine("columnar")  # warm: engine load + specialized build
-    walls = dict.fromkeys(("serial", "row", "columnar"), float("inf"))
+    walls = dict.fromkeys(("serial", "columnar"), float("inf"))
     outputs = {}
     for rnd in range(col_repeats):
         if rnd:
@@ -375,15 +372,10 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             if wall < walls[engine]:
                 walls[engine], outputs[engine] = wall, result
     col_serial_wall, col_serial = walls["serial"], outputs["serial"]
-    col_row_wall, col_row = walls["row"], outputs["row"]
     col_wall, col_records = walls["columnar"], outputs["columnar"]
 
     waveforms = ("displacement", "bridge_voltage", "limiter_input",
                  "limiter_output", "drive_voltage")
-    row_identical = all(
-        np.array_equal(getattr(s, w), getattr(r, w))
-        for s, r in zip(col_serial, col_row) for w in waveforms
-    )
     col_within = True
     col_max_ulp = 0
     for s, r in zip(col_serial, col_records):
@@ -399,11 +391,8 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         "loop_duration_s": col_duration,
         "samples_per_instance": int(np.mean(ns)),
         "serial_fused_wall_s": round(col_serial_wall, 5),
-        "row_batch_wall_s": round(col_row_wall, 5),
         "columnar_wall_s": round(col_wall, 5),
-        "row_speedup": round(col_serial_wall / col_row_wall, 2),
         "columnar_speedup": round(col_serial_wall / col_wall, 2),
-        "row_bit_identical": bool(row_identical),
         "columnar_engine": col_records[0].info.engine,
         "columnar_within_tolerance": bool(col_within),
         "columnar_max_ulp_distance": int(col_max_ulp),
@@ -425,7 +414,6 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         "machine": platform.machine(),
         "cpu_count": n_cpu,
         "cc_available": cc_available(),
-        "numba_available": numba_available(),
         "default_batch_threads": kernel_batch_threads(),
         "resonance_curve": {
             "points": points,
@@ -524,7 +512,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  threads={s['threads']}: {s['points_per_sec']:,.0f} pts/s")
         ck = report["closed_loop_columnar_kernel"]
         print(f"  columnar kernel ({ck['instances']} instances): "
-              f"row {ck['row_speedup']:.2f}x  "
               f"columnar {ck['columnar_speedup']:.2f}x "
               f"({ck['columnar_engine']}, "
               f"within_tolerance={ck['columnar_within_tolerance']}, "
