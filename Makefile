@@ -62,15 +62,16 @@ kernel-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_lowering.py -q
 
 # Columnar SoA engine golden suite, both legs: once with the compiler
-# present (compiled engine + specialized megakernels) and once with CC
-# pointed at a *nonexistent* binary under a fresh TMPDIR (no cached .so
-# can hide the failure), which drives every batch through the NumPy
-# twin.  Note CC=/bin/false would not do: the probe only checks that
-# the compiler exists, so a present-but-broken CC exercises the build
-# *failure* path, not the no-compiler path.
+# present (generic engine and specialized megakernels, each instance
+# np.array_equal to its solo fused run) and once with CC pointed at a
+# *nonexistent* binary under a fresh TMPDIR (no cached .so can hide the
+# failure), where every forced-columnar batch must decline to solo
+# fused runs and stay bit-exact.  Note CC=/bin/false would not do: the
+# probe only checks that the compiler exists, so a present-but-broken
+# CC exercises the build *failure* path, not the no-compiler path.
 vector-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_columnar.py -q
-	@echo "-- no-compiler pass: CC=no-such-compiler, NumPy twin must carry the suite --"
+	@echo "-- no-compiler pass: CC=no-such-compiler, forced-columnar batches must decline to solo fused, bit-exact --"
 	CC=no-such-compiler TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_columnar.py -q
 

@@ -233,12 +233,12 @@ def _sweep_values(raw: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     from .analysis import LoopSweepTask, run_spec_sweep
-    from .engine import kernel_info
+    from .engine import TieredCache, kernel_info
 
     spec = _root_spec(args, REFERENCE_RESONANT_SENSOR)
     values = _sweep_values(args.values)
     if args.fabric:
-        from .engine import TieredCache, run_fabric_sweep
+        from .engine import run_fabric_sweep
 
         cache_dir = args.cache_dir or ".repro_fabric/cache"
         cache = TieredCache(cache_dir)
@@ -258,11 +258,9 @@ def cmd_sweep(args) -> int:
         print(f"# fabric: workers={args.fabric_workers} "
               f"chunk_size={args.chunk_size} {tiers}", file=sys.stderr)
         return 0
-    cache = None
-    if args.cache_dir:
-        from .engine import ResultCache
-
-        cache = ResultCache(args.cache_dir)
+    # the fabric's cache class: every route writes the same bits, so a
+    # serial or batch sweep may serve, and fill, a fabric sweep's entries
+    cache = TieredCache(args.cache_dir) if args.cache_dir else None
     result = run_spec_sweep(
         spec,
         args.path,
@@ -667,7 +665,10 @@ def build_parser() -> argparse.ArgumentParser:
              "capped by REPRO_KERNEL_THREADS)",
     )
     p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="ResultCache directory (spec-keyed memoization)")
+                   help="tiered result cache directory (spec-keyed "
+                        "memoization), shared by serial, batch and "
+                        "--fabric sweeps (default with --fabric: "
+                        ".repro_fabric/cache; none otherwise)")
     p.add_argument(
         "--retries", type=int, default=None,
         help="re-dispatch a crashed point up to N times "

@@ -54,9 +54,7 @@ from .kernel import (
     AUTO_ORDER,
     BACKENDS as KERNEL_BACKENDS,
     BATCH_AUTO_ORDER,
-    BATCH_ENGINES,
     CC_ENV,
-    COLUMNAR_ENV,
     FusedLoopKernel,
     KERNEL_THREADS_ENV,
     KernelBatch,
@@ -103,10 +101,8 @@ __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
     "BATCH_AUTO_ORDER",
-    "BATCH_ENGINES",
     "CACHE_VERSION",
     "CC_ENV",
-    "COLUMNAR_ENV",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
     "FAULT_SITES",

@@ -38,10 +38,11 @@ as "one process pool, one cache dir".  This module distributes the
   is queued or leased, so a spawned worker's exit is the coordinator's
   wake-up, not an idle timer running out.
 
-Workers compute leased points solo (reference-identical), not through
-the columnar batch engine: the fabric's bit-exactness contract is
-``fabric == serial`` down to the last ULP, and its speed comes from N
-nodes running N chunks concurrently, not from per-point batching.
+Workers compute leased points solo, one by one.  The fabric's contract
+is ``fabric == serial`` down to the last ULP; every kernel route is
+bit-exact to solo fused, so a chunk run as one columnar batch would
+keep it too.  The fabric's speed comes from N nodes running N chunks
+concurrently, not from per-point batching.
 """
 
 from __future__ import annotations

@@ -24,14 +24,17 @@ flat *stage program* and runs it in one allocation-free inner loop:
   engine in :mod:`~repro.engine.kernel_columnar`, narrower ones as
   per-instance solo fused runs.
 
-Equivalence is the contract: each primitive replicates the reference
-``step()`` arithmetic operation-for-operation, so the fused waveforms
-match the per-sample loop bit-for-bit (pinned by the golden test suite
-and ``make kernel-check``).  Blocks that cannot lower — unknown user
-subclasses, instance-patched ``step`` methods, amplifiers with
-per-sample noise — raise :class:`~repro.errors.LoweringError`; the loop
-simulators catch it and fall back to the reference path with a logged
-reason, recorded by :func:`kernel_info`.
+Equivalence is the contract, and it is one contract for every route:
+each primitive replicates the reference ``step()`` arithmetic
+operation-for-operation, so the fused waveforms match the per-sample
+loop bit-for-bit, and a columnar batch matches its instances' solo
+fused runs bit-for-bit (pinned by the golden test suites,
+``make kernel-check`` and ``make vector-check``).  Blocks that cannot
+lower — unknown user subclasses, instance-patched ``step`` methods,
+amplifiers with per-sample noise — raise
+:class:`~repro.errors.LoweringError`; the loop simulators catch it and
+fall back to the reference path with a logged reason, recorded by
+:func:`kernel_info`.
 """
 
 from __future__ import annotations
@@ -60,9 +63,7 @@ __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
     "BATCH_AUTO_ORDER",
-    "BATCH_ENGINES",
     "CC_ENV",
-    "COLUMNAR_ENV",
     "COLUMNAR_MIN_INSTANCES",
     "FusedLoopKernel",
     "KERNEL_THREADS_ENV",
@@ -122,39 +123,17 @@ BACKENDS = ("auto", "reference", "fused")
 #: trusted (:func:`cc_usable`), else generated straight-line Python.
 AUTO_ORDER = ("fused:cc", "fused:codegen")
 
-#: Batch-level engine choices accepted by ``KernelBatch.run(engine=)``.
-#: ``columnar`` is the vectorized structure-of-arrays engine in
-#: :mod:`~repro.engine.kernel_columnar` (its own tolerance contract, see
-#: ``docs/FASTPATH.md``).
-BATCH_ENGINES = ("auto", "columnar")
-
-#: Resolution order of batch ``engine="auto"``: the columnar SoA C
-#: engine when a compiler is trusted and the batch is at least
-#: :data:`COLUMNAR_MIN_INSTANCES` wide (or forced via ``REPRO_COLUMNAR``),
-#: otherwise per-instance solo fused runs — bit-identical to running
-#: each kernel alone.  ``auto`` never picks the NumPy columnar twin: it
-#: is only reachable by explicit request.
+#: The routes of :meth:`KernelBatch.run`, in the order it tries them:
+#: the columnar SoA C engine (:mod:`~repro.engine.kernel_columnar`)
+#: when a compiler is trusted and the batch is at least
+#: :data:`COLUMNAR_MIN_INSTANCES` wide, otherwise per-instance solo
+#: fused runs.  Both are bit-identical to running each kernel alone.
 BATCH_AUTO_ORDER = ("columnar:cc", "fused:solo")
 
-#: ``REPRO_COLUMNAR=1`` forces the columnar batch engine everywhere
-#: (degrading to its NumPy twin without a compiler);
-#: ``REPRO_COLUMNAR=0`` disables it.  Unset: the auto heuristic.
-COLUMNAR_ENV = "REPRO_COLUMNAR"
-
-#: Minimum batch width before ``auto`` routes to the columnar engine —
+#: Minimum batch width before a batch routes to the columnar engine —
 #: below this the stride-1 instance sweeps are too narrow to pay for
 #: the SoA transposes, and the instances run solo fused instead.
 COLUMNAR_MIN_INSTANCES = 8
-
-
-def _columnar_override() -> bool | None:
-    """The ``REPRO_COLUMNAR`` verdict: True/False when set, else None."""
-    env = os.environ.get(COLUMNAR_ENV, "").strip().lower()
-    if env in ("1", "on", "always", "force", "true"):
-        return True
-    if env in ("0", "off", "never", "false"):
-        return False
-    return None
 
 
 @dataclass(frozen=True)
@@ -217,8 +196,9 @@ class KernelRunInfo:
 
     ``engine`` names the machinery under the backend: ``"cc"`` (the
     C-compiled interpreter) or ``"codegen"`` (generated Python source)
-    for solo runs; ``"cc-columnar"``, ``"cc-columnar-fused"`` or
-    ``"columnar-np"`` for an instance of a columnar batch.
+    for solo runs; ``"cc-columnar"`` (generic op interpreter) or
+    ``"cc-columnar-fused"`` (shape-specialized megakernel) for an
+    instance of a columnar batch.
     """
 
     backend: str
@@ -410,9 +390,9 @@ class KernelInfo:
     last_degrade_reason: str | None = None
     #: Every ``KernelBatch.run`` counts once in ``batch_runs`` and once
     #: in exactly one of these two: ``batch_columnar_runs`` (the SoA C
-    #: engine or its NumPy twin) or ``batch_declined`` (per-instance solo
-    #: fused runs: narrower than ``COLUMNAR_MIN_INSTANCES``,
-    #: ``REPRO_COLUMNAR=0``, or no trusted C engine).
+    #: engine) or ``batch_declined`` (per-instance solo fused runs:
+    #: narrower than ``COLUMNAR_MIN_INSTANCES``, or no trusted C
+    #: engine).
     batch_declined: int = 0
     last_decline_reason: str | None = None
     batch_columnar_runs: int = 0
@@ -510,10 +490,9 @@ def record_batch(
 ) -> None:
     """Account one :meth:`KernelBatch.run` call.
 
-    ``engine`` is the batch machinery that ran: ``"columnar"`` or
-    ``"columnar-np"`` (counted in ``batch_columnar_runs``), or
-    ``"solo"`` — per-instance solo fused runs, counted in
-    ``batch_declined`` with ``reason``.
+    ``engine`` is the batch machinery that ran: ``"columnar"`` (counted
+    in ``batch_columnar_runs``) or ``"solo"`` — per-instance solo fused
+    runs, counted in ``batch_declined`` with ``reason``.
     """
     _STATS["batch_runs"] += 1
     _STATS["batch_instances"] += int(n_instances)
@@ -922,9 +901,9 @@ class KernelBatch:
         least ``ns[i]`` samples.
 
     ``run()`` executes a batch at least :data:`COLUMNAR_MIN_INSTANCES`
-    wide through the compiled columnar engine (within its tolerance
-    contract) and any other batch as per-instance solo fused runs
-    (bit-identical to solo execution, pinned with ``np.array_equal``).
+    wide through the compiled columnar engine and any other batch as
+    per-instance solo fused runs; either way every instance is
+    bit-identical to its solo run (pinned with ``np.array_equal``).
     """
 
     def __init__(
@@ -969,39 +948,30 @@ class KernelBatch:
     def n_max(self) -> int:
         return max(self.ns)
 
-    def run(
-        self, threads: int | None = None, engine: str = "auto"
-    ) -> list[KernelRunResult]:
+    def run(self, threads: int | None = None) -> list[KernelRunResult]:
         """Execute all instances; one :class:`KernelRunResult` each, in
         input order.
 
-        ``engine="columnar"`` runs the vectorized structure-of-arrays
-        engine (within-tolerance contract — see ``docs/FASTPATH.md``),
-        on its NumPy twin when the C engine is unavailable.  ``"auto"``
-        follows :data:`BATCH_AUTO_ORDER`: the compiled columnar engine
+        Follows :data:`BATCH_AUTO_ORDER`: the compiled columnar engine
         when the batch is at least :data:`COLUMNAR_MIN_INSTANCES` wide
-        (or ``REPRO_COLUMNAR=1``), else per-instance solo fused runs —
-        also when ``REPRO_COLUMNAR=0`` or no C engine is trusted.
+        and a C engine is trusted, else per-instance solo fused runs.
+        ``threads`` requests the columnar engine's C thread count
+        (resolved by :func:`kernel_batch_threads`).
         """
-        if engine not in BATCH_ENGINES:
-            raise KernelError(
-                f"unknown batch engine {engine!r}; "
-                f"choose one of {BATCH_ENGINES}"
-            )
-        threads_used = kernel_batch_threads(threads, self.n_instances)
-        override = _columnar_override()
-        if engine == "columnar" or override is True:
-            return self._run_columnar(threads_used, explicit=True)
-        if override is False:
-            reason = f"{COLUMNAR_ENV}=0"
-        elif self.n_instances < COLUMNAR_MIN_INSTANCES:
-            reason = (
-                f"{self.n_instances} instances < {COLUMNAR_MIN_INSTANCES}"
-            )
+        if self.n_instances < COLUMNAR_MIN_INSTANCES:
+            reason = f"{self.n_instances} instances < {COLUMNAR_MIN_INSTANCES}"
         else:
-            results = self._run_columnar(threads_used, explicit=False)
-            if results is not None:
-                return results
+            from . import kernel_columnar
+
+            timer = StageTimer()
+            fn = _load_cc_engine(
+                kernel_columnar.columnar_interpreter, timer, "solo fused runs"
+            )
+            if fn is not None:
+                return kernel_columnar.run_columnar_cc(
+                    self, fn, kernel_batch_threads(threads, self.n_instances),
+                    timer,
+                )
             reason = "no trusted C engine"
         results = [
             kernel.run(n, noise, backend="fused")
@@ -1009,33 +979,6 @@ class KernelBatch:
         ]
         record_batch(self.n_instances, 1, engine="solo", reason=reason)
         return results
-
-    def _run_columnar(
-        self, threads_used: int, explicit: bool
-    ) -> list[KernelRunResult] | None:
-        """Dispatch through the columnar SoA engine.
-
-        Returns ``None`` when the compiled columnar engine is
-        unavailable and the request was implicit (``auto``) — the
-        caller then runs the instances solo fused.  An explicit request
-        (``engine="columnar"`` / ``REPRO_COLUMNAR=1``) falls back to the
-        NumPy columnar twin instead, keeping the columnar tolerance
-        contract rather than silently switching it.
-        """
-        from . import kernel_columnar
-
-        timer = StageTimer()
-        fn = _load_cc_engine(
-            kernel_columnar.columnar_interpreter, timer,
-            "NumPy twin" if explicit else "solo fused runs",
-        )
-        if fn is not None:
-            return kernel_columnar.run_columnar_cc(
-                self, fn, threads_used, timer
-            )
-        if explicit:
-            return kernel_columnar.run_columnar_numpy(self, timer)
-        return None
 
 
 # -- code generation ---------------------------------------------------------------
@@ -1281,10 +1224,7 @@ def _cc_cache_dir() -> str:
     )
 
 
-def _cc_compile_so(
-    source: str, flags: Sequence[str], stem: str,
-    libs: Sequence[str] = ("-lm",),
-) -> ctypes.CDLL:
+def _cc_compile_so(source: str, flags: Sequence[str], stem: str) -> ctypes.CDLL:
     """Compile a C source to a sha-keyed cached ``.so`` and dlopen it.
 
     The shared object lands in the per-user cache directory keyed by
@@ -1295,7 +1235,7 @@ def _cc_compile_so(
     this machinery.  Raises :class:`KernelError` on build failure.
     """
     digest = hashlib.sha256(
-        (source + " ".join(flags) + " ".join(libs)).encode()
+        (source + " ".join(flags) + "-lm").encode()
     ).hexdigest()[:16]
     cache_dir = _cc_cache_dir()
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
@@ -1307,7 +1247,7 @@ def _cc_compile_so(
             fh.write(source)
         try:
             subprocess.run(
-                [_CC, *flags, "-o", tmp_so, c_path, *libs],
+                [_CC, *flags, "-o", tmp_so, c_path, "-lm"],
                 check=True, capture_output=True, text=True, timeout=120,
             )
         except (subprocess.SubprocessError, OSError) as err:

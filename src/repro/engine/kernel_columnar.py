@@ -17,26 +17,21 @@ out:
 * heterogeneous durations are handled by sorting instances by
   descending sample count — the *active prefix* shrinks as samples pass
   each instance's end, so every inner sweep stays contiguous;
-* a **profile-guided fusion pass** (:func:`build_plan`) rewrites the
-  op list into plan segments once a program shape is hot
-  (``kernel_info().op_samples`` / the per-shape profile): consecutive
-  SOS biquads fuse into a single-pass two-section sweep (bit-preserving
-  — the per-sample arithmetic order is unchanged).  Decisions are
-  recorded in ``kernel_info().fusion_decisions``;
-* without a C compiler the same SoA program runs through a vectorized
-  **NumPy twin** (:func:`run_columnar_numpy`) — identical semantics, no
-  build step, used when the columnar engine is explicitly requested on
-  a compiler-less box.
+* once a program shape is **hot** (:data:`FUSION_THRESHOLD`
+  instance-samples in its per-shape profile) its batches run on a
+  generated shape-specialized megakernel
+  (:func:`specialized_interpreter`) instead of the generic op
+  interpreter.  Hot/cold verdicts and build outcomes are recorded in
+  ``kernel_info().fusion_decisions``.
 
-Contract: columnar results agree with solo fused runs **within
-tolerance** (``np.allclose`` with the pinned ``RTOL``/``ATOL_SCALE``
-below; max-ulp distance reported by :func:`max_ulp_distance`), not
-bit-for-bit — in practice the C engine preserves the exact per-sample
-operation order and lands bit-identical on this machine, but SIMD
-codegen freedom is part of the engine's contract, so its golden suite
-(``tests/engine/test_kernel_columnar.py``) pins tolerances instead.
-Solo fused runs, including the per-instance route that narrow batches
-take, keep the bit-identity contract untouched.
+Contract: every instance of a columnar batch is **bit-identical** to its
+solo fused run — the same contract as every other kernel route, pinned
+with ``np.array_equal`` by ``tests/engine/test_kernel_columnar.py`` on
+cold and hot shapes.  Each lane runs the solo interpreter's exact
+per-sample operation sequence: FMA contraction is off at every vector
+width, and both kernels call scalar libm ``tanh``.  glibc's vector
+``tanh`` (libmvec) differs from libm's in the last bits, so neither
+kernel uses it.
 """
 
 from __future__ import annotations
@@ -82,40 +77,51 @@ __all__ = [
     "COLUMNAR_FLAGS",
     "FUSION_THRESHOLD",
     "RTOL",
-    "ColumnarPlan",
-    "build_plan",
     "columnar_interpreter",
     "max_ulp_distance",
     "run_columnar_cc",
-    "run_columnar_numpy",
     "specialized_interpreter",
 ]
 
-# -- tolerance contract ------------------------------------------------------------
+# -- comparison tolerances ---------------------------------------------------------
 #
-# The columnar golden suite asserts, per waveform column::
-#
-#     np.allclose(ref, col, rtol=RTOL, atol=ATOL_SCALE * max(1e-300, |ref|.max()))
-#
-# i.e. a relative tolerance plus an absolute floor scaled to the
-# column's own peak (waveform units span volts to nanometres, so a
-# fixed atol would be meaningless).  max_ulp_distance() is reported
-# alongside for forensics.  BENCH_sweep.json records the same flags.
+# No engine relies on these: every kernel route, columnar included, is
+# bit-exact to solo fused.  They remain the documented tolerance for a
+# harness that compares reduced columns (a relative tolerance plus an
+# absolute floor scaled to the column's own peak, since waveform units
+# span volts to nanometres), and max_ulp_distance() says how far apart
+# two arrays are when a bit-exact check fails.
 
 RTOL = 1e-9
 ATOL_SCALE = 1e-12
 
-# -- fusion pass -------------------------------------------------------------------
+# -- hot gate ----------------------------------------------------------------------
 
 #: A program shape must have executed this many instance-samples before
-#: the fusion pass rewrites it (profile-guided: cold shapes run the
-#: plain per-op plan).  The pass applies only bit-preserving rewrites:
-#: fused SOS pairs.
+#: its batches run on a shape-specialized megakernel (profile-guided:
+#: cold shapes run the generic op interpreter).
 FUSION_THRESHOLD = 100_000
 
-# plan-segment opcodes (the C plan interpreter's instruction set)
-PK_OP = 0       # one KernelOp, dispatched by kinds[pa]
-PK_SOS2 = 1     # ops pa, pa+1: two SOS sections in one pass (bit-safe)
+#: (signature, hot) verdicts already recorded in kernel_info().
+_DECIDED: set[tuple] = set()
+
+
+def _is_hot(signature: tuple, n_ops: int) -> bool:
+    """Whether a program shape has run :data:`FUSION_THRESHOLD`
+    instance-samples (``kernel._PROGRAM_PROFILE``).  Each verdict is
+    recorded once per ``(signature, hot)``."""
+    profile = _k._PROGRAM_PROFILE.get(signature, 0)
+    hot = profile >= FUSION_THRESHOLD
+    if (signature, hot) not in _DECIDED:
+        _DECIDED.add((signature, hot))
+        record_fusion_decision({
+            "engine": "columnar",
+            "n_ops": n_ops,
+            "hot": hot,
+            "profile_samples": int(profile),
+        })
+    return hot
+
 
 # -- allocation reuse --------------------------------------------------------------
 #
@@ -206,78 +212,6 @@ def max_ulp_distance(a: np.ndarray, b: np.ndarray) -> int:
     return int(diff.max()) if diff.size else 0
 
 
-# -- the fusion pass (plan builder) ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ColumnarPlan:
-    """One program shape rewritten as columnar plan segments.
-
-    ``pk``/``pa`` drive the C plan interpreter; ``segments`` is the
-    human-readable rewrite, and ``fused`` is True when any multi-op
-    segment was emitted.
-    """
-
-    pk: np.ndarray
-    pa: np.ndarray
-    segments: tuple
-    hot: bool
-
-    @property
-    def fused(self) -> bool:
-        return any(kind != "op" for kind, _, _ in self.segments)
-
-
-#: Memoized segment rewrites keyed by (signature, hot) — the decision is
-#: recorded in kernel_info() once per distinct key.
-_SEGMENT_CACHE: dict[tuple, tuple] = {}
-
-
-def _plan_segments(kinds: Sequence[int], apply: bool) -> tuple:
-    segments: list[tuple] = []
-    n = len(kinds)
-    j = 0
-    while j < n:
-        if apply and kinds[j] == OP_SOS and j + 1 < n and kinds[j + 1] == OP_SOS:
-            segments.append(("sos2", j, 2))
-            j += 2
-            continue
-        segments.append(("op", j, 1))
-        j += 1
-    return tuple(segments)
-
-
-def build_plan(signature: tuple, kinds: Sequence[int]) -> ColumnarPlan:
-    """The fusion-pass rewrite of one program shape.
-
-    Segment structure is profile-guided (a shape is *hot* once it has
-    run :data:`FUSION_THRESHOLD` instance-samples) and memoized per
-    ``(signature, hot)``.
-    """
-    profile = _k._PROGRAM_PROFILE.get(signature, 0)
-    hot = profile >= FUSION_THRESHOLD
-    key = (signature, hot)
-    segments = _SEGMENT_CACHE.get(key)
-    if segments is None:
-        segments = _plan_segments(kinds, hot)
-        _SEGMENT_CACHE[key] = segments
-        record_fusion_decision({
-            "engine": "columnar",
-            "n_ops": len(kinds),
-            "hot": hot,
-            "profile_samples": int(profile),
-            "fused_segments": [
-                [kind, int(j), int(ln)]
-                for kind, j, ln in segments if kind != "op"
-            ],
-        })
-
-    codes = {"op": PK_OP, "sos2": PK_SOS2}
-    pk = np.asarray([codes[kind] for kind, _, _ in segments], dtype=np.int64)
-    pa = np.asarray([j for _, j, _ in segments], dtype=np.int64)
-    return ColumnarPlan(pk=pk, pa=pa, segments=segments, hot=hot)
-
-
 # -- SoA block assembly ------------------------------------------------------------
 
 
@@ -363,8 +297,7 @@ def _package(
     per-instance :class:`~repro.engine.kernel.KernelRunResult`\\ s.
 
     ``rows`` are the instance-major ``(n_inst, n_max)`` waveform
-    matrices (transposed in C by ``col_emit_rows``; the NumPy twin
-    transposes on the way in) — each instance's record is a zero-copy
+    matrices the C kernel wrote — each instance's record is a zero-copy
     contiguous row slice.
     """
     disp_r, bridge_r, limin_r, limout_r, drive_r = rows
@@ -407,15 +340,14 @@ def _package(
             info=info,
         ))
     record_batch(
-        batch.n_instances, threads_used, total, run_seconds,
-        engine="columnar" if engine.startswith("cc-columnar") else "columnar-np",
+        batch.n_instances, threads_used, total, run_seconds, engine="columnar"
     )
     return results
 
 
 # -- the compiled columnar engine --------------------------------------------------
 #
-# One generic plan interpreter compiled once per machine: the per-op
+# One generic op interpreter compiled once per machine: the per-op
 # switch costs one branch per op per *sample*, amortized over the whole
 # instance axis, and every case body is a fixed-trip-count-free loop
 # over contiguous doubles that the compiler's auto-vectorizer turns
@@ -431,11 +363,9 @@ COLUMNAR_FLAGS = [
 #: Tried first on every columnar build, dropped if the compiler rejects
 #: it.  The ``.so`` cache is per-machine, so ISA tuning is safe — and
 #: it does not change the arithmetic: ``-ffp-contract=off`` keeps FMA
-#: contraction off at any vector width, so the segment sweeps produce
-#: bit-identical results (measured ~25% faster on an AVX2 box).  The
-#: 4-lane libmvec ``tanh`` it unlocks (``_ZGVdN4v_tanh``) drifts a few
-#: ULP from the 2-lane/scalar call — inside the tolerance contract,
-#: like the vector-tanh path itself.
+#: contraction off at any vector width and ``tanh`` stays the scalar
+#: libm call, so the sweeps produce bit-identical results (measured
+#: ~25% faster on an AVX2 box).
 NATIVE_FLAG = "-march=native"
 
 _C_HEADER = """
@@ -452,10 +382,9 @@ _C_STRUCT = """
 
 typedef struct {
     long lo, hi;                 /* this worker's instance block */
-    long n_inst, n_modes, n_plan, n_max, row_stride, has_taps;
+    long n_inst, n_modes, n_ops, n_max, row_stride, has_taps;
     const long *ns;
     const long *kinds, *sidx;
-    const long *pk, *pa;
     const double *p0, *p1, *p2, *p3, *p4;
     double *state;
     const double *mode_coef;
@@ -572,37 +501,8 @@ static void *col_worker(void *argp)
             for (long k = lo; k < hi; k++) ob[k] = v[k];
         }
 
-        /* plan segments: one contiguous instance sweep per op */
-        for (long s = 0; s < a->n_plan; s++) {
-            const long j = a->pa[s];
-            if (a->pk[s] == 1) {            /* PK_SOS2: fused biquads */
-                const double *restrict a0 = a->p0 + j*ni;
-                const double *restrict a1 = a->p1 + j*ni;
-                const double *restrict a2 = a->p2 + j*ni;
-                const double *restrict a3 = a->p3 + j*ni;
-                const double *restrict a4 = a->p4 + j*ni;
-                const double *restrict b0 = a->p0 + (j+1)*ni;
-                const double *restrict b1 = a->p1 + (j+1)*ni;
-                const double *restrict b2 = a->p2 + (j+1)*ni;
-                const double *restrict b3 = a->p3 + (j+1)*ni;
-                const double *restrict b4 = a->p4 + (j+1)*ni;
-                double *restrict sa1 = a->state + a->sidx[j]*ni;
-                double *restrict sa2 = sa1 + ni;
-                double *restrict sb1 = a->state + a->sidx[j+1]*ni;
-                double *restrict sb2 = sb1 + ni;
-                for (long k = lo; k < hi; k++) {
-                    double x = v[k];
-                    double y = a0[k]*x + sa1[k];
-                    sa1[k] = a1[k]*x - a3[k]*y + sa2[k];
-                    sa2[k] = a2[k]*x - a4[k]*y;
-                    double z = b0[k]*y + sb1[k];
-                    sb1[k] = b1[k]*y - b3[k]*z + sb2[k];
-                    sb2[k] = b2[k]*y - b4[k]*z;
-                    v[k] = z;
-                }
-                continue;
-            }
-            /* PK_OP: one primitive, dispatched once per sweep */
+        /* the op list: one contiguous instance sweep per op */
+        for (long j = 0; j < a->n_ops; j++) {
             const long kind = a->kinds[j];
             const double *restrict q0 = a->p0 + j*ni;
             const double *restrict q1 = a->p1 + j*ni;
@@ -721,10 +621,9 @@ static void *col_worker(void *argp)
 
 _C_ENTRY = """
 void run_columnar(
-    long n_inst, long n_threads, long n_modes, long n_plan,
+    long n_inst, long n_threads, long n_modes, long n_ops,
     long n_max, long row_stride, long has_taps,
     const long *ns, const long *kinds, const long *sidx,
-    const long *pk, const long *pa,
     const double *p0, const double *p1, const double *p2,
     const double *p3, const double *p4,
     double *state, const double *mode_coef, double *mode_state,
@@ -746,9 +645,9 @@ void run_columnar(
         long lo = t * chunk;
         long hi = lo + chunk < n_inst ? lo + chunk : n_inst;
         if (lo >= hi) break;
-        col_args a = { lo, hi, n_inst, n_modes, n_plan, n_max, row_stride,
+        col_args a = { lo, hi, n_inst, n_modes, n_ops, n_max, row_stride,
             has_taps,
-            ns, kinds, sidx, pk, pa, p0, p1, p2, p3, p4,
+            ns, kinds, sidx, p0, p1, p2, p3, p4,
             state, mode_coef, mode_state, noise, act, vbuf, noise_sm,
             out_disp, out_bridge, out_limin, out_limout, out_drive,
             row_disp, row_bridge, row_limin, row_limout, row_drive };
@@ -772,21 +671,20 @@ _C_SOURCE = _C_HEADER + _C_STRUCT + _C_WORKER + _C_ENTRY
 
 # -- profile-guided specialized megakernels ----------------------------------------
 #
-# Once a program shape is hot, the plan interpreter's per-sweep dispatch
+# Once a program shape is hot, the op interpreter's per-sweep dispatch
 # (one function-call's worth of loop setup per op per sample) dominates:
 # the generic engine is memory/dispatch bound, not arithmetic bound.
-# The fusion pass then *generates* a shape-specialized kernel where the
+# The engine then *generates* a shape-specialized kernel where the
 # whole op chain runs as one single-pass vector loop over the instance
 # axis, split only at OP_TANH (the lone transcendental).  Each segment
 # is a noinline function taking every row as its own ``restrict``
 # parameter — that is what lets GCC vectorize without runtime alias
 # versioning (derived pointers off one base defeat its alias budget).
-# The tanh segment uses glibc's libmvec SIMD ``tanh`` when available
-# (``_ZGVdN4v_tanh`` on AVX2 builds, else ``_ZGVbN2v_tanh`` — a few
-# ULP from scalar libm, inside the columnar tolerance contract);
-# everything else keeps the exact per-sample
-# arithmetic order of the solo interpreter, with clamps rewritten as
-# NaN-equivalent ternaries so the bodies stay branch-free.
+# The tanh segment calls scalar libm ``tanh`` lane by lane: glibc's
+# libmvec vector ``tanh`` differs from it in the last bits, which would
+# break the bit-exact contract.  Every segment keeps the exact
+# per-sample arithmetic order of the solo interpreter, with clamps
+# rewritten as NaN-equivalent ternaries so the bodies stay branch-free.
 #
 # Memory traffic is the specialized path's budget, so it diverges from
 # the generic interpreter in one bit-preserving way: it reads the batch
@@ -850,67 +748,34 @@ static inline void col_flush8(const double *restrict s,
 }
 static inline void col_sfence(void) { (void)0; }
 #endif
-
-#if defined(COLUMNAR_VEC_TANH) && defined(__x86_64__) && defined(__SSE2__)
-#define COL_VTANH 1
-typedef double v2df __attribute__((vector_size(16)));
-extern v2df _ZGVbN2v_tanh(v2df);
-static inline v2df v2_loadu(const double *p)
-{ v2df r; __builtin_memcpy(&r, p, sizeof r); return r; }
-static inline void v2_storeu(double *p, v2df x)
-{ __builtin_memcpy(p, &x, sizeof x); }
-#ifdef __AVX2__
-typedef double v4df __attribute__((vector_size(32)));
-extern v4df _ZGVdN4v_tanh(v4df);
-static inline v4df v4_loadu(const double *p)
-{ v4df r; __builtin_memcpy(&r, p, sizeof r); return r; }
-static inline void v4_storeu(double *p, v4df x)
-{ __builtin_memcpy(p, &x, sizeof x); }
-#endif
-#endif
 """
 
 _TANH_FUNC = """
 NI static void col_tanhseg(long lo, long hi, double *restrict v,
     const double *restrict q0, const double *restrict q1)
 {
-    long k = lo;
-#if defined(COL_VTANH) && defined(__AVX2__)
-    for (; k + 4 <= hi; k += 4) {
-        v4df lim = v4_loadu(q1 + k);
-        v4df arg = v4_loadu(q0 + k) * v4_loadu(v + k) / lim;
-        v4_storeu(v + k, lim * _ZGVdN4v_tanh(arg));
-    }
-#elif defined(COL_VTANH)
-    for (; k + 2 <= hi; k += 2) {
-        v2df lim = v2_loadu(q1 + k);
-        v2df arg = v2_loadu(q0 + k) * v2_loadu(v + k) / lim;
-        v2_storeu(v + k, lim * _ZGVbN2v_tanh(arg));
-    }
-#endif
-    for (; k < hi; k++)
+    for (long k = lo; k < hi; k++)
         v[k] = q1[k]*tanh(q0[k]*v[k]/q1[k]);
 }
 """
 
 
 def _generate_specialized_source(
-    kinds: Sequence[int], sidx: Sequence[int], n_modes: int, segments: tuple,
+    kinds: Sequence[int], sidx: Sequence[int], n_modes: int,
 ) -> str:
     """Emit C for one program shape: op chains fused into single-pass
     vector loops, split at OP_TANH, entry-compatible with the generic
-    ``run_columnar`` (plan arguments accepted and ignored)."""
+    ``run_columnar``."""
 
-    # linearize plan segments, splitting the chain at every tanh
+    # split the op list into chains at every tanh
     chains: list[list[int]] = [[]]
     tanhs: list[int] = []
-    for _, j, ln in segments:
-        for jj in range(j, j + ln):
-            if kinds[jj] == OP_TANH:
-                tanhs.append(jj)
-                chains.append([])
-            else:
-                chains[-1].append(jj)
+    for jj, kind in enumerate(kinds):
+        if kind == OP_TANH:
+            tanhs.append(jj)
+            chains.append([])
+        else:
+            chains[-1].append(jj)
     n_c = len(chains)
     with_v = n_c > 1
 
@@ -1169,8 +1034,7 @@ def _generate_specialized_source(
 
     parts = [
         f"/* specialized columnar kernel: kinds={list(map(int, kinds))}",
-        f"   sidx={list(map(int, sidx))} n_modes={n_modes}",
-        f"   segments={[list(s) for s in segments]} */",
+        f"   sidx={list(map(int, sidx))} n_modes={n_modes} */",
         _SPEC_HEADER,
         _C_STRUCT,
     ]
@@ -1180,58 +1044,42 @@ def _generate_specialized_source(
     return "\n".join(parts)
 
 
-#: Memoized specialized builds (None = build failed; generic plan kept).
+#: Memoized specialized builds (None = build failed; generic interpreter kept).
 _SPECIALIZED: dict[tuple, Callable | None] = {}
 
 
-def specialized_interpreter(blocks: "_Blocks", plan: ColumnarPlan):
+def specialized_interpreter(blocks: "_Blocks"):
     """The compiled shape-specialized megakernel, or ``None``.
 
-    Built once per (shape, plan) through the same sha-keyed ``.so``
-    cache; tried first with the libmvec vector-``tanh`` path
-    (``-DCOLUMNAR_VEC_TANH -lmvec``) and once more scalar-only if that
-    link fails — each attempt with :data:`NATIVE_FLAG` first, then
-    without.  A failed build is memoized as ``None`` — the generic
-    plan interpreter keeps the batch correct, just slower — and never
-    poisons ``cc_build_error``.
+    Built once per program shape (op kinds, state layout, mode count)
+    through the same sha-keyed ``.so`` cache, with :data:`NATIVE_FLAG`
+    first, then without.  A failed build is memoized as ``None`` — the
+    generic op interpreter keeps the batch correct, just slower — and
+    never poisons ``cc_build_error``.
     """
     key = (
         tuple(int(k) for k in blocks.kinds),
         tuple(int(s) for s in blocks.sidx),
-        blocks.n_modes, plan.segments,
+        blocks.n_modes,
     )
     if key in _SPECIALIZED:
         return _SPECIALIZED[key]
     if not _k.cc_available():
         return None
-    has_tanh = any(int(k) == OP_TANH for k in blocks.kinds)
-    fn = None
-    vec = False
     try:
-        source = _generate_specialized_source(
-            blocks.kinds, blocks.sidx, blocks.n_modes, plan.segments
+        fn = _build_so_tuned(
+            _generate_specialized_source(*key), COLUMNAR_FLAGS, "columnar-spec"
         )
-        if has_tanh:
-            try:
-                fn = _build_so_tuned(
-                    source, [*COLUMNAR_FLAGS, "-DCOLUMNAR_VEC_TANH"],
-                    "columnar-spec", libs=("-lm", "-lmvec"),
-                )
-                vec = True
-            except KernelError:
-                fn = _build_so_tuned(source, COLUMNAR_FLAGS, "columnar-spec")
-        else:
-            fn = _build_so_tuned(source, COLUMNAR_FLAGS, "columnar-spec")
     except KernelError as err:
         logger.info(
-            "specialized columnar build failed (generic plan kept): %s", err
+            "specialized columnar build failed (generic interpreter kept): %s",
+            err,
         )
         fn = None
     record_fusion_decision({
         "engine": "columnar",
         "stage": "specialize",
         "built": fn is not None,
-        "vector_tanh": vec,
         "n_ops": len(key[0]),
     })
     _SPECIALIZED[key] = fn
@@ -1253,19 +1101,16 @@ def _reset_engine() -> None:
         pool.clear()
 
 
-def _build_so(
-    source: str, flags: Sequence[str], stem: str,
-    libs: Sequence[str] = ("-lm",),
-) -> Callable:
+def _build_so(source: str, flags: Sequence[str], stem: str) -> Callable:
     """Compile + wrap one columnar entry point (generic or specialized —
-    both export the same 33-argument ``run_columnar`` signature)."""
-    lib = _k._cc_compile_so(source, list(flags), stem, libs=libs)
+    both export the same 31-argument ``run_columnar`` signature)."""
+    lib = _k._cc_compile_so(source, list(flags), stem)
     dbl = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     idx = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     lib.run_columnar.restype = None
     lib.run_columnar.argtypes = (
-        [ctypes.c_long] * 7     # n_inst, n_threads, n_modes, n_plan, n_max, row_stride, has_taps
-        + [idx] * 5             # ns, kinds, sidx, pk, pa
+        [ctypes.c_long] * 7     # n_inst, n_threads, n_modes, n_ops, n_max, row_stride, has_taps
+        + [idx] * 3             # ns, kinds, sidx
         + [dbl] * 5             # p0..p4
         + [dbl] * 7             # state, mode_coef, mode_state, noise, act, vbuf, noise_sm
         + [dbl] * 5             # the five sample-major waveform scratch matrices
@@ -1280,15 +1125,12 @@ def _build_so(
     return run
 
 
-def _build_so_tuned(
-    source: str, flags: Sequence[str], stem: str,
-    libs: Sequence[str] = ("-lm",),
-) -> Callable:
+def _build_so_tuned(source: str, flags: Sequence[str], stem: str) -> Callable:
     """:func:`_build_so` with :data:`NATIVE_FLAG` first, plain retry."""
     try:
-        return _build_so(source, [*flags, NATIVE_FLAG], stem, libs=libs)
+        return _build_so(source, [*flags, NATIVE_FLAG], stem)
     except KernelError:
-        return _build_so(source, flags, stem, libs=libs)
+        return _build_so(source, flags, stem)
 
 
 def _build() -> Callable:
@@ -1302,8 +1144,8 @@ def columnar_interpreter() -> Callable:
     ``kernel.compile`` fault raises per its plan, and a real build
     failure is memoized into the module-wide ``cc_build_error`` (a
     compiler that cannot build one kernel source cannot build the
-    other).  :meth:`KernelBatch.run` degrades to solo fused runs (auto)
-    or the NumPy twin (explicit) on :class:`KernelError`.
+    other).  :meth:`KernelBatch.run` degrades to solo fused runs on
+    :class:`KernelError`.
     """
     global _COLUMNAR_FN
     if poll_fault("kernel.compile") is not None:
@@ -1325,13 +1167,14 @@ def columnar_interpreter() -> Callable:
 
 def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
     """Execute a :class:`~repro.engine.kernel.KernelBatch` through the
-    compiled columnar engine (engine tag ``cc-columnar``)."""
+    compiled columnar engine: engine tag ``cc-columnar`` (generic op
+    interpreter), or ``cc-columnar-fused`` once the shape is hot and its
+    megakernel built."""
     blocks = _assemble(batch)
-    plan = build_plan(batch.signature, list(blocks.kinds))
     engine = "cc-columnar"
-    if plan.hot:
+    if _is_hot(batch.signature, blocks.n_ops):
         with timer.stage("compile"):
-            spec = specialized_interpreter(blocks, plan)
+            spec = specialized_interpreter(blocks)
         if spec is not None:
             fn = spec
             engine = "cc-columnar-fused"
@@ -1353,9 +1196,9 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
     noise_sm = _scratch("noise_sm", (n_max, n_inst))
     with timer.stage("run"):
         fn(
-            n_inst, threads_used, blocks.n_modes, len(plan.pk),
+            n_inst, threads_used, blocks.n_modes, blocks.n_ops,
             n_max, row_stride, 1 if blocks.has_taps else 0,
-            blocks.ns_sorted, blocks.kinds, blocks.sidx, plan.pk, plan.pa,
+            blocks.ns_sorted, blocks.kinds, blocks.sidx,
             *blocks.p_cols,
             blocks.state, blocks.mode_coef, blocks.mode_state,
             blocks.noise, blocks.act, vbuf, noise_sm,
@@ -1363,135 +1206,3 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
         )
     return _package(batch, blocks, rows, engine, threads_used, timer)
 
-
-# -- the NumPy columnar twin -------------------------------------------------------
-
-
-def run_columnar_numpy(batch, timer: StageTimer) -> list:
-    """The same SoA program executed with vectorized NumPy sweeps.
-
-    No compiler needed: each plan segment is one ufunc expression over
-    the active instance prefix.  Arithmetic mirrors the C engine
-    op-for-op (``np.tanh`` stands in for libm ``tanh`` — same libm on
-    most platforms, but last-ulp drift is inside the columnar tolerance
-    contract either way).  Slow per sample for narrow batches — this is
-    the explicit-request fallback, not an auto path.
-    """
-    blocks = _assemble(batch)
-    plan = build_plan(batch.signature, list(blocks.kinds))
-    n_inst, n_max = blocks.n_inst, blocks.n_max
-    kinds, sidx = blocks.kinds, blocks.sidx
-    p0, p1, p2, p3, p4 = blocks.p_cols
-    state = blocks.state
-    mc, ms = blocks.mode_coef, blocks.mode_state
-    # twin consumes noise per sample: transpose once to sample-major
-    noise, act = np.ascontiguousarray(blocks.noise.T), blocks.act
-    ns_sorted = blocks.ns_sorted
-    n_modes = blocks.n_modes
-    out_disp = np.zeros((n_max, n_inst))
-    out_bridge = np.zeros((n_max, n_inst))
-    if blocks.has_taps:
-        taps = [np.zeros((n_max, n_inst)) for _ in range(3)]
-    else:
-        taps = [np.zeros(1) for _ in range(3)]
-    v = np.empty(n_inst)
-
-    def apply_sos(j, a, va):
-        r = sidx[j]
-        s1, s2 = state[r], state[r + 1]
-        y = p0[j][:a] * va + s1[:a]
-        s1[:a] = p1[j][:a] * va - p3[j][:a] * y + s2[:a]
-        s2[:a] = p2[j][:a] * va - p4[j][:a] * y
-        v[:a] = y
-        return v[:a]
-
-    with timer.stage("run"):
-        active = n_inst
-        for i in range(n_max):
-            while active > 0 and ns_sorted[active - 1] <= i:
-                active -= 1
-            a = active
-            if a == 0:  # pragma: no cover - defensive (n_max = max(ns))
-                break
-            if n_modes == 1:
-                v[:a] = mc[6][:a] * ms[0][:a] + noise[i, :a]
-            else:
-                v[:a] = mc[6][:a] * ms[0][:a]
-                for m in range(1, n_modes):
-                    v[:a] = v[:a] + mc[7 * m + 6][:a] * ms[2 * m][:a]
-                v[:a] = v[:a] + noise[i, :a]
-            out_bridge[i, :a] = v[:a]
-            for s in range(len(plan.pk)):
-                j = int(plan.pa[s])
-                code = int(plan.pk[s])
-                va = v[:a]
-                if code == PK_SOS2:
-                    va = apply_sos(j, a, va)
-                    apply_sos(j + 1, a, va)
-                    continue
-                kind = int(kinds[j])
-                if kind == 2:  # OP_SOS
-                    apply_sos(j, a, va)
-                elif kind == 1:  # OP_GAIN
-                    v[:a] = va * p0[j][:a]
-                elif kind == 0:  # OP_BIAS
-                    v[:a] = va + p0[j][:a]
-                elif kind == 3:  # OP_RC
-                    st = state[sidx[j]]
-                    st[:a] = st[:a] + p0[j][:a] * (va - st[:a])
-                    v[:a] = st[:a]
-                elif kind == 4:  # OP_CLIP
-                    v[:a] = np.minimum(np.maximum(va, p0[j][:a]), p1[j][:a])
-                elif kind == 5:  # OP_TANH
-                    lim = p1[j][:a]
-                    v[:a] = lim * np.tanh(p0[j][:a] * va / lim)
-                elif kind == 6:  # OP_DIFF
-                    st = state[sidx[j]]
-                    y = (va - st[:a]) * p0[j][:a]
-                    st[:a] = va
-                    v[:a] = y
-                elif kind == 7:  # OP_DEADZONE
-                    hi_w, lo_w = p0[j][:a], p1[j][:a]
-                    inside = (va <= hi_w) & (va >= lo_w)
-                    v[:a] = np.where(
-                        inside, 0.0, np.where(va > 0.0, va - hi_w, va - lo_w)
-                    )
-                elif kind == 8:  # OP_SLEW
-                    st = state[sidx[j]]
-                    y = va - st[:a]
-                    res = np.where(
-                        y > p0[j][:a], st[:a] + p0[j][:a],
-                        np.where(y < p1[j][:a], st[:a] + p1[j][:a], va),
-                    )
-                    v[:a] = res
-                    st[:a] = res
-                elif kind == 9:  # OP_LATCH
-                    state[sidx[j]][:a] = va
-                elif kind == 10:  # OP_TAP_LIMIN
-                    taps[0][i, :a] = va
-                elif kind == 11:  # OP_TAP_LIMOUT
-                    taps[1][i, :a] = va
-                else:  # OP_TAP_DRIVE
-                    taps[2][i, :a] = va
-            cur = v[:a] / act[0][:a]
-            cur = np.minimum(cur, act[1][:a])
-            cur = np.maximum(cur, -act[1][:a])
-            f = act[2][:a] * cur
-            for m in range(n_modes):
-                b = 7 * m
-                mx, mv = ms[2 * m], ms[2 * m + 1]
-                x0 = mx[:a].copy()
-                v0 = mv[:a].copy()
-                mx[:a] = mc[b][:a] * x0 + mc[b + 1][:a] * v0 + mc[b + 4][:a] * f
-                mv[:a] = mc[b + 2][:a] * x0 + mc[b + 3][:a] * v0 \
-                    + mc[b + 5][:a] * f
-            out_disp[i, :a] = ms[0][:a]
-        rows = [
-            np.ascontiguousarray(out_disp.T),
-            np.ascontiguousarray(out_bridge.T),
-        ]
-        if blocks.has_taps:
-            rows += [np.ascontiguousarray(t.T) for t in taps]
-        else:
-            rows += taps
-    return _package(batch, blocks, rows, "columnar-np", 1, timer)

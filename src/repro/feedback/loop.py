@@ -505,9 +505,9 @@ def run_batch(
     :func:`~repro.engine.kernel.batch_signature`) are grouped into one
     :class:`~repro.engine.kernel.KernelBatch`.  A group at least
     :data:`~repro.engine.kernel.COLUMNAR_MIN_INSTANCES` wide runs as one
-    compiled columnar call, pthread-partitioned across instances, within
-    the columnar tolerance contract of each loop's solo fused run; a
-    narrower group runs each loop solo fused (``np.array_equal``).
+    compiled columnar call, pthread-partitioned across instances; a
+    narrower group runs each loop solo fused.  Either way every record
+    is ``np.array_equal`` to the loop's solo fused run.
 
     Parameters
     ----------

@@ -397,31 +397,46 @@ class TestExecutorKernelBatch:
 
 
 class TestLoopSweepTaskPlanner:
-    def _sweep(self, backend, cache=None):
+    def _sweep(self, backend, cache=None, lengths=LENGTHS):
         from repro.analysis import LoopSweepTask, run_spec_sweep
 
         return run_spec_sweep(
             REFERENCE_RESONANT_SENSOR,
             "cantilever.length_um",
-            list(LENGTHS),
+            list(lengths),
             LoopSweepTask(duration=DURATION),
             backend=backend,
             cache=cache,
         )
 
-    def test_kernel_batch_equals_serial(self):
-        serial = self._sweep("serial")
-        reset_kernel_info()
-        batched = self._sweep("kernel-batch")
-        assert serial.columns.keys() == batched.columns.keys()
-        for key in serial.columns:
-            assert serial.columns[key] == batched.columns[key]
-        info = kernel_info()
-        # three points are narrower than COLUMNAR_MIN_INSTANCES: one
-        # batch, run per-instance solo fused (hence the exact columns)
-        assert info.batch_runs == 1
-        assert info.batch_declined == 1
-        assert info.batch_instances == len(LENGTHS)
+    def test_kernel_batch_equals_serial(self, monkeypatch):
+        import repro.engine.kernel_columnar as columnar
+
+        # three points run per-instance solo fused (narrower than
+        # COLUMNAR_MIN_INSTANCES); sixteen points on a hot shape run the
+        # columnar megakernel when a compiler is trusted
+        grids = (
+            (LENGTHS, columnar.FUSION_THRESHOLD),
+            (np.linspace(170.0, 260.0, 16), 0),
+        )
+        for lengths, threshold in grids:
+            monkeypatch.setattr(columnar, "FUSION_THRESHOLD", threshold)
+            serial = self._sweep("serial", lengths=lengths)
+            reset_kernel_info()
+            batched = self._sweep("kernel-batch", lengths=lengths)
+            assert serial.columns.keys() == batched.columns.keys()
+            for key in serial.columns:
+                assert serial.columns[key] == batched.columns[key], key
+            info = kernel_info()
+            # asked after the run: a failed build is memoized by then
+            columnar_run = (
+                len(lengths) >= kernel_mod.COLUMNAR_MIN_INSTANCES
+                and kernel_mod.cc_usable()
+            )
+            assert info.batch_runs == 1
+            assert info.batch_columnar_runs == int(columnar_run)
+            assert info.batch_declined == int(not columnar_run)
+            assert info.batch_instances == len(lengths)
 
     def test_warm_cache_skips_the_batch(self, tmp_path):
         from repro.engine import ResultCache

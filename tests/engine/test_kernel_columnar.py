@@ -1,15 +1,15 @@
-"""Golden-tolerance suite for the columnar SoA batch engine.
+"""Golden suite for the columnar SoA batch engine.
 
-The columnar engine trades solo fused bit-identity for speed under
-an explicit numerical contract (``docs/FASTPATH.md``): every waveform
-of every instance must agree with its solo fused run within
-``RTOL = 1e-9`` relative / ``ATOL_SCALE * max|ref|`` absolute.  This
-suite pins that contract across reference-spec variants, liquids,
-modes, noise on/off, multimode stacks, heterogeneous durations,
-per-instance lowering fallbacks, the no-compiler NumPy twin, and a
-property-based sweep — plus the ``auto`` engine-resolution order, the
-narrow-batch route (bit-exact solo fused), and the profile/fusion
-counters surfaced through ``kernel_info()`` and ``repro health``.
+The columnar engine keeps the fused kernel's contract
+(``docs/FASTPATH.md``): every waveform of every instance is
+``np.array_equal`` to its solo fused run.  This suite pins that
+contract on cold shapes (the generic op interpreter) and hot shapes
+(the shape-specialized megakernel) across reference-spec variants,
+liquids, modes, noise on/off, multimode stacks, heterogeneous
+durations, per-instance lowering fallbacks and a property-based sweep
+— plus the batch route order, the narrow-batch and untrusted-compiler
+routes (solo fused), and the profile/fusion counters surfaced through
+``kernel_info()`` and ``repro health``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
 from repro.engine import (
     BATCH_AUTO_ORDER,
-    BATCH_ENGINES,
-    COLUMNAR_ENV,
     KernelBatch,
     cc_available,
     kernel_info,
@@ -39,7 +37,6 @@ from repro.engine import (
     reset_kernel_info,
 )
 from repro.engine.kernel import OP_NAMES, _cc_cache_dir
-from repro.errors import KernelError
 from repro.feedback import run_batch
 from repro.service.health import resilience_snapshot
 
@@ -68,6 +65,11 @@ SPEC_VARIANTS = {
 #: sweeps longer geometries.
 VARIANT_LENGTHS = {"mode2": (280.0, 290.0, 300.0, 310.0, 320.0)}
 
+#: The golden batches run on one C thread, so each batch is a single
+#: instance block as wide as the batch: the engines' vectorized main
+#: loops run, not only their scalar remainders.
+THREADS = 1
+
 needs_cc = pytest.mark.skipif(not cc_available(), reason="needs a C compiler")
 
 
@@ -83,47 +85,35 @@ def lowered(loop, duration=DURATION):
     return loop._lower_kernel(prep.signed_coefficient), prep
 
 
-def assert_arrays_within(a, b, label):
-    """``b`` agrees with reference ``a`` under the columnar contract."""
+def assert_arrays_equal(a, b, label):
+    """``b`` is bit-identical to reference ``a``."""
     __tracebackhide__ = True
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         pytest.fail(f"{label}: shape {b.shape} != reference {a.shape}")
-    atol = columnar.ATOL_SCALE * float(np.abs(a).max(initial=0.0))
-    if not np.allclose(b, a, rtol=columnar.RTOL, atol=atol):
-        worst = float(np.max(np.abs(a - b)))
-        ulp = columnar.max_ulp_distance(a, b)
+    if not np.array_equal(a, b):
         pytest.fail(
-            f"{label} outside the columnar tolerance contract "
-            f"(max abs diff {worst:.3e}, max ulp distance {ulp})"
-        )
-
-
-def assert_within_contract(ref, rec, label):
-    __tracebackhide__ = True
-    for name in WAVEFORMS:
-        assert_arrays_within(
-            getattr(ref, name), getattr(rec, name), f"{label}.{name}"
+            f"{label} not bit-identical "
+            f"(max ulp distance {columnar.max_ulp_distance(a, b)})"
         )
 
 
 def assert_records_equal(ref, rec, label):
-    """Bit-exactness (narrow batches run each instance solo fused)."""
     __tracebackhide__ = True
     for name in WAVEFORMS:
-        a = np.asarray(getattr(ref, name))
-        b = np.asarray(getattr(rec, name))
-        assert np.array_equal(a, b), f"{label}.{name} not bit-identical"
+        assert_arrays_equal(
+            getattr(ref, name), getattr(rec, name), f"{label}.{name}"
+        )
 
 
 @pytest.fixture
 def columnar_forced(monkeypatch):
-    """Route every batch through the columnar engine (REPRO_COLUMNAR=1).
+    """Route every batch, whatever its width, to the columnar engine.
 
-    With a compiler that is the C SoA engine; without one the explicit
-    request keeps the columnar contract via the NumPy twin.
+    With a compiler that is the C SoA engine; without one the batch
+    declines to per-instance solo fused runs.
     """
-    monkeypatch.setenv(COLUMNAR_ENV, "1")
+    monkeypatch.setattr(kernel_mod, "COLUMNAR_MIN_INSTANCES", 1)
 
 
 @contextmanager
@@ -158,7 +148,8 @@ def broken_compiler(tmp_path):
 
 
 class TestToleranceContract:
-    """The contract's constants and its ulp-distance reporter."""
+    """The comparison tolerances harnesses import, and the ulp-distance
+    reporter the bit-exact assertions print on failure."""
 
     def test_tolerances_pinned(self):
         assert columnar.RTOL == 1e-9
@@ -177,7 +168,17 @@ class TestToleranceContract:
 
 
 class TestColumnarGolden:
-    """Columnar vs solo fused, within tolerance, instance for instance."""
+    """Columnar vs solo fused, bit for bit, instance for instance.
+
+    Cold shapes: every batch runs on the generic op interpreter.
+    """
+
+    FUSION_THRESHOLD = 10**15
+    ENGINE = "cc-columnar"
+
+    @pytest.fixture(autouse=True)
+    def fusion_threshold(self, monkeypatch):
+        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", self.FUSION_THRESHOLD)
 
     @pytest.mark.parametrize("variant", sorted(SPEC_VARIANTS))
     def test_spec_variants(self, variant, columnar_forced):
@@ -188,16 +189,22 @@ class TestColumnarGolden:
         ]
         reset_kernel_info()
         records = run_batch(
-            [build_loop(length, variant) for length in lengths], DURATION
+            [build_loop(length, variant) for length in lengths], DURATION,
+            threads=THREADS,
         )
         assert len(records) == len(lengths)
         for length, solo, rec in zip(lengths, solos, records):
-            assert_within_contract(solo, rec, f"{variant}[{length}]")
+            assert_records_equal(solo, rec, f"{variant}[{length}]")
             assert np.array_equal(solo.times, rec.times)
             assert solo.sample_rate == rec.sample_rate
         info = kernel_info()
         assert info.fallbacks == 0
-        assert info.batch_columnar_runs == 1
+        # columnar with a compiler; without one the batch runs solo
+        if cc_available():
+            assert info.batch_columnar_runs == 1
+        else:
+            assert info.batch_declined == 1
+        assert info.batch_runs == 1
         assert info.batch_instances == len(lengths)
 
     def test_noise_disabled(self, make_loop, columnar_forced):
@@ -206,10 +213,11 @@ class TestColumnarGolden:
             for _ in range(3)
         ]
         records = run_batch(
-            [make_loop(include_noise=False) for _ in range(3)], DURATION
+            [make_loop(include_noise=False) for _ in range(3)], DURATION,
+            threads=THREADS,
         )
         for i, (solo, rec) in enumerate(zip(solos, records)):
-            assert_within_contract(solo, rec, f"quiet[{i}]")
+            assert_records_equal(solo, rec, f"quiet[{i}]")
 
     def test_heterogeneous_durations(self, columnar_forced):
         durations = (0.003, 0.005, 0.002, 0.004)
@@ -219,12 +227,13 @@ class TestColumnarGolden:
             for length, d in zip(lengths, durations)
         ]
         records = run_batch(
-            [build_loop(length) for length in lengths], durations
+            [build_loop(length) for length in lengths], durations,
+            threads=THREADS,
         )
         assert len({len(r.displacement) for r in records}) == len(durations)
         for solo, rec in zip(solos, records):
             assert len(solo.displacement) == len(rec.displacement)
-            assert_within_contract(solo, rec, "hetero")
+            assert_records_equal(solo, rec, "hetero")
 
     def test_multimode_batch(self, geometry, make_loop, columnar_forced):
         from repro.feedback import run_multimode_batch
@@ -236,9 +245,11 @@ class TestColumnarGolden:
             return mm
 
         solos = [make_mm().run(0.002, backend="fused") for _ in range(2)]
-        records = run_multimode_batch([make_mm(), make_mm()], 0.002)
+        records = run_multimode_batch(
+            [make_mm(), make_mm()], 0.002, threads=THREADS
+        )
         for i, (solo, rec) in enumerate(zip(solos, records)):
-            assert_arrays_within(solo.samples, rec.samples, f"multimode[{i}]")
+            assert_arrays_equal(solo.samples, rec.samples, f"multimode[{i}]")
             assert solo.sample_rate == rec.sample_rate
 
     def test_per_instance_fallback(self, columnar_forced):
@@ -252,42 +263,41 @@ class TestColumnarGolden:
         loops[1].vga.step = lambda x: original(x)  # instance patch: refuses
 
         reset_kernel_info()
-        records = run_batch(loops, DURATION)
+        records = run_batch(loops, DURATION, threads=THREADS)
         info = kernel_info()
         assert info.fallbacks == 1
         assert "patched" in info.last_fallback_reason
         assert info.batch_instances == 2
-        assert_within_contract(solos[0], records[0], "columnar[0]")
+        assert_records_equal(solos[0], records[0], "columnar[0]")
         assert_records_equal(solo_ref, records[1], "fallback[1]")
-        assert_within_contract(solos[1], records[2], "columnar[2]")
+        assert_records_equal(solos[1], records[2], "columnar[2]")
 
     @needs_cc
     def test_compiled_engine_tag_recorded(self, columnar_forced):
         loops = [build_loop(length) for length in LENGTHS]
-        run_batch(loops, DURATION)
+        run_batch(loops, DURATION, threads=THREADS)
         for loop in loops:
             assert loop.last_kernel_info is not None
-            assert loop.last_kernel_info.engine.startswith("cc-columnar")
+            assert loop.last_kernel_info.engine == self.ENGINE
+
+
+class TestColumnarGoldenHot(TestColumnarGolden):
+    """The same cases on hot shapes: every batch runs on the
+    shape-specialized megakernel."""
+
+    FUSION_THRESHOLD = 0
+    ENGINE = "cc-columnar-fused"
 
 
 class TestEngineSelection:
-    """``auto`` resolution order, the width gate, and the narrow pin."""
+    """Batch route order, the width gate, and the solo routes."""
 
     def test_batch_engines_pinned(self):
-        assert BATCH_ENGINES == ("auto", "columnar")
         assert BATCH_AUTO_ORDER == ("columnar:cc", "fused:solo")
         assert kernel_mod.COLUMNAR_MIN_INSTANCES == 8
 
-    def test_unknown_engine_raises(self):
-        kern, prep = lowered(build_loop())
-        batch = KernelBatch([kern], [prep.n], [prep.bridge_noise])
-        for engine in ("sideways", "row", "interp", "numba"):
-            with pytest.raises(KernelError, match="unknown batch engine"):
-                batch.run(engine=engine)
-
     @needs_cc
-    def test_wide_auto_batch_selects_columnar(self, monkeypatch):
-        monkeypatch.delenv(COLUMNAR_ENV, raising=False)
+    def test_wide_auto_batch_selects_columnar(self):
         loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
         reset_kernel_info()
         run_batch(loops, 0.002)
@@ -300,7 +310,6 @@ class TestEngineSelection:
 
     @needs_cc
     def test_columnar_min_env_gates_auto(self, monkeypatch):
-        monkeypatch.delenv(COLUMNAR_ENV, raising=False)
         monkeypatch.setattr(kernel_mod, "COLUMNAR_MIN_INSTANCES", 99)
         loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
         reset_kernel_info()
@@ -310,22 +319,11 @@ class TestEngineSelection:
         assert info.batch_runs == 1
         assert info.batch_declined == 1
 
-    @needs_cc
-    def test_env_off_disables_columnar(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_ENV, "0")
-        loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
-        reset_kernel_info()
-        run_batch(loops, 0.002)
-        info = kernel_info()
-        assert info.batch_columnar_runs == 0
-        assert info.batch_declined == 1
-
-    def test_batch_declined_runs_serial_fused(self, monkeypatch):
+    def test_batch_declined_runs_serial_fused(self):
         """A batch narrower than COLUMNAR_MIN_INSTANCES runs each
         instance solo fused at the default thread count: bit-exact,
         counted once in ``batch_runs`` and once in ``batch_declined``
         — the regression pin for narrow batches."""
-        monkeypatch.delenv(COLUMNAR_ENV, raising=False)
         lengths = LENGTHS[:3]
         solos = [
             build_loop(length).run(DURATION, backend="fused")
@@ -347,40 +345,25 @@ class TestEngineSelection:
         assert resilience_snapshot()["batch_declined"] == 1
 
 
-class TestNumpyTwin:
-    """No compiler: an explicit columnar request keeps the contract."""
-
-    def test_twin_matches_fused_without_compiler(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_ENV, "1")
+    def test_untrusted_compiler_declines_to_solo(self, tmp_path, columnar_forced):
+        """A columnar batch whose C engine cannot build runs each
+        instance solo fused, bit-exact, and says why."""
         lengths = LENGTHS[:3]
+        solos = [
+            build_loop(length).run(0.002, backend="fused")
+            for length in lengths
+        ]
         with broken_compiler(tmp_path):
-            solos = [
-                build_loop(length).run(0.002, backend="fused")
-                for length in lengths
-            ]
             loops = [build_loop(length) for length in lengths]
             reset_kernel_info()
             records = run_batch(loops, 0.002)
-            for length, solo, rec in zip(lengths, solos, records):
-                assert_within_contract(solo, rec, f"twin[{length}]")
-            for loop in loops:
-                assert loop.last_kernel_info.engine == "columnar-np"
             info = kernel_info()
-            assert info.batch_columnar_runs == 1
-            assert info.batch_runs == (
-                info.batch_columnar_runs + info.batch_declined
-            )
-
-    def test_explicit_engine_twin_at_kernel_level(self, tmp_path):
-        kern_solo, prep_solo = lowered(build_loop(), 0.002)
-        solo = kern_solo.run(prep_solo.n, prep_solo.bridge_noise,
-                             backend="fused")
-        with broken_compiler(tmp_path):
-            kern, prep = lowered(build_loop(), 0.002)
-            batch = KernelBatch([kern], [prep.n], [prep.bridge_noise])
-            (rec,) = batch.run(engine="columnar")
-            assert_within_contract(solo, rec, "twin-kernel")
-            assert rec.info.engine == "columnar-np"
+        for length, solo, rec in zip(lengths, solos, records):
+            assert_records_equal(solo, rec, f"untrusted[{length}]")
+        for loop in loops:
+            assert loop.last_kernel_info.engine == "codegen"
+        assert info.batch_runs == info.batch_declined == 1
+        assert info.last_decline_reason == "no trusted C engine"
 
 
 class TestFusionProfile:
@@ -395,49 +378,33 @@ class TestFusionProfile:
         assert all(v > 0 for v in hist.values())
         assert hist.get("SOS", 0) > 0  # every loop has biquad sections
 
-    def test_hot_plan_fuses_sos_pairs(self, columnar_forced, monkeypatch):
-        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 0)
-        columnar._SEGMENT_CACHE.clear()
-        reset_kernel_info()
-        run_batch([build_loop(length) for length in LENGTHS], 0.002)
-        decisions = kernel_info().fusion_decisions
-        plan = [d for d in decisions if d.get("engine") == "columnar"
-                and "fused_segments" in d]
-        assert plan, "hot batch must record a fusion decision"
-        assert plan[-1]["hot"] is True
-        assert any(seg[0] == "sos2" for seg in plan[-1]["fused_segments"])
-
+    @needs_cc
     def test_cold_plan_stays_generic(self, columnar_forced, monkeypatch):
         monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 10**15)
-        columnar._SEGMENT_CACHE.clear()
-        solos = [
-            build_loop(length).run(0.002, backend="fused")
-            for length in LENGTHS
-        ]
+        monkeypatch.setattr(columnar, "_DECIDED", set())
         reset_kernel_info()
         loops = [build_loop(length) for length in LENGTHS]
-        records = run_batch(loops, 0.002)
+        run_batch(loops, 0.002)
         decisions = kernel_info().fusion_decisions
-        plan = [d for d in decisions if d.get("engine") == "columnar"
-                and "fused_segments" in d]
-        assert plan and plan[-1]["hot"] is False
-        assert plan[-1]["fused_segments"] == []
-        for solo, rec in zip(solos, records):
-            assert_within_contract(solo, rec, "cold-plan")
-        if cc_available():
-            for loop in loops:
-                assert loop.last_kernel_info.engine == "cc-columnar"
+        gate = [d for d in decisions if d.get("engine") == "columnar"
+                and "hot" in d]
+        assert gate and gate[-1]["hot"] is False
+        assert not any(d.get("stage") == "specialize" for d in decisions)
+        for loop in loops:
+            assert loop.last_kernel_info.engine == "cc-columnar"
 
     @needs_cc
     def test_specialize_decision_recorded(self, columnar_forced, monkeypatch):
         monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 0)
-        columnar._SEGMENT_CACHE.clear()
+        monkeypatch.setattr(columnar, "_DECIDED", set())
         columnar._SPECIALIZED.clear()
         reset_kernel_info()
         loops = [build_loop(length) for length in LENGTHS]
         run_batch(loops, 0.002)
-        spec = [d for d in kernel_info().fusion_decisions
-                if d.get("stage") == "specialize"]
+        decisions = kernel_info().fusion_decisions
+        gate = [d for d in decisions if "hot" in d]
+        assert gate and gate[-1]["hot"] is True
+        spec = [d for d in decisions if d.get("stage") == "specialize"]
         assert spec, "first hot run must record the specialize attempt"
         if spec[-1]["built"]:
             for loop in loops:
@@ -450,7 +417,7 @@ class TestFusionProfile:
         for key in ("batch_declined", "batch_columnar_runs",
                     "op_samples", "fusion_decisions"):
             assert key in snap
-        assert snap["batch_columnar_runs"] == 1
+        assert snap["batch_columnar_runs"] == (1 if cc_available() else 0)
         json.dumps(snap)  # the whole snapshot must stay JSON-clean
 
 
@@ -460,14 +427,17 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 class TestPropertyAgreement:
-    """Any geometry mix: columnar within contract of solo fused."""
+    """Any geometry mix: columnar bit-identical to solo fused."""
 
+    # columnar_forced holds for every example of the test, which is
+    # what the function-scoped-fixture health check warns about
     @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
     @given(st.lists(st.floats(min_value=165.0, max_value=235.0,
                               allow_nan=False),
                     min_size=2, max_size=4))
-    def test_columnar_agrees_with_fused(self, lengths):
+    def test_columnar_agrees_with_fused(self, columnar_forced, lengths):
         solos = []
         for length in lengths:
             kern, prep = lowered(build_loop(length), 0.0015)
@@ -478,6 +448,6 @@ class TestPropertyAgreement:
             kernels.append(kern)
             ns.append(prep.n)
             noises.append(prep.bridge_noise)
-        records = KernelBatch(kernels, ns, noises).run(engine="columnar")
+        records = KernelBatch(kernels, ns, noises).run()
         for length, solo, rec in zip(lengths, solos, records):
-            assert_within_contract(solo, rec, f"prop[{length:.1f}]")
+            assert_records_equal(solo, rec, f"prop[{length:.1f}]")

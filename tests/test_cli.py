@@ -79,3 +79,22 @@ class TestCommands:
             outputs[backend] = capsys.readouterr().out
         # the kernel is bit-exact, so the printed trace is too
         assert outputs["reference"] == outputs["fused"]
+
+    def test_sweep_cache_dir_shared_with_fabric(self, tmp_path, capsys):
+        """A fabric sweep and a serial sweep on one --cache-dir share
+        entries: the second sweep computes nothing and writes no file."""
+        from repro.engine import kernel_info, reset_kernel_info
+
+        sweep = ["sweep", "--values", "180:220:4", "--duration", "0.004",
+                 "--cache-dir", str(tmp_path / "cache")]
+        fabric = ["--fabric", "--fabric-workers", "0",
+                  "--db", str(tmp_path / "jobs.sqlite")]
+        assert main([*sweep, *fabric]) == 0
+        table = capsys.readouterr().out
+        files = sorted(tmp_path.rglob("*.pkl"))
+        assert files
+        reset_kernel_info()
+        assert main([*sweep, "--serial"]) == 0
+        assert capsys.readouterr().out == table
+        assert kernel_info().runs == {}
+        assert sorted(tmp_path.rglob("*.pkl")) == files

@@ -13,12 +13,10 @@ serial-fused vs ``kernel-batch``, the C-level thread-scaling curve
 (annotated and truncated to one row on a 1-CPU box, where multi-thread
 rows measure nothing), the columnar kernel family: a pre-lowered
 16-instance closed-loop batch timed serial-fused vs the columnar SoA
-engine, with its agreement flags (the documented RTOL/ATOL_SCALE
-tolerance plus max ulp distance), and the fabric scaling curve: the
-chunk-leasing worker
-fabric at 1/2/4 leased workers (points/sec, per-tier cache counters,
-bit-identity vs serial), truncated to one row on a 1-CPU box with the
-same skip-note convention as the thread curve.
+engine, with its bit-identity flag, and the fabric scaling curve: the
+chunk-leasing worker fabric at 1/2/4 leased workers (points/sec,
+per-tier cache counters, bit-identity vs serial), truncated to one row
+on a 1-CPU box with the same skip-note convention as the thread curve.
 
 Usage::
 
@@ -284,15 +282,6 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         loop_serial.columns[k] == loop_batch.columns[k]
         for k in loop_serial.columns
     ))
-    # when auto picks the columnar engine the columns agree under its
-    # tolerance contract, not bit-for-bit: report the worst relative
-    # error across all metric columns alongside the exact flag
-    loop_max_rel = 0.0
-    for k in loop_serial.columns:
-        a = np.asarray(loop_serial.columns[k], dtype=float)
-        b = np.asarray(loop_batch.columns[k], dtype=float)
-        scale = np.maximum(np.abs(a), 1e-300)
-        loop_max_rel = max(loop_max_rel, float(np.max(np.abs(a - b) / scale)))
 
     # -- columnar kernel family: pre-lowered closed-loop kernels -------------
     # The whole-pipeline sweep above shares its dominant cost (noise
@@ -302,7 +291,6 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     # kernel execution: serial fused vs the columnar SoA engine.
     from repro.core import ResonantCantileverSensor
     from repro.engine import KernelBatch
-    from repro.engine import kernel_columnar as columnar
 
     col_points = loop_points
     col_lengths = np.linspace(170.0, 260.0, col_points)
@@ -349,7 +337,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             return time.perf_counter() - t0, result
         batch = KernelBatch(kernels, ns, noises)
         t0 = time.perf_counter()
-        result = batch.run(engine=engine)
+        result = batch.run()
         return time.perf_counter() - t0, result
 
     # kernel-only walls are a few ms and the columnar engine streams a
@@ -376,16 +364,10 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
 
     waveforms = ("displacement", "bridge_voltage", "limiter_input",
                  "limiter_output", "drive_voltage")
-    col_within = True
-    col_max_ulp = 0
-    for s, r in zip(col_serial, col_records):
-        for w in waveforms:
-            a = np.asarray(getattr(s, w))
-            b = np.asarray(getattr(r, w))
-            atol = columnar.ATOL_SCALE * float(np.abs(a).max(initial=0.0))
-            if not np.allclose(b, a, rtol=columnar.RTOL, atol=atol):
-                col_within = False
-            col_max_ulp = max(col_max_ulp, columnar.max_ulp_distance(a, b))
+    col_identical = all(
+        np.array_equal(getattr(s, w), getattr(r, w))
+        for s, r in zip(col_serial, col_records) for w in waveforms
+    )
     columnar_family = {
         "instances": col_points,
         "loop_duration_s": col_duration,
@@ -394,10 +376,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         "columnar_wall_s": round(col_wall, 5),
         "columnar_speedup": round(col_serial_wall / col_wall, 2),
         "columnar_engine": col_records[0].info.engine,
-        "columnar_within_tolerance": bool(col_within),
-        "columnar_max_ulp_distance": int(col_max_ulp),
-        "rtol": columnar.RTOL,
-        "atol_scale": columnar.ATOL_SCALE,
+        "columnar_bit_identical": bool(col_identical),
         "sampling": {
             "rounds": col_repeats,
             "round_gap_s": col_round_gap_s,
@@ -442,7 +421,6 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "batched_points_per_sec": round(loop_points / loop_batch_wall, 2),
             "speedup": round(loop_serial_wall / loop_batch_wall, 2),
             "columns_identical": loop_identical,
-            "columns_max_rel_error": loop_max_rel,
             "batch_columnar_runs": loop_info.batch_columnar_runs,
             "batch_runs": loop_info.batch_runs,
             "batch_declined": loop_info.batch_declined,
@@ -514,8 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  columnar kernel ({ck['instances']} instances): "
               f"columnar {ck['columnar_speedup']:.2f}x "
               f"({ck['columnar_engine']}, "
-              f"within_tolerance={ck['columnar_within_tolerance']}, "
-              f"max_ulp={ck['columnar_max_ulp_distance']})")
+              f"identical={ck['columnar_bit_identical']})")
         loop = report["closed_loop_sweep"]
         print(f"  closed-loop sweep ({loop['points']} pts): "
               f"{loop['serial_points_per_sec']:,.2f} -> "
