@@ -164,11 +164,12 @@ def run_sweep_outcomes(
     Parameters
     ----------
     progress:
-        Optional per-outcome hook (see
-        :meth:`repro.engine.BatchExecutor.map`).  Also called for cache
-        hits, so a job's progress feed covers every point; outcome
-        indices are always *grid* indices, even for the dispatched
-        subset.
+        Optional hook called with each settled group of outcomes (see
+        :meth:`repro.engine.BatchExecutor.map`).  The cache hits settle
+        first, as one group, so a job's progress feed covers every
+        point; outcome indices are always *grid* indices, even for the
+        dispatched subset.  Every group reaches the hook before its
+        values reach the cache.
     cancel:
         Optional cooperative cancellation probe, polled between tasks;
         cancelled points settle as :class:`~repro.errors.TaskCancelled`
@@ -188,6 +189,7 @@ def run_sweep_outcomes(
             for v in grid
         ]
         pending_indices = []
+        hits = []
         for i, key in enumerate(keys):
             hit = cache.get(key)
             if hit is cache.MISS:
@@ -196,8 +198,9 @@ def run_sweep_outcomes(
                 outcomes[i] = TaskOutcome(
                     index=i, parameter=grid[i], value=hit, cached=True
                 )
-                if progress is not None:
-                    progress(outcomes[i])
+                hits.append(outcomes[i])
+        if progress is not None and hits:
+            progress(hits)
 
     if pending_indices:
         executor = BatchExecutor(
@@ -216,8 +219,8 @@ def run_sweep_outcomes(
 
         hook = None
         if progress is not None:
-            def hook(outcome):
-                progress(regrid(outcome))
+            def hook(group):
+                progress([regrid(outcome) for outcome in group])
 
         batch = executor.map(
             evaluate,

@@ -16,7 +16,7 @@ Gives the library a tool face for quick, scriptable use:
 * ``serve``        — run the simulation service: durable SQLite job
   store + HTTP API (``--port 0`` binds an ephemeral port and prints it)
 * ``submit``       — submit a sweep to a running service (``--wait``
-  polls to completion and prints the result table)
+  long-polls to completion and prints the result table)
 * ``status``       — one job's status, or the job listing without an id
 * ``results``      — fetch a finished job's sweep table
 * ``cancel``       — request cancellation of a queued/running job
@@ -479,6 +479,7 @@ def cmd_serve(args) -> int:
     finally:
         service.stop()
         server.server_close()
+        store.close()
     return 0
 
 
@@ -809,9 +810,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=None,
                    help="per-point watchdog [s]")
     p.add_argument("--wait", action="store_true",
-                   help="poll until terminal and print the result table")
+                   help="long-poll until terminal and print the result "
+                        "table")
     p.add_argument("--wait-timeout", type=float, default=300.0,
-                   dest="wait_timeout", help="--wait polling deadline [s]")
+                   dest="wait_timeout", help="--wait deadline [s]")
     _add_set_flag(p, "set_cmd")
     p.set_defaults(func=cmd_submit)
 

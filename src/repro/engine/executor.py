@@ -47,10 +47,11 @@ from .resilience import RetryPolicy, poll_fault
 
 BACKENDS = ("serial", "thread", "process", "kernel-batch")
 
-#: Signature of the per-outcome progress hook: called once per settled
-#: task (success, failure, timeout, or cancellation), in settlement
-#: order within a dispatch round.
-ProgressFn = Callable[["TaskOutcome"], None]
+#: Signature of the progress hook: called once per settled group of
+#: tasks (successes, failures, timeouts, cancellations).  A batched
+#: round settles as one group; per-task backends settle one task at a
+#: time, in settlement order within a dispatch round.
+ProgressFn = Callable[[Sequence["TaskOutcome"]], None]
 #: Signature of the cooperative cancellation probe: return True to stop
 #: dispatching further tasks (e.g. ``threading.Event.is_set``).
 CancelFn = Callable[[], bool]
@@ -295,10 +296,12 @@ class BatchExecutor:
         Parameters
         ----------
         progress:
-            Optional hook called with each :class:`TaskOutcome` as it
-            settles (the service pump's live-status feed).  Called in
-            settlement order, which for pooled backends is submission
-            order within a round; exceptions it raises propagate.
+            Optional hook called with each settled group of
+            :class:`TaskOutcome` (the service pump's live-status feed):
+            a ``kernel-batch`` round is one group, every other backend
+            settles one outcome per call, in settlement order (for
+            pooled backends, submission order within a round).
+            Exceptions it raises propagate.
         cancel:
             Optional zero-argument probe polled between tasks and
             between retry rounds.  Once it returns True, undispached
@@ -366,10 +369,9 @@ class BatchExecutor:
     def _settle(
         self, outcomes: list[TaskOutcome], progress: ProgressFn | None
     ) -> list[TaskOutcome]:
-        """Feed already-collected outcomes through the progress hook."""
-        if progress is not None:
-            for outcome in outcomes:
-                progress(outcome)
+        """Feed already-collected outcomes to the hook as one group."""
+        if progress is not None and outcomes:
+            progress(outcomes)
         return outcomes
 
     def _run_serial(
@@ -386,7 +388,7 @@ class BatchExecutor:
                 self._cancelled_outcome(task) if cancelled else _run_task(task)
             )
             if progress is not None:
-                progress(outcome)
+                progress([outcome])
             outcomes.append(outcome)
         return outcomes
 
@@ -433,7 +435,7 @@ class BatchExecutor:
                     timed_out = True
                     outcome = self._timeout_outcome(task)
             if progress is not None:
-                progress(outcome)
+                progress([outcome])
             outcomes.append(outcome)
         # cancel_futures stops queued tasks; an actually-hung thread is
         # abandoned (daemonic exit at interpreter shutdown)
@@ -485,7 +487,7 @@ class BatchExecutor:
                         timed_out = True
                         outcome = self._timeout_outcome(task)
                 if progress is not None:
-                    progress(outcome)
+                    progress([outcome])
                 outcomes.append(outcome)
         finally:
             if timed_out or cancelled:

@@ -576,6 +576,7 @@ def run_fabric_sweep(
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
+        store.close()
     return result
 
 

@@ -10,6 +10,7 @@ which mode wins).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,6 +66,7 @@ def mode_shape_tip_normalized(mode: int, xi: np.ndarray) -> np.ndarray:
     return mode_shape(mode, xi) / tip
 
 
+@functools.lru_cache(maxsize=64)
 def effective_mass_fraction(mode: int, samples: int = 20001) -> float:
     """Modal mass / total mass for tip-normalized mode *n*.
 
@@ -72,6 +74,10 @@ def effective_mass_fraction(mode: int, samples: int = 20001) -> float:
     Mode 1 gives the textbook 0.2500 (exactly 1/4 for the ideal clamped-
     free beam); a lumped tip-mass model would use 33/140 ~ 0.2357 from the
     static deflection shape instead.
+
+    Memoized: the value depends only on the arguments, and every device
+    build asks for it, so the 20 001-point integral runs once per
+    ``(mode, samples)``.
     """
     xi = np.linspace(0.0, 1.0, samples)
     phi = mode_shape_tip_normalized(mode, xi)

@@ -17,6 +17,10 @@ with a ``deadline`` stamps each request with an absolute
 (503) work it cannot start in time, which the client maps to a
 non-retryable :class:`~repro.errors.ServiceError` — retrying a missed
 deadline only misses it harder.
+
+:meth:`ServiceClient.wait` long-polls: each status request asks the
+server to hold it until the job settles, so a finished job is seen
+within one round trip of its settle instead of one sleep interval.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any
+from typing import Any, Callable
 
 from ..engine.resilience import RetryPolicy, get_breaker, poll_fault
 from ..errors import JobError, ServiceError
@@ -38,6 +42,14 @@ from .transport import (
 )
 
 __all__ = ["RemoteFabricStore", "ServiceClient"]
+
+
+def _decode_json(raw: bytes) -> Any:
+    return json.loads(raw or b"null")
+
+
+def _decode_ndjson(raw: bytes) -> list[dict[str, Any]]:
+    return [json.loads(line) for line in raw.splitlines() if line.strip()]
 
 
 class _TransientError(Exception):
@@ -86,7 +98,8 @@ class ServiceClient:
     # -- raw request ---------------------------------------------------------
 
     def _request_once(self, method: str, path: str,
-                      body: bytes | None, deadline_at: float | None) -> Any:
+                      body: bytes | None, deadline_at: float | None,
+                      decode: Callable[[bytes], Any]) -> Any:
         """One attempt; transient failures raise :class:`_TransientError`."""
         counters = transport_counters()
         fault = poll_fault("http.request")
@@ -146,18 +159,24 @@ class ServiceClient:
                 f"cannot reach service at {self.url}: {err.reason}"
             ) from None
         if fault is not None and fault.kind == "corrupt":
-            # mid-body disconnect: the JSON below fails to parse and the
+            # mid-body disconnect: the body below fails to decode and the
             # retry loop re-issues the request
             raw = raw[: max(1, len(raw) // 2)]
         try:
-            return json.loads(raw or b"null")
+            return decode(raw)
         except ValueError:
             raise _TransientError(
                 f"truncated response body from {method} {path}"
             ) from None
 
     def _request(self, method: str, path: str,
-                 payload: dict | None = None) -> Any:
+                 payload: dict | None = None, *,
+                 decode: Callable[[bytes], Any] = _decode_json) -> Any:
+        """One logical request: retries, deadline header, breaker, counters.
+
+        ``decode`` turns the response body into the result; a body it
+        rejects with ``ValueError`` counts as truncated and is retried.
+        """
         counters = transport_counters()
         counters.note("requests")
         if not self.breaker.allow():
@@ -174,7 +193,8 @@ class ServiceClient:
         last: _TransientError | None = None
         for attempt in range(self.retry.retries + 1):
             try:
-                result = self._request_once(method, path, body, deadline_at)
+                result = self._request_once(method, path, body, deadline_at,
+                                            decode)
             except _TransientError as err:
                 last = err
                 if attempt >= self.retry.retries:
@@ -201,29 +221,26 @@ class ServiceClient:
         """Submit a job spec; returns the queued job record."""
         return self._request("POST", "/v1/jobs", spec.to_dict())
 
-    def status(self, job_id: str) -> dict[str, Any]:
-        return self._request("GET", f"/v1/jobs/{job_id}")
+    def status(self, job_id: str,
+               wait: float | None = None) -> dict[str, Any]:
+        """The job's status payload.
+
+        With ``wait`` [s] it is a long-poll: the server holds the request
+        until the job is terminal or ``wait`` runs out.  Keep ``wait``
+        below the socket ``timeout``.
+        """
+        query = f"?wait={wait:g}" if wait else ""
+        return self._request("GET", f"/v1/jobs/{job_id}{query}")
 
     def results(self, job_id: str) -> dict[str, Any]:
         return self._request("GET", f"/v1/jobs/{job_id}/results")
 
     def results_ndjson(self, job_id: str) -> list[dict[str, Any]]:
         """The streaming fetch: one decoded dict per grid point."""
-        request = urllib.request.Request(
-            f"{self.url}/v1/jobs/{job_id}/results?format=ndjson"
+        return self._request(
+            "GET", f"/v1/jobs/{job_id}/results?format=ndjson",
+            decode=_decode_ndjson,
         )
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return [
-                    json.loads(line)
-                    for line in response.read().splitlines()
-                    if line.strip()
-                ]
-        except urllib.error.HTTPError as err:
-            raise ServiceError(
-                f"HTTP {err.code} fetching ndjson results for {job_id}"
-            ) from None
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         return self._request("POST", f"/v1/jobs/{job_id}/cancel")
@@ -242,18 +259,33 @@ class ServiceClient:
 
     def wait(self, job_id: str, timeout: float = 120.0,
              poll_interval: float = 0.1) -> dict[str, Any]:
-        """Poll until the job reaches a terminal phase; returns its status."""
+        """Long-poll until the job reaches a terminal phase; its status.
+
+        Each request asks the server to hold it for the rest of
+        ``timeout``, but at most half the socket timeout and at most
+        the per-request ``deadline``.  A non-terminal answer that comes
+        back in under half its hold — a server that ignores ``wait``,
+        or one shutting down — is followed by a ``poll_interval``
+        sleep, so the loop never spins.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            payload = self.status(job_id)
+            hold = min(deadline - time.monotonic(), self.timeout / 2)
+            if self.deadline is not None:
+                hold = min(hold, self.deadline)
+            hold = max(hold, 0.0)
+            asked_at = time.monotonic()
+            payload = self.status(job_id, wait=hold)
             if payload["state"]["phase"] in JOB_TERMINAL_PHASES:
                 return payload
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {payload['state']['phase']!r} "
                     f"after {timeout}s"
                 )
-            time.sleep(poll_interval)
+            if now - asked_at < hold / 2:
+                time.sleep(min(poll_interval, deadline - now))
 
     # -- fabric (chunk-lease protocol) ---------------------------------------
 

@@ -4,9 +4,11 @@ Stdlib only — a :class:`http.server.ThreadingHTTPServer` (one thread
 per connection) in front of a :class:`ReproService` facade, with the
 :class:`~repro.service.pump.WorkerPump` doing the actual computing in
 the background.  Submission is asynchronous by construction: ``POST
-/v1/jobs`` returns as soon as the job row is durable, and clients poll
-(or long-poll by re-requesting) until the job reaches a terminal
-phase.
+/v1/jobs`` returns as soon as the job row is durable (and wakes the
+pump), and clients long-poll ``GET /v1/jobs/<id>?wait=S`` until the
+job reaches a terminal phase: the server holds the request until the
+job settles, ``S`` seconds pass, the request's deadline passes or the
+service stops, and only then answers.
 
 Endpoints (all JSON; errors are ``{"error": "..."}`` with a 4xx/5xx
 status):
@@ -22,6 +24,8 @@ status):
                                              ``?phase=`` filters)
 ``GET  /v1/jobs/<id>``                       status payload: state, progress,
                                              per-point outcomes, resilience
+                                             (``?wait=S`` long-polls: held
+                                             up to S s until terminal)
 ``GET  /v1/jobs/<id>/results``               finished table (404 until done;
                                              ``?format=ndjson`` streams one
                                              row per line)
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -77,6 +82,12 @@ class ReproService:
     pump.  All public methods speak JSON-ready dicts (except
     :meth:`submit`, which takes the typed :class:`JobSpec`), so the
     transport layer never reaches around the facade.
+
+    ``poll_interval`` is the pump's longest idle wait [s]: an
+    in-process submit or cancel wakes the pump at once, so the interval
+    only bounds how long work submitted or settled by another process
+    goes unnoticed — by the pump, and by a held long-poll, which
+    re-reads the store at most once per interval.
     """
 
     def __init__(
@@ -139,6 +150,7 @@ class ReproService:
         self.pump.start()
 
     def stop(self) -> None:
+        """Answer every held long-poll, then stop the pump."""
         self.pump.stop()
 
     # -- commands ------------------------------------------------------------
@@ -180,11 +192,17 @@ class ReproService:
                 record.job_id,
                 plan_chunks(len(spec.values), spec.chunk_size),
             )
+        self.pump.wake()
         return record
 
-    def status(self, job_id: str) -> dict[str, Any]:
-        """Full status payload of one job (raises JobError on unknown id)."""
-        record = self._get(job_id)
+    def status(self, job_id: str, wait: float = 0.0) -> dict[str, Any]:
+        """Full status payload of one job (raises JobError on unknown id).
+
+        With ``wait`` > 0 this is a long-poll: while the job is not
+        terminal the call holds until it settles, ``wait`` seconds
+        pass, or the service stops, and then answers the usual payload.
+        """
+        record = self._hold(job_id, wait) if wait > 0 else self._get(job_id)
         payload = record.to_dict()
         state = record.state
         payload["progress"] = {
@@ -203,6 +221,30 @@ class ReproService:
             # finished jobs keep the snapshot taken at completion
             payload["resilience"] = resilience_snapshot()
         return payload
+
+    def _hold(self, job_id: str, wait: float) -> JobRecord:
+        """The job's record once terminal, or when ``wait`` runs out.
+
+        Settles in this process wake the hold through the pump's
+        :class:`~repro.service.pump.SettleBoard`.  A job settled by
+        another process has no such signal, so the hold also re-reads
+        the store once per ``poll_interval`` — but not while this pump
+        executes the job: that settle is certain to be announced.
+        """
+        pump = self.pump
+        end = time.monotonic() + wait
+        with pump.settled.watch(job_id) as settled:
+            record = self._get(job_id)
+            while not record.state.terminal and not pump.settled.closed:
+                remaining = end - time.monotonic()
+                if remaining <= 0:
+                    break
+                if settled.wait(min(remaining, pump.poll_interval)):
+                    settled.clear()
+                elif pump.executing(job_id):
+                    continue
+                record = self._get(job_id)
+        return record
 
     def results(self, job_id: str) -> dict[str, Any]:
         """The finished sweep table (raises until the job is done)."""
@@ -226,6 +268,10 @@ class ReproService:
         if record is None:
             raise JobError(f"unknown job {job_id!r}")
         self.pump.request_cancel(job_id)
+        if record.state.terminal:
+            self.pump.settled.notify(job_id)
+        # a cancelled primary releases its dedup followers
+        self.pump.wake()
         return record.to_dict()
 
     def jobs(self, tenant: str | None = None,
@@ -410,7 +456,8 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
         service = self.service
-        admitted = False
+        self._admitted = False
+        self._deadline_at = None
         # /healthz bypasses shedding and the inflight bound: the probe
         # that reports overload must keep answering while overloaded
         probe = parts == ["healthz"]
@@ -418,19 +465,19 @@ class _Handler(BaseHTTPRequestHandler):
             deadline = self.headers.get(DEADLINE_HEADER)
             if deadline is not None:
                 try:
-                    deadline_at = float(deadline)
+                    self._deadline_at = float(deadline)
                 except ValueError:
                     self._send_error(
                         400, f"bad {DEADLINE_HEADER} header: {deadline!r}")
                     return
-                if time.time() >= deadline_at:
+                if time.time() >= self._deadline_at:
                     service.note_deadline_shed()
                     self._send_shed("deadline")
                     return
             if not service.begin_request():
                 self._send_shed("backpressure")
                 return
-            admitted = True
+            self._admitted = True
         try:
             handled = self._route(method, parts, query)
         except JobError as err:
@@ -445,10 +492,31 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(500, f"{type(err).__name__}: {err}")
             return
         finally:
-            if admitted:
-                service.end_request()
+            self._release_seat()
         if not handled:
             self._send_error(404, f"no route for {method} {url.path}")
+
+    def _release_seat(self) -> None:
+        """Give back this request's ``max_inflight`` seat (once)."""
+        if self._admitted:
+            self._admitted = False
+            self.service.end_request()
+
+    def _hold_seconds(self, query: dict) -> float:
+        """The ``?wait=`` hold, cut at the request's deadline (0: none)."""
+        text = query.get("wait")
+        if text is None:
+            return 0.0
+        try:
+            wait = float(text)
+        except ValueError:
+            wait = math.nan
+        if not math.isfinite(wait) or wait < 0:
+            raise JobError(f"bad wait parameter {text!r}: expected "
+                           "a finite number of seconds >= 0")
+        if self._deadline_at is not None:
+            wait = min(wait, self._deadline_at - time.time())
+        return max(wait, 0.0)
 
     # -- routes --------------------------------------------------------------
 
@@ -485,8 +553,13 @@ class _Handler(BaseHTTPRequestHandler):
         action = rest[1] if len(rest) > 1 else None
         if action is None:
             if method == "GET":
+                wait = self._hold_seconds(query)
+                if wait > 0:
+                    # a held poll only waits: it must not take the seat
+                    # of a request that works
+                    self._release_seat()
                 try:
-                    self._send_json(200, service.status(job_id))
+                    self._send_json(200, service.status(job_id, wait=wait))
                 except JobError as err:
                     self._send_error(404, str(err))
                 return True

@@ -15,10 +15,13 @@ Two layers:
   ship as ordered :data:`MIGRATIONS` recorded in a
   ``schema_migrations`` table (version + applied-at timestamp), so a
   store created by an older build upgrades in place at open — and a
-  Postgres backend can replay the same ordered DDL.  Every call opens
-  its own connection (WAL journal, busy timeout), which makes the
-  store thread-safe for the pump's workers and process-safe for a
-  sibling CLI poking at the same file.
+  Postgres backend can replay the same ordered DDL.  Calls borrow a
+  connection (WAL journal, busy timeout) from a small per-store pool
+  and return it after the commit, so a store is thread-safe for the
+  pump's workers and the HTTP handler threads without paying a
+  connect per call, and process-safe for a sibling CLI poking at the
+  same file.  The pool is fork-aware: a forked child never touches
+  its parent's connections and opens its own.
 
 Result *blobs* do not live here: finished sweep tables are written
 through the checksummed :class:`~repro.engine.ResultCache` and the row
@@ -31,9 +34,11 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import sqlite3
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -240,8 +245,12 @@ class JobStore:
         raise NotImplementedError
 
     def list_jobs(self, tenant: str | None = None,
-                  phase: str | None = None) -> list[JobRecord]:
-        """All matching jobs, oldest submission first."""
+                  phase: str | Sequence[str] | None = None
+                  ) -> list[JobRecord]:
+        """All matching jobs, oldest submission first.
+
+        ``phase`` is one phase or a sequence of them (any matches).
+        """
         raise NotImplementedError
 
     def claim(self, job_id: str) -> JobRecord | None:
@@ -265,10 +274,18 @@ class JobStore:
         raise NotImplementedError
 
     def record_outcomes(self, job_id: str,
-                        outcomes: Sequence[PointOutcome]) -> None:
-        """Bulk upsert; backends may override with one transaction."""
+                        outcomes: Sequence[PointOutcome],
+                        record: JobRecord | None = None) -> None:
+        """Bulk upsert, then replace the job row with ``record`` if given.
+
+        The pump settles a group of points this way: outcome rows plus
+        the job's live progress.  Backends may override with one
+        transaction.
+        """
         for outcome in outcomes:
             self.record_outcome(job_id, outcome)
+        if record is not None:
+            self.update(record)
 
     def outcomes(self, job_id: str) -> list[PointOutcome]:
         """All persisted point outcomes of a job, in grid order."""
@@ -336,7 +353,7 @@ class JobStore:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release any held resources (per-call-connection stores: no-op)."""
+        """Release held resources; a later call may acquire them again."""
 
 
 def open_job_store(url: str | Path) -> JobStore:
@@ -366,6 +383,32 @@ def open_job_store(url: str | Path) -> JobStore:
 _LOCK_RETRY = RetryPolicy(
     retries=5, base_delay=0.01, multiplier=2.0, max_delay=0.25, jitter=0.1,
 )
+
+
+#: Idle connections one store keeps for reuse.  The service has at most
+#: a pump worker and a few HTTP handler threads inside the store at
+#: once; a busier moment opens extra connections and closes them on
+#: release, so open connections never exceed concurrent callers.
+_POOL_SIZE = 4
+
+#: Connections a forked child inherited from its parent.  The child must
+#: neither use nor close them (SQLite's locks are per process); keeping
+#: a reference stops the garbage collector from closing them.
+_FORK_ORPHANS: list[sqlite3.Connection] = []
+
+_OUTCOME_UPSERT = (
+    "INSERT OR REPLACE INTO outcomes "
+    "(job_id, idx, ok, cached, retries, error, health_json) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
+
+
+def _outcome_params(job_id: str, outcome: PointOutcome) -> tuple:
+    return (
+        job_id, outcome.index, int(outcome.ok), int(outcome.cached),
+        outcome.retries, outcome.error,
+        json.dumps(outcome.health) if outcome.health is not None else None,
+    )
 
 
 def _is_locked(err: sqlite3.OperationalError) -> bool:
@@ -413,7 +456,12 @@ class SQLiteJobStore(JobStore):
     path:
         Database file (parent directories are created).  ``":memory:"``
         is rejected — a memory store cannot honor the durability
-        contract (and each call opens a fresh connection anyway).
+        contract (and every pooled connection would see its own
+        database).
+
+    Each public call is one transaction on a pooled connection, committed
+    before the call returns.  :meth:`close` closes the idle connections;
+    a later call opens a fresh one.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -424,26 +472,89 @@ class SQLiteJobStore(JobStore):
             )
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._pool_lock = threading.Lock()
+        self._idle: list[sqlite3.Connection] = []
+        self._pid = os.getpid()
         with self._conn() as conn:
             self._migrate(conn)
 
     # -- connection & schema -------------------------------------------------
 
-    @contextmanager
-    def _conn(self) -> Iterator[sqlite3.Connection]:
-        conn = sqlite3.connect(self.path, timeout=30.0)
+    def _connect(self) -> sqlite3.Connection:
+        # the pool hands a connection to one thread at a time
+        conn = sqlite3.connect(self.path, timeout=30.0,
+                               check_same_thread=False)
         conn.row_factory = sqlite3.Row
         try:
             conn.execute("PRAGMA busy_timeout = 30000")
-            # WAL lets the pump write while a status poll reads; harmless
-            # to re-request, quietly ignored on filesystems that refuse it
+            # WAL lets the pump write while a status poll reads; quietly
+            # ignored on filesystems that refuse it
             conn.execute("PRAGMA journal_mode = WAL")
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _pool(self) -> list[sqlite3.Connection]:
+        """This process's idle connections (caller holds the lock).
+
+        In a forked child the inherited ones are set aside unused and
+        the pool starts empty.
+        """
+        if self._pid != os.getpid():
+            _FORK_ORPHANS.extend(self._idle)
+            self._idle = []
+            self._pid = os.getpid()
+        return self._idle
+
+    def _acquire(self) -> sqlite3.Connection:
+        with self._pool_lock:
+            idle = self._pool()
+            if idle:
+                return idle.pop()
+        return self._connect()
+
+    def _release(self, conn: sqlite3.Connection) -> None:
+        with self._pool_lock:
+            idle = self._pool()
+            if len(idle) < _POOL_SIZE:
+                idle.append(conn)
+                return
+        conn.close()
+
+    @contextmanager
+    def _conn(self) -> Iterator[sqlite3.Connection]:
+        """One transaction on a pooled connection, committed on exit.
+
+        Cursors must not outlive the block: an unfinished SELECT would
+        pin the connection's read snapshot into the next call.  A
+        connection whose transaction cannot be rolled back is closed,
+        never pooled.
+        """
+        conn = self._acquire()
+        try:
             yield conn
             conn.commit()
         except BaseException:
-            conn.rollback()
+            try:
+                conn.rollback()
+                healthy = not conn.in_transaction
+            except sqlite3.Error:
+                healthy = False
+            if healthy:
+                self._release(conn)
+            else:
+                with suppress(sqlite3.Error):
+                    conn.close()
             raise
-        finally:
+        self._release(conn)
+
+    def close(self) -> None:
+        """Close the pooled connections (the store stays usable)."""
+        with self._pool_lock:
+            idle = self._pool()
+            self._idle = []
+        for conn in idle:
             conn.close()
 
     def _migrate(self, conn: sqlite3.Connection) -> None:
@@ -539,27 +650,33 @@ class SQLiteJobStore(JobStore):
             ).fetchone()
         return self._from_row(row) if row is not None else None
 
-    @_retry_locked
-    def update(self, record: JobRecord) -> None:
+    def _update_row(self, conn: sqlite3.Connection,
+                    record: JobRecord) -> None:
         row = self._to_row(record)
         assignments = ", ".join(f"{c} = :{c}" for c in row if c != "job_id")
+        cur = conn.execute(
+            f"UPDATE jobs SET {assignments} WHERE job_id = :job_id", row
+        )
+        if cur.rowcount != 1:
+            raise ServiceError(f"job {record.job_id!r} not found")
+
+    @_retry_locked
+    def update(self, record: JobRecord) -> None:
         with self._conn() as conn:
-            cur = conn.execute(
-                f"UPDATE jobs SET {assignments} WHERE job_id = :job_id", row
-            )
-            if cur.rowcount != 1:
-                raise ServiceError(f"job {record.job_id!r} not found")
+            self._update_row(conn, record)
 
     @_retry_locked
     def list_jobs(self, tenant: str | None = None,
-                  phase: str | None = None) -> list[JobRecord]:
+                  phase: str | Sequence[str] | None = None
+                  ) -> list[JobRecord]:
         clauses, params = [], []
         if tenant is not None:
             clauses.append("tenant = ?")
             params.append(tenant)
         if phase is not None:
-            clauses.append("phase = ?")
-            params.append(phase)
+            phases = (phase,) if isinstance(phase, str) else tuple(phase)
+            clauses.append(f"phase IN ({', '.join('?' * len(phases))})")
+            params.extend(phases)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
         with self._conn() as conn:
             rows = conn.execute(
@@ -570,7 +687,11 @@ class SQLiteJobStore(JobStore):
 
     @_retry_locked
     def claim(self, job_id: str) -> JobRecord | None:
-        """CAS on the phase column: exactly one claimer wins."""
+        """CAS on the phase column: exactly one claimer wins.
+
+        One transaction: the CAS, the read-back and the ``started_at``
+        stamp commit together.
+        """
         now = time.time()
         with self._conn() as conn:
             cur = conn.execute(
@@ -580,11 +701,12 @@ class SQLiteJobStore(JobStore):
             )
             if cur.rowcount != 1:
                 return None
-        record = self.get(job_id)
-        if record is None:  # pragma: no cover - deleted between statements
-            return None
-        record = record.advanced(phase="running", started_at=now)
-        self.update(record)
+            row = conn.execute(
+                "SELECT * FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+            record = self._from_row(row).advanced(
+                phase="running", started_at=now)
+            self._update_row(conn, record)
         return record
 
     @_retry_locked
@@ -599,62 +721,56 @@ class SQLiteJobStore(JobStore):
 
     @_retry_locked
     def request_cancel(self, job_id: str) -> JobRecord | None:
-        record = self.get(job_id)
-        if record is None:
-            return None
-        if record.state.terminal:
-            return record
-        if record.state.phase == "queued":
-            record = record.advanced(
-                phase="cancelled", cancel_requested=True,
-                finished_at=time.time(),
-            )
-        else:
-            record = record.advanced(cancel_requested=True)
-        self.update(record)
+        with self._conn() as conn:
+            # the write lock first, so the read-modify-write is atomic
+            conn.execute("BEGIN IMMEDIATE")
+            row = conn.execute(
+                "SELECT * FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+            if row is None:
+                return None
+            record = self._from_row(row)
+            if record.state.terminal:
+                return record
+            if record.state.phase == "queued":
+                record = record.advanced(
+                    phase="cancelled", cancel_requested=True,
+                    finished_at=time.time(),
+                )
+            else:
+                record = record.advanced(cancel_requested=True)
+            self._update_row(conn, record)
         return record
 
     @_retry_locked
     def requeue_running(self) -> int:
-        requeued = 0
-        for record in self.list_jobs(phase="running"):
-            self.update(record.advanced(phase="queued", started_at=None))
-            requeued += 1
-        return requeued
+        with self._conn() as conn:
+            conn.execute("BEGIN IMMEDIATE")
+            rows = conn.execute(
+                "SELECT * FROM jobs WHERE phase = 'running'"
+            ).fetchall()
+            for row in rows:
+                self._update_row(conn, self._from_row(row).advanced(
+                    phase="queued", started_at=None))
+        return len(rows)
 
     @_retry_locked
     def record_outcome(self, job_id: str, outcome: PointOutcome) -> None:
         with self._conn() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO outcomes "
-                "(job_id, idx, ok, cached, retries, error, health_json) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    job_id, outcome.index, int(outcome.ok),
-                    int(outcome.cached), outcome.retries, outcome.error,
-                    json.dumps(outcome.health)
-                    if outcome.health is not None else None,
-                ),
-            )
+            conn.execute(_OUTCOME_UPSERT, _outcome_params(job_id, outcome))
 
     @_retry_locked
     def record_outcomes(self, job_id: str,
-                        outcomes: Sequence[PointOutcome]) -> None:
-        """Bulk upsert (one transaction) for batch completions."""
+                        outcomes: Sequence[PointOutcome],
+                        record: JobRecord | None = None) -> None:
+        """Bulk upsert plus the optional job row, in one transaction."""
         with self._conn() as conn:
             conn.executemany(
-                "INSERT OR REPLACE INTO outcomes "
-                "(job_id, idx, ok, cached, retries, error, health_json) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (
-                        job_id, o.index, int(o.ok), int(o.cached), o.retries,
-                        o.error,
-                        json.dumps(o.health) if o.health is not None else None,
-                    )
-                    for o in outcomes
-                ],
+                _OUTCOME_UPSERT,
+                [_outcome_params(job_id, o) for o in outcomes],
             )
+            if record is not None:
+                self._update_row(conn, record)
 
     @_retry_locked
     def outcomes(self, job_id: str) -> list[PointOutcome]:

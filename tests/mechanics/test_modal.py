@@ -62,6 +62,23 @@ class TestModeShapes:
             assert effective_mass_fraction(n) == pytest.approx(0.25, abs=1e-4)
 
 
+class TestEffectiveMassMemo:
+    def test_memo_is_bit_identical_to_the_integral(self):
+        for n in (1, 2, 3, 4):
+            assert effective_mass_fraction(n) \
+                == effective_mass_fraction.__wrapped__(n)
+
+    def test_second_build_is_a_cache_hit(self):
+        from repro.config import REFERENCE_RESONANT_SENSOR, build
+
+        build(REFERENCE_RESONANT_SENSOR)
+        before = effective_mass_fraction.cache_info()
+        build(REFERENCE_RESONANT_SENSOR)
+        after = effective_mass_fraction.cache_info()
+        assert after.hits > before.hits
+        assert after.misses == before.misses
+
+
 class TestFrequencies:
     def test_textbook_formula(self, geometry):
         # f1 = 0.1615 t/L^2 sqrt(E/rho) for rectangular beams

@@ -1,8 +1,13 @@
-"""Durable store: CRUD, atomic claims, persistence, schema migrations."""
+"""Durable store: CRUD, atomic claims, persistence, schema migrations,
+and the connection pool's lifecycle (bounded, closable, fork-safe)."""
 
 from __future__ import annotations
 
+import gc
+import os
 import sqlite3
+import sys
+import threading
 
 import pytest
 
@@ -174,6 +179,28 @@ class TestOutcomes:
         (outcome,) = store.outcomes(record.job_id)
         assert outcome.ok
         assert outcome.retries == 1
+
+
+class TestSettledGroup:
+    def test_outcomes_and_progress_land_together(self, store):
+        record = make_record(values=(1.0, 2.0, 3.0))
+        store.put(record)
+        live = record.advanced(phase="running", completed=2)
+        store.record_outcomes(
+            record.job_id,
+            [PointOutcome(index=0, ok=True), PointOutcome(index=2, ok=True)],
+            record=live,
+        )
+        assert [o.index for o in store.outcomes(record.job_id)] == [0, 2]
+        assert store.get(record.job_id).state.completed == 2
+
+    def test_unknown_job_row_rolls_the_outcomes_back(self, store):
+        ghost = make_record()
+        with pytest.raises(ServiceError, match="not found"):
+            store.record_outcomes(ghost.job_id,
+                                  [PointOutcome(index=0, ok=True)],
+                                  record=ghost)
+        assert store.outcomes(ghost.job_id) == []
 
 
 class TestPersistence:
@@ -416,3 +443,102 @@ class TestLockRetry:
         assert inj.fired["store.claim"] == 1
         assert chunk is not None and chunk.worker_id == "w1"
         assert store.chunk_counts(record.job_id) == {"queued": 1, "leased": 1}
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestConnectionPool:
+    """Connections are reused, bounded, closable and never cross a fork."""
+
+    def test_open_fds_stay_bounded_and_close_returns_them(self, tmp_path):
+        store = SQLiteJobStore(tmp_path / "jobs.sqlite")
+        record = make_record()
+        store.put(record)
+        store.close()
+        gc.collect()  # stores dropped by earlier tests close their pools
+        baseline = _open_fds()
+        store.get(record.job_id)
+        per_connection = _open_fds() - baseline
+        assert per_connection >= 1
+        store.close()
+
+        threads = 8
+        peak = [0]
+        peak_lock = threading.Lock()
+        gate = threading.Semaphore(threads)
+        indices = iter(range(200))
+
+        def call() -> None:
+            with gate:
+                with peak_lock:
+                    index = next(indices)
+                store.record_outcome(record.job_id,
+                                     PointOutcome(index=index, ok=True))
+                with peak_lock:
+                    peak[0] = max(peak[0], _open_fds())
+
+        def long_lived() -> None:
+            for _ in range(25):
+                call()
+
+        # 4 long-lived workers (25 calls each) beside 100 one-shot
+        # threads, HTTP-handler style; at most 8 inside the store at once
+        workers = [threading.Thread(target=long_lived) for _ in range(4)]
+        one_shots = [threading.Thread(target=call) for _ in range(100)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the pool's bookkeeping
+        try:
+            for thread in workers + one_shots:
+                thread.start()
+            for thread in workers + one_shots:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers + one_shots)
+
+        # no write lost to a shared connection, and each call held one
+        # connection: the bound is per concurrent caller, not per thread
+        assert len(store.outcomes(record.job_id)) == 200
+        assert peak[0] <= baseline + threads * per_connection
+        store.close()
+        assert _open_fds() == baseline
+        # a call after close() simply opens a fresh connection
+        assert store.get(record.job_id) == record
+        store.close()
+        assert _open_fds() == baseline
+
+    def test_forked_child_opens_its_own_connection(self, tmp_path,
+                                                   monkeypatch):
+        store = SQLiteJobStore(tmp_path / "jobs.sqlite")
+        first, second = make_record(), make_record()
+        store.put(first)  # the parent now holds a pooled connection
+        connects: list[int] = []
+        original = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            connects.append(os.getpid())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            verdict = b"0"
+            try:
+                ok = store.get(first.job_id) is not None
+                store.put(second)
+                if ok and connects == [os.getpid()]:
+                    verdict = b"1"
+            finally:
+                os.write(write, verdict)
+                os._exit(0)
+        os.close(write)
+        os.waitpid(pid, 0)
+        assert os.read(read, 1) == b"1"
+        os.close(read)
+        # the parent's pooled connection still works and sees the
+        # child's write; it needed no new connection
+        assert store.get(second.job_id) == second
+        assert connects == []

@@ -18,6 +18,7 @@ wire with seeded ``http.request`` faults:
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -122,6 +123,39 @@ class TestRetryMatrix:
             # the next clean request closes the breaker again
             assert client.health()["ok"]
             assert get_breaker("transport:client").consecutive == 0
+
+
+def dead_url() -> str:
+    """A localhost URL whose port refuses connections."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class TestNdjsonTransport:
+    def test_refused_ndjson_fetch_retries_then_service_error(self):
+        client = ServiceClient(dead_url(), timeout=5, retry=FAST_RETRY)
+        with pytest.raises(ServiceError, match="cannot reach service"):
+            client.results_ndjson("job-x")
+        snap = transport_counters().snapshot()
+        assert snap["requests"] == 1
+        assert snap["retries"] == FAST_RETRY.retries
+        assert snap["errors"] == 1
+        assert get_breaker("transport:client").consecutive == 1
+
+    def test_truncated_ndjson_body_refetched(self, tmp_path):
+        with running_service(tmp_path) as box:
+            client = fast_client(box)
+            record = client.submit(make_spec())
+            client.wait(record["job_id"], timeout=120)
+            with inject_faults(
+                FaultPlan.single("http.request", kind="corrupt")
+            ) as inj:
+                rows = client.results_ndjson(record["job_id"])
+            assert inj.fired["http.request"] == 1
+            assert len(rows) == 3
+        assert transport_counters().snapshot()["retries"] >= 1
 
 
 class TestDeadline:

@@ -98,3 +98,25 @@ class TestCommands:
         assert capsys.readouterr().out == table
         assert kernel_info().runs == {}
         assert sorted(tmp_path.rglob("*.pkl")) == files
+
+
+class TestServiceCommands:
+    def test_results_ndjson_against_a_dead_url_is_one_line(self, capsys):
+        import socket
+
+        from repro.engine.resilience import reset_breakers
+        from repro.service import reset_transport
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        try:
+            code = main(["results", "job-x", "--ndjson",
+                         "--url", f"http://127.0.0.1:{port}"])
+        finally:
+            reset_transport()
+            reset_breakers()
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro: cannot reach service")
+        assert err.count("\n") == 1

@@ -71,7 +71,7 @@ def document_module(name: str) -> list[str]:
                     continue
                 lines.append(f"- `{prop_name}` (property) — {first_line(prop.fget)}")
             lines.append("")
-        elif inspect.isfunction(attr):
+        elif inspect.isfunction(inspect.unwrap(attr)):  # memoized too
             lines.append(
                 f"### `{attr_name}{signature_of(attr)}`"
             )

@@ -5,7 +5,10 @@ Boots a real ``repro serve`` subprocess on an ephemeral port with a
 throwaway store/cache, then over plain HTTP:
 
 1. probes ``/healthz`` and requires ``ok``;
-2. submits a tiny sweep and polls it to completion;
+2. submits a tiny sweep and long-polls it to completion: at most two
+   status requests per ``client.wait`` (the push path, not a sleep
+   loop), and the result table in hand within 0.25 s of the job's
+   ``finished_at``;
 3. fetches the result table and sanity-checks its shape;
 4. submits the same grid as a second tenant and requires the dedup
    link plus an all-cache-hits completion;
@@ -21,10 +24,31 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
+
+#: Status requests one ``ServiceClient.wait`` may make: the long-poll,
+#: plus one re-ask should its hold run out first.
+MAX_WAIT_REQUESTS = 2
+#: Longest gap between a job's ``finished_at`` and its table in hand [s].
+MAX_RESULT_LAG_S = 0.25
+
+
+def waited(client, job_id: str) -> dict:
+    """``client.wait`` that asserts the long-poll's request budget."""
+    from repro.service import transport_counters
+
+    before = transport_counters().snapshot()["requests"]
+    final = client.wait(job_id, timeout=120)
+    used = transport_counters().snapshot()["requests"] - before
+    assert used <= MAX_WAIT_REQUESTS, (
+        f"wait on {job_id} made {used} status requests; the long-poll "
+        f"should need at most {MAX_WAIT_REQUESTS}"
+    )
+    return final
 
 
 def main() -> int:
@@ -91,7 +115,7 @@ def main() -> int:
         )
         record = client.submit(spec)
         job_id = record["job_id"]
-        final = client.wait(job_id, timeout=120)
+        final = waited(client, job_id)
         phase = final["state"]["phase"]
         assert phase == "done", f"job {job_id} ended {phase}: {final}"
         assert final["progress"]["failed"] == 0
@@ -99,6 +123,13 @@ def main() -> int:
               f"({final['progress']['completed']} points)")
 
         table = client.results(job_id)
+        lag = time.time() - final["state"]["finished_at"]
+        assert lag <= MAX_RESULT_LAG_S, (
+            f"results arrived {lag:.3f}s after finished_at; the push path "
+            f"should deliver within {MAX_RESULT_LAG_S}s"
+        )
+        print(f"serve-check: long-poll ok (results {lag * 1e3:.0f} ms "
+              "after finished_at)")
         assert table["parameters"] == [150.0, 200.0, 250.0]
         assert table["columns"], "result table has no columns"
         for name, column in table["columns"].items():
@@ -112,7 +143,7 @@ def main() -> int:
         assert twin["dedup_of"] == job_id, (
             f"expected dedup against {job_id}, got {twin['dedup_of']!r}"
         )
-        twin_final = client.wait(twin["job_id"], timeout=120)
+        twin_final = waited(client, twin["job_id"])
         assert twin_final["state"]["phase"] == "done"
         assert (twin_final["progress"]["cache_hits"]
                 == twin_final["progress"]["total"]), (
