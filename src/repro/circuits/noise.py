@@ -4,8 +4,10 @@ Circuit blocks need sample-domain noise consistent with the PSDs of
 :mod:`repro.transduction.noise`.  White noise of one-sided density
 ``S0`` [V^2/Hz] sampled at ``fs`` has per-sample variance ``S0 fs / 2``.
 Flicker noise is synthesized by shaping a white spectrum with
-``1/sqrt(f)`` in the frequency domain (exact 1/f PSD for the generated
-record length).
+``1/sqrt(f)`` in the frequency domain at a smooth FFT length (the next
+2·3·5-smooth length at or above the record's) and keeping the leading
+samples, so the inverse FFT never runs at a length with a large prime
+factor.
 
 All generators take an explicit :class:`numpy.random.Generator` so
 simulations are reproducible and blocks sharing an RNG stay
@@ -46,10 +48,17 @@ def pink_noise(
 ) -> np.ndarray:
     """1/f noise with one-sided PSD ``density_at_1hz / f`` [V^2/Hz].
 
-    Synthesized in the frequency domain: each positive-frequency bin gets
-    a complex Gaussian amplitude scaled by ``1/sqrt(f)``; DC is zeroed
-    (an infinite-power bin has no finite sample realization).
+    Synthesized in the frequency domain at the smooth length
+    ``m = scipy.fft.next_fast_len(n_samples, real=True)``: each
+    positive-frequency bin ``k fs/m`` gets a complex Gaussian amplitude
+    scaled by ``1/sqrt(f)``; DC is zeroed (an infinite-power bin has no
+    finite sample realization).  The first ``n_samples`` of the inverse
+    transform are returned; truncation keeps the 1/f PSD above ``fs/m``.
+    An inverse FFT at a length with a large prime factor can cost ten
+    times more than at the smooth length.
     """
+    from scipy.fft import next_fast_len
+
     require_nonnegative("density_at_1hz", density_at_1hz)
     require_positive("sample_rate", sample_rate)
     if n_samples < 1:
@@ -57,18 +66,18 @@ def pink_noise(
     if density_at_1hz == 0.0 or n_samples == 1:
         return np.zeros(n_samples)
 
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate)
+    m = next_fast_len(n_samples, real=True)
+    freqs = np.fft.rfftfreq(m, d=1.0 / sample_rate)
     spectrum = np.zeros(len(freqs), dtype=complex)
-    # target one-sided PSD S(f) = density_at_1hz / f; bin spacing df = fs/N
-    df = sample_rate / n_samples
+    # target one-sided PSD S(f) = density_at_1hz / f; bin spacing df = fs/m
+    df = sample_rate / m
     positive = freqs > 0.0
     psd = density_at_1hz / freqs[positive]
-    # one-sided PSD -> rFFT amplitude: |X_k|^2 = S(f) * df * N^2 / 2
-    amplitude = np.sqrt(psd * df / 2.0) * n_samples
+    # one-sided PSD -> rFFT amplitude: |X_k|^2 = S(f) * df * m^2 / 2
+    amplitude = np.sqrt(psd * df / 2.0) * m
     phases = rng.normal(size=amplitude.shape) + 1j * rng.normal(size=amplitude.shape)
     spectrum[positive] = amplitude * phases / math.sqrt(2.0)
-    out = np.fft.irfft(spectrum, n=n_samples)
-    return out
+    return np.fft.irfft(spectrum, n=m)[:n_samples]
 
 
 def amplifier_input_noise(

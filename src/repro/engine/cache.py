@@ -69,7 +69,9 @@ logger = logging.getLogger(__name__)
 
 #: Bump to invalidate every previously written cache entry.
 #: 2: checksummed inner-blob payload layout (integrity verification).
-CACHE_VERSION = 2
+#: 3: 1/f noise is synthesized at a smooth FFT length, which moves the
+#: bits of every noisy waveform; older entries hold the old realization.
+CACHE_VERSION = 3
 
 _MISSING = object()
 

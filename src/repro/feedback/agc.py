@@ -60,7 +60,7 @@ def predict_amplitude(
     # pre-limiter chain gain at the oscillation frequency
     f_osc = result.oscillation_frequency
     pre_gain = loop.displacement_to_voltage * abs(
-        loop.electrical_gain_at(f_osc, sample_rate)
+        loop.electrical_gain(f_osc, sample_rate)[0]
     ) / loop.limiter.small_signal_gain
     tip = a_in / pre_gain if pre_gain > 0.0 else math.inf
 

@@ -35,17 +35,12 @@ def loop_gain(
 ) -> np.ndarray:
     """Complex loop gain over a frequency grid."""
     f = np.asarray(frequency, dtype=float)
-    out = np.empty(len(f), dtype=complex)
-    mech = loop.resonator.transfer_function(f)
-    for i, fi in enumerate(f):
-        elec = loop.electrical_gain_at(float(fi), sample_rate)
-        out[i] = (
-            loop.displacement_to_voltage
-            * elec
-            * loop.actuator.force_per_volt
-            * mech[i]
-        )
-    return out
+    return (
+        loop.displacement_to_voltage
+        * loop.electrical_gain(f, sample_rate)
+        * loop.actuator.force_per_volt
+        * loop.resonator.transfer_function(f)
+    )
 
 
 def analyze(

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from ..engine.kernel import (
     KernelBatch,
     ModeLowering,
     batch_signature,
+    kernel_batch_threads,
     lower_block,
     record_fallback,
     resolve_backend,
@@ -97,7 +100,9 @@ class LoopRecord:
 #: fabric chunk re-runs, best-of bench rounds) can share one pink-noise
 #: synthesis instead of paying the FFT shaping every run.  Entries hold
 #: a private copy and hand out copies, so callers may mutate freely;
-#: the cache is bounded LRU and process-local.
+#: the cache is bounded LRU and process-local.  The lock guards only the
+#: table: :func:`run_batch` synthesizes on pool threads, so two loops
+#: with one key may both synthesize, and they store equal arrays.
 _NOISE_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _NOISE_MEMO_LOCK = threading.Lock()
 _NOISE_MEMO_ENTRIES = 64
@@ -129,6 +134,17 @@ def _memoized_bridge_noise(
     return noise
 
 
+def _synthesize_bridge_noise(n: int, noise: tuple | None) -> np.ndarray:
+    """One run's bridge-noise record: ``n`` zeros for a noiseless loop,
+    else :func:`_memoized_bridge_noise` of the ``noise`` arguments.
+
+    Reads nothing but its arguments — numbers taken off the loop by
+    :meth:`ResonantFeedbackLoop._prepare_blocks` — so :func:`run_batch`
+    can run it on a pool thread while the calling thread lowers loops.
+    """
+    return np.zeros(n) if noise is None else _memoized_bridge_noise(*noise)
+
+
 @dataclass(frozen=True)
 class _PreparedRun:
     """The deterministic prelude of one closed-loop run: sample grid,
@@ -138,7 +154,9 @@ class _PreparedRun:
     n: int
     sample_rate: float
     times: np.ndarray
-    bridge_noise: np.ndarray
+    #: ``None`` in the half :meth:`ResonantFeedbackLoop._prepare_blocks`
+    #: returns, before the synthesis ran.
+    bridge_noise: np.ndarray | None
     signed_coefficient: float
 
 
@@ -228,15 +246,18 @@ class ResonantFeedbackLoop:
         """Bridge output per metre of tip displacement [V/m]."""
         return abs(self.bridge.sensitivity()) * self.displacement_to_stress
 
-    def electrical_gain_at(self, frequency: float, sample_rate: float) -> complex:
-        """Complex gain of the electrical chain at one frequency."""
-        f = np.asarray([frequency])
-        gain = complex(self.dda.gain, 0.0)
+    def electrical_gain(self, frequencies, sample_rate: float) -> np.ndarray:
+        """Complex gain of the electrical chain at each frequency [Hz].
+
+        Returns a 1-D array; a scalar frequency gives one element.
+        """
+        f = np.atleast_1d(np.asarray(frequencies, dtype=float))
+        gain = np.full(f.shape, complex(self.dda.gain, 0.0))
         if self.dda.gbw is not None:
-            gain /= 1.0 + 1j * frequency / self.dda.bandwidth
+            gain /= 1.0 + 1j * f / self.dda.bandwidth
         for hp in self.highpasses:
-            gain *= hp.response(f, sample_rate)[0]
-        gain *= self.phase_lead.response(f, sample_rate)[0]
+            gain *= hp.response(f, sample_rate)
+        gain *= self.phase_lead.response(f, sample_rate)
         gain *= self.vga.gain
         gain *= self.limiter.small_signal_gain
         return gain
@@ -246,9 +267,9 @@ class ResonantFeedbackLoop:
 
         |value| > 1 with phase near 0 means the loop starts up.
         """
-        f0 = self.resonator.natural_frequency
-        mech = self.resonator.transfer_function(np.asarray([f0]))[0]
-        elec = self.electrical_gain_at(f0, sample_rate)
+        f0 = np.asarray([self.resonator.natural_frequency])
+        mech = self.resonator.transfer_function(f0)[0]
+        elec = self.electrical_gain(f0, sample_rate)[0]
         return (
             self.displacement_to_voltage
             * elec
@@ -369,11 +390,26 @@ class ResonantFeedbackLoop:
     def _prepare_run(
         self, duration: float, initial_kick: float | None = None
     ) -> _PreparedRun:
-        """Run the deterministic prelude shared by solo and batched
-        execution: validate the duration, prepare the discrete-time
-        blocks, reset the resonator to the initial kick, and synthesize
-        the bridge-noise realization.  The same floating-point sequence
-        as the body of :meth:`run` once produced inline — extracted so
+        """Run the deterministic prelude of a solo run: the blocks'
+        half (:meth:`_prepare_blocks`), then the bridge-noise synthesis
+        inline."""
+        prep, noise = self._prepare_blocks(duration, initial_kick)
+        return replace(
+            prep, bridge_noise=_synthesize_bridge_noise(prep.n, noise)
+        )
+
+    def _prepare_blocks(
+        self, duration: float, initial_kick: float | None = None
+    ) -> tuple[_PreparedRun, tuple | None]:
+        """Run the prelude shared by solo and batched execution, up to
+        the bridge noise: validate the duration, prepare the
+        discrete-time blocks, reset the resonator to the initial kick,
+        and read the noise synthesis's arguments off the bridge.
+
+        Returns the run (``bridge_noise=None``) and the arguments for
+        :func:`_synthesize_bridge_noise` (``None`` without bridge
+        noise).  The same floating-point sequence as the body of
+        :meth:`run` once produced inline — extracted so
         :func:`run_batch` is bit-identical to solo runs."""
         require_positive("duration", duration)
         h = self.resonator.timestep
@@ -390,20 +426,19 @@ class ResonantFeedbackLoop:
             initial_kick = 1e-12
         self.resonator.reset(displacement=initial_kick)
 
+        noise = None
         if self.include_bridge_noise:
             psd_white = float(
                 self.bridge.noise_psd(np.asarray([self.resonator.natural_frequency]))[0]
             )
             corner = self.bridge.corner_frequency()
-            bridge_noise = _memoized_bridge_noise(
+            noise = (
                 self.seed,
                 psd_white / (1.0 + corner / self.resonator.natural_frequency),
                 corner,
                 n,
                 sample_rate,
             )
-        else:
-            bridge_noise = np.zeros(n)
 
         k_dv = self.displacement_to_voltage
         sign = 1.0 if self.bridge.sensitivity() >= 0.0 else -1.0
@@ -411,9 +446,9 @@ class ResonantFeedbackLoop:
             n=n,
             sample_rate=sample_rate,
             times=np.arange(n) * h,
-            bridge_noise=bridge_noise,
+            bridge_noise=None,
             signed_coefficient=sign * k_dv,
-        )
+        ), noise
 
     def _absorb_kernel_result(self, result) -> None:
         """Write a kernel run's final mechanical state + run info back."""
@@ -526,7 +561,12 @@ def run_batch(
     threads:
         C-level threads for the batched call (default: CPU count,
         capped by the ``REPRO_KERNEL_THREADS`` environment variable —
-        see ``docs/FASTPATH.md`` on double-parallelism).
+        see ``docs/FASTPATH.md`` on double-parallelism).  The same
+        width, resolved by
+        :func:`~repro.engine.kernel.kernel_batch_threads`, sizes the
+        thread pool that synthesizes each loop's bridge noise while
+        this thread lowers the loops in grid order; a width of 1
+        synthesizes inline.  The pool ends with the call.
 
     Loops that cannot lower (patched ``step``, custom actuators, noisy
     amplifiers) fall back *per instance* to the reference path with the
@@ -552,24 +592,36 @@ def run_batch(
     groups: dict[tuple, list[int]] = {}
     kernels: list[FusedLoopKernel | None] = [None] * len(loops)
     preps: list[_PreparedRun | None] = [None] * len(loops)
-    for i, loop in enumerate(loops):
-        prep = loop._prepare_run(durations[i], initial_kick)
-        loop.last_kernel_info = None
-        try:
-            kernels[i] = loop._lower_kernel(prep.signed_coefficient)
-        except LoweringError as err:
-            record_fallback(str(err))
-            records[i] = loop.run(durations[i], initial_kick,
-                                  backend="reference")
-        else:
-            preps[i] = prep
-            groups.setdefault(batch_signature(kernels[i]), []).append(i)
+    width = kernel_batch_threads(threads, len(loops))
+    with ThreadPoolExecutor(width) if width > 1 else nullcontext() as pool:
+        noises = []
+        for i, loop in enumerate(loops):
+            prep, noise = loop._prepare_blocks(durations[i], initial_kick)
+            noises.append(
+                pool.submit(_synthesize_bridge_noise, prep.n, noise)
+                if pool is not None
+                else _synthesize_bridge_noise(prep.n, noise)
+            )
+            loop.last_kernel_info = None
+            try:
+                kernels[i] = loop._lower_kernel(prep.signed_coefficient)
+            except LoweringError as err:
+                record_fallback(str(err))
+                records[i] = loop.run(durations[i], initial_kick,
+                                      backend="reference")
+            else:
+                preps[i] = prep
+                groups.setdefault(batch_signature(kernels[i]), []).append(i)
+        # every result, in grid order: a synthesis error leaves here as
+        # it left the inline prelude
+        if pool is not None:
+            noises = [future.result() for future in noises]
 
     for indices in groups.values():
         batch = KernelBatch(
             [kernels[i] for i in indices],
             [preps[i].n for i in indices],
-            [preps[i].bridge_noise for i in indices],
+            [noises[i] for i in indices],
         )
         for i, result in zip(indices, batch.run(threads=threads)):
             loops[i]._absorb_kernel_result(result)

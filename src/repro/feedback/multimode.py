@@ -238,11 +238,12 @@ class MultiModeLoop:
         The startup race in numbers: the mode with the largest value
         above 1 wins (grows fastest).
         """
+        elecs = self.loop.electrical_gain(
+            [r.natural_frequency for r in self.resonators], sample_rate
+        )
         gains = []
-        for g, r in zip(self.mode_gains, self.resonators):
-            f_n = r.natural_frequency
-            mech = r.transfer_function(np.asarray([f_n]))[0]
-            elec = self.loop.electrical_gain_at(f_n, sample_rate)
+        for g, r, elec in zip(self.mode_gains, self.resonators, elecs):
+            mech = r.transfer_function(np.asarray([r.natural_frequency]))[0]
             total = (
                 abs(self.loop.bridge.sensitivity())
                 * g

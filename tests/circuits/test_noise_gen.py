@@ -54,6 +54,46 @@ class TestPink:
         assert pink_noise(1e-10, 1, 1e3, rng)[0] == 0.0
 
 
+#: A prime record length (the worst case for a plain inverse FFT) and a
+#: 2·3-smooth one; both must keep the 1/f PSD.
+AWKWARD_N = 399_989
+SMOOTH_N = 393_216
+
+
+class TestPinkRecordLength:
+    @pytest.mark.parametrize("n", [AWKWARD_N, SMOOTH_N])
+    def test_slope_minus_one(self, rng, n):
+        fs = 10e3
+        x = Signal(pink_noise(1e-10, n, fs, rng), fs)
+        slope = psd_slope(x, 1.0, 1e3)
+        assert slope == pytest.approx(-1.0, abs=0.15)
+
+    @pytest.mark.parametrize("n", [AWKWARD_N, SMOOTH_N])
+    def test_density_level(self, rng, n):
+        fs = 10e3
+        density_1hz = 1e-10
+        x = Signal(pink_noise(density_1hz, n, fs, rng), fs)
+        freqs, psd = welch_psd(x, segments=16)
+        mask = (freqs > 8.0) & (freqs < 12.0)
+        assert np.mean(psd[mask]) == pytest.approx(density_1hz / 10.0, rel=0.5)
+
+    def test_synthesized_at_smooth_length(self, rng, monkeypatch):
+        from scipy.fft import next_fast_len
+
+        lengths = []
+        irfft = np.fft.irfft
+
+        def spy(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return irfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        x = pink_noise(1e-10, AWKWARD_N, 10e3, rng)
+        assert lengths == [next_fast_len(AWKWARD_N, real=True)]
+        assert lengths[0] > AWKWARD_N
+        assert x.shape == (AWKWARD_N,)
+
+
 class TestAmplifierNoise:
     def test_corner_behaviour(self, rng):
         fs = 100e3

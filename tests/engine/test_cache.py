@@ -69,6 +69,28 @@ class TestInvalidation:
         assert bumped.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]  # old entry not visible to the new version
 
+    def test_loop_point_cached_before_smooth_length_noise_is_a_miss(
+        self, tmp_path
+    ):
+        """Version 2 entries hold the 1/f noise synthesized at the record
+        length; a default cache must recompute them, not mix them in."""
+        from repro.analysis import LoopSweepTask, run_spec_sweep
+        from repro.config import REFERENCE_RESONANT_SENSOR
+
+        def sweep(cache):
+            return run_spec_sweep(
+                REFERENCE_RESONANT_SENSOR, "cantilever.length_um", [200.0],
+                LoopSweepTask(duration=0.002), backend="serial", cache=cache,
+            )
+
+        old = ResultCache(tmp_path / "cache", version=2)
+        sweep(old)
+        assert old.cache_info().stores == 1
+        current = ResultCache(tmp_path / "cache")
+        sweep(current)
+        info = current.cache_info()
+        assert (info.hits, info.misses, info.stores) == (0, 1, 1)
+
     def test_different_functions_do_not_collide(self, cache):
         assert cache.key_for(expensive, 4) != cache.key_for(other_function, 4)
 

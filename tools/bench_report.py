@@ -284,9 +284,9 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     ))
 
     # -- columnar kernel family: pre-lowered closed-loop kernels -------------
-    # The whole-pipeline sweep above shares its dominant cost (noise
-    # synthesis + lowering, ~2/3 of the wall per instance) between both
-    # paths, so it cannot show what the batch *kernel* buys.  This
+    # The whole-pipeline sweep above times spec build, loop
+    # construction, the run prelude and lowering together with the
+    # kernel, so it cannot show what the batch *kernel* buys.  This
     # family lowers the same closed-loop sweep once and times only the
     # kernel execution: serial fused vs the columnar SoA engine.
     from repro.core import ResonantCantileverSensor
@@ -427,10 +427,11 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "batch_instances": loop_info.batch_instances,
             "fallbacks": loop_info.fallbacks,
             "note": (
-                "whole-pipeline wall: the batch path pre-lowers once "
-                "per program shape and memoizes per-(seed, duration) "
-                "noise blocks, so the shared setup cost is amortized "
-                "across the grid and the batch now wins end to end — "
+                "whole-pipeline wall, best-of over one repeated grid: "
+                "the bridge-noise memo is warm on both sides after the "
+                "first round, so neither side pays noise synthesis; the "
+                "loop-template memo is warm on the batch side only, "
+                "which deep-copies each loop where serial builds it — "
                 "see closed_loop_columnar_kernel for the kernel-only "
                 "comparison"
             ),
