@@ -59,7 +59,6 @@ from .sweep import (
     plan_chunks,
     run_parallel,
     run_spec_sweep,
-    run_sweep_outcomes,
     sweep,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "ring_down_quality_factor",
     "run_parallel",
     "run_spec_sweep",
-    "run_sweep_outcomes",
     "snr_db",
     "sweep",
     "welch_psd",

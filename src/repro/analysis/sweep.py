@@ -137,106 +137,6 @@ def _cache_parameter(value):
     return value
 
 
-def run_sweep_outcomes(
-    values: Iterable,
-    evaluate: Callable[[object], Mapping[str, object]],
-    *,
-    workers: int | None = None,
-    backend: str = "process",
-    cache=None,
-    cache_extra=None,
-    timeout: float | None = None,
-    retry=None,
-    progress=None,
-    cancel=None,
-) -> list:
-    """Outcome-level sweep: one :class:`~repro.engine.TaskOutcome` per point.
-
-    The JobStore-routed execution path of the service layer
-    (:mod:`repro.service`): unlike :func:`run_parallel` it never raises
-    on a failed point — every grid point settles as a
-    :class:`~repro.engine.TaskOutcome` in grid order, cache hits marked
-    ``cached=True`` (with ``retries=0`` and no executor dispatch), and
-    the caller decides what a failure means.  :func:`run_parallel` is a
-    thin unwrap of this function, so both paths share one cache-keying
-    and dispatch implementation.
-
-    Parameters
-    ----------
-    progress:
-        Optional hook called with each settled group of outcomes (see
-        :meth:`repro.engine.BatchExecutor.map`).  The cache hits settle
-        first, as one group, so a job's progress feed covers every
-        point; outcome indices are always *grid* indices, even for the
-        dispatched subset.  Every group reaches the hook before its
-        values reach the cache.
-    cancel:
-        Optional cooperative cancellation probe, polled between tasks;
-        cancelled points settle as :class:`~repro.errors.TaskCancelled`
-        outcomes.  Cache hits are served even when cancellation fires
-        first — a hit costs one read and keeps resumed jobs monotonic.
-    """
-    from ..engine import BatchExecutor, TaskOutcome
-
-    grid = list(values)
-    outcomes: list = [None] * len(grid)
-
-    pending_indices = list(range(len(grid)))
-    keys = None
-    if cache is not None:
-        keys = [
-            cache.key_for(evaluate, _cache_parameter(v), cache_extra)
-            for v in grid
-        ]
-        pending_indices = []
-        hits = []
-        for i, key in enumerate(keys):
-            hit = cache.get(key)
-            if hit is cache.MISS:
-                pending_indices.append(i)
-            else:
-                outcomes[i] = TaskOutcome(
-                    index=i, parameter=grid[i], value=hit, cached=True
-                )
-                hits.append(outcomes[i])
-        if progress is not None and hits:
-            progress(hits)
-
-    if pending_indices:
-        executor = BatchExecutor(
-            workers=workers, backend=backend, timeout=timeout, retry=retry
-        )
-
-        def regrid(outcome):
-            """An executor outcome re-indexed into the full grid."""
-            return TaskOutcome(
-                index=pending_indices[outcome.index],
-                parameter=outcome.parameter,
-                value=outcome.value,
-                error=outcome.error,
-                retries=outcome.retries,
-            )
-
-        hook = None
-        if progress is not None:
-            def hook(group):
-                progress([regrid(outcome) for outcome in group])
-
-        batch = executor.map(
-            evaluate,
-            [grid[i] for i in pending_indices],
-            progress=hook,
-            cancel=cancel,
-        )
-        for outcome in batch.outcomes:
-            full = regrid(outcome)
-            outcomes[full.index] = full
-            if cache is not None and full.ok:
-                cache.put(keys[full.index], full.value)
-
-    return outcomes
-
-
 def run_parallel(
     parameter_name: str,
     values: Iterable,
@@ -267,7 +167,8 @@ def run_parallel(
     cache:
         Optional :class:`repro.engine.ResultCache`.  Hits skip the
         executor entirely; only the missing grid points are dispatched,
-        and their results are stored back.  Keys include ``evaluate``'s
+        and their results are stored back — every successful point,
+        even when another point fails.  Keys include ``evaluate``'s
         qualified name and ``cache_extra`` (pass config objects the
         function closes over, so context changes invalidate correctly).
     timeout / retry:
@@ -277,19 +178,38 @@ def run_parallel(
         with deterministic backoff, and only a point that *stays* dead
         after its retry budget re-raises here.
     """
+    from ..engine import BatchExecutor
+
     grid = list(values)
-    outcomes = run_sweep_outcomes(
-        grid,
-        evaluate,
-        workers=workers,
-        backend=backend,
-        cache=cache,
-        cache_extra=cache_extra,
-        timeout=timeout,
-        retry=retry,
-    )
-    # re-raise the first (grid-order) task error, like the serial loop
-    return _collect(grid, [o.unwrap() for o in outcomes], parameter_name)
+    results: list = [None] * len(grid)
+    pending = list(range(len(grid)))
+    keys = None
+    if cache is not None:
+        keys = [
+            cache.key_for(evaluate, _cache_parameter(v), cache_extra)
+            for v in grid
+        ]
+        pending = []
+        for i, key in enumerate(keys):
+            hit = cache.get(key)
+            if hit is cache.MISS:
+                pending.append(i)
+            else:
+                results[i] = hit
+
+    if pending:
+        executor = BatchExecutor(
+            workers=workers, backend=backend, timeout=timeout, retry=retry
+        )
+        batch = executor.map(evaluate, [grid[i] for i in pending])
+        for i, outcome in zip(pending, batch.outcomes):
+            if outcome.ok:
+                results[i] = outcome.value
+                if cache is not None:
+                    cache.put(keys[i], outcome.value)
+        # re-raise the first (grid-order) task error, like the serial loop
+        batch.values()
+    return _collect(grid, results, parameter_name)
 
 
 def override_grid(base_spec, path: str, values: Iterable) -> list:
@@ -350,12 +270,12 @@ def run_spec_sweep(
 def plan_chunks(n_points: int, chunk_size: int) -> list[tuple[int, int]]:
     """Contiguous ``[start, stop)`` grid slices covering ``n_points``.
 
-    The fabric's unit of leasing: a worker leases one chunk, runs its
-    points as one batched kernel call, and completes or requeues it
-    atomically.  Chunk boundaries never affect results — every point is
-    cached under its own spec-keyed entry — so the planner is free to
-    pick any partition; contiguous slices keep the store rows readable
-    and the per-chunk batches shape-coherent.
+    Every job's unit of leasing: the job store plans a job's chunks
+    once, with the job row; a worker leases one chunk, runs its points,
+    and completes or requeues it atomically.  Chunk boundaries never
+    affect results — every point is cached under its own spec-keyed
+    entry — so the planner is free to pick any partition; contiguous
+    slices keep the store rows readable.
     """
     if n_points < 0:
         raise ValueError(f"n_points must be >= 0, got {n_points}")

@@ -14,7 +14,9 @@ Gives the library a tool face for quick, scriptable use:
   circuit breakers, degrade counters, optional cache integrity scan
   (``--json`` prints the machine-readable snapshot probes consume)
 * ``serve``        — run the simulation service: durable SQLite job
-  store + HTTP API (``--port 0`` binds an ephemeral port and prints it)
+  store + HTTP API (``--port 0`` binds an ephemeral port and prints it;
+  ``--pump-workers 0`` leaves every job to ``worker --url`` nodes)
+* ``worker``       — lease and run job chunks from a store or a server
 * ``submit``       — submit a sweep to a running service (``--wait``
   long-polls to completion and prints the result table)
 * ``status``       — one job's status, or the job listing without an id
@@ -493,9 +495,6 @@ def cmd_submit(args) -> int:
         duration=args.duration,
         tenant=args.tenant,
         priority=args.priority,
-        backend=args.backend,
-        retries=args.retries,
-        timeout=args.timeout,
     )
     client = ServiceClient(args.url)
     record = client.submit(spec)
@@ -759,7 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="cache_dir", help="ResultCache directory shared by "
                                           "all jobs (the dedup substrate)")
     p.add_argument("--pump-workers", type=int, default=1, dest="pump_workers",
-                   help="concurrent jobs (per-job parallelism is separate)")
+                   help="concurrent jobs run in-process; 0 runs none, so "
+                        "jobs run only on `repro worker --url` nodes")
     p.add_argument("--tenant-quota", type=int, default=2, dest="tenant_quota",
                    help="max running jobs per tenant")
     _add_set_flag(p, "set_cmd")
@@ -803,12 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tenant the job is accounted to")
     p.add_argument("--priority", type=int, default=0,
                    help="scheduling priority (higher runs first)")
-    p.add_argument("--backend", default="kernel-batch",
-                   help="executor backend for the sweep")
-    p.add_argument("--retries", type=int, default=None,
-                   help="per-point retry budget")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-point watchdog [s]")
     p.add_argument("--wait", action="store_true",
                    help="long-poll until terminal and print the result "
                         "table")

@@ -9,9 +9,10 @@ The scaling substrate under every sweep, bench, and array assay:
   stable content hash, with versioned invalidation and hit/miss
   counters — and :class:`TieredCache`, its memory → sharded-disk →
   remote-store extension with per-tier counters;
-* :mod:`~repro.engine.fabric` — the distributed sweep fabric:
-  :class:`FabricWorker` nodes lease grid chunks from the service job
-  store and stream results through the tiered cache
+* :mod:`~repro.engine.fabric` — how every job runs:
+  :class:`FabricWorker` nodes (a service pump thread, a spawned
+  process, a ``repro worker``) lease grid chunks from the service job
+  store and stream results through the cache
   (:func:`run_fabric_sweep` is the one-call coordinator);
 * :class:`StageTimer` — per-stage wall-clock timing so benches report
   real speedups;

@@ -36,25 +36,11 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..errors import (
-    ExecutorError,
-    FaultInjectionError,
-    TaskCancelled,
-    WatchdogTimeout,
-)
+from ..errors import ExecutorError, FaultInjectionError, WatchdogTimeout
 from .kernel import KERNEL_THREADS_ENV
 from .resilience import RetryPolicy, poll_fault
 
 BACKENDS = ("serial", "thread", "process", "kernel-batch")
-
-#: Signature of the progress hook: called once per settled group of
-#: tasks (successes, failures, timeouts, cancellations).  A batched
-#: round settles as one group; per-task backends settle one task at a
-#: time, in settlement order within a dispatch round.
-ProgressFn = Callable[[Sequence["TaskOutcome"]], None]
-#: Signature of the cooperative cancellation probe: return True to stop
-#: dispatching further tasks (e.g. ``threading.Event.is_set``).
-CancelFn = Callable[[], bool]
 
 
 def _limit_worker_kernel_threads() -> None:
@@ -77,9 +63,6 @@ class TaskOutcome:
     error: BaseException | None = None
     #: Retry attempts this task consumed before settling (0 = first try).
     retries: int = 0
-    #: True when the value was served from a :class:`ResultCache` rather
-    #: than computed (set by cache-aware callers, never by the executor).
-    cached: bool = False
 
     @property
     def ok(self) -> bool:
@@ -275,14 +258,7 @@ class BatchExecutor:
             return self.chunk_size
         return max(1, -(-task_count // (4 * max(self.workers, 1))))
 
-    def map(
-        self,
-        fn: Callable,
-        parameters: Iterable,
-        *,
-        progress: ProgressFn | None = None,
-        cancel: CancelFn | None = None,
-    ) -> BatchResult:
+    def map(self, fn: Callable, parameters: Iterable) -> BatchResult:
         """Evaluate ``fn`` at every parameter; ordered, error-capturing.
 
         Returns a :class:`BatchResult` whose outcome ``i`` corresponds to
@@ -292,22 +268,6 @@ class BatchExecutor:
         re-dispatched (same backend, deterministic backoff between
         rounds) until they succeed or the retry budget is spent; the
         final outcome reflects the last attempt.
-
-        Parameters
-        ----------
-        progress:
-            Optional hook called with each settled group of
-            :class:`TaskOutcome` (the service pump's live-status feed):
-            a ``kernel-batch`` round is one group, every other backend
-            settles one outcome per call, in settlement order (for
-            pooled backends, submission order within a round).
-            Exceptions it raises propagate.
-        cancel:
-            Optional zero-argument probe polled between tasks and
-            between retry rounds.  Once it returns True, undispached
-            tasks settle as :class:`~repro.errors.TaskCancelled`
-            outcomes (in-flight process tasks are terminated with the
-            pool) and no further retry rounds run.
         """
         grid: Sequence = list(parameters)
         pending = [_Task(fn, i, p) for i, p in enumerate(grid)]
@@ -315,19 +275,11 @@ class BatchExecutor:
 
         attempt = 0
         while True:
-            for outcome in self._run_round(fn, pending, attempt, progress, cancel):
+            for outcome in self._run_round(fn, pending):
                 outcomes[outcome.index] = outcome
-            failed = [
-                t for t in pending
-                if not outcomes[t.index].ok
-                and not isinstance(outcomes[t.index].error, TaskCancelled)
-            ]
-            if (
-                not failed
-                or self.retry is None
-                or attempt >= self.retry.retries
-                or (cancel is not None and cancel())
-            ):
+            failed = [t for t in pending if not outcomes[t.index].ok]
+            if not failed or self.retry is None \
+                    or attempt >= self.retry.retries:
                 break
             self._sleep(self.retry.delay(attempt, key=len(failed)))
             attempt += 1
@@ -338,59 +290,22 @@ class BatchExecutor:
 
     # -- one dispatch round ----------------------------------------------------
 
-    def _run_round(
-        self,
-        fn: Callable,
-        tasks: list[_Task],
-        attempt: int,
-        progress: ProgressFn | None = None,
-        cancel: CancelFn | None = None,
-    ) -> list[TaskOutcome]:
+    def _run_round(self, fn: Callable, tasks: list[_Task]) -> list[TaskOutcome]:
         """Dispatch ``tasks`` once over the configured backend."""
         tasks = [self._apply_fault(t) for t in tasks]
         backend = self._effective_backend(len(tasks))
         if backend == "kernel-batch":
-            if cancel is not None and cancel():
-                return self._settle(
-                    [self._cancelled_outcome(t) for t in tasks], progress
-                )
-            return self._settle(self._map_kernel_batch(fn, tasks), progress)
+            return self._map_kernel_batch(fn, tasks)
         if backend == "serial" and self.timeout is None:
-            return self._run_serial(tasks, progress, cancel)
+            return [_run_task(t) for t in tasks]
         if backend == "process":
-            if self.timeout is None and progress is None and cancel is None:
+            if self.timeout is None:
                 return self._run_process_pool(tasks)
-            return self._run_process_async(tasks, progress, cancel)
+            return self._run_process_async(tasks)
         # thread backend, and serial-with-watchdog (a 1-thread pool so the
         # parent can time out and abandon a hung task)
         workers = 1 if backend == "serial" else min(self.workers, len(tasks))
-        return self._run_thread_pool(tasks, workers, progress, cancel)
-
-    def _settle(
-        self, outcomes: list[TaskOutcome], progress: ProgressFn | None
-    ) -> list[TaskOutcome]:
-        """Feed already-collected outcomes to the hook as one group."""
-        if progress is not None and outcomes:
-            progress(outcomes)
-        return outcomes
-
-    def _run_serial(
-        self,
-        tasks: list[_Task],
-        progress: ProgressFn | None,
-        cancel: CancelFn | None,
-    ) -> list[TaskOutcome]:
-        outcomes: list[TaskOutcome] = []
-        cancelled = False
-        for task in tasks:
-            cancelled = cancelled or (cancel is not None and cancel())
-            outcome = (
-                self._cancelled_outcome(task) if cancelled else _run_task(task)
-            )
-            if progress is not None:
-                progress([outcome])
-            outcomes.append(outcome)
-        return outcomes
+        return self._run_thread_pool(tasks, workers)
 
     def _apply_fault(self, task: _Task) -> _Task:
         """Poll the ``executor.task`` site for this dispatch.
@@ -411,31 +326,18 @@ class BatchExecutor:
         )
 
     def _run_thread_pool(
-        self,
-        tasks: list[_Task],
-        workers: int,
-        progress: ProgressFn | None = None,
-        cancel: CancelFn | None = None,
+        self, tasks: list[_Task], workers: int
     ) -> list[TaskOutcome]:
         pool = ThreadPoolExecutor(max_workers=workers)
         futures = [pool.submit(_run_task, t) for t in tasks]
         outcomes: list[TaskOutcome] = []
         timed_out = False
-        cancelled = False
         for task, future in zip(tasks, futures):
-            cancelled = cancelled or (cancel is not None and cancel())
-            # a queued future can still be withdrawn; a running one is
-            # collected normally (threads cannot be killed)
-            if cancelled and future.cancel():
-                outcome = self._cancelled_outcome(task)
-            else:
-                try:
-                    outcome = future.result(self.timeout)
-                except FutureTimeoutError:
-                    timed_out = True
-                    outcome = self._timeout_outcome(task)
-            if progress is not None:
-                progress([outcome])
+            try:
+                outcome = future.result(self.timeout)
+            except FutureTimeoutError:
+                timed_out = True
+                outcome = self._timeout_outcome(task)
             outcomes.append(outcome)
         # cancel_futures stops queued tasks; an actually-hung thread is
         # abandoned (daemonic exit at interpreter shutdown)
@@ -451,21 +353,15 @@ class BatchExecutor:
                 _run_task, tasks, chunksize=self._chunk_size_for(len(tasks))
             )
 
-    def _run_process_async(
-        self,
-        tasks: list[_Task],
-        progress: ProgressFn | None = None,
-        cancel: CancelFn | None = None,
-    ) -> list[TaskOutcome]:
-        """Process round with watchdog / progress / cancellation support.
+    def _run_process_async(self, tasks: list[_Task]) -> list[TaskOutcome]:
+        """Process round with a per-task watchdog.
 
         Tasks are dispatched individually (no chunking — a chunk would
         make one hung task time out its innocent chunk-mates) and
         collected in order with a per-task deadline; every task has been
         in flight at least ``timeout`` seconds before being declared
         hung.  The pool is terminated afterwards whenever anything timed
-        out or was cancelled, which is what actually kills stuck or
-        no-longer-wanted worker processes.
+        out, which is what actually kills stuck worker processes.
         """
         workers = min(self.workers, len(tasks))
         pool = multiprocessing.Pool(
@@ -473,24 +369,17 @@ class BatchExecutor:
         )
         outcomes: list[TaskOutcome] = []
         timed_out = False
-        cancelled = False
         try:
             handles = [pool.apply_async(_run_task, (t,)) for t in tasks]
             for task, handle in zip(tasks, handles):
-                cancelled = cancelled or (cancel is not None and cancel())
-                if cancelled:
-                    outcome = self._cancelled_outcome(task)
-                else:
-                    try:
-                        outcome = handle.get(self.timeout)
-                    except multiprocessing.TimeoutError:
-                        timed_out = True
-                        outcome = self._timeout_outcome(task)
-                if progress is not None:
-                    progress([outcome])
+                try:
+                    outcome = handle.get(self.timeout)
+                except multiprocessing.TimeoutError:
+                    timed_out = True
+                    outcome = self._timeout_outcome(task)
                 outcomes.append(outcome)
         finally:
-            if timed_out or cancelled:
+            if timed_out:
                 pool.terminate()
             else:
                 pool.close()
@@ -504,14 +393,6 @@ class BatchExecutor:
             error=WatchdogTimeout(
                 f"task {task.index} exceeded its {self.timeout}s watchdog"
             ),
-            retries=task.retries,
-        )
-
-    def _cancelled_outcome(self, task: _Task) -> TaskOutcome:
-        return TaskOutcome(
-            index=task.index,
-            parameter=task.parameter,
-            error=TaskCancelled(f"task {task.index} cancelled before it ran"),
             retries=task.retries,
         )
 

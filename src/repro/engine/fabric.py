@@ -1,47 +1,50 @@
-"""Distributed sweep fabric: chunk-leasing workers over a shared store.
+"""Chunk-leasing execution: how every job's grid gets computed.
 
-ROADMAP item 1: the engine must stop topping out at one box.  The
-kernel is fast (columnar batches, compiled solo runs) but a sweep still ran
-as "one process pool, one cache dir".  This module distributes the
-*sweep* instead:
+Every job — submitted to ``repro serve`` or run by ``repro sweep
+--fabric`` — is a :class:`~repro.service.JobRecord` whose grid the store
+split into contiguous ``[start, stop)`` **chunks** when it wrote the job
+row (:func:`repro.analysis.plan_chunks`, store schema v3).  One rule set
+runs them, whichever node does it:
 
-* A fabric job is an ordinary PR-6 :class:`~repro.service.JobRecord`
-  whose grid is split by :func:`repro.analysis.plan_chunks` into
-  contiguous ``[start, stop)`` **chunks** stored as lease rows
-  (store schema v3).
-* :class:`FabricWorker` — local process or remote ``repro worker``
-  node — leases one chunk at a time (atomic CAS in the store),
-  heartbeats it while computing, and writes every point through the
-  checksummed :class:`~repro.engine.TieredCache` under exactly the key
-  :func:`repro.analysis.run_sweep_outcomes` would use.  Cache identity
-  is the whole consistency story: a crash mid-grid loses nothing that
-  was cached, and a resumed run re-serves those points as hits — zero
-  recomputes, provable from per-tier ``cache_info()`` counters.
-* Resilience is the PR-5 machinery, generalized: a worker that stops
-  heartbeating has its leases expired and requeued by the watchdog
-  sweep (:meth:`~repro.service.store.JobStore.expire_chunk_leases`);
-  store round-trips retry with a seeded
-  :class:`~repro.engine.RetryPolicy`; chunks that keep failing are
-  parked ``failed`` after ``max_attempts``; and a worker whose chunks
-  keep blowing up trips its own :class:`~repro.engine.CircuitBreaker`
-  (``fabric-worker:<id>``) and quarantines itself rather than eating
-  the queue.
-* :func:`run_fabric_sweep` is the one-call coordinator behind
-  ``repro sweep --fabric``: submit the job, plan the chunks, spawn N
-  worker processes, watch the lease table, and assemble the finished
-  :class:`~repro.analysis.SweepResult` *from the cache* — bit-exact
-  (``np.array_equal``) with the serial reference path, because workers
-  compute each point through the same solo fused path serial sweeps
-  use.
-* A job ends when its last chunk settles (``done`` or ``failed``): a
-  worker bound to one job returns as soon as none of the job's chunks
-  is queued or leased, so a spawned worker's exit is the coordinator's
-  wake-up, not an idle timer running out.
+* :class:`FabricWorker` — a thread of the service pump, a spawned local
+  process, or a ``repro worker --db|--url`` node — leases one chunk at a
+  time (atomic CAS in the store) and writes every point through the
+  checksummed cache under exactly the key :func:`repro.analysis.run_parallel`
+  would use.  Cache identity is the whole consistency story: a crash
+  mid-grid loses nothing that was cached, and a resumed run re-serves
+  those points as hits — zero recomputes, provable from per-tier
+  ``cache_info()`` counters.
+* A point that raises settles as a failed outcome (``task-error``) and
+  its chunk still completes.  A failure outside a point — the grid
+  build, a store error, the remote-cache flush barrier — fails the
+  chunk: it requeues until ``max_attempts``, is then parked ``failed``,
+  and a worker whose chunks keep failing trips its own
+  :class:`~repro.engine.CircuitBreaker` (``fabric-worker:<id>``) and
+  quarantines itself rather than eating the queue.
+* A chunk completes in one store transaction with its points' outcome
+  rows and the job's progress count.  The completion that settles the
+  job's last chunk hands the job back, and the one finalizer,
+  :func:`repro.service.pump.finalize_job`, turns it into its terminal
+  record — on the SQLite side; a remote node's coordinator does it for
+  the node.  A worker bound to that job returns at once.
+* Heartbeats extend a lease once a third of its TTL has passed, and a
+  worker that stops heartbeating has its lease expired and requeued by
+  the next :meth:`~repro.service.store.JobStore.lease_chunk` that finds
+  nothing queued.
+* Whether a job has settled is the store's rule alone
+  (:func:`~repro.service.store.has_settled`), read through
+  :meth:`~repro.service.store.JobStore.chunk_counts`.
 
-Workers compute leased points solo, one by one.  The fabric's contract
-is ``fabric == serial`` down to the last ULP; every kernel route is
-bit-exact to solo fused, so a chunk run as one columnar batch would
-keep it too.  The fabric's speed comes from N nodes running N chunks
+:func:`run_fabric_sweep` is the one-call coordinator behind ``repro
+sweep --fabric``: submit (or resume) the job, spawn N worker processes,
+wait for the chunk table to settle, and build the
+:class:`~repro.analysis.SweepResult` from the finished job's result
+payload — bit-exact (``np.array_equal``) with the serial reference
+path, because workers compute each point solo, as serial sweeps do.
+
+Workers compute leased points solo, one by one.  Every kernel route is
+bit-exact to solo fused, so a chunk run as one columnar batch would keep
+``fabric == serial`` too; the speed comes from N nodes running N chunks
 concurrently, not from per-point batching.
 """
 
@@ -69,7 +72,7 @@ from .resilience import (
 
 __all__ = [
     "FabricWorker",
-    "finalize_fabric_job",
+    "JobContext",
     "WorkerStats",
     "fabric_worker_id",
     "run_fabric_sweep",
@@ -89,16 +92,6 @@ def fabric_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:4]}"
 
 
-def _chunks_settled(counts: dict[str, int]) -> bool:
-    """True when a job has chunks and every one is ``done`` or ``failed``.
-
-    Settled chunks never change state again, so once this holds there
-    is nothing left to lease, nor any lease left to wait out.
-    """
-    settled = counts.get("done", 0) + counts.get("failed", 0)
-    return bool(counts) and settled == sum(counts.values())
-
-
 def _fault_seconds(payload, default: float) -> float:
     """A positive seconds value out of a fault payload, else default."""
     try:
@@ -106,6 +99,23 @@ def _fault_seconds(payload, default: float) -> float:
     except (TypeError, ValueError):
         return default
     return seconds if seconds > 0 else default
+
+
+def _point_outcome(index: int, cached: bool = False, error: str = ""):
+    """One point's outcome row with its channel-health verdict."""
+    from ..core.health import STATUS_FAILED, STATUS_OK
+    from ..service.store import PointOutcome
+
+    return PointOutcome(
+        index=index, ok=not error, cached=cached, error=error,
+        health={
+            "channel": index,
+            "status": STATUS_FAILED if error else STATUS_OK,
+            "reason": "task-error" if error else None,
+            "detail": error,
+            "retries": 0,
+        },
+    )
 
 
 @dataclass
@@ -134,8 +144,12 @@ class WorkerStats:
         }
 
 
-class _JobContext:
-    """Per-job task/grid rebuild, memoized across a worker's chunks."""
+class JobContext:
+    """A job's task and grid, built once from its record.
+
+    Building it is the grid build: an invalid override path or value
+    raises here.
+    """
 
     __slots__ = ("job_id", "task", "grid")
 
@@ -160,10 +174,10 @@ class FabricWorker:
         :class:`~repro.service.RemoteFabricStore` speaking the same
         chunk interface over HTTP to a ``repro serve``.
     cache:
-        The :class:`TieredCache` results flow through.  Give remote
-        workers an :class:`~repro.engine.HTTPRemoteStore` tier pointed
-        at the coordinator's server — the cache *is* the result
-        transport.
+        The cache results flow through (a :class:`TieredCache`, or any
+        :class:`~repro.engine.ResultCache`).  Give remote workers an
+        :class:`~repro.engine.HTTPRemoteStore` tier pointed at the
+        coordinator's server — the cache *is* the result transport.
     worker_id / lease_seconds / poll_interval:
         Identity, lease TTL (heartbeats extend it; must comfortably
         cover one point's compute time), and idle sleep between lease
@@ -175,6 +189,13 @@ class FabricWorker:
         itself (its :class:`~repro.engine.CircuitBreaker` opens).
     job_id:
         Restrict leasing to one job (``None`` = any queued chunk).
+    context:
+        A :class:`JobContext` the caller already built: the worker is
+        bound to its job and reads no job row for it.
+    cancel:
+        An event polled between points.  Once set, the worker gives
+        its chunk back, settles the job if that was its last open
+        chunk, and returns.
     points_limit:
         Crash rehearsal: hard-exit the process (``os._exit``) after
         computing this many fresh points — mid-chunk, lease still
@@ -189,6 +210,8 @@ class FabricWorker:
         max_attempts: int = 3,
         breaker_threshold: int = 3,
         job_id: str | None = None,
+        context: JobContext | None = None,
+        cancel=None,
         points_limit: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
@@ -198,14 +221,20 @@ class FabricWorker:
         self.lease_seconds = float(lease_seconds)
         self.poll_interval = float(poll_interval)
         self.max_attempts = int(max_attempts)
-        self.job_id = job_id
+        self.job_id = context.job_id if context is not None else job_id
+        self.cancel = cancel
         self.points_limit = points_limit
         self.retry = retry or RetryPolicy(retries=2, base_delay=0.02)
         self.breaker: CircuitBreaker = get_breaker(
             f"fabric-worker:{self.worker_id}", threshold=breaker_threshold
         )
         self.stats = WorkerStats(worker_id=self.worker_id)
-        self._contexts: dict[str, _JobContext] = {}
+        #: The bound job's terminal record, once this worker finalized it.
+        self.final = None
+        self._contexts: dict[str, JobContext] = {}
+        if context is not None:
+            self._contexts[context.job_id] = context
+        self._done = False
 
     # -- leasing loop ---------------------------------------------------------
 
@@ -215,55 +244,60 @@ class FabricWorker:
 
         Returns after ``max_chunks`` chunks, after ``idle_exit``
         seconds without winning a lease (``None`` = one idle poll),
-        immediately upon self-quarantine, or — for a worker bound to
-        one ``job_id`` — as soon as every chunk of that job has
-        settled, however long ``idle_exit`` is.
+        immediately upon self-quarantine or a cancel, or — for a worker
+        bound to one ``job_id`` — as soon as that job has settled,
+        however long ``idle_exit`` is.
         """
         idle_since: float | None = None
-        while True:
+        while not self._done:
             if not self.breaker.allow():
                 self.stats.quarantined = True
                 logger.warning("worker %s quarantined: %s", self.worker_id,
                                self.breaker.last_failure_reason)
-                return self.stats
+                break
             if max_chunks is not None and \
                     self.stats.chunks_done + self.stats.chunks_failed >= max_chunks:
-                return self.stats
-            # watchdog assist: requeue leases of dead siblings
-            self._store_call(self.store.expire_chunk_leases)
+                break
             lease = self._store_call(
                 self.store.lease_chunk, self.worker_id, self.lease_seconds,
                 self.job_id,
             )
             if lease is None:
-                if idle_exit is None or self._job_settled():
-                    return self.stats
+                # a bound job that settled needs no idle timer; an
+                # unbound worker serves a queue that can grow
+                if self.job_id is not None and self._store_call(
+                        self.store.chunk_counts, self.job_id).settled:
+                    self._finalize(self._store_call(
+                        self.store.settled_job, self.job_id))
+                    break
+                if idle_exit is None:
+                    break
                 now = time.monotonic()
                 if idle_since is None:
                     idle_since = now
                 elif now - idle_since >= idle_exit:
-                    return self.stats
+                    break
                 time.sleep(self.poll_interval)
                 continue
             idle_since = None
             self._execute_chunk(lease)
+        return self.stats
 
     def _store_call(self, fn, *args):
         """One store round-trip through the seeded retry policy."""
         return self.retry.run(fn, *args, key=self.worker_id)
 
-    def _job_settled(self) -> bool:
-        """True once the bound job has no chunk queued or leased.
+    def _finalize(self, settled) -> None:
+        """Finalize a settled job (the store's snapshot; None: not yet)."""
+        from ..service.pump import finalize_job
 
-        A job without chunk rows may still be planned, and an unbound
-        worker serves a queue that can grow, so neither ever counts as
-        settled: both fall back to the idle timer.
-        """
-        if self.job_id is None:
-            return False
-        return _chunks_settled(
-            self._store_call(self.store.chunk_counts, self.job_id)
-        )
+        if settled is None:
+            return
+        job_id = settled.record.job_id
+        final = finalize_job(self.store, self.cache, settled,
+                             self._contexts.get(job_id))
+        if job_id == self.job_id:
+            self.final = final
 
     # -- one chunk ------------------------------------------------------------
 
@@ -271,8 +305,8 @@ class FabricWorker:
         try:
             context = self._context_for(lease.job_id)
             # lease-clock-skew fault: this worker's heartbeats extend
-            # the lease by almost nothing, so the watchdog's expiry
-            # sweep races every slow point
+            # the lease by almost nothing, so an expiry sweep races
+            # every slow point
             ttl = self.lease_seconds
             skew = poll_fault("fabric.lease")
             if skew is not None:
@@ -282,8 +316,8 @@ class FabricWorker:
                     "heartbeat TTL collapsed to %.3fs",
                     self.worker_id, lease.job_id, lease.chunk_id, ttl,
                 )
-            held = self._run_points(context, lease, ttl)
-            if held:
+            outcomes = self._run_points(context, lease, ttl)
+            if outcomes is not None and len(outcomes) == lease.size:
                 self._flush_cache_barrier(lease)
         except Exception as err:  # noqa: BLE001 - chunk-level capture
             reason = f"{type(err).__name__}: {err}"
@@ -293,18 +327,19 @@ class FabricWorker:
             self.stats.chunks_failed += 1
             self.stats.errors.append(reason)
             self.breaker.record_failure(reason)
-            try:
-                self._store_call(
-                    self.store.fail_chunk, lease.job_id, lease.chunk_id,
-                    self.worker_id, reason, self.max_attempts,
-                )
-            except Exception:  # noqa: BLE001 - lease will expire instead
-                logger.exception("could not report chunk failure")
+            self._give_back(lease, reason)
             return
-        if not held:
+        if outcomes is None:
             # lease lost mid-chunk (counted in _run_points): never ack
             # a chunk someone else may be re-running — the cached
             # points stand and the next owner gets hits
+            return
+        if len(outcomes) < lease.size:
+            # cancelled between points: the chunk goes back unleasable
+            logger.info("worker %s stopped %s/%d on cancel", self.worker_id,
+                        lease.job_id, lease.chunk_id)
+            self._done = True
+            self._give_back(lease, "cancelled")
             return
         if poll_fault("fabric.complete") is not None:
             # lost-ack fault: the completion lands but the worker never
@@ -312,48 +347,69 @@ class FabricWorker:
             # complete_chunk must acknowledge the duplicate
             self._store_call(
                 self.store.complete_chunk, lease.job_id, lease.chunk_id,
-                self.worker_id,
+                self.worker_id, outcomes,
             )
             logger.warning(
                 "worker %s completion ack lost for %s/%d: retrying "
                 "(duplicate completion)",
                 self.worker_id, lease.job_id, lease.chunk_id,
             )
-        completed = self._store_call(
+        completion = self._store_call(
             self.store.complete_chunk, lease.job_id, lease.chunk_id,
-            self.worker_id,
+            self.worker_id, outcomes,
         )
-        if completed:
+        if completion.ok:
             self.stats.chunks_done += 1
             self.breaker.record_success()
         else:
-            # lease expired mid-chunk (slow point, watchdog fired): the
+            # lease expired mid-chunk (slow point, expiry sweep): the
             # points are cached, so whoever re-runs the chunk gets hits
             self.stats.leases_lost += 1
             logger.info("worker %s lost lease on %s/%d after computing it",
                         self.worker_id, lease.job_id, lease.chunk_id)
+        self._finalize(completion.job)
+        if completion.settled and lease.job_id == self.job_id:
+            self._done = True
 
-    def _context_for(self, job_id: str) -> _JobContext:
+    def _give_back(self, lease, reason: str) -> None:
+        """Return a held chunk to the store, then settle its job if due.
+
+        A parked chunk, or a cancel, may have been the job's last open
+        chunk.
+        """
+        try:
+            self._store_call(
+                self.store.fail_chunk, lease.job_id, lease.chunk_id,
+                self.worker_id, reason, self.max_attempts,
+            )
+            self._finalize(self._store_call(self.store.settled_job,
+                                            lease.job_id))
+        except Exception:  # noqa: BLE001 - the lease will expire instead
+            logger.exception("could not give back chunk %s/%d",
+                             lease.job_id, lease.chunk_id)
+
+    def _context_for(self, job_id: str) -> JobContext:
         context = self._contexts.get(job_id)
         if context is None:
             record = self._store_call(self.store.get, job_id)
             if record is None:
                 raise FabricError(f"chunk references unknown job {job_id!r}")
-            context = _JobContext(record)
+            context = JobContext(record)
             self._contexts[job_id] = context
         return context
 
-    def _run_points(self, context: _JobContext, lease,
-                    lease_ttl: float | None = None) -> bool:
-        """Compute/serve the chunk's points; True while the lease held.
+    def _run_points(self, context: JobContext, lease,
+                    lease_ttl: float | None = None) -> list | None:
+        """Compute/serve the chunk's points; their outcome rows.
 
-        A False return means the lease was lost mid-chunk (heartbeat
-        refused, or the heartbeat itself vanished) — the caller must
-        NOT complete the chunk: every point reached is already cached,
-        and whoever re-leases the chunk re-serves them as hits.
+        The list is shorter than the chunk when a cancel stopped the
+        worker between points.  None means the lease was lost
+        mid-chunk (heartbeat refused, or the heartbeat itself
+        vanished) — the caller must NOT complete the chunk: every point
+        reached is already cached, and whoever re-leases the chunk
+        re-serves them as hits.
         """
         from ..analysis.sweep import _cache_parameter
-        from ..service.store import PointOutcome
 
         ttl = self.lease_seconds if lease_ttl is None else lease_ttl
         task, grid = context.task, context.grid
@@ -363,48 +419,55 @@ class FabricWorker:
                 f"{len(grid)}-point grid of job {lease.job_id!r}"
             )
         outcomes = []
+        last_beat = time.monotonic()  # the lease is the first beat
         for index in range(lease.start, lease.stop):
+            if self.cancel is not None and self.cancel.is_set():
+                break
             spec = grid[index]
             key = self.cache.key_for(task, _cache_parameter(spec), None)
             value = self.cache.get(key)
-            cached = value is not self.cache.MISS
-            if cached:
+            if value is not self.cache.MISS:
                 self.stats.points_cached += 1
+                outcomes.append(_point_outcome(index, cached=True))
             else:
-                # solo fused run: bit-identical to the serial reference
-                value = task(spec)
-                self.cache.put(key, value)
-                self.stats.points_computed += 1
-                if poll_fault("fabric.crash") is not None:
-                    # die in the worst window: point cached, chunk not
-                    # completed — resume must serve it as a hit
-                    logger.warning(
-                        "worker %s injected crash after caching point %d",
-                        self.worker_id, index,
-                    )
-                    os._exit(CRASH_EXIT_CODE)
-                if self.points_limit is not None and \
-                        self.stats.points_computed >= self.points_limit:
-                    logger.warning("worker %s crash rehearsal after %d points",
-                                   self.worker_id, self.stats.points_computed)
-                    os._exit(CRASH_EXIT_CODE)
-            outcomes.append(PointOutcome(index=index, ok=True, cached=cached))
+                outcomes.append(self._compute_point(task, spec, key, index))
             beat_lost = poll_fault("fabric.heartbeat") is not None
-            if not beat_lost:
+            if not beat_lost and time.monotonic() - last_beat >= ttl / 3:
                 beat_lost = not self._store_call(
                     self.store.heartbeat_chunk, lease.job_id, lease.chunk_id,
                     self.worker_id, ttl,
                 )
+                last_beat = time.monotonic()
             if beat_lost:
                 # lease lost: stop touching the chunk; cached points stand
                 self.stats.leases_lost += 1
                 logger.info("worker %s lost lease on %s/%d mid-chunk",
                             self.worker_id, lease.job_id, lease.chunk_id)
-                return False
-        self._store_call(
-            self.store.record_outcomes, lease.job_id, outcomes
-        )
-        return True
+                return None
+        return outcomes
+
+    def _compute_point(self, task, spec, key, index: int):
+        """One fresh point, solo — bit-identical to the serial path."""
+        try:
+            value = task(spec)
+        except Exception as err:  # noqa: BLE001 - per-point capture
+            logger.info("worker %s: point %d raised %s", self.worker_id,
+                        index, err)
+            return _point_outcome(index, error=f"{type(err).__name__}: {err}")
+        self.cache.put(key, value)
+        self.stats.points_computed += 1
+        if poll_fault("fabric.crash") is not None:
+            # die in the worst window: point cached, chunk not
+            # completed — resume must serve it as a hit
+            logger.warning("worker %s injected crash after caching point %d",
+                           self.worker_id, index)
+            os._exit(CRASH_EXIT_CODE)
+        if self.points_limit is not None and \
+                self.stats.points_computed >= self.points_limit:
+            logger.warning("worker %s crash rehearsal after %d points",
+                           self.worker_id, self.stats.points_computed)
+            os._exit(CRASH_EXIT_CODE)
+        return _point_outcome(index)
 
     def _flush_cache_barrier(self, lease) -> None:
         """Push write-behind remote-cache entries before completing.
@@ -434,35 +497,29 @@ class FabricWorker:
 def submit_fabric_job(store, base_spec, path: str, values, *,
                       duration: float = 0.01, chunk_size: int = 8,
                       tenant: str = "default"):
-    """Create (or resume) a fabric job + its chunk rows; the record.
+    """Create (or resume) a sweep job; its record.
 
-    Resubmitting an identical grid reuses the existing non-terminal
-    fabric job — its chunk rows, lease states, and cached points — so
-    a crashed coordinator resumes instead of duplicating work.
+    The store plans the chunk rows with the job row.  Resubmitting an
+    identical grid reuses the existing non-terminal job — its chunk
+    rows, lease states, and cached points, as first planned, whatever
+    ``chunk_size`` the resume asks for — so a crashed coordinator
+    resumes instead of duplicating work.
     """
-    from ..analysis import plan_chunks
     from ..service.jobs import JobRecord, JobSpec, JobState, new_job_id
 
     spec = JobSpec(
         base=base_spec.to_dict(), path=path,
         values=tuple(float(v) for v in values), duration=duration,
-        tenant=tenant, fabric=True, chunk_size=int(chunk_size),
+        tenant=tenant, chunk_size=int(chunk_size),
     )
-    record = None
     for candidate in store.find_by_work_hash(spec.work_hash()):
-        if candidate.spec.fabric and not candidate.state.terminal:
-            record = candidate
-            break
-    if record is None:
-        record = JobRecord(
-            job_id=new_job_id(), spec=spec,
-            state=JobState(total=len(spec.values),
-                           submitted_at=time.time()),
-        )
-        store.put(record)
-    store.create_chunks(
-        record.job_id, plan_chunks(len(spec.values), spec.chunk_size)
+        if not candidate.state.terminal:
+            return candidate
+    record = JobRecord(
+        job_id=new_job_id(), spec=spec,
+        state=JobState(total=len(spec.values), submitted_at=time.time()),
     )
+    store.put(record)
     return record
 
 
@@ -505,20 +562,22 @@ def run_fabric_sweep(
 ):
     """Run one spec sweep across leased fabric workers; a SweepResult.
 
-    The ``repro sweep --fabric`` path: submits (or resumes) the fabric
-    job on the store at ``db``, spawns ``workers`` local worker
-    processes sharing the tiered cache at ``cache_dir``, expires stale
-    leases while waiting, and assembles the finished table from the
-    cache.  Bit-exact with the serial path; any point already cached —
-    by a previous run, a killed worker, or the service pump — is never
-    recomputed.
+    The ``repro sweep --fabric`` path: submits (or resumes) the job on
+    the store at ``db``, spawns ``workers`` local worker processes
+    sharing the tiered cache at ``cache_dir``, waits for the chunk
+    table to settle, and builds the table from the finished job's
+    result payload.  Bit-exact with the serial path; any point already
+    cached — by a previous run, a killed worker, or the service pump —
+    is never recomputed.  Raises :class:`~repro.errors.FabricError`
+    when a chunk was parked or a point failed.
 
     ``workers=0`` runs the chunks in-process (no subprocesses), which
     is also the degraded path when a worker cannot be spawned.
     """
     import multiprocessing
 
-    from ..analysis.sweep import _cache_parameter, _collect
+    from ..analysis import SweepResult
+    from ..service.pump import finalize_job
     from ..service.store import open_job_store
 
     store = open_job_store(db)
@@ -528,8 +587,6 @@ def run_fabric_sweep(
         store, base_spec, path, values, duration=duration,
         chunk_size=chunk_size,
     )
-    if record.state.phase == "queued":
-        store.claim(record.job_id)
 
     procs: list = []
     if workers > 0:
@@ -552,52 +609,60 @@ def run_fabric_sweep(
                        max_attempts=max_attempts,
                        wait_timeout=wait_timeout,
                        poll_interval=poll_interval)
-        failed = [c for c in store.chunks(record.job_id)
-                  if c.state == "failed"]
-        if failed:
-            store.update(record.advanced(
-                phase="failed", finished_at=time.time(),
-                error=failed[0].error,
-            ))
-            raise FabricError(
-                f"{len(failed)} chunk(s) failed permanently; first error: "
-                f"{failed[0].error}"
-            )
-        result = _assemble_from_cache(
-            record, cache, _cache_parameter, _collect,
-            parameter_name if parameter_name is not None else path,
-        )
-        finalize_fabric_job(store, cache, record)
+        # the worker that settled the job finalized it; finalize_job is
+        # idempotent, and covers a finalizer that died first
+        final = finalize_job(store, cache, store.settled_job(record.job_id))
     finally:
         # workers leave on their own once the job settles; an idle
-        # sibling still noticing that overlaps the assembly above
+        # sibling still noticing that overlaps the finalization above
         for proc in procs:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
         store.close()
-    return result
+    if final.state.phase == "failed":
+        raise FabricError(
+            f"fabric job {final.job_id} failed permanently: "
+            f"{final.state.error}"
+        )
+    if final.state.phase != "done":
+        raise FabricError(f"fabric job {final.job_id} was cancelled")
+    payload = cache.get(final.result_key)
+    if payload is cache.MISS:  # pragma: no cover - finalize just wrote it
+        raise FabricError(f"result blob of job {final.job_id} is missing")
+    for point in payload["points"]:
+        if not point["ok"]:
+            index = point["index"]
+            raise FabricError(
+                f"point {index} ({path}={payload['parameters'][index]!r}) "
+                f"failed: {point['error']}"
+            )
+    return SweepResult(
+        parameter_name=parameter_name if parameter_name is not None else path,
+        parameters=list(payload["parameters"]),
+        columns={name: list(column)
+                 for name, column in payload["columns"].items()},
+    )
 
 
 def _await_settled(store, cache, job_id: str, procs: list, *,
                    lease_seconds: float, max_attempts: int,
                    wait_timeout: float, poll_interval: float) -> None:
-    """Block until every chunk of ``job_id`` is done or failed.
+    """Block until ``job_id`` has settled (the store's rule).
 
     A spawned worker exits as soon as the job settles, so waiting on
     the workers' exit sentinels wakes the coordinator the moment the
     last one leaves; the ``poll_interval`` timeout still re-reads the
-    chunk table and expires stale leases while they work.  With no
-    live worker (``workers=0``, crashes, OOM) the remaining chunks run
-    in this process rather than hang.
+    chunk table while they work.  With no live worker (``workers=0``,
+    crashes, OOM) the remaining chunks run in this process rather than
+    hang.
     """
     deadline = time.monotonic() + wait_timeout
     while True:
         counts = store.chunk_counts(job_id)
-        if _chunks_settled(counts):
+        if counts.settled:
             return
-        store.expire_chunk_leases()
         live = [p for p in procs if p.is_alive()]
         if not live and _drain_in_process(store, cache, job_id,
                                           lease_seconds, max_attempts):
@@ -629,97 +694,3 @@ def _drain_in_process(store, cache, job_id: str, lease_seconds: float,
     )
     stats = worker.run(idle_exit=None)
     return bool(stats.chunks_done + stats.chunks_failed + stats.leases_lost)
-
-
-def _assemble_from_cache(record, cache, cache_parameter, collect,
-                         parameter_name: str):
-    """The finished SweepResult, read point-by-point from the cache."""
-    from ..analysis import LoopSweepTask, override_grid
-    from ..service.jobs import device_spec_from_dict
-
-    spec = record.spec
-    task = LoopSweepTask(duration=spec.duration)
-    grid = override_grid(
-        device_spec_from_dict(spec.base), spec.path, list(spec.values)
-    )
-    values = []
-    for index, point in enumerate(grid):
-        key = cache.key_for(task, cache_parameter(point), None)
-        value = cache.get(key)
-        if value is cache.MISS:  # pragma: no cover - chunks all done
-            raise FabricError(
-                f"point {index} of job {record.job_id!r} is marked done "
-                "but missing from the cache"
-            )
-        values.append(value)
-    result = collect(grid, values, parameter_name)
-    result.parameters = list(spec.values)
-    return result
-
-
-def finalize_fabric_job(store, cache, record) -> None:
-    """Settle a fabric job whose chunks are all done (idempotent).
-
-    Writes the pump-compatible result blob to the cache under
-    :func:`~repro.service.pump.sweep_result_key` and advances the job
-    to ``done`` — the same terminal shape a pump-executed job gets, so
-    ``repro status|results`` cannot tell the difference.
-    """
-    from ..service.pump import _assemble_result, sweep_result_key
-
-    record = store.get(record.job_id) or record
-    if record.state.terminal:
-        return
-    outcomes = store.outcomes(record.job_id)
-    values_by_index = {}
-    if outcomes:
-        from ..analysis import LoopSweepTask, override_grid
-        from ..analysis.sweep import _cache_parameter
-        from ..service.jobs import device_spec_from_dict
-
-        task = LoopSweepTask(duration=record.spec.duration)
-        grid = override_grid(
-            device_spec_from_dict(record.spec.base), record.spec.path,
-            list(record.spec.values),
-        )
-        for point_outcome in outcomes:
-            key = cache.key_for(
-                task, _cache_parameter(grid[point_outcome.index]), None
-            )
-            value = cache.get(key)
-            if value is not cache.MISS:
-                values_by_index[point_outcome.index] = value
-    finished = [
-        _FinishedPoint(
-            index=o.index, ok=o.ok and o.index in values_by_index,
-            cached=o.cached, retries=o.retries, error=o.error,
-            value=values_by_index.get(o.index),
-        )
-        for o in outcomes
-    ]
-    result_key = sweep_result_key(record.work_hash)
-    if cache.get(result_key) is cache.MISS:
-        cache.put(result_key, _assemble_result(record.spec, finished))
-    from dataclasses import replace
-
-    final = replace(record, result_key=result_key).advanced(
-        phase="done", finished_at=time.time(),
-        total=len(record.spec.values),
-        completed=len(finished),
-        cache_hits=sum(1 for o in finished if o.cached),
-    )
-    store.update(final)
-
-
-class _FinishedPoint:
-    """Outcome-shaped shim feeding the pump's result assembler."""
-
-    __slots__ = ("index", "ok", "cached", "retries", "error", "value")
-
-    def __init__(self, index, ok, cached, retries, error, value) -> None:
-        self.index = index
-        self.ok = ok
-        self.cached = cached
-        self.retries = retries
-        self.error = error
-        self.value = value

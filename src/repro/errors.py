@@ -99,17 +99,6 @@ class WatchdogTimeout(ExecutorError):
     """
 
 
-class TaskCancelled(ExecutorError):
-    """A task was cancelled before (or while) it ran.
-
-    Captured as the task's outcome when a ``cancel`` callback handed to
-    :meth:`repro.engine.BatchExecutor.map` fires mid-batch: tasks not
-    yet dispatched are skipped, in-flight process tasks are terminated
-    with the pool.  Never retried — cancellation is a decision, not a
-    failure.
-    """
-
-
 class ServiceError(ReproError, RuntimeError):
     """The simulation service refused or could not complete a request.
 

@@ -10,8 +10,9 @@ multi-tenant facility:
   behind an abstract interface, versioned schema + migrations).
 * :mod:`repro.service.scheduler` — pure multi-tenant scheduling:
   priorities, per-tenant quotas, dedup holds.
-* :mod:`repro.service.pump` — worker threads claiming jobs and driving
-  them through :func:`repro.analysis.run_sweep_outcomes`.
+* :mod:`repro.service.pump` — worker threads claiming jobs and running
+  their lease chunks in-process, and :func:`finalize_job`, the one
+  place a settled job gets its terminal record.
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   stdlib HTTP front end (``repro serve``) and its urllib client
   (``repro submit|status|results|cancel``).
@@ -39,15 +40,17 @@ from .jobs import (
     device_spec_from_dict,
     new_job_id,
 )
-from .pump import WorkerPump, execute_job, sweep_result_key
+from .pump import WorkerPump, execute_job, finalize_job, sweep_result_key
 from .scheduler import SchedulerPolicy, eligible_jobs, select_next
 from .server import ReproHTTPServer, ReproService, serve
 from .store import (
     CHUNK_STATES,
     SCHEMA_VERSION,
+    ChunkCompletion,
     ChunkRow,
     JobStore,
     PointOutcome,
+    SettledJob,
     SQLiteJobStore,
     open_job_store,
 )
@@ -61,6 +64,7 @@ from .transport import (
 __all__ = [
     "CHUNK_STATES",
     "ChaosReport",
+    "ChunkCompletion",
     "ChunkRow",
     "JOB_PHASES",
     "JOB_TERMINAL_PHASES",
@@ -76,11 +80,13 @@ __all__ = [
     "SQLiteJobStore",
     "SchedulerPolicy",
     "ServiceClient",
+    "SettledJob",
     "TransportCounters",
     "WorkerPump",
     "device_spec_from_dict",
     "eligible_jobs",
     "execute_job",
+    "finalize_job",
     "health_snapshot",
     "new_job_id",
     "open_job_store",

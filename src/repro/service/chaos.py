@@ -1,8 +1,10 @@
 """Kill-anything-anytime chaos harness for the distributed fabric.
 
 The capstone of the fault-injection PRs: every schedule here boots a
-**real** ``repro serve`` subprocess on an ephemeral port, runs real
-``repro worker`` subprocesses against it over HTTP, and injures the
+**real** ``repro serve --pump-workers 0`` subprocess on an ephemeral
+port — a coordinator that runs no job itself — submits a plain job,
+runs real ``repro worker`` subprocesses against it over HTTP, and
+injures the
 run with a seeded :class:`~repro.engine.resilience.FaultPlan` shipped
 to the victim process through the :data:`~repro.engine.resilience.FAULT_PLAN_ENV`
 environment variable (or, for the ``kill`` schedule, with a literal
@@ -135,6 +137,7 @@ class _Scenario:
     def start_server(self, plan: FaultPlan | None = None) -> None:
         self.server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--pump-workers", "0",
              "--db", str(self.dir / "jobs.sqlite"),
              "--cache-dir", str(self.dir / "server-cache")],
             env=self._env(plan), stdout=subprocess.PIPE,
@@ -156,8 +159,7 @@ class _Scenario:
         record = self.client.submit(JobSpec(
             base=REFERENCE_RESONANT_SENSOR.to_dict(), path=PATH,
             values=tuple(self.values), duration=self.duration,
-            tenant=f"chaos-{self.name}", fabric=True,
-            chunk_size=self.chunk_size,
+            tenant=f"chaos-{self.name}", chunk_size=self.chunk_size,
         ))
         self.job_id = record["job_id"]
         return self.job_id

@@ -304,11 +304,13 @@ class ServiceClient:
             "worker_id": worker_id, "lease_seconds": lease_seconds,
         })["ok"])
 
-    def fabric_complete(self, job_id: str, chunk_id: int,
-                        worker_id: str) -> bool:
-        return bool(self._request("POST", "/v1/fabric/complete", {
+    def fabric_complete(self, job_id: str, chunk_id: int, worker_id: str,
+                        outcomes=()) -> dict[str, Any]:
+        """Complete a chunk with its outcome rows; ``{"ok", "settled"}``."""
+        return self._request("POST", "/v1/fabric/complete", {
             "job_id": job_id, "chunk_id": chunk_id, "worker_id": worker_id,
-        })["ok"])
+            "outcomes": list(outcomes),
+        })
 
     def fabric_fail(self, job_id: str, chunk_id: int, worker_id: str,
                     error: str, max_attempts: int = 3) -> str | None:
@@ -316,12 +318,6 @@ class ServiceClient:
             "job_id": job_id, "chunk_id": chunk_id, "worker_id": worker_id,
             "error": error, "max_attempts": max_attempts,
         })["state"]
-
-    def fabric_outcomes(self, job_id: str,
-                        outcomes: list[dict]) -> dict[str, Any]:
-        return self._request("POST", "/v1/fabric/outcomes", {
-            "job_id": job_id, "outcomes": outcomes,
-        })
 
     def fabric_chunks(self, job_id: str) -> dict[str, Any]:
         return self._request("GET", f"/v1/fabric/chunks/{job_id}")
@@ -346,9 +342,10 @@ class RemoteFabricStore:
     (:class:`repro.engine.HTTPRemoteStore`), and the server's store
     stays the single source of truth.
 
-    Lease expiry is the server's duty (every ``/v1/fabric/lease`` call
-    sweeps stale leases first), so :meth:`expire_chunk_leases` is a
-    deliberate no-op here.
+    Lease expiry and settling jobs are the server's duty: a lease call
+    that finds nothing queued expires stale leases first, and the
+    completion (or parked failure) that settles a job finalizes it
+    server-side — so :meth:`settled_job` is always None here.
 
     Retries stack deliberately: the wrapped :class:`ServiceClient`
     absorbs *transport* faults (refused connections, 5xx, truncated
@@ -374,8 +371,8 @@ class RemoteFabricStore:
         except JobError:
             return None
 
-    def expire_chunk_leases(self, now: float | None = None) -> int:
-        return 0
+    def settled_job(self, job_id: str) -> None:
+        return None
 
     def lease_chunk(self, worker_id: str, lease_seconds: float,
                     job_id: str | None = None):
@@ -387,22 +384,24 @@ class RemoteFabricStore:
         return self.client.fabric_heartbeat(job_id, chunk_id, worker_id,
                                             lease_seconds)
 
-    def complete_chunk(self, job_id: str, chunk_id: int,
-                       worker_id: str) -> bool:
-        return self.client.fabric_complete(job_id, chunk_id, worker_id)
+    def complete_chunk(self, job_id: str, chunk_id: int, worker_id: str,
+                       outcomes=()):
+        from .store import ChunkCompletion
+
+        reply = self.client.fabric_complete(
+            job_id, chunk_id, worker_id, [o.to_dict() for o in outcomes])
+        return ChunkCompletion(reply["ok"], reply["settled"])
 
     def fail_chunk(self, job_id: str, chunk_id: int, worker_id: str,
                    error: str, max_attempts: int = 3) -> str | None:
         return self.client.fabric_fail(job_id, chunk_id, worker_id, error,
                                        max_attempts)
 
-    def record_outcomes(self, job_id: str, outcomes) -> None:
-        self.client.fabric_outcomes(
-            job_id, [o.to_dict() for o in outcomes]
-        )
+    def chunk_counts(self, job_id: str):
+        from .store import ChunkCounts
 
-    def chunk_counts(self, job_id: str) -> dict[str, int]:
-        return self.client.fabric_chunks(job_id)["counts"]
+        reply = self.client.fabric_chunks(job_id)
+        return ChunkCounts(reply["counts"], reply["settled"])
 
     def chunks(self, job_id: str):
         return [self._chunk_row.from_dict(c)

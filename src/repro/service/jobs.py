@@ -5,9 +5,11 @@ validation with dotted field paths, exact ``to_dict``/``from_dict``/JSON
 round-trips — for the unit of work the simulation service schedules:
 
 * :class:`JobSpec` — a declarative sweep request: a device spec (its
-  ``to_dict`` form), one dotted override path, the values to sweep, and
-  scheduling metadata (tenant, priority) plus execution knobs that do
-  not change results (executor backend, workers, retries, timeout).
+  ``to_dict`` form), one dotted override path, the values to sweep,
+  scheduling metadata (tenant, priority) and the lease-chunk size the
+  grid is split into.  Every job runs the same way: as leased chunks
+  (:mod:`repro.engine.fabric`), on the pump's thread or on ``repro
+  worker`` nodes.
 * :class:`JobState` — one immutable snapshot of a job's lifecycle:
   phase, per-point progress counters, timestamps, error text.
 * :class:`JobRecord` — the durable row: id, spec, state, idempotency
@@ -17,10 +19,10 @@ round-trips — for the unit of work the simulation service schedules:
 The idempotency key (:meth:`JobSpec.work_hash`) hashes only the fields
 that determine the *answer* — device spec dict, sweep path, values,
 loop duration — through the same :func:`repro.engine.stable_hash` that
-keys the result cache.  Tenant, priority, and executor knobs are
+keys the result cache.  Tenant, priority, and the chunk size are
 excluded on purpose: two tenants submitting the same grid share one
 computation (the cross-tenant dedup contract), and a sweep gives
-bit-identical results at any worker count.
+bit-identical results however its grid is chunked.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ __all__ = [
     "new_job_id",
 ]
 
-#: Lifecycle phases, in nominal order.  ``queued -> running`` happens at
-#: claim time (atomically, in the store); ``running`` ends in exactly one
-#: of the terminal phases.
+#: Lifecycle phases, in nominal order.  ``queued -> running`` happens
+#: atomically in the store, when the pump claims the job or a worker
+#: leases its first chunk; ``running`` ends in exactly one of the
+#: terminal phases.
 JOB_PHASES = ("queued", "running", "done", "failed", "cancelled")
 #: Phases a job never leaves.
 JOB_TERMINAL_PHASES = ("done", "failed", "cancelled")
@@ -111,17 +114,10 @@ class JobSpec:
     tenant / priority:
         Scheduling metadata: quota bucket and urgency (higher runs
         first).  Not part of :meth:`work_hash`.
-    backend / workers / retries / timeout:
-        Executor knobs forwarded to
-        :func:`repro.analysis.run_sweep_outcomes`; results are
-        backend-independent (the engine's bit-exactness contract), so
-        none of these enter :meth:`work_hash` either.
-    fabric / chunk_size:
-        Distribution knobs: ``fabric=True`` splits the grid into
-        ``chunk_size``-point lease chunks executed by ``repro worker``
-        nodes instead of the in-process pump.  Pure executor knobs —
-        the fabric keeps bit-exactness, so neither enters
-        :meth:`work_hash`.
+    chunk_size:
+        Grid points per lease chunk.  The store plans the chunk rows
+        when it writes the job row, once.  Chunking never changes a
+        result, so it does not enter :meth:`work_hash` either.
     """
 
     base: Mapping[str, Any]
@@ -130,16 +126,9 @@ class JobSpec:
     duration: float = 0.01
     tenant: str = "default"
     priority: int = 0
-    backend: str = "kernel-batch"
-    workers: int | None = None
-    retries: int | None = None
-    timeout: float | None = None
-    fabric: bool = False
     chunk_size: int = 8
 
     def __post_init__(self) -> None:
-        from ..engine.executor import BACKENDS
-
         if not isinstance(self.base, Mapping) or "$spec" not in self.base:
             _fail("base", "expected a device spec dict with a '$spec' key")
         # normalize to hashable, JSON-stable forms
@@ -163,23 +152,6 @@ class JobSpec:
             _fail("tenant", "expected a non-empty tenant name")
         if not isinstance(self.priority, int) or isinstance(self.priority, bool):
             _fail("priority", f"expected an int, got {self.priority!r}")
-        if self.backend not in BACKENDS:
-            _fail("backend", f"unknown backend {self.backend!r}; "
-                             f"pick one of {BACKENDS}")
-        if self.workers is not None and (
-            not isinstance(self.workers, int) or self.workers < 0
-        ):
-            _fail("workers", f"must be >= 0, got {self.workers!r}")
-        if self.retries is not None and (
-            not isinstance(self.retries, int) or self.retries < 0
-        ):
-            _fail("retries", f"must be >= 0, got {self.retries!r}")
-        if self.timeout is not None and not (
-            isinstance(self.timeout, (int, float)) and self.timeout > 0
-        ):
-            _fail("timeout", f"must be > 0, got {self.timeout!r}")
-        if not isinstance(self.fabric, bool):
-            _fail("fabric", f"expected a bool, got {self.fabric!r}")
         if not isinstance(self.chunk_size, int) \
                 or isinstance(self.chunk_size, bool) or self.chunk_size < 1:
             _fail("chunk_size", f"must be an int >= 1, got {self.chunk_size!r}")
@@ -192,8 +164,8 @@ class JobSpec:
         Hashes (device dict, path, values, duration) through
         :func:`repro.engine.stable_hash` — the same primitive under
         ``spec_hash`` and the result cache — and deliberately excludes
-        tenant, priority, and executor knobs, so identical grids from
-        different tenants (or at different worker counts) share one key.
+        tenant, priority, and the chunk size, so identical grids from
+        different tenants (or chunked differently) share one key.
         """
         from ..engine.cache import stable_hash
 
@@ -213,11 +185,6 @@ class JobSpec:
             "duration": self.duration,
             "tenant": self.tenant,
             "priority": self.priority,
-            "backend": self.backend,
-            "workers": self.workers,
-            "retries": self.retries,
-            "timeout": self.timeout,
-            "fabric": self.fabric,
             "chunk_size": self.chunk_size,
         }
 

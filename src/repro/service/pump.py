@@ -1,24 +1,32 @@
-"""The worker pump: claims queued jobs and drives them to a terminal phase.
+"""The worker pump, and the one finalizer every job settles through.
 
 The glue between the durable :class:`~repro.service.store.JobStore`
 and the execution stack.  Each iteration of a pump worker thread reads
 one snapshot of the live (queued and running) jobs — finished rows are
-never read — shares it between the fabric tick and the scheduler
-(:func:`~repro.service.scheduler.select_next`), wins the best claimable
-job with the store's atomic claim, and executes the sweep through
-:func:`repro.analysis.run_sweep_outcomes` — the same cache-first,
-batched-kernel path the CLI uses.  Each settled group of points (the
-cache hits, then each executor round) lands in the store as one
-transaction of outcome rows plus live progress, so a status poll
-mid-job shows progress and a crash loses at most the points not yet
-cached.
+never read — lets the scheduler
+(:func:`~repro.service.scheduler.select_next`) pick from it, wins the
+best claimable job with the store's atomic claim, and runs it with
+:func:`execute_job`: an in-process
+:class:`~repro.engine.fabric.FabricWorker` bound to the job leases its
+chunks from the same table ``repro worker`` nodes lease from, and
+computes each point solo through the cache.  Each chunk lands in the
+store as one transaction of outcome rows plus the job's progress, so a
+status poll mid-job shows progress and a crash loses at most the points
+not yet cached.  A thread with nothing to claim joins a running job a
+worker node started, so the job finishes should the node die.
+
+:func:`finalize_job` turns a job whose chunks have all settled into its
+terminal record — whichever node completed the last chunk: this pump's
+thread, a spawned worker process, or, through the HTTP handlers, a
+remote node.  It is idempotent.
 
 The pump is push-driven at both ends: an idle worker sleeps on a wake
 event that a submit, a cancel or :meth:`WorkerPump.stop` sets (the
 ``poll_interval`` timeout only bounds how stale its view of other
-processes' writes can get), and every job it settles — executed, or a
-fabric job finalized or failed by the tick — is announced on
-:attr:`WorkerPump.settled`, where the HTTP long-poll waits.
+processes' writes can get), and every job it runs is announced on
+:attr:`WorkerPump.settled`, where the HTTP long-poll waits.  A pump
+with zero workers runs no thread: jobs then run only on ``repro worker
+--url`` nodes, and the server's chunk handlers announce the settles.
 
 Result blobs are written through the checksummed
 :class:`~repro.engine.ResultCache` under a key derived from the job's
@@ -30,19 +38,27 @@ completes with zero recomputes.
 from __future__ import annotations
 
 import logging
+import math
+import os
+import socket
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Any, Iterator
 
-from ..errors import TaskCancelled, WatchdogTimeout
 from .health import resilience_snapshot
 from .jobs import JobRecord
 from .scheduler import SchedulerPolicy, select_next
-from .store import JobStore, PointOutcome
+from .store import JobStore, SettledJob
 
-__all__ = ["SettleBoard", "WorkerPump", "execute_job", "sweep_result_key"]
+__all__ = [
+    "SettleBoard",
+    "WorkerPump",
+    "execute_job",
+    "finalize_job",
+    "sweep_result_key",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -59,66 +75,45 @@ def sweep_result_key(work_hash: str) -> str:
     return stable_hash("repro-job-result", work_hash)
 
 
-def _point_health(outcome) -> dict[str, Any]:
-    """PR-5 channel-health verdict for one settled grid point."""
-    from ..core.health import STATUS_FAILED, STATUS_OK, ChannelHealth
-
-    if outcome.ok:
-        health = ChannelHealth(channel=outcome.index, status=STATUS_OK,
-                               retries=outcome.retries)
-    else:
-        if isinstance(outcome.error, WatchdogTimeout):
-            reason = "timeout"
-        elif isinstance(outcome.error, TaskCancelled):
-            reason = "cancelled"
-        else:
-            reason = "task-error"
-        health = ChannelHealth(
-            channel=outcome.index, status=STATUS_FAILED, reason=reason,
-            detail=str(outcome.error), retries=outcome.retries,
-        )
-    return {
-        "channel": health.channel,
-        "status": health.status,
-        "reason": health.reason,
-        "detail": health.detail,
-        "retries": health.retries,
-    }
-
-
-def _assemble_result(spec, outcomes) -> dict[str, Any]:
+def _assemble_result(record: JobRecord, outcomes, values) -> dict[str, Any]:
     """The job's result payload: a JSON-ready sweep table + point verdicts.
 
+    ``values`` maps grid index to the cached value of each ok point.
     Failed points hold ``None`` in every column (the NaN-poisoning
     idea from array assays: a sick point can never be mistaken for a
     measurement), and the per-point section says why.
     """
+    spec = record.spec
+    by_index = {o.index: o for o in outcomes}
+    points = []
+    for index in range(len(spec.values)):
+        outcome = by_index.get(index)
+        ok = index in values
+        if outcome is None:
+            error = "no outcome recorded"
+        elif outcome.ok and not ok:
+            error = "value missing from the cache"
+        else:
+            error = outcome.error
+        points.append({
+            "index": index,
+            "ok": ok,
+            "cached": outcome is not None and outcome.cached,
+            "retries": outcome.retries if outcome is not None else 0,
+            "error": "" if ok else error,
+        })
     columns: dict[str, list] = {}
-    names: list[str] | None = None
-    for outcome in outcomes:
-        if outcome.ok:
-            names = list(outcome.value)
-            break
-    if names is not None:
-        for name in names:
+    if values:
+        for name in values[min(values)]:
             columns[name] = [
-                (None if not o.ok else _json_number(o.value[name]))
-                for o in outcomes
+                _json_number(values[i][name]) if i in values else None
+                for i in range(len(spec.values))
             ]
     return {
         "parameter_name": spec.path,
         "parameters": list(spec.values),
         "columns": columns,
-        "points": [
-            {
-                "index": o.index,
-                "ok": o.ok,
-                "cached": o.cached,
-                "retries": o.retries,
-                "error": "" if o.ok else str(o.error),
-            }
-            for o in outcomes
-        ],
+        "points": points,
     }
 
 
@@ -134,105 +129,124 @@ def _json_number(value):
     return value
 
 
+def finalize_job(store: JobStore, cache, settled: SettledJob | None,
+                 context=None) -> JobRecord | None:
+    """Turn a settled job into its terminal record; returns that record.
+
+    None (a job not settled yet) finalizes nothing and returns None.
+    Idempotent: a record already terminal is returned untouched.
+    Otherwise the job ends ``cancelled`` if a cancel was requested,
+    ``failed`` with the first parked chunk's error if a chunk was
+    parked, and ``done`` otherwise — its result payload written once
+    under :func:`sweep_result_key` before the record says so.  The
+    record carries the engine's resilience snapshot.  The write is a
+    compare-and-swap (:meth:`~repro.service.store.JobStore.finish`): of
+    racing finalizers the first wins.  ``context`` is the job's
+    :class:`~repro.engine.fabric.JobContext`, when the caller already
+    built it.
+    """
+    if settled is None:
+        return None
+    record = settled.record
+    if record.state.terminal:
+        return record
+    now = time.time()
+    if record.state.cancel_requested:
+        final = record.advanced(phase="cancelled", finished_at=now)
+    elif settled.error:
+        final = record.advanced(phase="failed", error=settled.error,
+                                finished_at=now)
+    else:
+        result_key = sweep_result_key(record.work_hash)
+        if cache.get(result_key) is cache.MISS:
+            cache.put(result_key, _assemble_result(
+                record, settled.outcomes,
+                _point_values(cache, settled, context),
+            ))
+        final = replace(record, result_key=result_key).advanced(
+            phase="done", finished_at=now)
+    return store.finish(_with_resilience(final))
+
+
+def _point_values(cache, settled: SettledJob, context=None) -> dict:
+    """The cached value of every ok point of a settled job, by index."""
+    from ..analysis.sweep import _cache_parameter
+    from ..engine.fabric import JobContext
+
+    if context is None:
+        context = JobContext(settled.record)
+    values = {}
+    for outcome in settled.outcomes:
+        if not outcome.ok:
+            continue
+        key = cache.key_for(
+            context.task, _cache_parameter(context.grid[outcome.index]), None
+        )
+        value = cache.get(key)
+        if value is not cache.MISS:
+            values[outcome.index] = value
+    return values
+
+
+def _pump_worker_id() -> str:
+    """This pump thread's worker identity, the same for every job."""
+    return (f"pump-{socket.gethostname()}-{os.getpid()}-"
+            f"{threading.current_thread().name}")
+
+
 def execute_job(
     record: JobRecord,
     store: JobStore,
     cache,
     cancel_event: threading.Event | None = None,
 ) -> JobRecord:
-    """Run one claimed job to a terminal phase; returns the final record.
+    """Run one claimed job to a terminal phase; returns its record.
 
-    The record must already be in phase ``running`` (claimed).  Every
-    grid point settles as a persisted
-    :class:`~repro.service.store.PointOutcome`, one store transaction
-    per settled group (outcome rows plus progress); the finished table goes
-    through the result cache; the final state carries progress
-    counters, the engine resilience snapshot, and — on unexpected
-    infrastructure errors — the captured exception text under phase
-    ``failed``.  Per-point task errors are *not* job failures: the
-    per-task error-capture ethos of the executor carries through, and
-    a job with sick points finishes ``done`` with its casualties
-    flagged.
+    Builds the job's grid once — a build error fails the job at once,
+    with its error text — then runs a
+    :class:`~repro.engine.fabric.FabricWorker` bound to the job on this
+    thread: it leases the job's chunks, computes each point through the
+    cache, and completes each chunk with its outcome rows.  The
+    completion that settles the job finalizes it (:func:`finalize_job`).
+    Per-point task errors are *not* job failures: a job with sick
+    points finishes ``done`` with its casualties flagged.
+    ``cancel_event`` stops the worker between points.  The thread's
+    circuit breaker is reset first, so it caps one job's chunk failures
+    and never carries a quarantine into the next job.  A job that other
+    nodes still hold chunks of when this thread is done with it is
+    settled by their completions instead; its current record is
+    returned then.
     """
-    from ..analysis import LoopSweepTask, override_grid, run_sweep_outcomes
-    from .jobs import device_spec_from_dict
-
-    spec = record.spec
-    state_lock = threading.Lock()
-    counters = {"completed": 0, "failed": 0, "cache_hits": 0, "retries": 0}
-
-    def on_settled(group) -> None:
-        rows = [
-            PointOutcome(
-                index=outcome.index, ok=outcome.ok, cached=outcome.cached,
-                retries=outcome.retries,
-                error="" if outcome.ok else str(outcome.error),
-                health=_point_health(outcome),
-            )
-            for outcome in group
-        ]
-        with state_lock:
-            for outcome in group:
-                counters["completed"] += 1
-                counters["retries"] += outcome.retries
-                if outcome.cached:
-                    counters["cache_hits"] += 1
-                if not outcome.ok:
-                    counters["failed"] += 1
-            live = record.advanced(
-                total=len(spec.values), **counters
-            )
-        store.record_outcomes(record.job_id, rows, record=live)
-
-    def cancelled() -> bool:
-        return cancel_event is not None and cancel_event.is_set()
+    from ..engine.fabric import FabricWorker, JobContext
 
     try:
-        base = device_spec_from_dict(spec.base)
-        grid = override_grid(base, spec.path, list(spec.values))
-        task = LoopSweepTask(duration=spec.duration)
-        outcomes = run_sweep_outcomes(
-            grid,
-            task,
-            workers=spec.workers,
-            backend=spec.backend,
-            cache=cache,
-            timeout=spec.timeout,
-            retry=spec.retries,
-            progress=on_settled,
-            cancel=cancelled if cancel_event is not None else None,
-        )
+        context = JobContext(record)
     except Exception as err:  # noqa: BLE001 - a job must always settle
         logger.exception("job %s failed", record.job_id)
-        final = record.advanced(
-            phase="failed", error=f"{type(err).__name__}: {err}",
-            finished_at=time.time(), total=len(spec.values), **counters,
-        )
-        final = _with_resilience(final)
-        store.update(final)
-        return final
+        return _fail(store, record, f"{type(err).__name__}: {err}")
+    worker = FabricWorker(store, cache, worker_id=_pump_worker_id(),
+                          context=context, cancel=cancel_event)
+    worker.breaker.reset()
+    error = None
+    try:
+        if worker.run(idle_exit=math.inf).quarantined:
+            error = (f"pump worker quarantined: "
+                     f"{worker.breaker.last_failure_reason}")
+    except Exception as err:  # noqa: BLE001 - a job must always settle
+        logger.exception("job %s failed", record.job_id)
+        error = f"{type(err).__name__}: {err}"
+    if worker.final is not None:
+        return worker.final
+    current = store.get(record.job_id) or record
+    if error is not None and not current.state.terminal:
+        return _fail(store, current, error)
+    return current
 
-    was_cancelled = any(
-        isinstance(o.error, TaskCancelled) for o in outcomes if not o.ok
-    )
 
-    result_key = sweep_result_key(record.work_hash)
-    final = record
-    if not was_cancelled:
-        # idempotent result write: dedup followers find the blob cached
-        if cache.get(result_key) is cache.MISS:
-            cache.put(result_key, _assemble_result(spec, outcomes))
-        final = replace(record, result_key=result_key)
-
-    final = final.advanced(
-        phase="cancelled" if was_cancelled else "done",
-        finished_at=time.time(),
-        total=len(spec.values),
-        **counters,
-    )
-    final = _with_resilience(final)
-    store.update(final)
-    return final
+def _fail(store: JobStore, record: JobRecord, error: str) -> JobRecord:
+    """Settle a job ``failed`` with ``error``, unless it already ended."""
+    return store.finish(_with_resilience(record.advanced(
+        phase="failed", error=error, finished_at=time.time())))
 
 
 def _with_resilience(record: JobRecord) -> JobRecord:
@@ -307,9 +321,11 @@ class WorkerPump:
     policy:
         Scheduler fairness knobs (tenant quotas).
     workers:
-        Pump worker *threads* (job-level concurrency).  Each job's
-        internal parallelism is the executor's business; the default of
-        1 keeps a small box from multiplying parallelism.
+        Pump worker *threads* (job-level concurrency).  Each runs one
+        job at a time, point by point, until the job settles; the
+        default of 1 keeps a small box from multiplying parallelism.
+        0 runs no thread: jobs then run only on ``repro worker --url``
+        nodes.
     poll_interval:
         Longest idle wait [s] before a worker re-reads the store.  An
         in-process submit or cancel wakes it at once (:meth:`wake`);
@@ -328,7 +344,7 @@ class WorkerPump:
         self.store = store
         self.cache = cache
         self.policy = policy or SchedulerPolicy()
-        self.workers = max(1, int(workers))
+        self.workers = max(0, int(workers))
         self.poll_interval = poll_interval
         #: Where long-polls wait for the jobs this pump settles.
         self.settled = SettleBoard()
@@ -337,11 +353,6 @@ class WorkerPump:
         self._threads: list[threading.Thread] = []
         self._cancel_events: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
-        # coordinator-duty counters, surfaced in /healthz ("fabric")
-        self.fabric_stats: dict[str, int] = {
-            "ticks": 0, "leases_expired": 0,
-            "jobs_finalized": 0, "jobs_failed": 0,
-        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -399,23 +410,15 @@ class WorkerPump:
             # cleared before the snapshot: a submit landing after this
             # line sets the event again and the wait below falls through
             self._wake.clear()
-            live = {
-                r.job_id: r
-                for r in self.store.list_jobs(phase=("queued", "running"))
-            }
-            try:
-                self._fabric_tick(live)
-            except Exception:  # pragma: no cover - tick must never kill pump
-                logger.exception("fabric tick failed")
-            record = self._claim_next(live)
+            live = self.store.list_jobs(phase=("queued", "running"))
+            record = self._claim_next(live) or self._adopt(live)
             if record is None:
                 self._wake.wait(self.poll_interval)
                 continue
-            event = threading.Event()
+            with self._lock:
+                event = self._cancel_events[record.job_id]
             if record.state.cancel_requested:
                 event.set()
-            with self._lock:
-                self._cancel_events[record.job_id] = event
             try:
                 execute_job(record, self.store, self.cache, event)
             except Exception:  # pragma: no cover - execute_job settles jobs
@@ -426,61 +429,7 @@ class WorkerPump:
                     self._cancel_events.pop(record.job_id, None)
                 self.settled.notify(record.job_id)
 
-    def _fabric_tick(self, live: dict[str, JobRecord]) -> None:
-        """Watchdog + finalizer duty for chunk-leased fabric jobs.
-
-        Fabric jobs are executed by leased :class:`~repro.engine.fabric`
-        workers, not by this pump — but the pump is the always-on
-        process, so it plays coordinator: expire stale chunk leases
-        (dead worker ⇒ chunks requeue), move a queued fabric job to
-        ``running`` once workers may lease it, and settle the job when
-        every chunk is done (assemble the result blob from the cache)
-        or permanently failed.  Only live fabric jobs have leases worth
-        expiring, so a tick without one touches no store row.
-
-        ``live`` is the iteration's snapshot; the tick keeps it current
-        (a claimed job is replaced, a settled one dropped) for the
-        scheduler that reads it next.
-        """
-        from ..engine.fabric import finalize_fabric_job
-
-        self.fabric_stats["ticks"] += 1
-        fabric = [r for r in live.values() if r.spec.fabric]
-        if not fabric:
-            return
-        expired = self.store.expire_chunk_leases()
-        if expired:
-            self.fabric_stats["leases_expired"] += expired
-            logger.info("fabric tick requeued %d expired chunk lease(s)",
-                        expired)
-        for record in fabric:
-            counts = self.store.chunk_counts(record.job_id)
-            total = sum(counts.values())
-            if not total:
-                continue
-            if record.state.phase == "queued":
-                claimed = self.store.claim(record.job_id)
-                if claimed is None:
-                    continue
-                record = live[record.job_id] = claimed
-            if counts.get("done", 0) == total:
-                finalize_fabric_job(self.store, self.cache, record)
-                self.fabric_stats["jobs_finalized"] += 1
-            elif counts.get("failed", 0) and \
-                    counts.get("done", 0) + counts["failed"] == total:
-                first = next(c for c in self.store.chunks(record.job_id)
-                             if c.state == "failed")
-                self.store.update(record.advanced(
-                    phase="failed", finished_at=time.time(),
-                    error=first.error,
-                ))
-                self.fabric_stats["jobs_failed"] += 1
-            else:
-                continue
-            del live[record.job_id]
-            self.settled.notify(record.job_id)
-
-    def _claim_next(self, live: dict[str, JobRecord]) -> JobRecord | None:
+    def _claim_next(self, live: list[JobRecord]) -> JobRecord | None:
         """Claim the scheduler's pick from the live snapshot, if any.
 
         A dedup follower whose primary is outside the snapshot is
@@ -489,18 +438,48 @@ class WorkerPump:
         never leaves a terminal phase — so that primary is terminal,
         which is what the scheduler assumes of an unlisted primary.
         """
-        queued = [r for r in live.values()
-                  if r.state.phase == "queued" and not r.spec.fabric]
+        queued = [r for r in live if r.state.phase == "queued"]
         if not queued:
             return None
-        running = [r for r in live.values() if r.state.phase == "running"]
+        running = [r for r in live if r.state.phase == "running"]
         # walk the eligible ranking until a CAS claim wins (another
-        # worker may take the front-runner between snapshot and claim)
+        # worker may take the front-runner between snapshot and claim,
+        # or a sibling thread adopt it right after)
         while True:
             best = select_next(queued, running, self.policy)
             if best is None:
                 return None
             claimed = self.store.claim(best.job_id)
-            if claimed is not None:
+            if claimed is not None and self._enter(best.job_id):
                 return claimed
             queued = [r for r in queued if r.job_id != best.job_id]
+
+    def _adopt(self, live: list[JobRecord]) -> JobRecord | None:
+        """A running job none of this pump's threads executes that has a
+        chunk to lease now (queued, or under a lapsed lease) or no lease
+        at all, if any: a node's first lease moves a job past the
+        scheduler, and should the node die nothing else would finish it.
+        """
+        now = time.time()
+        for record in live:
+            if record.state.phase != "running" or \
+                    self.executing(record.job_id):
+                continue
+            chunks = self.store.chunks(record.job_id)
+            leases = [c.lease_expires_at for c in chunks
+                      if c.state == "leased"]
+            if (not leases or min(leases) < now or (
+                    not record.state.cancel_requested
+                    and any(c.state == "queued" for c in chunks))) \
+                    and self._enter(record.job_id):
+                return record
+        return None
+
+    def _enter(self, job_id: str) -> bool:
+        """Mark ``job_id`` executed by the calling thread; False if taken."""
+        with self._lock:
+            if job_id in self._cancel_events:
+                return False
+            self._cancel_events[job_id] = threading.Event()
+            return True
+

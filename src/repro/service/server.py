@@ -1,14 +1,17 @@
 """Async HTTP front end: submit sweeps, poll status, fetch results.
 
 Stdlib only — a :class:`http.server.ThreadingHTTPServer` (one thread
-per connection) in front of a :class:`ReproService` facade, with the
-:class:`~repro.service.pump.WorkerPump` doing the actual computing in
-the background.  Submission is asynchronous by construction: ``POST
-/v1/jobs`` returns as soon as the job row is durable (and wakes the
-pump), and clients long-poll ``GET /v1/jobs/<id>?wait=S`` until the
-job reaches a terminal phase: the server holds the request until the
-job settles, ``S`` seconds pass, the request's deadline passes or the
-service stops, and only then answers.
+per connection) in front of a :class:`ReproService` facade.  Every job
+runs as leased chunks: the :class:`~repro.service.pump.WorkerPump`'s
+threads lease them in the background, and so may ``repro worker
+--url`` nodes through the ``/v1/fabric`` endpoints — with
+``pump_workers=0`` only they do.  Submission is asynchronous by
+construction: ``POST /v1/jobs`` returns as soon as the job row and its
+chunk rows are durable (and wakes the pump), and clients long-poll
+``GET /v1/jobs/<id>?wait=S`` until the job reaches a terminal phase:
+the server holds the request until the job settles, ``S`` seconds
+pass, the request's deadline passes or the service stops, and only
+then answers.
 
 Endpoints (all JSON; errors are ``{"error": "..."}`` with a 4xx/5xx
 status):
@@ -31,11 +34,15 @@ status):
                                              row per line)
 ``POST /v1/jobs/<id>/cancel``                request cancellation (also
 ``DELETE /v1/jobs/<id>``                     honored for queued jobs)
-``POST /v1/fabric/lease``                    lease one sweep chunk for a
+``POST /v1/fabric/lease``                    lease one chunk of any job for a
                                              ``repro worker`` node
-``POST /v1/fabric/heartbeat|complete|fail``  chunk lease lifecycle
-``POST /v1/fabric/outcomes``                 bulk per-point outcome upsert
-``GET  /v1/fabric/chunks/<id>``              chunk table + counts of a job
+``POST /v1/fabric/heartbeat|complete|fail``  chunk lease lifecycle (a
+                                             completion carries its
+                                             points' outcome rows; the
+                                             one that settles a job
+                                             finalizes it)
+``GET  /v1/fabric/chunks/<id>``              chunk table + counts of a job,
+                                             and whether it has settled
 ``GET|PUT /v1/cache/<key>``                  raw checksummed cache payloads
                                              (the remote tier transport;
                                              PUT re-validates the checksum)
@@ -60,7 +67,7 @@ from urllib.parse import parse_qs, urlparse
 from ..errors import JobError, ServiceError
 from .health import health_snapshot, resilience_snapshot
 from .jobs import JobRecord, JobSpec, JobState, new_job_id
-from .pump import WorkerPump
+from .pump import WorkerPump, finalize_job
 from .scheduler import SchedulerPolicy
 from .store import JobStore
 from .transport import (
@@ -87,7 +94,9 @@ class ReproService:
     in-process submit or cancel wakes the pump at once, so the interval
     only bounds how long work submitted or settled by another process
     goes unnoticed — by the pump, and by a held long-poll, which
-    re-reads the store at most once per interval.
+    re-reads the store at most once per interval.  ``pump_workers=0``
+    starts no executor thread: a coordinator-only server whose jobs run
+    on ``repro worker --url`` nodes.
     """
 
     def __init__(
@@ -146,7 +155,8 @@ class ReproService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Start the pump (re-queues jobs orphaned by a previous process)."""
+        """Start the pump (re-queues jobs orphaned by a previous process,
+        with their leased chunks)."""
         self.pump.start()
 
     def stop(self) -> None:
@@ -185,13 +195,6 @@ class ReproService:
             dedup_of=primary.job_id if primary is not None else None,
         )
         self.store.put(record)
-        if spec.fabric:
-            from ..analysis import plan_chunks
-
-            self.store.create_chunks(
-                record.job_id,
-                plan_chunks(len(spec.values), spec.chunk_size),
-            )
         self.pump.wake()
         return record
 
@@ -263,11 +266,20 @@ class ReproService:
         return dict(payload)
 
     def cancel(self, job_id: str) -> dict[str, Any]:
-        """Request cancellation; immediate for queued jobs."""
+        """Request cancellation; immediate while no chunk is in flight.
+
+        A queued job cancels at once.  A running job stops leasing; its
+        pump thread stops between points, and a chunk a remote node
+        holds settles the job when it completes.  With nothing in
+        flight the job settles ``cancelled`` here.
+        """
         record = self.store.request_cancel(job_id)
         if record is None:
             raise JobError(f"unknown job {job_id!r}")
         self.pump.request_cancel(job_id)
+        if not record.state.terminal and not self.pump.executing(job_id):
+            settled = self.store.settled_job(job_id)
+            record = self._finalize(settled) or record
         if record.state.terminal:
             self.pump.settled.notify(job_id)
         # a cancelled primary releases its dedup followers
@@ -322,17 +334,23 @@ class ReproService:
         transport["max_inflight"] = self.max_inflight
         transport["shed_retry_after_s"] = self.shed_retry_after
         snapshot["service"]["transport"] = transport
-        snapshot["service"]["fabric"] = dict(self.pump.fabric_stats)
-        snapshot["ok"] = bool(snapshot["ok"] and self.pump.alive)
+        pump_ok = self.pump.alive or self.pump.workers == 0
+        snapshot["ok"] = bool(snapshot["ok"] and pump_ok)
         return snapshot
 
-    # -- fabric (chunk-leasing workers) --------------------------------------
+    # -- fabric (chunk-leasing worker nodes) ---------------------------------
 
     def fabric_lease(self, worker_id: str, lease_seconds: float,
                      job_id: str | None = None) -> dict[str, Any] | None:
-        """Expire stale leases, then lease one chunk for ``worker_id``."""
-        self.store.expire_chunk_leases()
+        """Lease one chunk for ``worker_id`` (see ``JobStore.lease_chunk``).
+
+        A node bound to a job that gets nothing may be watching a job
+        no completion will settle — cancelled while its node died, or
+        completed before a server crash — so that job settles here.
+        """
         chunk = self.store.lease_chunk(worker_id, lease_seconds, job_id)
+        if chunk is None and job_id is not None:
+            self._finalize(self.store.settled_job(job_id))
         return chunk.to_dict() if chunk is not None else None
 
     def fabric_heartbeat(self, job_id: str, chunk_id: int, worker_id: str,
@@ -341,33 +359,42 @@ class ReproService:
                                         lease_seconds)
         return {"ok": ok}
 
-    def fabric_complete(self, job_id: str, chunk_id: int,
-                        worker_id: str) -> dict[str, Any]:
-        ok = self.store.complete_chunk(job_id, chunk_id, worker_id)
-        return {"ok": ok}
-
-    def fabric_fail(self, job_id: str, chunk_id: int, worker_id: str,
-                    error: str, max_attempts: int = 3) -> dict[str, Any]:
-        state = self.store.fail_chunk(job_id, chunk_id, worker_id, error,
-                                      max_attempts)
-        return {"state": state}
-
-    def fabric_outcomes(self, job_id: str,
+    def fabric_complete(self, job_id: str, chunk_id: int, worker_id: str,
                         outcomes: list[dict]) -> dict[str, Any]:
+        """Complete a remote node's chunk; finalize the job it settles."""
         from .store import PointOutcome
 
-        self._get(job_id)
         rows = [PointOutcome(**{k: o[k] for k in
                                 ("index", "ok", "cached", "retries",
                                  "error", "health") if k in o})
                 for o in outcomes]
-        self.store.record_outcomes(job_id, rows)
-        return {"ok": True, "recorded": len(rows)}
+        completion = self.store.complete_chunk(job_id, chunk_id, worker_id,
+                                               rows)
+        self._finalize(completion.job)
+        return {"ok": completion.ok, "settled": completion.settled}
+
+    def fabric_fail(self, job_id: str, chunk_id: int, worker_id: str,
+                    error: str, max_attempts: int = 3) -> dict[str, Any]:
+        """Fail a remote node's chunk; a parked last chunk settles the job."""
+        state = self.store.fail_chunk(job_id, chunk_id, worker_id, error,
+                                      max_attempts)
+        if state is not None:
+            self._finalize(self.store.settled_job(job_id))
+        return {"state": state}
+
+    def _finalize(self, settled) -> JobRecord | None:
+        """Finalize a settled job and wake its long-polls (None: not yet)."""
+        final = finalize_job(self.store, self.cache, settled)
+        if final is not None:
+            self.pump.settled.notify(final.job_id)
+        return final
 
     def fabric_chunks(self, job_id: str) -> dict[str, Any]:
         self._get(job_id)
+        counts = self.store.chunk_counts(job_id)
         return {
-            "counts": self.store.chunk_counts(job_id),
+            "counts": counts,
+            "settled": counts.settled,
             "chunks": [c.to_dict() for c in self.store.chunks(job_id)],
         }
 
@@ -636,7 +663,7 @@ class _Handler(BaseHTTPRequestHandler):
         if rest[0] == "complete":
             self._send_json(200, service.fabric_complete(
                 str(body["job_id"]), int(body["chunk_id"]),
-                str(body["worker_id"]),
+                str(body["worker_id"]), list(body.get("outcomes", ())),
             ))
             return True
         if rest[0] == "fail":
@@ -644,11 +671,6 @@ class _Handler(BaseHTTPRequestHandler):
                 str(body["job_id"]), int(body["chunk_id"]),
                 str(body["worker_id"]), str(body.get("error", "")),
                 int(body.get("max_attempts", 3)),
-            ))
-            return True
-        if rest[0] == "outcomes":
-            self._send_json(200, service.fabric_outcomes(
-                str(body["job_id"]), list(body.get("outcomes", ())),
             ))
             return True
         return False

@@ -1,10 +1,10 @@
 """Durable job store: SQLite today, Postgres-shaped on purpose.
 
 The store is the service's source of truth: every job submission,
-state transition, and per-point outcome lands here before the HTTP
-layer acknowledges it, so a killed server process loses nothing — on
-restart the pump re-queues orphaned ``running`` jobs and the result
-cache makes the replay all hits.
+state transition, lease chunk and per-point outcome lands here before
+the HTTP layer acknowledges it, so a killed server process loses
+nothing — on restart the pump re-queues orphaned ``running`` jobs with
+their leased chunks, and the result cache makes the replay all hits.
 
 Two layers:
 
@@ -39,6 +39,7 @@ import sqlite3
 import threading
 import time
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -52,10 +53,14 @@ __all__ = [
     "CHUNK_STATES",
     "MIGRATIONS",
     "SCHEMA_VERSION",
+    "ChunkCompletion",
+    "ChunkCounts",
     "ChunkRow",
     "JobStore",
     "PointOutcome",
     "SQLiteJobStore",
+    "SettledJob",
+    "has_settled",
     "open_job_store",
 ]
 
@@ -131,9 +136,42 @@ MIGRATIONS: tuple[tuple[int, tuple[str, ...]], ...] = (
             "CREATE INDEX IF NOT EXISTS idx_chunks_state ON chunks (state)",
         ),
     ),
+    (
+        4,
+        (
+            # one execution model: the five route-picking spec fields are
+            # gone (JobSpec.from_dict rejects unknown keys) ...
+            """
+            UPDATE jobs SET spec_json = json_remove(
+                spec_json, '$.backend', '$.workers', '$.retries',
+                '$.timeout', '$.fabric')
+            """,
+            # ... and every live job runs as leased chunks, so a live job
+            # the pump used to run whole gets its chunk plan now (the
+            # plan_chunks partition, in SQL)
+            """
+            WITH RECURSIVE plan (job_id, chunk_id, start, n, size) AS (
+                SELECT job_id, 0, 0,
+                       json_array_length(spec_json, '$.values'),
+                       COALESCE(json_extract(spec_json, '$.chunk_size'), 8)
+                FROM jobs
+                WHERE phase IN ('queued', 'running')
+                  AND job_id NOT IN (SELECT job_id FROM chunks)
+                UNION ALL
+                SELECT job_id, chunk_id + 1, start + size, n, size
+                FROM plan WHERE start + size < n
+            )
+            INSERT INTO chunks (job_id, chunk_id, start, stop, state,
+                                updated_at)
+            SELECT job_id, chunk_id, start, MIN(start + size, n), 'queued',
+                   (julianday('now') - 2440587.5) * 86400.0
+            FROM plan WHERE n > 0
+            """,
+        ),
+    ),
 )
 
-#: Lifecycle of one fabric chunk row.
+#: Lifecycle of one chunk row.
 CHUNK_STATES = ("queued", "leased", "done", "failed")
 
 #: The schema version a fresh store is created at.
@@ -176,8 +214,65 @@ class PointOutcome:
         return f"PointOutcome(index={self.index}, {verdict})"
 
 
+@dataclass(frozen=True)
+class SettledJob:
+    """A job whose chunks have all settled, as one consistent snapshot.
+
+    What the finalizer (:func:`repro.service.pump.finalize_job`) turns
+    into a terminal record: the job row (progress counters already
+    counted from the outcome rows), every outcome row, and the error of
+    the first chunk parked ``failed`` (``""`` when none was).
+    """
+
+    record: JobRecord
+    outcomes: list[PointOutcome]
+    error: str = ""
+
+
+@dataclass(frozen=True)
+class ChunkCompletion:
+    """What one :meth:`JobStore.complete_chunk` call did.
+
+    ``ok`` is the completion's verdict — True when the caller held the
+    lease, or already completed the chunk under it (a retried ack) —
+    and is also the object's truth value.  ``settled`` says every chunk
+    of the job has settled.  A store that settles jobs hands the
+    :class:`SettledJob` back as ``job`` with it, for the caller to
+    finalize; a remote one reports ``settled`` only.
+    """
+
+    ok: bool
+    settled: bool = False
+    job: SettledJob | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+class ChunkCounts(dict):
+    """Chunks per state for one job (zero-states omitted); ``settled``
+    is :func:`has_settled` of the counts and the job row, read together.
+    """
+
+    def __init__(self, counts: Mapping[str, int] = (),
+                 settled: bool = False) -> None:
+        super().__init__(counts)
+        self.settled = bool(settled)
+
+
+def has_settled(state: JobState, counts: Mapping[str, int]) -> bool:
+    """The one rule for when a job has settled: no chunk is leased, and
+    none is queued unless a cancel was requested or the job ended.  A
+    live job without chunk rows has not settled.
+    """
+    if counts.get("leased") or not (counts or state.terminal):
+        return False
+    return (not counts.get("queued") or state.cancel_requested
+            or state.terminal)
+
+
 class ChunkRow:
-    """One fabric chunk: a leased ``[start, stop)`` slice of a job's grid."""
+    """One lease chunk: a ``[start, stop)`` slice of a job's grid."""
 
     __slots__ = ("job_id", "chunk_id", "start", "stop", "state",
                  "worker_id", "lease_expires_at", "attempts", "error")
@@ -233,7 +328,12 @@ class JobStore:
     """
 
     def put(self, record: JobRecord) -> None:
-        """Insert a new job row; raises on duplicate id."""
+        """Insert a new job row with its chunk plan; raises on duplicate id.
+
+        A live record's grid is planned into
+        :func:`~repro.analysis.plan_chunks` rows of ``spec.chunk_size``
+        points in the same transaction, once: nothing re-plans a job.
+        """
         raise NotImplementedError
 
     def get(self, job_id: str) -> JobRecord | None:
@@ -242,6 +342,11 @@ class JobStore:
 
     def update(self, record: JobRecord) -> None:
         """Replace the stored row for ``record.job_id``."""
+        raise NotImplementedError
+
+    def finish(self, record: JobRecord) -> JobRecord:
+        """Write a terminal record unless the job ended (a CAS on the
+        phase: the first terminal write wins); the record now stored."""
         raise NotImplementedError
 
     def list_jobs(self, tenant: str | None = None,
@@ -266,7 +371,11 @@ class JobStore:
         raise NotImplementedError
 
     def requeue_running(self) -> int:
-        """Re-queue jobs orphaned mid-run by a dead process; returns count."""
+        """Re-queue jobs orphaned mid-run by a dead process; returns count.
+
+        Their leased chunks go back to the queue with them, so the
+        restart resumes them without waiting out a lease.
+        """
         raise NotImplementedError
 
     def record_outcome(self, job_id: str, outcome: PointOutcome) -> None:
@@ -276,16 +385,8 @@ class JobStore:
     def record_outcomes(self, job_id: str,
                         outcomes: Sequence[PointOutcome],
                         record: JobRecord | None = None) -> None:
-        """Bulk upsert, then replace the job row with ``record`` if given.
-
-        The pump settles a group of points this way: outcome rows plus
-        the job's live progress.  Backends may override with one
-        transaction.
-        """
-        for outcome in outcomes:
-            self.record_outcome(job_id, outcome)
-        if record is not None:
-            self.update(record)
+        """Bulk upsert, then replace the job row with ``record`` if given."""
+        raise NotImplementedError
 
     def outcomes(self, job_id: str) -> list[PointOutcome]:
         """All persisted point outcomes of a job, in grid order."""
@@ -295,23 +396,27 @@ class JobStore:
         """Jobs per phase (zero-phases omitted)."""
         raise NotImplementedError
 
-    # -- fabric chunk leases -------------------------------------------------
+    # -- chunk leases ---------------------------------------------------------
 
     def create_chunks(self, job_id: str,
                       bounds: Sequence[tuple[int, int]]) -> int:
         """Insert queued chunk rows (idempotent); returns rows created.
 
-        Re-submitting the same job's chunk plan is a no-op for rows that
-        already exist, so resume-after-crash never duplicates work.
+        Rows that already exist are left alone, so a plan given twice
+        never duplicates work.
         """
         raise NotImplementedError
 
     def lease_chunk(self, worker_id: str, lease_seconds: float,
                     job_id: str | None = None) -> ChunkRow | None:
-        """Atomically lease the oldest queued chunk; None when idle.
+        """Atomically lease the oldest leasable chunk; None when idle.
 
         Exactly one worker wins each chunk (CAS on state); the lease
         expires at ``now + lease_seconds`` unless heartbeat-extended.
+        Chunks of terminal and cancel-requested jobs are never leased.
+        When nothing is queued, stale leases are expired first, so a
+        dead worker's chunk goes to the next caller.  Leasing a queued
+        job's first chunk moves the job to ``running``.
         """
         raise NotImplementedError
 
@@ -320,9 +425,15 @@ class JobStore:
         """Extend a held lease; False when it was lost (expired/requeued)."""
         raise NotImplementedError
 
-    def complete_chunk(self, job_id: str, chunk_id: int,
-                       worker_id: str) -> bool:
-        """Mark a held lease done; False when the lease was lost."""
+    def complete_chunk(self, job_id: str, chunk_id: int, worker_id: str,
+                       outcomes: Sequence[PointOutcome] = ()
+                       ) -> ChunkCompletion:
+        """Mark a held lease done with its points' outcome rows.
+
+        One transaction: the CAS, the outcome rows, and the job's
+        progress counters, counted from all of its outcome rows.  The
+        result says whether the lease held and whether the job settled.
+        """
         raise NotImplementedError
 
     def fail_chunk(self, job_id: str, chunk_id: int, worker_id: str,
@@ -340,7 +451,17 @@ class JobStore:
 
         The fabric's watchdog: a worker that died (or lost its network)
         stops heartbeating, its leases lapse, and the chunks go back in
-        the queue for a live worker.
+        the queue for a live worker.  :meth:`lease_chunk` runs it
+        whenever nothing is queued.
+        """
+        raise NotImplementedError
+
+    def settled_job(self, job_id: str) -> SettledJob | None:
+        """The job's :class:`SettledJob` snapshot once it has settled.
+
+        The rule is :func:`has_settled`.  None while the job has not
+        settled, for an unknown job, and from a store that does not
+        settle jobs itself.
         """
         raise NotImplementedError
 
@@ -348,8 +469,8 @@ class JobStore:
         """All chunk rows of a job, in chunk order."""
         raise NotImplementedError
 
-    def chunk_counts(self, job_id: str) -> dict[str, int]:
-        """Chunks per state for one job (zero-states omitted)."""
+    def chunk_counts(self, job_id: str) -> ChunkCounts:
+        """Chunks per state for one job, and whether it has settled."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -400,6 +521,13 @@ _OUTCOME_UPSERT = (
     "INSERT OR REPLACE INTO outcomes "
     "(job_id, idx, ok, cached, retries, error, health_json) "
     "VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
+
+
+#: Jobs whose chunks may be leased: live, and no cancel requested.
+_LEASABLE_JOBS = (
+    "SELECT job_id FROM jobs WHERE phase IN ('queued', 'running') "
+    "AND NOT COALESCE(json_extract(state_json, '$.cancel_requested'), 0)"
 )
 
 
@@ -629,6 +757,8 @@ class SQLiteJobStore(JobStore):
 
     @_retry_locked
     def put(self, record: JobRecord) -> None:
+        from ..analysis.sweep import plan_chunks
+
         row = self._to_row(record)
         columns = ", ".join(row)
         holes = ", ".join(f":{c}" for c in row)
@@ -637,6 +767,12 @@ class SQLiteJobStore(JobStore):
                 conn.execute(
                     f"INSERT INTO jobs ({columns}) VALUES ({holes})", row
                 )
+                if not record.state.terminal:
+                    spec = record.spec
+                    self._insert_chunks(
+                        conn, record.job_id,
+                        plan_chunks(len(spec.values), spec.chunk_size),
+                    )
         except sqlite3.IntegrityError:
             raise ServiceError(
                 f"job {record.job_id!r} already exists"
@@ -650,20 +786,36 @@ class SQLiteJobStore(JobStore):
             ).fetchone()
         return self._from_row(row) if row is not None else None
 
-    def _update_row(self, conn: sqlite3.Connection,
-                    record: JobRecord) -> None:
+    def _update_row(self, conn: sqlite3.Connection, record: JobRecord,
+                    guard: str = "") -> bool:
+        """Replace the row; False when ``guard`` (SQL) did not hold."""
         row = self._to_row(record)
         assignments = ", ".join(f"{c} = :{c}" for c in row if c != "job_id")
         cur = conn.execute(
-            f"UPDATE jobs SET {assignments} WHERE job_id = :job_id", row
+            f"UPDATE jobs SET {assignments} WHERE job_id = :job_id{guard}",
+            row,
         )
-        if cur.rowcount != 1:
+        if cur.rowcount != 1 and not guard:
             raise ServiceError(f"job {record.job_id!r} not found")
+        return cur.rowcount == 1
 
     @_retry_locked
     def update(self, record: JobRecord) -> None:
         with self._conn() as conn:
             self._update_row(conn, record)
+
+    @_retry_locked
+    def finish(self, record: JobRecord) -> JobRecord:
+        with self._conn() as conn:
+            if self._update_row(conn, record,
+                                " AND phase IN ('queued', 'running')"):
+                return record
+            stored = conn.execute(
+                "SELECT * FROM jobs WHERE job_id = ?", (record.job_id,)
+            ).fetchone()
+        if stored is None:
+            raise ServiceError(f"job {record.job_id!r} not found")
+        return self._from_row(stored)
 
     @_retry_locked
     def list_jobs(self, tenant: str | None = None,
@@ -744,6 +896,7 @@ class SQLiteJobStore(JobStore):
 
     @_retry_locked
     def requeue_running(self) -> int:
+        now = time.time()
         with self._conn() as conn:
             conn.execute("BEGIN IMMEDIATE")
             rows = conn.execute(
@@ -752,6 +905,14 @@ class SQLiteJobStore(JobStore):
             for row in rows:
                 self._update_row(conn, self._from_row(row).advanced(
                     phase="queued", started_at=None))
+                # a lease held across the crash is requeued too; should
+                # its holder still complete, the completion CAS drops it
+                conn.execute(
+                    "UPDATE chunks SET state = 'queued', worker_id = NULL, "
+                    "lease_expires_at = NULL, updated_at = ? "
+                    "WHERE job_id = ? AND state = 'leased'",
+                    (now, row["job_id"]),
+                )
         return len(rows)
 
     @_retry_locked
@@ -775,10 +936,15 @@ class SQLiteJobStore(JobStore):
     @_retry_locked
     def outcomes(self, job_id: str) -> list[PointOutcome]:
         with self._conn() as conn:
-            rows = conn.execute(
-                "SELECT * FROM outcomes WHERE job_id = ? ORDER BY idx",
-                (job_id,),
-            ).fetchall()
+            return self._outcome_rows(conn, job_id)
+
+    @staticmethod
+    def _outcome_rows(conn: sqlite3.Connection,
+                      job_id: str) -> list[PointOutcome]:
+        rows = conn.execute(
+            "SELECT * FROM outcomes WHERE job_id = ? ORDER BY idx",
+            (job_id,),
+        ).fetchall()
         return [
             PointOutcome(
                 index=row["idx"], ok=bool(row["ok"]),
@@ -798,7 +964,7 @@ class SQLiteJobStore(JobStore):
             ).fetchall()
         return {row["phase"]: row["n"] for row in rows}
 
-    # -- fabric chunk leases -------------------------------------------------
+    # -- chunk leases ---------------------------------------------------------
 
     @staticmethod
     def _chunk_from_row(row: sqlite3.Row) -> ChunkRow:
@@ -810,38 +976,47 @@ class SQLiteJobStore(JobStore):
             attempts=row["attempts"], error=row["error"],
         )
 
+    @staticmethod
+    def _insert_chunks(conn: sqlite3.Connection, job_id: str,
+                       bounds: Sequence[tuple[int, int]]) -> int:
+        now = time.time()
+        cur = conn.executemany(
+            "INSERT OR IGNORE INTO chunks "
+            "(job_id, chunk_id, start, stop, state, updated_at) "
+            "VALUES (?, ?, ?, ?, 'queued', ?)",
+            [
+                (job_id, i, int(start), int(stop), now)
+                for i, (start, stop) in enumerate(bounds)
+            ],
+        )
+        return max(cur.rowcount, 0)
+
     @_retry_locked
     def create_chunks(self, job_id: str,
                       bounds: Sequence[tuple[int, int]]) -> int:
-        now = time.time()
         with self._conn() as conn:
-            cur = conn.executemany(
-                "INSERT OR IGNORE INTO chunks "
-                "(job_id, chunk_id, start, stop, state, updated_at) "
-                "VALUES (?, ?, ?, ?, 'queued', ?)",
-                [
-                    (job_id, i, int(start), int(stop), now)
-                    for i, (start, stop) in enumerate(bounds)
-                ],
-            )
-            return max(cur.rowcount, 0)
+            return self._insert_chunks(conn, job_id, bounds)
 
     @_retry_locked
     def lease_chunk(self, worker_id: str, lease_seconds: float,
                     job_id: str | None = None) -> ChunkRow | None:
-        """Select-then-CAS loop: the UPDATE's state guard picks one winner."""
-        where = "state = 'queued'"
+        """Select-then-CAS loop: the UPDATE's guards pick one winner."""
+        where = f"state = 'queued' AND job_id IN ({_LEASABLE_JOBS})"
         params: list = []
         if job_id is not None:
             where += " AND job_id = ?"
             params.append(job_id)
+        select = (
+            f"SELECT job_id, chunk_id FROM chunks WHERE {where} ORDER BY "
+            "(SELECT submitted_at FROM jobs WHERE jobs.job_id = "
+            "chunks.job_id), job_id, chunk_id LIMIT 1"
+        )
         for _ in range(8):
             now = time.time()
             with self._conn() as conn:
-                row = conn.execute(
-                    f"SELECT job_id, chunk_id FROM chunks WHERE {where} "
-                    "ORDER BY job_id, chunk_id LIMIT 1", params
-                ).fetchone()
+                row = conn.execute(select, params).fetchone()
+                if row is None and self._expire_leases(conn, now):
+                    row = conn.execute(select, params).fetchone()
                 if row is None:
                     return None
                 if poll_fault("store.claim") is not None:
@@ -852,11 +1027,19 @@ class SQLiteJobStore(JobStore):
                     "UPDATE chunks SET state = 'leased', worker_id = ?, "
                     "lease_expires_at = ?, attempts = attempts + 1, "
                     "updated_at = ? "
-                    "WHERE job_id = ? AND chunk_id = ? AND state = 'queued'",
+                    f"WHERE job_id = ? AND chunk_id = ? AND {where}",
                     (worker_id, now + float(lease_seconds), now,
-                     row["job_id"], row["chunk_id"]),
+                     row["job_id"], row["chunk_id"], *params),
                 )
                 if cur.rowcount == 1:
+                    job = conn.execute(
+                        "SELECT * FROM jobs "
+                        "WHERE job_id = ? AND phase = 'queued'",
+                        (row["job_id"],),
+                    ).fetchone()
+                    if job is not None:
+                        self._update_row(conn, self._from_row(job).advanced(
+                            phase="running", started_at=now))
                     full = conn.execute(
                         "SELECT * FROM chunks "
                         "WHERE job_id = ? AND chunk_id = ?",
@@ -880,15 +1063,20 @@ class SQLiteJobStore(JobStore):
             return cur.rowcount == 1
 
     @_retry_locked
-    def complete_chunk(self, job_id: str, chunk_id: int,
-                       worker_id: str) -> bool:
+    def complete_chunk(self, job_id: str, chunk_id: int, worker_id: str,
+                       outcomes: Sequence[PointOutcome] = ()
+                       ) -> ChunkCompletion:
         """CAS the chunk to ``done``; idempotent for the completing worker.
 
-        A worker retrying a completion whose first ack was lost finds
-        the chunk already ``done`` under its own ``worker_id`` and gets
-        ``True`` back (nothing rewritten).  A worker whose lease was
-        reassigned gets ``False`` — the stale completion is logged and
-        dropped without touching the new owner's attempt counter.
+        The CAS write comes first, so the rest of the transaction — the
+        outcome rows, the progress count, the settle check — runs under
+        the write lock: two workers completing at once cannot lose each
+        other's counts.  A worker retrying a completion whose first ack
+        was lost finds the chunk already ``done`` under its own
+        ``worker_id`` and gets the same verdict back (nothing
+        rewritten).  A worker whose lease was reassigned gets a falsy
+        verdict — the stale completion is logged and dropped without
+        touching the new owner's attempt counter.
         """
         now = time.time()
         with self._conn() as conn:
@@ -900,25 +1088,89 @@ class SQLiteJobStore(JobStore):
                 (now, job_id, chunk_id, worker_id),
             )
             if cur.rowcount == 1:
-                return True
+                conn.executemany(
+                    _OUTCOME_UPSERT,
+                    [_outcome_params(job_id, o) for o in outcomes],
+                )
+                self._count_progress(conn, job_id)
+                return self._completion(conn, job_id)
             row = conn.execute(
                 "SELECT state, worker_id FROM chunks "
                 "WHERE job_id = ? AND chunk_id = ?",
                 (job_id, chunk_id),
             ).fetchone()
-        if (row is not None and row["state"] == "done"
-                and row["worker_id"] == worker_id):
-            logger.info(
-                "duplicate completion of chunk %s/%d by %s acknowledged "
-                "(first ack lost)", job_id, chunk_id, worker_id,
-            )
-            return True
+            if (row is not None and row["state"] == "done"
+                    and row["worker_id"] == worker_id):
+                logger.info(
+                    "duplicate completion of chunk %s/%d by %s "
+                    "acknowledged (first ack lost)", job_id, chunk_id,
+                    worker_id,
+                )
+                return self._completion(conn, job_id)
         logger.warning(
             "dropping stale completion of chunk %s/%d by %s "
             "(row now %s)", job_id, chunk_id, worker_id,
             dict(row) if row is not None else None,
         )
-        return False
+        return ChunkCompletion(False)
+
+    def _count_progress(self, conn: sqlite3.Connection, job_id: str) -> None:
+        """Rewrite a live job's progress counters from its outcome rows."""
+        row = conn.execute(
+            "SELECT * FROM jobs WHERE job_id = ?", (job_id,)
+        ).fetchone()
+        if row is None:
+            raise ServiceError(f"job {job_id!r} not found")
+        record = self._from_row(row)
+        if record.state.terminal:
+            return
+        completed, failed, hits, retries = conn.execute(
+            "SELECT COUNT(*), COALESCE(SUM(ok = 0), 0), "
+            "COALESCE(SUM(cached), 0), COALESCE(SUM(retries), 0) "
+            "FROM outcomes WHERE job_id = ?", (job_id,),
+        ).fetchone()
+        self._update_row(conn, record.advanced(
+            completed=completed, failed=failed, cache_hits=hits,
+            retries=retries,
+        ))
+
+    def _completion(self, conn: sqlite3.Connection,
+                    job_id: str) -> ChunkCompletion:
+        settled = self._settled(conn, job_id)
+        return ChunkCompletion(True, settled is not None, settled)
+
+    @staticmethod
+    def _state_counts(conn: sqlite3.Connection,
+                      job_id: str) -> dict[str, int]:
+        return {
+            r["state"]: r["n"] for r in conn.execute(
+                "SELECT state, COUNT(*) AS n FROM chunks "
+                "WHERE job_id = ? GROUP BY state", (job_id,),
+            )
+        }
+
+    def _settled(self, conn: sqlite3.Connection,
+                 job_id: str) -> SettledJob | None:
+        row = conn.execute(
+            "SELECT * FROM jobs WHERE job_id = ?", (job_id,)
+        ).fetchone()
+        if row is None:
+            return None
+        record = self._from_row(row)
+        if not has_settled(record.state, self._state_counts(conn, job_id)):
+            return None
+        parked = conn.execute(
+            "SELECT error FROM chunks WHERE job_id = ? AND state = 'failed' "
+            "ORDER BY chunk_id LIMIT 1", (job_id,),
+        ).fetchone()
+        return SettledJob(record, self._outcome_rows(conn, job_id),
+                          parked["error"] if parked is not None else "")
+
+    @_retry_locked
+    def settled_job(self, job_id: str) -> SettledJob | None:
+        with self._conn() as conn:
+            conn.execute("BEGIN")  # one read snapshot for every SELECT
+            return self._settled(conn, job_id)
 
     @_retry_locked
     def fail_chunk(self, job_id: str, chunk_id: int, worker_id: str,
@@ -944,17 +1196,21 @@ class SQLiteJobStore(JobStore):
             )
             return state
 
+    @staticmethod
+    def _expire_leases(conn: sqlite3.Connection, now: float) -> int:
+        cur = conn.execute(
+            "UPDATE chunks SET state = 'queued', worker_id = NULL, "
+            "lease_expires_at = NULL, updated_at = ? "
+            "WHERE state = 'leased' AND lease_expires_at < ?",
+            (now, now),
+        )
+        return max(cur.rowcount, 0)
+
     @_retry_locked
     def expire_chunk_leases(self, now: float | None = None) -> int:
         now = time.time() if now is None else float(now)
         with self._conn() as conn:
-            cur = conn.execute(
-                "UPDATE chunks SET state = 'queued', worker_id = NULL, "
-                "lease_expires_at = NULL, updated_at = ? "
-                "WHERE state = 'leased' AND lease_expires_at < ?",
-                (now, now),
-            )
-            return max(cur.rowcount, 0)
+            return self._expire_leases(conn, now)
 
     @_retry_locked
     def chunks(self, job_id: str) -> list[ChunkRow]:
@@ -966,11 +1222,13 @@ class SQLiteJobStore(JobStore):
         return [self._chunk_from_row(r) for r in rows]
 
     @_retry_locked
-    def chunk_counts(self, job_id: str) -> dict[str, int]:
+    def chunk_counts(self, job_id: str) -> ChunkCounts:
         with self._conn() as conn:
-            rows = conn.execute(
-                "SELECT state, COUNT(*) AS n FROM chunks "
-                "WHERE job_id = ? GROUP BY state",
-                (job_id,),
-            ).fetchall()
-        return {row["state"]: row["n"] for row in rows}
+            conn.execute("BEGIN")  # the counts and the job row agree
+            counts = self._state_counts(conn, job_id)
+            row = conn.execute(
+                "SELECT state_json FROM jobs WHERE job_id = ?", (job_id,)
+            ).fetchone()
+        settled = row is not None and has_settled(
+            JobState.from_dict(json.loads(row["state_json"])), counts)
+        return ChunkCounts(counts, settled)

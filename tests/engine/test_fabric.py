@@ -98,6 +98,24 @@ class TestSubmission:
         assert second.job_id == first.job_id
         assert store.chunk_counts(first.job_id) == {"queued": 2}
 
+    def test_resume_never_replans_chunks(self, tmp_path):
+        values = values_for(8)
+        store = open_job_store(tmp_path / "jobs.sqlite")
+        first = submit_fabric_job(
+            store, REFERENCE_RESONANT_SENSOR, PATH, values,
+            duration=DURATION, chunk_size=4,
+        )
+        # the resume asks for another chunk size; the plan stands
+        result = run_fabric_sweep(
+            REFERENCE_RESONANT_SENSOR, PATH, values,
+            db=tmp_path / "jobs.sqlite", cache_dir=tmp_path / "cache",
+            duration=DURATION, workers=0, chunk_size=2,
+        )
+        rows = store.chunks(first.job_id)
+        assert [(c.start, c.stop, c.state) for c in rows] \
+            == [(0, 4, "done"), (4, 8, "done")]
+        assert_bit_exact(serial_reference(values), result)
+
 
 class TestBitExactness:
     def test_in_process_fabric_equals_serial(self, tmp_path):
@@ -281,7 +299,7 @@ class TestQuarantine:
             base=REFERENCE_RESONANT_SENSOR.to_dict(),
             path="cantilever.does_not_exist",
             values=tuple(float(v) for v in range(n)),
-            duration=DURATION, fabric=True, chunk_size=4,
+            duration=DURATION, chunk_size=4,
         )
         record = JobRecord(
             job_id=new_job_id(), spec=spec,

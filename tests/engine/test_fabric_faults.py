@@ -85,7 +85,7 @@ class TestLeaseExpiryRace:
 
         # A finally reports in: its completion must lose, quietly
         assert store.complete_chunk(record.job_id, lease.chunk_id,
-                                    "worker-a") is False
+                                    "worker-a").ok is False
         (row,) = store.chunks(record.job_id)
         assert row.state == "done"
         assert row.worker_id == "worker-b"     # B's attempt record stands
@@ -97,14 +97,14 @@ class TestLeaseExpiryRace:
         record = make_job(store, tmp_path, n=4, chunk_size=4)
         lease = store.lease_chunk("worker-a", 30.0, record.job_id)
         assert store.complete_chunk(record.job_id, lease.chunk_id,
-                                    "worker-a") is True
+                                    "worker-a").ok is True
         # the ack was lost; the worker retries — same verdict, no churn
         assert store.complete_chunk(record.job_id, lease.chunk_id,
-                                    "worker-a") is True
+                                    "worker-a").ok is True
         assert store.chunk_counts(record.job_id) == {"done": 1}
         # a stranger replaying the completion is refused
         assert store.complete_chunk(record.job_id, lease.chunk_id,
-                                    "worker-z") is False
+                                    "worker-z").ok is False
 
 
 class TestInjectedWorkerFaults:

@@ -28,7 +28,7 @@ def make_spec(**overrides) -> JobSpec:
 
 class TestJobSpec:
     def test_round_trips_through_json(self):
-        spec = make_spec(tenant="alice", priority=3, retries=2, timeout=5.0)
+        spec = make_spec(tenant="alice", priority=3, chunk_size=2)
         assert JobSpec.from_json(spec.to_json()) == spec
 
     def test_values_normalize_to_float_tuple(self):
@@ -53,6 +53,8 @@ class TestJobSpec:
         (dict(duration=float("inf")), "duration"),
         (dict(tenant="  "), "tenant"),
         (dict(priority="high"), "priority"),
+        # fields deleted when every job became a chunked job: a spec
+        # still carrying one is refused by name
         (dict(backend="quantum"), "backend"),
         (dict(workers=-1), "workers"),
         (dict(retries=-2), "retries"),
@@ -60,7 +62,7 @@ class TestJobSpec:
     ])
     def test_validation_names_the_field(self, overrides, path_fragment):
         with pytest.raises(JobError) as excinfo:
-            make_spec(**overrides)
+            JobSpec.from_dict({**make_spec().to_dict(), **overrides})
         assert path_fragment in str(excinfo.value)
 
     def test_from_dict_rejects_unknown_fields(self):
@@ -80,10 +82,7 @@ class TestWorkHash:
         for overrides in (
             dict(tenant="someone-else"),
             dict(priority=9),
-            dict(backend="serial"),
-            dict(workers=4),
-            dict(retries=3),
-            dict(timeout=60.0),
+            dict(chunk_size=1),
         ):
             assert make_spec(**overrides).work_hash() == reference
 

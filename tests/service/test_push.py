@@ -27,7 +27,6 @@ from repro.errors import ServiceError
 from repro.service import (
     JOB_TERMINAL_PHASES,
     JobRecord,
-    JobSpec,
     JobState,
     JobStore,
     ReproService,
@@ -56,11 +55,6 @@ def raw_status(url: str, job_id: str, wait: float,
         return response.status, json.loads(response.read())
 
 
-def fabric_spec(**overrides) -> JobSpec:
-    """A job the pump never executes: it waits for fabric workers."""
-    return make_spec(fabric=True, chunk_size=2, **overrides)
-
-
 class TestLongPoll:
     def test_one_request_sees_the_settle(self, tmp_path):
         # a 1 s poll interval: only the push path can answer in 0.2 s
@@ -75,8 +69,8 @@ class TestLongPoll:
         assert seen_at - payload["state"]["finished_at"] < 0.2
 
     def test_deadline_bounds_the_hold(self, tmp_path):
-        with running_service(tmp_path) as box:
-            record = box.client.submit(fabric_spec())
+        with running_service(tmp_path, pump_workers=0) as box:
+            record = box.client.submit(make_spec())
             start = time.time()
             status, payload = raw_status(box.client.url, record["job_id"],
                                          wait=30, deadline_at=start + 0.4)
@@ -87,8 +81,9 @@ class TestLongPoll:
         assert 0.35 <= held < 5.0
 
     def test_held_poll_takes_no_inflight_seat(self, tmp_path):
-        with running_service(tmp_path, max_inflight=1) as box:
-            record = box.client.submit(fabric_spec())
+        with running_service(tmp_path, pump_workers=0,
+                             max_inflight=1) as box:
+            record = box.client.submit(make_spec())
             held = {}
 
             def hold() -> None:
@@ -109,8 +104,8 @@ class TestLongPoll:
         assert held["s"] >= 1.4
 
     def test_stop_answers_a_held_poll(self, tmp_path):
-        with running_service(tmp_path) as box:
-            record = box.client.submit(fabric_spec())
+        with running_service(tmp_path, pump_workers=0) as box:
+            record = box.client.submit(make_spec())
             answered = {}
 
             def hold() -> None:
@@ -130,8 +125,8 @@ class TestLongPoll:
     def test_bad_wait_is_a_400(self, tmp_path):
         from repro.errors import JobError
 
-        with running_service(tmp_path) as box:
-            record = box.client.submit(fabric_spec())
+        with running_service(tmp_path, pump_workers=0) as box:
+            record = box.client.submit(make_spec())
             for bad in ("soon", "-1", "inf"):
                 with pytest.raises(JobError, match="wait"):
                     box.client._request(
@@ -208,12 +203,20 @@ def test_pump_iteration_decodes_no_finished_row(tmp_path, monkeypatch):
         return original(row)
 
     monkeypatch.setattr(SQLiteJobStore, "_from_row", staticmethod(spy))
+    snapshots: list[tuple] = []
+    list_jobs = SQLiteJobStore.list_jobs
+
+    def counted_list_jobs(self, *args, **kwargs):
+        snapshots.append(args)
+        return list_jobs(self, *args, **kwargs)
+
+    monkeypatch.setattr(SQLiteJobStore, "list_jobs", counted_list_jobs)
     pump = WorkerPump(store, ResultCache(str(tmp_path / "cache")),
                       poll_interval=0.01)
     pump.start()
     time.sleep(0.2)
     pump.stop()
-    assert pump.fabric_stats["ticks"] >= 2     # several iterations ran
+    assert len(snapshots) >= 2     # several iterations ran
     assert not [p for p in decoded if p in JOB_TERMINAL_PHASES]
 
 

@@ -51,14 +51,18 @@ def make_spec(tenant="alice", values=VALUES, **overrides) -> JobSpec:
 
 
 @contextlib.contextmanager
-def running_service(tmp_path, cache=None, **service_kwargs):
-    """A live server on an ephemeral port + its client and internals."""
+def running_service(tmp_path, cache=None, pump_workers=1, **service_kwargs):
+    """A live server on an ephemeral port + its client and internals.
+
+    ``pump_workers=0`` keeps every job unexecuted until a worker node
+    leases it.
+    """
     store = open_job_store(tmp_path / "jobs.sqlite")
     if cache is None:
         cache = ResultCache(str(tmp_path / "cache"))
     service = ReproService(
         store, cache, SchedulerPolicy(tenant_quota=2),
-        pump_workers=1, poll_interval=0.02, **service_kwargs,
+        pump_workers=pump_workers, poll_interval=0.02, **service_kwargs,
     )
     server = serve("127.0.0.1", 0, service, background=True)
     host, port = server.server_address[:2]
@@ -130,6 +134,19 @@ class TestSubmitToResults:
                     "base": {"$spec": "resonant_sensor"},
                     "path": "cantilever.length_um", "values": [],
                 })
+
+    def test_deleted_spec_field_is_a_400_naming_it(self, tmp_path):
+        from repro.errors import JobError
+
+        with running_service(tmp_path, pump_workers=0) as box:
+            for name, value in (("fabric", True), ("backend", "serial"),
+                                ("workers", 2), ("retries", 1),
+                                ("timeout", 5.0)):
+                with pytest.raises(JobError, match=name):
+                    box.client._request("POST", "/v1/jobs", {
+                        **make_spec().to_dict(), name: value,
+                    })
+            assert box.client.list_jobs() == []
 
     def test_unknown_job_is_a_404(self, tmp_path):
         with running_service(tmp_path) as box:
@@ -232,8 +249,7 @@ class TestFabricOverHTTP:
     """The fabric PR's wire path: remote worker nodes over real HTTP."""
 
     def fabric_spec(self, values=VALUES, **overrides):
-        return make_spec(values=values, fabric=True, chunk_size=2,
-                         **overrides)
+        return make_spec(values=values, chunk_size=2, **overrides)
 
     def test_remote_worker_executes_a_fabric_job(self, tmp_path):
         from repro.engine import HTTPRemoteStore, TieredCache
@@ -241,7 +257,7 @@ class TestFabricOverHTTP:
         from repro.service import RemoteFabricStore
 
         cache = TieredCache(str(tmp_path / "server-cache"))
-        with running_service(tmp_path, cache=cache) as box:
+        with running_service(tmp_path, cache=cache, pump_workers=0) as box:
             values = tuple(float(v) for v in range(160, 208, 4))  # 12 pts
             record = box.client.submit(self.fabric_spec(values=values))
             job_id = record["job_id"]
@@ -262,7 +278,7 @@ class TestFabricOverHTTP:
             assert worker_cache.cache_info().tier("remote").stores \
                 == len(values)
 
-            # the pump's fabric tick finalizes the job server-side
+            # the completion that settled the job finalized it server-side
             final = box.client.wait(job_id, timeout=60)
             assert final["state"]["phase"] == "done"
             table = box.client.results(job_id)
@@ -329,23 +345,35 @@ class TestFabricOverHTTP:
                     f"{box.client.url}/v1/cache/doesnotexist")
             assert err.value.code == 404
 
-    def test_fabric_jobs_are_skipped_by_the_pump_executor(self, tmp_path):
-        from repro.engine import TieredCache
+    def test_remote_node_runs_a_job_as_the_pump(self, tmp_path):
+        """One model: a coordinator's worker node runs a plain job bit
+        for bit as the pump would."""
+        import numpy as np
 
+        from repro.engine import HTTPRemoteStore, TieredCache
+        from repro.engine.fabric import FabricWorker
+        from repro.service import RemoteFabricStore
+
+        spec = self.fabric_spec(values=(160.0, 175.0, 190.0, 205.0, 220.0))
         cache = TieredCache(str(tmp_path / "server-cache"))
-        with running_service(tmp_path, cache=cache) as box:
-            record = box.client.submit(self.fabric_spec())
-            job_id = record["job_id"]
-            # give the pump a few polls: it must claim (queued->running)
-            # but never execute the grid itself
-            import time
-
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                payload = box.client.status(job_id)
-                assert payload["state"]["phase"] in ("queued", "running")
-                if payload["state"]["phase"] == "running":
-                    break
-                time.sleep(0.05)
-            assert box.client.fabric_chunks(job_id)["counts"] \
-                == {"queued": 2}
+        with running_service(tmp_path / "remote", cache=cache,
+                             pump_workers=0) as box:
+            job_id = box.client.submit(spec)["job_id"]
+            worker = FabricWorker(
+                RemoteFabricStore(box.client),
+                TieredCache(str(tmp_path / "worker-cache"),
+                            remote=HTTPRemoteStore(box.client.url)),
+                job_id=job_id,
+            )
+            assert worker.run(idle_exit=None).chunks_done == 3
+            assert box.client.wait(job_id, timeout=60)["state"]["phase"] \
+                == "done"
+            remote = box.client.results(job_id)
+        with running_service(tmp_path / "pump") as box:
+            job_id = box.client.submit(spec)["job_id"]
+            box.client.wait(job_id, timeout=60)
+            pumped = box.client.results(job_id)
+        assert list(remote["columns"]) == list(pumped["columns"])
+        for name, column in pumped["columns"].items():
+            assert np.array_equal(np.asarray(remote["columns"][name]),
+                                  np.asarray(column))

@@ -4,10 +4,12 @@ and the connection pool's lifecycle (bounded, closable, fork-safe)."""
 from __future__ import annotations
 
 import gc
+import json
 import os
 import sqlite3
 import sys
 import threading
+import time
 
 import pytest
 
@@ -26,11 +28,13 @@ from repro.service.store import MIGRATIONS
 
 
 def make_record(tenant="default", priority=0, values=(1.0, 2.0),
-                submitted_at=1000.0, **record_kwargs) -> JobRecord:
+                submitted_at=1000.0, chunk_size=8,
+                **record_kwargs) -> JobRecord:
     spec = JobSpec(
         base={"$spec": "unit-test", "knob": len(values)},
         path="cantilever.length_um",
         values=values, duration=0.01, tenant=tenant, priority=priority,
+        chunk_size=chunk_size,
     )
     return JobRecord(
         job_id=new_job_id(), spec=spec,
@@ -284,9 +288,14 @@ class TestChunks:
     """Schema v3: the fabric's chunk-lease table."""
 
     def make_job_with_chunks(self, store, bounds=((0, 4), (4, 8), (8, 12))):
-        record = make_record(values=tuple(float(v) for v in range(12)))
+        # put plans the chunk rows: size the job so its plan is ``bounds``
+        record = make_record(
+            values=tuple(float(v) for v in range(bounds[-1][1])),
+            chunk_size=bounds[0][1] - bounds[0][0],
+        )
         store.put(record)
-        assert store.create_chunks(record.job_id, bounds) == len(bounds)
+        assert [(c.start, c.stop) for c in store.chunks(record.job_id)] \
+            == list(bounds)
         return record
 
     def test_create_is_idempotent(self, store):
@@ -399,9 +408,89 @@ class TestChunks:
         store = SQLiteJobStore(path)  # opening migrates v2 -> v3
         assert store.schema_version() == SCHEMA_VERSION
         record = make_record()
-        store.put(record)
-        assert store.create_chunks(record.job_id, ((0, 2),)) == 1
+        store.put(record)  # plans the job's one chunk
+        assert store.create_chunks(record.job_id, ((0, 2),)) == 0
         assert store.chunk_counts(record.job_id) == {"queued": 1}
+
+
+class TestOneModelMigration:
+    """Schema v4: stores written before every job became a chunked job."""
+
+    #: The five route-picking spec keys schema v4 strips.
+    DELETED = {"backend": "kernel-batch", "workers": None, "retries": None,
+               "timeout": None, "fabric": False}
+
+    def v3_row(self, phase, values, **state):
+        from repro.config import REFERENCE_RESONANT_SENSOR
+
+        spec = JobSpec(
+            base=REFERENCE_RESONANT_SENSOR.to_dict(),
+            path="cantilever.length_um", values=values, duration=0.004,
+            tenant="old", chunk_size=1,
+        )
+        record = JobRecord(
+            job_id=new_job_id(), spec=spec,
+            state=JobState(phase=phase, total=len(values),
+                           submitted_at=time.time(), **state),
+        )
+        row = SQLiteJobStore._to_row(record)
+        row["spec_json"] = json.dumps({**spec.to_dict(), **self.DELETED})
+        return record, row
+
+    def test_v3_store_opens_at_v4_and_runs_its_jobs(self, tmp_path):
+        from repro.engine import ResultCache
+        from repro.service import ReproService, sweep_result_key
+
+        path = tmp_path / "old.sqlite"
+        cache = ResultCache(str(tmp_path / "cache"))
+        done, done_row = self.v3_row("done", (150.0,), completed=1,
+                                     finished_at=time.time())
+        done_row["result_key"] = sweep_result_key(done.work_hash)
+        payload = {"parameter_name": "cantilever.length_um",
+                   "parameters": [150.0], "columns": {"x": [1.0]},
+                   "points": [{"index": 0, "ok": True}]}
+        cache.put(done_row["result_key"], payload)
+        queued, queued_row = self.v3_row("queued", (160.0, 170.0))
+        running, running_row = self.v3_row("running", (180.0, 190.0),
+                                           started_at=time.time())
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE schema_migrations ("
+            "version INTEGER PRIMARY KEY, applied_at TEXT NOT NULL)"
+        )
+        for version, statements in MIGRATIONS[:3]:
+            for statement in statements:
+                conn.execute(statement)
+            conn.execute(
+                "INSERT INTO schema_migrations VALUES "
+                f"({version}, '2025-01-01T00:00:00Z')"
+            )
+        for row in (done_row, queued_row, running_row):
+            conn.execute(
+                f"INSERT INTO jobs ({', '.join(row)}) "
+                f"VALUES ({', '.join(':' + c for c in row)})", row)
+        conn.commit()
+        conn.close()
+
+        store = SQLiteJobStore(path)  # opening migrates v3 -> v4
+        assert store.schema_version() == SCHEMA_VERSION == 4
+        assert len(store.list_jobs()) == 3  # every spec decodes again
+        assert store.chunk_counts(done.job_id) == {}
+        for record in (queued, running):
+            assert store.chunk_counts(record.job_id) == {"queued": 2}
+
+        service = ReproService(store, cache, poll_interval=0.02)
+        service.start()
+        try:
+            assert service.status(done.job_id)["state"]["phase"] == "done"
+            assert service.results(done.job_id) == payload
+            for record in (queued, running):
+                final = service.status(record.job_id, wait=60)
+                assert final["state"]["phase"] == "done"
+                assert service.results(record.job_id)["parameters"] \
+                    == list(record.spec.values)
+        finally:
+            service.stop()
 
 
 class TestLockRetry:

@@ -7,8 +7,8 @@ throwaway store/cache, then over plain HTTP:
 1. probes ``/healthz`` and requires ``ok``;
 2. submits a tiny sweep and long-polls it to completion: at most two
    status requests per ``client.wait`` (the push path, not a sleep
-   loop), and the result table in hand within 0.25 s of the job's
-   ``finished_at``;
+   loop), the result table in hand within 0.25 s of the job's
+   ``finished_at``, and the job's one lease chunk ``done``;
 3. fetches the result table and sanity-checks its shape;
 4. submits the same grid as a second tenant and requires the dedup
    link plus an all-cache-hits completion;
@@ -135,6 +135,9 @@ def main() -> int:
         for name, column in table["columns"].items():
             assert len(column) == 3, f"column {name} has {len(column)} rows"
         print(f"serve-check: results ok (columns: {sorted(table['columns'])})")
+        chunks = client.fabric_chunks(job_id)["counts"]
+        assert chunks == {"done": 1}, f"chunk table of {job_id}: {chunks}"
+        print(f"serve-check: chunk table ok ({chunks})")
 
         twin = client.submit(JobSpec(
             base=base, path="cantilever.length_um",
