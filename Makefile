@@ -62,7 +62,7 @@ kernel-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_lowering.py -q
 
 # Columnar SoA engine golden suite, both legs: once with the compiler
-# present (generic engine and specialized megakernels, each instance
+# present (every batch on its shape's megakernel, each instance
 # np.array_equal to its solo fused run) and once with CC pointed at a
 # *nonexistent* binary under a fresh TMPDIR (no cached .so can hide the
 # failure), where every forced-columnar batch must decline to solo

@@ -79,30 +79,18 @@ def sweep(
     Every call must return the same keys; a missing key raises
     immediately so a half-filled table never silently prints.
     """
-    result = SweepResult(parameter_name=parameter_name, parameters=[])
-    expected: list[str] | None = None
-    for value in values:
-        outcome = evaluate(value)
-        if expected is None:
-            expected = list(outcome)
-            for key in expected:
-                result.columns[key] = []
-        if list(outcome) != expected:
-            raise KeyError(
-                f"sweep result keys changed: expected {expected}, "
-                f"got {list(outcome)}"
-            )
-        result.parameters.append(value)
-        for key in expected:
-            result.columns[key].append(outcome[key])
-    return result
+    values = list(values)
+    return _collect(values, map(evaluate, values), parameter_name)
 
 
-def _collect(parameters: list, outcomes: list[Mapping], parameter_name: str) -> SweepResult:
+def _collect(
+    parameters: list, outcomes: Iterable[Mapping], parameter_name: str
+) -> SweepResult:
     """Assemble ordered (parameter, mapping) pairs into a SweepResult.
 
-    Applies the same same-keys-everywhere check as the serial loop so a
-    half-filled table never silently prints.
+    Every outcome must carry the first one's keys, so a half-filled
+    table never silently prints; a lazy ``outcomes`` stops at the first
+    mismatch.
     """
     result = SweepResult(parameter_name=parameter_name, parameters=[])
     expected: list[str] | None = None

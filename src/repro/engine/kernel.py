@@ -20,8 +20,9 @@ flat *stage program* and runs it in one allocation-free inner loop:
   no method dispatch, literal coefficients) — still several times the
   reference path;
 * :class:`KernelBatch` runs N same-shape programs at once: batches at
-  least :data:`COLUMNAR_MIN_INSTANCES` wide go through the columnar
-  engine in :mod:`~repro.engine.kernel_columnar`, narrower ones as
+  least :data:`COLUMNAR_MIN_INSTANCES` wide run on the code-generated
+  columnar megakernel for their program shape
+  (:mod:`~repro.engine.kernel_columnar`), narrower ones as
   per-instance solo fused runs.
 
 Equivalence is the contract, and it is one contract for every route:
@@ -124,15 +125,16 @@ BACKENDS = ("auto", "reference", "fused")
 AUTO_ORDER = ("fused:cc", "fused:codegen")
 
 #: The routes of :meth:`KernelBatch.run`, in the order it tries them:
-#: the columnar SoA C engine (:mod:`~repro.engine.kernel_columnar`)
+#: the shape's columnar megakernel (:mod:`~repro.engine.kernel_columnar`)
 #: when a compiler is trusted and the batch is at least
 #: :data:`COLUMNAR_MIN_INSTANCES` wide, otherwise per-instance solo
 #: fused runs.  Both are bit-identical to running each kernel alone.
 BATCH_AUTO_ORDER = ("columnar:cc", "fused:solo")
 
 #: Minimum batch width before a batch routes to the columnar engine —
-#: below this the stride-1 instance sweeps are too narrow to pay for
-#: the SoA transposes, and the instances run solo fused instead.
+#: below this the stride-1 instance sweeps are too narrow to fill the
+#: vector units and pay for assembling the batch's blocks, and the
+#: instances run solo fused instead.
 COLUMNAR_MIN_INSTANCES = 8
 
 
@@ -196,9 +198,8 @@ class KernelRunInfo:
 
     ``engine`` names the machinery under the backend: ``"cc"`` (the
     C-compiled interpreter) or ``"codegen"`` (generated Python source)
-    for solo runs; ``"cc-columnar"`` (generic op interpreter) or
-    ``"cc-columnar-fused"`` (shape-specialized megakernel) for an
-    instance of a columnar batch.
+    for solo runs; ``"cc-columnar"`` (its program shape's columnar
+    megakernel) for an instance of a columnar batch.
     """
 
     backend: str
@@ -265,7 +266,7 @@ def cc_available() -> bool:
 
 
 def reset_compiler_probe() -> None:
-    """Forget the memoized compiler probe, build error, and loaded engine.
+    """Forget the memoized compiler probe, build error, and loaded engines.
 
     For tests that flip the ``CC`` override mid-process; production code
     never needs this.  The on-disk ``.so`` cache is untouched — only the
@@ -379,7 +380,8 @@ class KernelInfo:
     batch_runs: int = 0
     batch_instances: int = 0
     last_batch_threads: int = 0
-    #: Memoized build failure of the C engine (probed once per process).
+    #: Memoized build failure of a C engine — the solo interpreter or a
+    #: shape's columnar megakernel (probed once per process).
     cc_build_error: str | None = None
     #: True while the ``kernel-cc`` circuit breaker quarantines the C engine.
     cc_quarantined: bool = False
@@ -389,10 +391,10 @@ class KernelInfo:
     degrades: int = 0
     last_degrade_reason: str | None = None
     #: Every ``KernelBatch.run`` counts once in ``batch_runs`` and once
-    #: in exactly one of these two: ``batch_columnar_runs`` (the SoA C
-    #: engine) or ``batch_declined`` (per-instance solo fused runs:
-    #: narrower than ``COLUMNAR_MIN_INSTANCES``, or no trusted C
-    #: engine).
+    #: in exactly one of these two: ``batch_columnar_runs`` (the
+    #: shape's columnar megakernel) or ``batch_declined`` (per-instance
+    #: solo fused runs: narrower than ``COLUMNAR_MIN_INSTANCES``, or no
+    #: trusted C engine).
     batch_declined: int = 0
     last_decline_reason: str | None = None
     batch_columnar_runs: int = 0
@@ -400,9 +402,6 @@ class KernelInfo:
     #: Per-op profile histogram: op name -> instance-samples executed
     #: (one instance running one op for n samples adds n).
     op_samples: dict[str, int] | None = None
-    #: Columnar stage-fusion decisions, newest last (one entry per
-    #: distinct program shape / fusion mode / hotness verdict).
-    fusion_decisions: tuple = ()
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         runs = ", ".join(f"{k}={v}" for k, v in sorted(self.runs.items()))
@@ -437,7 +436,6 @@ def reset_kernel_info() -> None:
         batch_columnar_runs=0,
         last_batch_engine=None,
         op_samples={},
-        fusion_decisions=[],
     )
 
 
@@ -467,7 +465,6 @@ def kernel_info() -> KernelInfo:
         batch_columnar_runs=_STATS["batch_columnar_runs"],
         last_batch_engine=_STATS["last_batch_engine"],
         op_samples=dict(_STATS["op_samples"]),
-        fusion_decisions=tuple(_STATS["fusion_decisions"]),
     )
 
 
@@ -517,33 +514,12 @@ OP_NAMES = (
     "DEADZONE", "SLEW", "LATCH", "TAP_LIMIN", "TAP_LIMOUT", "TAP_DRIVE",
 )
 
-#: Per-program-shape instance-sample counters (never reset by
-#: :func:`reset_kernel_info` — like the ``.so`` cache, the profile is a
-#: process-lifetime memo, and it drives the columnar fusion pass).
-_PROGRAM_PROFILE: dict[tuple, int] = {}
-
-
 def record_op_profile(kinds: Sequence[int], samples: int) -> None:
     """Add ``samples`` instance-samples to each op's profile counter."""
     hist = _STATS["op_samples"]
     for k in kinds:
         name = OP_NAMES[k]
         hist[name] = hist.get(name, 0) + int(samples)
-
-
-def _note_program_samples(signature: tuple, samples: int) -> int:
-    """Accumulate a program shape's lifetime sample count; return it."""
-    total = _PROGRAM_PROFILE.get(signature, 0) + int(samples)
-    _PROGRAM_PROFILE[signature] = total
-    return total
-
-
-def record_fusion_decision(decision: dict) -> None:
-    """Append one columnar fusion decision (capped, newest last)."""
-    decisions = _STATS["fusion_decisions"]
-    decisions.append(dict(decision))
-    if len(decisions) > 32:
-        del decisions[0]
 
 
 def record_fallback(reason: str) -> None:
@@ -786,7 +762,6 @@ class FusedLoopKernel:
             run_seconds=timer.seconds("run"),
         )
         record_op_profile(self._kinds, n)
-        _note_program_samples(batch_signature(self), n)
         record_run(backend, n, timer.seconds("run"), timer.seconds("compile"))
         return KernelRunResult(
             displacement=arrays[0],
@@ -901,8 +876,8 @@ class KernelBatch:
         least ``ns[i]`` samples.
 
     ``run()`` executes a batch at least :data:`COLUMNAR_MIN_INSTANCES`
-    wide through the compiled columnar engine and any other batch as
-    per-instance solo fused runs; either way every instance is
+    wide on its shape's compiled columnar megakernel and any other
+    batch as per-instance solo fused runs; either way every instance is
     bit-identical to its solo run (pinned with ``np.array_equal``).
     """
 
@@ -952,9 +927,10 @@ class KernelBatch:
         """Execute all instances; one :class:`KernelRunResult` each, in
         input order.
 
-        Follows :data:`BATCH_AUTO_ORDER`: the compiled columnar engine
-        when the batch is at least :data:`COLUMNAR_MIN_INSTANCES` wide
-        and a C engine is trusted, else per-instance solo fused runs.
+        Follows :data:`BATCH_AUTO_ORDER`: the shape's compiled columnar
+        megakernel (built on first use) when the batch is at least
+        :data:`COLUMNAR_MIN_INSTANCES` wide and a C engine is trusted,
+        else per-instance solo fused runs.
         ``threads`` requests the columnar engine's C thread count
         (resolved by :func:`kernel_batch_threads`).
         """
@@ -965,7 +941,8 @@ class KernelBatch:
 
             timer = StageTimer()
             fn = _load_cc_engine(
-                kernel_columnar.columnar_interpreter, timer, "solo fused runs"
+                lambda: kernel_columnar.columnar_interpreter(self.signature),
+                timer, "solo fused runs",
             )
             if fn is not None:
                 return kernel_columnar.run_columnar_cc(
@@ -1229,10 +1206,13 @@ def _cc_compile_so(source: str, flags: Sequence[str], stem: str) -> ctypes.CDLL:
 
     The shared object lands in the per-user cache directory keyed by
     ``sha256(source + flags)`` with an atomic replace, so concurrent
-    builders agree and a cache hit makes "compile time" a dlopen.  The
-    solo interpreter (``stem="kernel"``) and the columnar engine
-    (``stem="columnar"``, :mod:`~repro.engine.kernel_columnar`) share
-    this machinery.  Raises :class:`KernelError` on build failure.
+    builders agree and a cache hit makes "compile time" a dlopen.  Each
+    build writes its source and output under names private to it, so
+    two builders of one source — threads or processes — never share a
+    file before that replace.  The solo interpreter (``stem="kernel"``)
+    and the columnar megakernels (``stem="columnar"``,
+    :mod:`~repro.engine.kernel_columnar`) share this machinery.  Raises
+    :class:`KernelError` on build failure.
     """
     digest = hashlib.sha256(
         (source + " ".join(flags) + "-lm").encode()
@@ -1241,21 +1221,27 @@ def _cc_compile_so(source: str, flags: Sequence[str], stem: str) -> ctypes.CDLL:
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
     so_path = os.path.join(cache_dir, f"{stem}-{digest}.so")
     if not os.path.exists(so_path):
-        c_path = os.path.join(cache_dir, f"{stem}-{digest}.c")
-        tmp_so = f"{so_path}.tmp{os.getpid()}"
-        with open(c_path, "w") as fh:
-            fh.write(source)
+        fd, c_path = tempfile.mkstemp(
+            dir=cache_dir, prefix=f"{stem}-{digest}.", suffix=".c"
+        )
+        tmp_so = f"{c_path[:-2]}.so.tmp"
         try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(source)
             subprocess.run(
                 [_CC, *flags, "-o", tmp_so, c_path, "-lm"],
                 check=True, capture_output=True, text=True, timeout=120,
             )
+            os.replace(tmp_so, so_path)  # atomic: concurrent builders agree
         except (subprocess.SubprocessError, OSError) as err:
             detail = getattr(err, "stderr", "") or str(err)
             raise KernelError(
                 f"C kernel compilation failed: {detail.strip()}"
             ) from err
-        os.replace(tmp_so, so_path)  # atomic: concurrent builders agree
+        finally:
+            for path in (c_path, tmp_so):
+                if os.path.exists(path):
+                    os.unlink(path)
         logger.info("C kernel engine compiled to %s", so_path)
     return ctypes.CDLL(so_path)
 

@@ -4,40 +4,38 @@ Running a batch instance by instance walks each program independently,
 which leaves the vector units idle.  This module turns the batch inside
 out:
 
-* every per-instance block (params, state, mode coefficients, noise,
-  actuator constants, outputs) is **transposed** to structure-of-arrays
-  — one contiguous row per op-parameter / state-slot / sample, with the
-  instance index as the fastest-moving, stride-1 axis;
-* the C entry point (``run_columnar``) loops **samples outer,
-  instances inner**: each :class:`~repro.engine.kernel.KernelOp`
-  becomes one fixed-body ``for (k)`` sweep over the instance axis that
-  the compiler auto-vectorizes (``-O3``, IEEE-strict: no fast-math,
+* every per-instance block (params, state, mode coefficients, actuator
+  constants) is **transposed** to structure-of-arrays — one contiguous
+  row per op-parameter / state-slot, with the instance index as the
+  fastest-moving, stride-1 axis; the bridge noise stays instance-major
+  and the kernel reads it in place;
+* each program shape (op kinds, state layout, mode count) runs on its
+  own **code-generated megakernel** (:func:`columnar_interpreter`),
+  built on first use, once per shape per process, through the
+  sha-keyed ``.so`` cache.  It loops **samples outer, instances
+  inner**, and the whole op chain is one single-pass loop over the
+  instance axis, split only at ``OP_TANH``, that the compiler
+  auto-vectorizes (``-O3``, IEEE-strict: no fast-math,
   ``-ffp-contract=off`` so no FMA contraction; ``tanh`` stays the
   scalar libm call);
 * heterogeneous durations are handled by sorting instances by
   descending sample count — the *active prefix* shrinks as samples pass
   each instance's end, so every inner sweep stays contiguous;
-* once a program shape is **hot** (:data:`FUSION_THRESHOLD`
-  instance-samples in its per-shape profile) its batches run on a
-  generated shape-specialized megakernel
-  (:func:`specialized_interpreter`) instead of the generic op
-  interpreter.  Hot/cold verdicts and build outcomes are recorded in
-  ``kernel_info().fusion_decisions``.
+* output waveforms go through an 8-sample staging tile per instance,
+  flushed to 64-byte-aligned result rows with non-temporal stores.
 
 Contract: every instance of a columnar batch is **bit-identical** to its
 solo fused run — the same contract as every other kernel route, pinned
-with ``np.array_equal`` by ``tests/engine/test_kernel_columnar.py`` on
-cold and hot shapes.  Each lane runs the solo interpreter's exact
-per-sample operation sequence: FMA contraction is off at every vector
-width, and both kernels call scalar libm ``tanh``.  glibc's vector
-``tanh`` (libmvec) differs from libm's in the last bits, so neither
-kernel uses it.
+with ``np.array_equal`` by ``tests/engine/test_kernel_columnar.py``.
+Each lane runs the solo interpreter's exact per-sample operation
+sequence: FMA contraction is off at every vector width, and the kernel
+calls scalar libm ``tanh``.  glibc's vector ``tanh`` (libmvec) differs
+from libm's in the last bits, so the kernel does not use it.
 """
 
 from __future__ import annotations
 
 import ctypes
-import logging
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,22 +63,17 @@ from .kernel import (
     KernelRunInfo,
     KernelRunResult,
     record_batch,
-    record_fusion_decision,
     record_op_profile,
     record_run,
 )
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
     "ATOL_SCALE",
     "COLUMNAR_FLAGS",
-    "FUSION_THRESHOLD",
     "RTOL",
     "columnar_interpreter",
     "max_ulp_distance",
     "run_columnar_cc",
-    "specialized_interpreter",
 ]
 
 # -- comparison tolerances ---------------------------------------------------------
@@ -95,49 +88,21 @@ __all__ = [
 RTOL = 1e-9
 ATOL_SCALE = 1e-12
 
-# -- hot gate ----------------------------------------------------------------------
-
-#: A program shape must have executed this many instance-samples before
-#: its batches run on a shape-specialized megakernel (profile-guided:
-#: cold shapes run the generic op interpreter).
-FUSION_THRESHOLD = 100_000
-
-#: (signature, hot) verdicts already recorded in kernel_info().
-_DECIDED: set[tuple] = set()
-
-
-def _is_hot(signature: tuple, n_ops: int) -> bool:
-    """Whether a program shape has run :data:`FUSION_THRESHOLD`
-    instance-samples (``kernel._PROGRAM_PROFILE``).  Each verdict is
-    recorded once per ``(signature, hot)``."""
-    profile = _k._PROGRAM_PROFILE.get(signature, 0)
-    hot = profile >= FUSION_THRESHOLD
-    if (signature, hot) not in _DECIDED:
-        _DECIDED.add((signature, hot))
-        record_fusion_decision({
-            "engine": "columnar",
-            "n_ops": n_ops,
-            "hot": hot,
-            "profile_samples": int(profile),
-        })
-    return hot
-
 
 # -- allocation reuse --------------------------------------------------------------
 #
-# The engine's scratch matrices (the instance-major noise block, the
-# five sample-major waveform scratch matrices, the tile-transposed
-# noise) total ~15 MB at a 16x19k batch and never escape a run.
-# Allocating them fresh each run means glibc hands back newly-mmapped
-# pages and the kernel zero-fills them fault by fault *inside the
-# timed C call* — measured ~3 ms per run at that shape, comparable to
-# the arithmetic itself.  They are pooled per-thread instead (thread-
-# local: concurrent KernelBatch runs from the service layer must not
-# share scratch).  The waveform *row* matrices DO escape — each
-# KernelRunResult is a zero-copy view — so they stay freshly
-# allocated; _tune_malloc() instead asks glibc to recycle their pages
-# across result generations rather than returning them to the kernel
-# (raises M_MMAP_THRESHOLD / M_TRIM_THRESHOLD once per process).
+# The engine's scratch arrays (the instance-major noise block, the five
+# 8-sample staging tiles, the value row the tanh split passes between
+# segments) never escape a run.  Allocated fresh, each run would get
+# newly-mmapped pages back from glibc that the OS zero-fills fault by
+# fault on first touch.  They are pooled per-thread instead
+# (thread-local: concurrent KernelBatch runs from the service layer
+# must not share scratch).  The waveform *row* matrices DO escape —
+# each KernelRunResult is a zero-copy view — so they stay freshly
+# allocated, and their first touch lands *inside the timed C call*;
+# _tune_malloc() asks glibc to recycle their pages across result
+# generations rather than returning them to the OS (raises
+# M_MMAP_THRESHOLD / M_TRIM_THRESHOLD once per process).
 
 _M_TRIM_THRESHOLD = -1   # glibc mallopt() parameter ids
 _M_MMAP_THRESHOLD = -3
@@ -166,7 +131,7 @@ def _aligned_rows(n_rows: int, stride: int) -> np.ndarray:
     """An ``(n_rows, stride)`` float64 matrix whose data pointer is
     64-byte aligned.  With ``stride`` a multiple of 8 doubles this puts
     every 8-sample window of every row on one whole cacheline — the
-    property that lets the specialized kernel flush output rows with
+    property that lets the kernel flush output rows with
     non-temporal stores.  These escape into run results (zero-copy row
     views), so they are freshly allocated, never pooled."""
     raw = np.empty(n_rows * stride + 8)
@@ -224,10 +189,7 @@ class _Blocks:
     n_inst: int
     n_max: int
     n_ops: int
-    n_modes: int
     n_state: int
-    kinds: np.ndarray
-    sidx: np.ndarray
     p_cols: tuple            # 5 x (n_ops, n_inst)
     state: np.ndarray        # (n_state, n_inst)
     mode_coef: np.ndarray    # (7*n_modes, n_inst)
@@ -266,8 +228,8 @@ def _assemble(batch) -> _Blocks:
         [[c for m in kernels[i].modes for c in (m.x0, m.v0)]
          for i in order], dtype=float,
     ).reshape(n_inst, 2 * n_modes).T)
-    # noise stays instance-major (contiguous row copies); the C workers
-    # tile-transpose their own block to sample-major (col_noise_sm)
+    # noise stays instance-major (contiguous row copies); the kernel
+    # reads it in place (nzi[k*nm + i])
     noise = _scratch("noise", (n_inst, n_max))
     for col, i in enumerate(order):
         n_i = int(ns[i])
@@ -280,9 +242,7 @@ def _assemble(batch) -> _Blocks:
     return _Blocks(
         order=order, ns_sorted=ns_sorted,
         n_inst=n_inst, n_max=n_max,
-        n_ops=n_ops, n_modes=n_modes, n_state=n_state,
-        kinds=np.ascontiguousarray(rep._kinds, dtype=np.int64),
-        sidx=np.ascontiguousarray(rep._sidx, dtype=np.int64),
+        n_ops=n_ops, n_state=n_state,
         p_cols=p_cols, state=state,
         mode_coef=mode_coef, mode_state=mode_state,
         noise=noise, act=act, has_taps=rep.has_taps,
@@ -291,7 +251,7 @@ def _assemble(batch) -> _Blocks:
 
 def _package(
     batch, blocks: _Blocks, rows: Sequence[np.ndarray],
-    engine: str, threads_used: int, timer: StageTimer,
+    threads_used: int, timer: StageTimer,
 ) -> list:
     """Un-permute, slice, and sync the columnar outputs back to
     per-instance :class:`~repro.engine.kernel.KernelRunResult`\\ s.
@@ -307,7 +267,6 @@ def _package(
     compile_seconds = timer.seconds("compile")
     total = int(np.sum(blocks.ns_sorted))
     record_op_profile(batch.kernels[0]._kinds, total)
-    _k._note_program_samples(batch.signature, total)
     results = []
     for i, kernel in enumerate(batch.kernels):
         col = int(col_of[i])
@@ -321,7 +280,7 @@ def _package(
             limin = limout = drive = np.zeros(n_i)
         info = KernelRunInfo(
             backend="fused",
-            engine=engine,
+            engine="cc-columnar",
             n_samples=n_i,
             n_ops=blocks.n_ops,
             n_state=blocks.n_state,
@@ -345,15 +304,12 @@ def _package(
     return results
 
 
-# -- the compiled columnar engine --------------------------------------------------
+# -- the compiled columnar megakernel ----------------------------------------------
 #
-# One generic op interpreter compiled once per machine: the per-op
-# switch costs one branch per op per *sample*, amortized over the whole
-# instance axis, and every case body is a fixed-trip-count-free loop
-# over contiguous doubles that the compiler's auto-vectorizer turns
-# into SIMD sweeps.  IEEE-strict: -O3 but no fast-math, FMA contraction
-# off, tanh left as the scalar libm call — per-lane arithmetic is the
-# exact solo-interpreter sequence.
+# One kernel per program shape, generated from its op list (below).
+# IEEE-strict: -O3 but no fast-math, FMA contraction off, tanh left as
+# the scalar libm call — per-lane arithmetic is the exact
+# solo-interpreter sequence.
 
 COLUMNAR_FLAGS = [
     "-O3", "-fPIC", "-shared", "-ffp-contract=off",
@@ -368,269 +324,43 @@ COLUMNAR_FLAGS = [
 #: ~25% faster on an AVX2 box).
 NATIVE_FLAG = "-march=native"
 
-_C_HEADER = """
-#include <math.h>
-#include <pthread.h>
-"""
-
 _C_STRUCT = """
 /* Structure-of-arrays layout: every 2-d block is row-major with the
- * instance index k as the last, stride-1 axis.  ns is sorted
+ * instance index k as the last, stride-1 axis, except the noise block,
+ * which is instance-major (n_inst x n_max).  ns is sorted
  * non-increasing, so the set of still-running instances is always a
  * prefix [lo, hi) that shrinks as the sample index passes each
  * instance's end.  Threads own contiguous instance sub-ranges. */
 
 typedef struct {
     long lo, hi;                 /* this worker's instance block */
-    long n_inst, n_modes, n_ops, n_max, row_stride, has_taps;
+    long n_inst, n_max, row_stride;
     const long *ns;
-    const long *kinds, *sidx;
     const double *p0, *p1, *p2, *p3, *p4;
     double *state;
     const double *mode_coef;
     double *mode_state;
     const double *noise, *act;
-    double *vbuf, *noise_sm;
-    double *out_disp, *out_bridge;
-    double *out_limin, *out_limout, *out_drive;
+    double *vbuf;
+    /* 8-sample staging tiles, one window per instance: [k*8 + it] */
+    double *stg_disp, *stg_bridge;
+    double *stg_limin, *stg_limout, *stg_drive;
+    /* result rows, 64-byte aligned, padded stride: [k*row_stride + i] */
     double *row_disp, *row_bridge;
     double *row_limin, *row_limout, *row_drive;
 } col_args;
-
-/* Tiled column->row transpose of one worker's instance block: src is
- * sample-major (n_max x ni), dst instance-major with row stride rs
- * (>= n_max; rows are line-padded).  ns is sorted non-increasing, so
- * row k only holds ns[k] samples.  Done in C (and inside the worker
- * threads) because the Python-side strided gather was the single
- * largest cost of the columnar round trip. */
-static void col_transpose(long lo, long hi, long ni, long rs,
-    const long *ns, const double *src, double *dst)
-{
-    for (long k0 = lo; k0 < hi; k0 += 16) {
-        long k1 = k0 + 16 < hi ? k0 + 16 : hi;
-        long mx = ns[k0];                /* block max (sorted desc) */
-        for (long i0 = 0; i0 < mx; i0 += 128) {
-            for (long k = k0; k < k1; k++) {
-                long lim = ns[k] < i0 + 128 ? ns[k] : i0 + 128;
-                for (long i = i0; i < lim; i++)
-                    dst[k*rs + i] = src[i*ni + k];
-            }
-        }
-    }
-}
-
-/* Noise arrives instance-major (ni x n_max) straight from the batch —
- * the sample-major copy the sweeps consume is made here, per worker,
- * with the same tiling (a Python-side transpose measured ~5x the
- * cost of this pass). */
-static void col_noise_sm(col_args *a)
-{
-    const long ni = a->n_inst, n_max = a->n_max;
-    const long *ns = a->ns;
-    const double *src = a->noise;
-    double *dst = a->noise_sm;
-    for (long k0 = a->lo; k0 < a->hi; k0 += 16) {
-        long k1 = k0 + 16 < a->hi ? k0 + 16 : a->hi;
-        long mx = ns[k0];                /* block max (sorted desc) */
-        for (long i0 = 0; i0 < mx; i0 += 128) {
-            for (long k = k0; k < k1; k++) {
-                long lim = ns[k] < i0 + 128 ? ns[k] : i0 + 128;
-                for (long i = i0; i < lim; i++)
-                    dst[i*ni + k] = src[k*n_max + i];
-            }
-        }
-    }
-}
-
-static void col_emit_rows(col_args *a)
-{
-    const long ni = a->n_inst, rs = a->row_stride;
-    col_transpose(a->lo, a->hi, ni, rs, a->ns,
-                  a->out_disp, a->row_disp);
-    col_transpose(a->lo, a->hi, ni, rs, a->ns,
-                  a->out_bridge, a->row_bridge);
-    if (a->has_taps) {
-        col_transpose(a->lo, a->hi, ni, rs, a->ns,
-                      a->out_limin, a->row_limin);
-        col_transpose(a->lo, a->hi, ni, rs, a->ns,
-                      a->out_limout, a->row_limout);
-        col_transpose(a->lo, a->hi, ni, rs, a->ns,
-                      a->out_drive, a->row_drive);
-    }
-}
-"""
-
-_C_WORKER = """
-static void *col_worker(void *argp)
-{
-    col_args *a = (col_args *)argp;
-    const long ni = a->n_inst;
-    const long lo = a->lo;
-    long hi = a->hi;
-    const long n_i = a->ns[lo];          /* block max (sorted desc) */
-    double *restrict v = a->vbuf;
-    const double *restrict ar = a->act;          /* coil resistance  */
-    const double *restrict ai = a->act + ni;     /* current limit    */
-    const double *restrict af = a->act + 2*ni;   /* force per ampere */
-    col_noise_sm(a);
-
-    for (long i = 0; i < n_i; i++) {
-        while (hi > lo && a->ns[hi - 1] <= i) hi--;   /* active prefix */
-
-        /* bridge voltage: coefficient-weighted mode sum + noise */
-        {
-            const double *restrict mc6 = a->mode_coef + 6*ni;
-            const double *restrict ms0 = a->mode_state;
-            const double *restrict nz = a->noise_sm + i*ni;
-            double *restrict ob = a->out_bridge + i*ni;
-            if (a->n_modes == 1) {
-                for (long k = lo; k < hi; k++)
-                    v[k] = mc6[k]*ms0[k] + nz[k];
-            } else {
-                for (long k = lo; k < hi; k++)
-                    v[k] = mc6[k]*ms0[k];
-                for (long m = 1; m < a->n_modes; m++) {
-                    const double *restrict cm = a->mode_coef + (7*m + 6)*ni;
-                    const double *restrict sm = a->mode_state + (2*m)*ni;
-                    for (long k = lo; k < hi; k++)
-                        v[k] = v[k] + cm[k]*sm[k];
-                }
-                for (long k = lo; k < hi; k++)
-                    v[k] = v[k] + nz[k];
-            }
-            for (long k = lo; k < hi; k++) ob[k] = v[k];
-        }
-
-        /* the op list: one contiguous instance sweep per op */
-        for (long j = 0; j < a->n_ops; j++) {
-            const long kind = a->kinds[j];
-            const double *restrict q0 = a->p0 + j*ni;
-            const double *restrict q1 = a->p1 + j*ni;
-            const double *restrict q2 = a->p2 + j*ni;
-            const double *restrict q3 = a->p3 + j*ni;
-            const double *restrict q4 = a->p4 + j*ni;
-            double *restrict st = a->state + a->sidx[j]*ni;
-            switch (kind) {
-            case 2: {                       /* OP_SOS */
-                double *restrict s2 = st + ni;
-                for (long k = lo; k < hi; k++) {
-                    double y = q0[k]*v[k] + st[k];
-                    st[k] = q1[k]*v[k] - q3[k]*y + s2[k];
-                    s2[k] = q2[k]*v[k] - q4[k]*y;
-                    v[k] = y;
-                }
-                break; }
-            case 1:                         /* OP_GAIN */
-                for (long k = lo; k < hi; k++) v[k] = v[k]*q0[k];
-                break;
-            case 0:                         /* OP_BIAS */
-                for (long k = lo; k < hi; k++) v[k] = v[k] + q0[k];
-                break;
-            case 3:                         /* OP_RC */
-                for (long k = lo; k < hi; k++) {
-                    st[k] = st[k] + q0[k]*(v[k] - st[k]);
-                    v[k] = st[k];
-                }
-                break;
-            case 4:                         /* OP_CLIP */
-                for (long k = lo; k < hi; k++) {
-                    if (v[k] < q0[k]) v[k] = q0[k];
-                    else if (v[k] > q1[k]) v[k] = q1[k];
-                }
-                break;
-            case 5:                         /* OP_TANH (scalar libm) */
-                for (long k = lo; k < hi; k++)
-                    v[k] = q1[k]*tanh(q0[k]*v[k]/q1[k]);
-                break;
-            case 6:                         /* OP_DIFF */
-                for (long k = lo; k < hi; k++) {
-                    double y = (v[k] - st[k])*q0[k];
-                    st[k] = v[k];
-                    v[k] = y;
-                }
-                break;
-            case 7:                         /* OP_DEADZONE */
-                for (long k = lo; k < hi; k++) {
-                    if (v[k] <= q0[k] && v[k] >= q1[k]) v[k] = 0.0;
-                    else if (v[k] > 0.0) v[k] = v[k] - q0[k];
-                    else v[k] = v[k] - q1[k];
-                }
-                break;
-            case 8:                         /* OP_SLEW */
-                for (long k = lo; k < hi; k++) {
-                    double y = v[k] - st[k];
-                    if (y > q0[k]) v[k] = st[k] + q0[k];
-                    else if (y < q1[k]) v[k] = st[k] + q1[k];
-                    st[k] = v[k];
-                }
-                break;
-            case 9:                         /* OP_LATCH */
-                for (long k = lo; k < hi; k++) st[k] = v[k];
-                break;
-            case 10: {                      /* OP_TAP_LIMIN */
-                double *restrict o = a->out_limin + i*ni;
-                for (long k = lo; k < hi; k++) o[k] = v[k];
-                break; }
-            case 11: {                      /* OP_TAP_LIMOUT */
-                double *restrict o = a->out_limout + i*ni;
-                for (long k = lo; k < hi; k++) o[k] = v[k];
-                break; }
-            default: {                      /* OP_TAP_DRIVE */
-                double *restrict o = a->out_drive + i*ni;
-                for (long k = lo; k < hi; k++) o[k] = v[k];
-                break; }
-            }
-        }
-
-        /* actuator: current limit then force per ampere (v becomes f) */
-        for (long k = lo; k < hi; k++) {
-            double cur = v[k]/ar[k];
-            if (cur > ai[k]) cur = ai[k];
-            else if (cur < -ai[k]) cur = -ai[k];
-            v[k] = af[k]*cur;
-        }
-
-        /* exact-ZOH mode propagation */
-        for (long m = 0; m < a->n_modes; m++) {
-            const double *restrict c0 = a->mode_coef + (7*m)*ni;
-            const double *restrict c1 = a->mode_coef + (7*m + 1)*ni;
-            const double *restrict c2 = a->mode_coef + (7*m + 2)*ni;
-            const double *restrict c3 = a->mode_coef + (7*m + 3)*ni;
-            const double *restrict c4 = a->mode_coef + (7*m + 4)*ni;
-            const double *restrict c5 = a->mode_coef + (7*m + 5)*ni;
-            double *restrict mx = a->mode_state + (2*m)*ni;
-            double *restrict mv = a->mode_state + (2*m + 1)*ni;
-            for (long k = lo; k < hi; k++) {
-                double x0 = mx[k];
-                double v0 = mv[k];
-                double f = v[k];
-                mx[k] = c0[k]*x0 + c1[k]*v0 + c4[k]*f;
-                mv[k] = c2[k]*x0 + c3[k]*v0 + c5[k]*f;
-            }
-        }
-        {
-            double *restrict od = a->out_disp + i*ni;
-            const double *restrict ms0 = a->mode_state;
-            for (long k = lo; k < hi; k++) od[k] = ms0[k];
-        }
-    }
-    col_emit_rows(a);
-    return 0;
-}
 """
 
 _C_ENTRY = """
 void run_columnar(
-    long n_inst, long n_threads, long n_modes, long n_ops,
-    long n_max, long row_stride, long has_taps,
-    const long *ns, const long *kinds, const long *sidx,
+    long n_inst, long n_threads, long n_max, long row_stride,
+    const long *ns,
     const double *p0, const double *p1, const double *p2,
     const double *p3, const double *p4,
     double *state, const double *mode_coef, double *mode_state,
     const double *noise, const double *act, double *vbuf,
-    double *noise_sm,
-    double *out_disp, double *out_bridge,
-    double *out_limin, double *out_limout, double *out_drive,
+    double *stg_disp, double *stg_bridge,
+    double *stg_limin, double *stg_limout, double *stg_drive,
     double *row_disp, double *row_bridge,
     double *row_limin, double *row_limout, double *row_drive)
 {
@@ -645,11 +375,10 @@ void run_columnar(
         long lo = t * chunk;
         long hi = lo + chunk < n_inst ? lo + chunk : n_inst;
         if (lo >= hi) break;
-        col_args a = { lo, hi, n_inst, n_modes, n_ops, n_max, row_stride,
-            has_taps,
-            ns, kinds, sidx, p0, p1, p2, p3, p4,
-            state, mode_coef, mode_state, noise, act, vbuf, noise_sm,
-            out_disp, out_bridge, out_limin, out_limout, out_drive,
+        col_args a = { lo, hi, n_inst, n_max, row_stride,
+            ns, p0, p1, p2, p3, p4,
+            state, mode_coef, mode_state, noise, act, vbuf,
+            stg_disp, stg_bridge, stg_limin, stg_limout, stg_drive,
             row_disp, row_bridge, row_limin, row_limout, row_drive };
         args[nt++] = a;
     }
@@ -666,47 +395,41 @@ void run_columnar(
 }
 """
 
-_C_SOURCE = _C_HEADER + _C_STRUCT + _C_WORKER + _C_ENTRY
 
-
-# -- profile-guided specialized megakernels ----------------------------------------
+# -- the generated kernel body -----------------------------------------------------
 #
-# Once a program shape is hot, the op interpreter's per-sweep dispatch
-# (one function-call's worth of loop setup per op per sample) dominates:
-# the generic engine is memory/dispatch bound, not arithmetic bound.
-# The engine then *generates* a shape-specialized kernel where the
-# whole op chain runs as one single-pass vector loop over the instance
-# axis, split only at OP_TANH (the lone transcendental).  Each segment
-# is a noinline function taking every row as its own ``restrict``
-# parameter — that is what lets GCC vectorize without runtime alias
-# versioning (derived pointers off one base defeat its alias budget).
-# The tanh segment calls scalar libm ``tanh`` lane by lane: glibc's
-# libmvec vector ``tanh`` differs from it in the last bits, which would
-# break the bit-exact contract.  Every segment keeps the exact
-# per-sample arithmetic order of the solo interpreter, with clamps
-# rewritten as NaN-equivalent ternaries so the bodies stay branch-free.
+# Dispatching on op kind inside the sample loop would make the kernel
+# dispatch bound, not arithmetic bound.  So the engine *generates* the
+# body for one program shape: the whole op chain runs as one
+# single-pass vector loop over the instance axis, split only at OP_TANH
+# (the lone transcendental).  Each segment is a noinline function
+# taking every row as its own ``restrict`` parameter — that is what
+# lets GCC vectorize without runtime alias versioning (derived pointers
+# off one base defeat its alias budget).  The tanh segment calls scalar
+# libm ``tanh`` lane by lane: glibc's libmvec vector ``tanh`` differs
+# from it in the last bits, which would break the bit-exact contract.
+# Every segment keeps the exact per-sample arithmetic order of the solo
+# interpreter, with clamps rewritten as NaN-equivalent ternaries so the
+# bodies stay branch-free.
 #
-# Memory traffic is the specialized path's budget, so it diverges from
-# the generic interpreter in one bit-preserving way: it reads the batch
-# noise directly from the instance-major block (``nzi[k*nm + i]`` — a
-# strided load the transpose pass was paying anyway, L1-resident since
-# each line covers 8 consecutive samples) instead of materializing the
-# sample-major ``noise_sm`` copy, skipping a full write+read-back pass
-# over the batch (~5 MB per 16x19k batch).  Output waveforms go through
-# an 8-sample staging window per instance (``stg[k*8 + it]`` in the
-# sample-major scratch — same ~5 KB L1 footprint as keeping one open
-# row cacheline per instance) that is flushed to the row matrices once
-# per tile with non-temporal stores.  The rows are freshly allocated
-# every run (they escape as zero-copy result views), so every row line
-# is cold: a cached store would pay read-for-ownership on all of them
-# (~8.8 MB of reads per 16x19k batch that serve no purpose), while
-# streaming stores retire straight to memory.  This only works because
-# the rows are 64-byte aligned with a stride padded to a multiple of 8
-# doubles — every full window is exactly one whole cacheline.  (An
-# earlier 32-sample tile flushed into *unpadded* rows measured slower
-# than row-direct stores: the tile blew the L1 working set and odd
-# ``n_max`` kept windows off line boundaries, degrading the streaming
-# stores to partial write-combining flushes.)
+# Memory traffic is the kernel's budget.  It reads the batch noise
+# directly from the instance-major block (``nzi[k*nm + i]`` — a strided
+# load, L1-resident since each line covers 8 consecutive samples), so
+# no sample-major copy of the noise is ever made.  Output waveforms go
+# through an 8-sample staging tile per instance (``stg[k*8 + it]`` —
+# one cacheline per waveform per instance, about 5 KB of L1 at 16
+# instances) that is flushed to the row matrices once per tile with
+# non-temporal stores.  The rows are freshly allocated every run (they
+# escape as zero-copy result views), so every row line is cold: a
+# cached store would pay read-for-ownership on all of them (~8.8 MB of
+# reads per 16x19k batch that serve no purpose), while streaming stores
+# retire straight to memory.  This only works because the rows are
+# 64-byte aligned with a stride padded to a multiple of 8 doubles —
+# every full window is exactly one whole cacheline.  (An earlier
+# 32-sample tile flushed into *unpadded* rows measured slower than
+# row-direct stores: the tile blew the L1 working set and odd ``n_max``
+# kept windows off line boundaries, degrading the streaming stores to
+# partial write-combining flushes.)
 
 _SPEC_HEADER = """
 #include <math.h>
@@ -763,9 +486,9 @@ NI static void col_tanhseg(long lo, long hi, double *restrict v,
 def _generate_specialized_source(
     kinds: Sequence[int], sidx: Sequence[int], n_modes: int,
 ) -> str:
-    """Emit C for one program shape: op chains fused into single-pass
-    vector loops, split at OP_TANH, entry-compatible with the generic
-    ``run_columnar``."""
+    """Emit the megakernel for one program shape: op chains fused into
+    single-pass vector loops, split at OP_TANH, behind the
+    ``run_columnar`` entry point."""
 
     # split the op list into chains at every tanh
     chains: list[list[int]] = [[]]
@@ -854,17 +577,17 @@ def _generate_specialized_source(
         if k == OP_LATCH:
             return [f"{s()}[k] = x;"]
         if k == OP_TAP_LIMIN:
-            o = row(params, "sli", "a->out_limin", False, "rowbase")
+            o = row(params, "sli", "a->stg_limin", False, "rowbase")
             return [f"{o}[k*8 + it] = x;"]
         if k == OP_TAP_LIMOUT:
-            o = row(params, "slo", "a->out_limout", False, "rowbase")
+            o = row(params, "slo", "a->stg_limout", False, "rowbase")
             return [f"{o}[k*8 + it] = x;"]
-        o = row(params, "sdr", "a->out_drive", False, "rowbase")
+        o = row(params, "sdr", "a->stg_drive", False, "rowbase")
         return [f"{o}[k*8 + it] = x;"]  # OP_TAP_DRIVE
 
     def emit_bridge(params: dict) -> list:
         nz = row(params, "nzi", "a->noise", True, "noisebase")
-        ob = row(params, "sbr", "a->out_bridge", False, "rowbase")
+        ob = row(params, "sbr", "a->stg_bridge", False, "rowbase")
         bc0 = row(params, "bc0", "a->mode_coef + 6*ni", True)
         mx0 = row(params, "mx0", "a->mode_state", True)
         lines = []
@@ -884,7 +607,7 @@ def _generate_specialized_source(
         ar = row(params, "ar", "a->act", True)
         ai = row(params, "ai", "a->act + ni", True)
         af = row(params, "af", "a->act + 2*ni", True)
-        od = row(params, "sdi", "a->out_disp", False, "rowbase")
+        od = row(params, "sdi", "a->stg_disp", False, "rowbase")
         lines = [
             f"double cur = x/{ar}[k];",
             f"cur = (cur > {ai}[k]) ? {ai}[k] : cur;",
@@ -1033,7 +756,7 @@ def _generate_specialized_source(
     ]
 
     parts = [
-        f"/* specialized columnar kernel: kinds={list(map(int, kinds))}",
+        f"/* columnar megakernel: kinds={list(map(int, kinds))}",
         f"   sidx={list(map(int, sidx))} n_modes={n_modes} */",
         _SPEC_HEADER,
         _C_STRUCT,
@@ -1044,76 +767,33 @@ def _generate_specialized_source(
     return "\n".join(parts)
 
 
-#: Memoized specialized builds (None = build failed; generic interpreter kept).
-_SPECIALIZED: dict[tuple, Callable | None] = {}
-
-
-def specialized_interpreter(blocks: "_Blocks"):
-    """The compiled shape-specialized megakernel, or ``None``.
-
-    Built once per program shape (op kinds, state layout, mode count)
-    through the same sha-keyed ``.so`` cache, with :data:`NATIVE_FLAG`
-    first, then without.  A failed build is memoized as ``None`` — the
-    generic op interpreter keeps the batch correct, just slower — and
-    never poisons ``cc_build_error``.
-    """
-    key = (
-        tuple(int(k) for k in blocks.kinds),
-        tuple(int(s) for s in blocks.sidx),
-        blocks.n_modes,
-    )
-    if key in _SPECIALIZED:
-        return _SPECIALIZED[key]
-    if not _k.cc_available():
-        return None
-    try:
-        fn = _build_so_tuned(
-            _generate_specialized_source(*key), COLUMNAR_FLAGS, "columnar-spec"
-        )
-    except KernelError as err:
-        logger.info(
-            "specialized columnar build failed (generic interpreter kept): %s",
-            err,
-        )
-        fn = None
-    record_fusion_decision({
-        "engine": "columnar",
-        "stage": "specialize",
-        "built": fn is not None,
-        "n_ops": len(key[0]),
-    })
-    _SPECIALIZED[key] = fn
-    return fn
-
-
-_COLUMNAR_FN: Callable | None = None
+#: The loaded megakernels, keyed by program shape (``batch_signature``).
+_ENGINES: dict[tuple, Callable] = {}
 _LOCK = threading.Lock()
 
 
 def _reset_engine() -> None:
-    """Forget the loaded columnar engines (reset_compiler_probe hook)."""
-    global _COLUMNAR_FN
+    """Forget the loaded megakernels (reset_compiler_probe hook)."""
     with _LOCK:
-        _COLUMNAR_FN = None
-        _SPECIALIZED.clear()
+        _ENGINES.clear()
     pool = getattr(_SCRATCH_TLS, "pool", None)
     if pool is not None:
         pool.clear()
 
 
 def _build_so(source: str, flags: Sequence[str], stem: str) -> Callable:
-    """Compile + wrap one columnar entry point (generic or specialized —
-    both export the same 31-argument ``run_columnar`` signature)."""
+    """Compile + wrap one megakernel's 26-argument ``run_columnar``
+    entry point."""
     lib = _k._cc_compile_so(source, list(flags), stem)
     dbl = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     idx = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     lib.run_columnar.restype = None
     lib.run_columnar.argtypes = (
-        [ctypes.c_long] * 7     # n_inst, n_threads, n_modes, n_ops, n_max, row_stride, has_taps
-        + [idx] * 3             # ns, kinds, sidx
+        [ctypes.c_long] * 4     # n_inst, n_threads, n_max, row_stride
+        + [idx]                 # ns
         + [dbl] * 5             # p0..p4
-        + [dbl] * 7             # state, mode_coef, mode_state, noise, act, vbuf, noise_sm
-        + [dbl] * 5             # the five sample-major waveform scratch matrices
+        + [dbl] * 6             # state, mode_coef, mode_state, noise, act, vbuf
+        + [dbl] * 5             # the five 8-sample staging tiles
         + [dbl] * 5             # the five instance-major waveform row matrices
     )
     raw = lib.run_columnar
@@ -1133,76 +813,67 @@ def _build_so_tuned(source: str, flags: Sequence[str], stem: str) -> Callable:
         return _build_so(source, flags, stem)
 
 
-def _build() -> Callable:
-    return _build_so_tuned(_C_SOURCE, COLUMNAR_FLAGS, "columnar")
+def columnar_interpreter(signature: tuple) -> Callable:
+    """The compiled megakernel for one program shape.
 
-
-def columnar_interpreter() -> Callable:
-    """The compiled columnar engine (built once, ``.so`` cached on disk).
-
+    ``signature`` is the batch's
+    :func:`~repro.engine.kernel.batch_signature`.  Each shape is built
+    once per process (``.so`` cached on disk, keyed by its source).
     Shares the solo engine's trust machinery: an injected
-    ``kernel.compile`` fault raises per its plan, and a real build
-    failure is memoized into the module-wide ``cc_build_error`` (a
-    compiler that cannot build one kernel source cannot build the
-    other).  :meth:`KernelBatch.run` degrades to solo fused runs on
-    :class:`KernelError`.
+    ``kernel.compile`` fault raises per its plan and is never memoized,
+    and a real build failure is memoized into the module-wide
+    ``cc_build_error`` (a compiler that cannot build one kernel source
+    cannot build another).  :meth:`KernelBatch.run` degrades to solo
+    fused runs on :class:`KernelError`.
     """
-    global _COLUMNAR_FN
     if poll_fault("kernel.compile") is not None:
         raise KernelError("injected fault at kernel.compile")
     if _k._CC_BUILD_ERROR is not None:
         raise KernelError(_k._CC_BUILD_ERROR)
-    if _COLUMNAR_FN is None:
+    fn = _ENGINES.get(signature)
+    if fn is None:
         if not _k.cc_available():
             raise KernelError("no C compiler on PATH")
+        kinds, sidx, n_modes, _ = signature
         with _LOCK:
-            if _COLUMNAR_FN is None:
+            fn = _ENGINES.get(signature)
+            if fn is None:
                 try:
-                    _COLUMNAR_FN = _build()
+                    fn = _build_so_tuned(
+                        _generate_specialized_source(kinds, sidx, n_modes),
+                        COLUMNAR_FLAGS, "columnar",
+                    )
                 except KernelError as err:
                     _k._CC_BUILD_ERROR = str(err)
                     raise
-    return _COLUMNAR_FN
+                _ENGINES[signature] = fn
+    return fn
 
 
 def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
-    """Execute a :class:`~repro.engine.kernel.KernelBatch` through the
-    compiled columnar engine: engine tag ``cc-columnar`` (generic op
-    interpreter), or ``cc-columnar-fused`` once the shape is hot and its
-    megakernel built."""
+    """Run a batch on its shape's megakernel (engine tag ``cc-columnar``).
+
+    ``fn`` is what :func:`columnar_interpreter` returned for the
+    :class:`~repro.engine.kernel.KernelBatch`'s signature.
+    """
     blocks = _assemble(batch)
-    engine = "cc-columnar"
-    if _is_hot(batch.signature, blocks.n_ops):
-        with timer.stage("compile"):
-            spec = specialized_interpreter(blocks)
-        if spec is not None:
-            fn = spec
-            engine = "cc-columnar-fused"
     n_inst, n_max = blocks.n_inst, blocks.n_max
-    # the sample-major scratch doubles as the fused kernel's 8-sample
-    # staging tile (indexed [k*8 + it]), so keep >= 8 samples per row
-    n_sm = max(n_max, 8)
     row_stride = (n_max + 7) & ~7
-    out_disp = _scratch("col_disp", (n_sm, n_inst))
-    out_bridge = _scratch("col_bridge", (n_sm, n_inst))
+    # each staging tile holds one 8-sample window per instance, [k*8 + it]
+    stg = [_scratch(f"stg{j}", (n_inst, 8)) for j in range(2)]
     rows = [_aligned_rows(n_inst, row_stride) for _ in range(2)]
     if blocks.has_taps:
-        taps = [_scratch(f"col_tap{j}", (n_sm, n_inst)) for j in range(3)]
+        stg += [_scratch(f"stg{j}", (n_inst, 8)) for j in range(2, 5)]
         rows += [_aligned_rows(n_inst, row_stride) for _ in range(3)]
     else:
-        taps = [np.zeros(1) for _ in range(3)]
+        stg += [np.zeros(1) for _ in range(3)]
         rows += [np.zeros(1) for _ in range(3)]
     vbuf = _scratch("vbuf", (n_inst,))
-    noise_sm = _scratch("noise_sm", (n_max, n_inst))
     with timer.stage("run"):
         fn(
-            n_inst, threads_used, blocks.n_modes, blocks.n_ops,
-            n_max, row_stride, 1 if blocks.has_taps else 0,
-            blocks.ns_sorted, blocks.kinds, blocks.sidx,
+            n_inst, threads_used, n_max, row_stride, blocks.ns_sorted,
             *blocks.p_cols,
             blocks.state, blocks.mode_coef, blocks.mode_state,
-            blocks.noise, blocks.act, vbuf, noise_sm,
-            out_disp, out_bridge, *taps, *rows,
+            blocks.noise, blocks.act, vbuf, *stg, *rows,
         )
-    return _package(batch, blocks, rows, engine, threads_used, timer)
-
+    return _package(batch, blocks, rows, threads_used, timer)

@@ -34,7 +34,6 @@ def resilience_snapshot() -> dict[str, Any]:
         "batch_declined": info.batch_declined,
         "batch_columnar_runs": info.batch_columnar_runs,
         "op_samples": dict(info.op_samples or {}),
-        "fusion_decisions": [dict(d) for d in info.fusion_decisions],
         "fallbacks": info.fallbacks,
         "last_fallback_reason": info.last_fallback_reason or None,
         "degrades": info.degrades,

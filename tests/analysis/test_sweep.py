@@ -8,7 +8,8 @@ from repro.analysis import SweepResult, geometric_space, sweep
 
 class TestSweep:
     def test_collects_columns(self):
-        result = sweep("x", [1.0, 2.0, 3.0], lambda x: {"square": x**2, "cube": x**3})
+        result = sweep("x", (v for v in [1.0, 2.0, 3.0]),
+                       lambda x: {"square": x**2, "cube": x**3})
         assert result.parameters == [1.0, 2.0, 3.0]
         assert list(result.column("square")) == [1.0, 4.0, 9.0]
         assert list(result.column("cube")) == [1.0, 8.0, 27.0]
@@ -18,11 +19,15 @@ class TestSweep:
         assert result.rows() == [(1, 10), (2, 20)]
 
     def test_changed_keys_rejected(self):
+        calls = []
+
         def unstable(x):
+            calls.append(x)
             return {"a": x} if x < 2 else {"b": x}
 
         with pytest.raises(KeyError):
-            sweep("x", [1, 2], unstable)
+            sweep("x", [1, 2, 3], unstable)
+        assert calls == [1, 2]  # stops at the first changed key
 
     def test_format_table_contains_everything(self):
         result = sweep("freq", [10.0, 20.0], lambda f: {"gain": 1.0 / f})

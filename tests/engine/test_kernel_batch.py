@@ -409,18 +409,12 @@ class TestLoopSweepTaskPlanner:
             cache=cache,
         )
 
-    def test_kernel_batch_equals_serial(self, monkeypatch):
-        import repro.engine.kernel_columnar as columnar
-
+    def test_kernel_batch_equals_serial(self):
         # three points run per-instance solo fused (narrower than
-        # COLUMNAR_MIN_INSTANCES); sixteen points on a hot shape run the
-        # columnar megakernel when a compiler is trusted
-        grids = (
-            (LENGTHS, columnar.FUSION_THRESHOLD),
-            (np.linspace(170.0, 260.0, 16), 0),
-        )
-        for lengths, threshold in grids:
-            monkeypatch.setattr(columnar, "FUSION_THRESHOLD", threshold)
+        # COLUMNAR_MIN_INSTANCES); sixteen points run the columnar
+        # megakernel when a compiler is trusted
+        grids = (LENGTHS, np.linspace(170.0, 260.0, 16))
+        for lengths in grids:
             serial = self._sweep("serial", lengths=lengths)
             reset_kernel_info()
             batched = self._sweep("kernel-batch", lengths=lengths)

@@ -3,21 +3,24 @@
 The columnar engine keeps the fused kernel's contract
 (``docs/FASTPATH.md``): every waveform of every instance is
 ``np.array_equal`` to its solo fused run.  This suite pins that
-contract on cold shapes (the generic op interpreter) and hot shapes
-(the shape-specialized megakernel) across reference-spec variants,
-liquids, modes, noise on/off, multimode stacks, heterogeneous
-durations, per-instance lowering fallbacks and a property-based sweep
-— plus the batch route order, the narrow-batch and untrusted-compiler
-routes (solo fused), and the profile/fusion counters surfaced through
-``kernel_info()`` and ``repro health``.
+contract on the one columnar engine, each program shape's generated
+megakernel, in cold processes and hot ones (stale scratch), across
+reference-spec variants, liquids, modes, noise on/off, multimode
+stacks, heterogeneous durations, per-instance lowering fallbacks and
+a property-based sweep — plus the batch route order, the narrow-batch
+and untrusted-compiler routes (solo fused), the once-per-shape build,
+the shared ``.so`` build cache, and the profile counters surfaced
+through ``kernel_info()`` and ``repro health``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import pathlib
 import shutil
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -168,17 +171,35 @@ class TestToleranceContract:
 
 
 class TestColumnarGolden:
-    """Columnar vs solo fused, bit for bit, instance for instance.
+    """Columnar vs solo fused, bit for bit, instance for instance: every
+    batch runs on its shape's megakernel.
 
-    Cold shapes: every batch runs on the generic op interpreter.
+    Cold process: each test starts with no megakernel loaded and an
+    empty scratch pool, so its first batch loads its shape's kernel.
     """
 
-    FUSION_THRESHOLD = 10**15
     ENGINE = "cc-columnar"
+    HOT = False
 
     @pytest.fixture(autouse=True)
-    def fusion_threshold(self, monkeypatch):
-        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", self.FUSION_THRESHOLD)
+    def process_state(self, monkeypatch):
+        if not self.HOT:
+            reset_compiler_probe()
+            return
+        scratch, aligned_rows = columnar._scratch, columnar._aligned_rows
+
+        def stale_scratch(name, shape):
+            buf = scratch(name, shape)
+            buf.fill(np.nan)
+            return buf
+
+        def stale_rows(n_rows, stride):
+            rows = aligned_rows(n_rows, stride)
+            rows.fill(np.nan)
+            return rows
+
+        monkeypatch.setattr(columnar, "_scratch", stale_scratch)
+        monkeypatch.setattr(columnar, "_aligned_rows", stale_rows)
 
     @pytest.mark.parametrize("variant", sorted(SPEC_VARIANTS))
     def test_spec_variants(self, variant, columnar_forced):
@@ -282,11 +303,12 @@ class TestColumnarGolden:
 
 
 class TestColumnarGoldenHot(TestColumnarGolden):
-    """The same cases on hot shapes: every batch runs on the
-    shape-specialized megakernel."""
+    """The same cases in a hot process: the pooled scratch tiles and the
+    recycled output pages a batch gets still hold an earlier batch's
+    values (NaN here), so any sample the kernel reads before writing
+    shows up as a mismatch."""
 
-    FUSION_THRESHOLD = 0
-    ENGINE = "cc-columnar-fused"
+    HOT = True
 
 
 class TestEngineSelection:
@@ -367,7 +389,7 @@ class TestEngineSelection:
 
 
 class TestFusionProfile:
-    """Profile counters and the profile-guided fusion decisions."""
+    """Profile counters and the once-per-shape megakernel build."""
 
     def test_op_samples_histogram(self):
         reset_kernel_info()
@@ -379,46 +401,82 @@ class TestFusionProfile:
         assert hist.get("SOS", 0) > 0  # every loop has biquad sections
 
     @needs_cc
-    def test_cold_plan_stays_generic(self, columnar_forced, monkeypatch):
-        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 10**15)
-        monkeypatch.setattr(columnar, "_DECIDED", set())
+    def test_megakernel_built_once_per_shape(self, columnar_forced, monkeypatch):
+        """A shape's first batch runs its megakernel, and the next batch
+        of that shape reuses it without building again."""
+        reset_compiler_probe()
+        builds = []
+        build = columnar._build_so_tuned
+
+        def counting_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(columnar, "_build_so_tuned", counting_build)
         reset_kernel_info()
         loops = [build_loop(length) for length in LENGTHS]
         run_batch(loops, 0.002)
-        decisions = kernel_info().fusion_decisions
-        gate = [d for d in decisions if d.get("engine") == "columnar"
-                and "hot" in d]
-        assert gate and gate[-1]["hot"] is False
-        assert not any(d.get("stage") == "specialize" for d in decisions)
+        assert kernel_info().batch_columnar_runs == 1
+        assert len(builds) == 1
         for loop in loops:
             assert loop.last_kernel_info.engine == "cc-columnar"
-
-    @needs_cc
-    def test_specialize_decision_recorded(self, columnar_forced, monkeypatch):
-        monkeypatch.setattr(columnar, "FUSION_THRESHOLD", 0)
-        monkeypatch.setattr(columnar, "_DECIDED", set())
-        columnar._SPECIALIZED.clear()
-        reset_kernel_info()
-        loops = [build_loop(length) for length in LENGTHS]
-        run_batch(loops, 0.002)
-        decisions = kernel_info().fusion_decisions
-        gate = [d for d in decisions if "hot" in d]
-        assert gate and gate[-1]["hot"] is True
-        spec = [d for d in decisions if d.get("stage") == "specialize"]
-        assert spec, "first hot run must record the specialize attempt"
-        if spec[-1]["built"]:
-            for loop in loops:
-                assert loop.last_kernel_info.engine == "cc-columnar-fused"
+        run_batch([build_loop(length) for length in LENGTHS], 0.002)
+        assert kernel_info().batch_columnar_runs == 2
+        assert len(builds) == 1
 
     def test_health_snapshot_surfaces_columnar_counters(self, columnar_forced):
         reset_kernel_info()
         run_batch([build_loop(length) for length in LENGTHS], 0.002)
         snap = resilience_snapshot()
-        for key in ("batch_declined", "batch_columnar_runs",
-                    "op_samples", "fusion_decisions"):
+        for key in ("batch_declined", "batch_columnar_runs", "op_samples"):
             assert key in snap
         assert snap["batch_columnar_runs"] == (1 if cc_available() else 0)
         json.dumps(snap)  # the whole snapshot must stay JSON-clean
+
+
+class TestBuildCache:
+    """The sha-keyed ``.so`` cache every C engine builds through."""
+
+    @needs_cc
+    def test_two_threads_build_one_new_source(self, tmp_path, monkeypatch):
+        """Two threads building one new source at once both get a
+        loadable library, and no build file is left behind."""
+        assert kernel_mod.cc_available()  # re-probe after any reset
+        wrapper = tmp_path / "slow-cc"
+        wrapper.write_text(
+            f'#!/bin/sh\n"{kernel_mod._CC}" "$@" && sleep 0.5\n'
+        )
+        wrapper.chmod(0o755)
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(kernel_mod, "_CC", str(wrapper))
+        monkeypatch.setattr(kernel_mod, "_cc_cache_dir", lambda: str(cache))
+        source = "double probe_twice(double x) { return 2.0 * x; }\n"
+        barrier = threading.Barrier(2, timeout=30)
+        libs, errors = [], []
+
+        def build():
+            barrier.wait()
+            try:
+                libs.append(kernel_mod._cc_compile_so(
+                    source, ["-O0", "-fPIC", "-shared"], "probe"
+                ))
+            except Exception as err:  # noqa: BLE001 - reported below
+                errors.append(err)
+
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        assert len(libs) == 2
+        for lib in libs:
+            lib.probe_twice.restype = ctypes.c_double
+            lib.probe_twice.argtypes = (ctypes.c_double,)
+            assert lib.probe_twice(1.5) == 3.0
+        leftovers = sorted(p.name for p in cache.iterdir())
+        assert len(leftovers) == 1 and leftovers[0].endswith(".so")
 
 
 pytest.importorskip("hypothesis")

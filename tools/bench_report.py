@@ -349,7 +349,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     # machine, where back-to-back repeats would all land in one burst)
     col_repeats = max(repeats, 12)
     col_round_gap_s = 1.5
-    run_engine("columnar")  # warm: engine load + specialized build
+    run_engine("columnar")  # warm: engine build
     walls = dict.fromkeys(("serial", "columnar"), float("inf"))
     outputs = {}
     for rnd in range(col_repeats):
