@@ -75,18 +75,18 @@ vector-check:
 	CC=no-such-compiler TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_columnar.py -q
 
-# Fast parallel-path check: the three engine-ported benches on tiny
-# grids, 2 workers, cache on (cold then warm — the warm runs must report
-# all hits).  The same coverage runs inside tier-1 via tests/engine/.
+# Fast engine-path check: the three engine-ported benches on tiny
+# grids, cache on (cold then warm — the warm runs must report all
+# hits).  The same coverage runs inside tier-1 via tests/engine/.
 bench-smoke:
 	rm -rf .repro_cache_smoke
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_process_variation.py --smoke --workers 2 --cache-dir .repro_cache_smoke
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_resonance_curve.py --smoke --workers 2 --cache-dir .repro_cache_smoke
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_abl_placement.py --smoke --workers 2 --cache-dir .repro_cache_smoke
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_process_variation.py --smoke --cache-dir .repro_cache_smoke
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_resonance_curve.py --smoke --cache-dir .repro_cache_smoke
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_abl_placement.py --smoke --cache-dir .repro_cache_smoke
 	@echo "-- warm re-run (expect cache hits, no stores) --"
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_process_variation.py --smoke --workers 2 --cache-dir .repro_cache_smoke
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_resonance_curve.py --smoke --workers 2 --cache-dir .repro_cache_smoke
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_abl_placement.py --smoke --workers 2 --cache-dir .repro_cache_smoke
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_process_variation.py --smoke --cache-dir .repro_cache_smoke
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_ext_resonance_curve.py --smoke --cache-dir .repro_cache_smoke
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_abl_placement.py --smoke --cache-dir .repro_cache_smoke
 	rm -rf .repro_cache_smoke
 
 # Spec-layer check: JSON round-trip + hash stability of every reference

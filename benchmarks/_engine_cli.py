@@ -5,7 +5,6 @@ Every ported bench (`bench_ext_process_variation`,
 engine flags, so `make bench-smoke` and ad-hoc runs drive them
 uniformly:
 
-* ``--workers N``   — executor worker count (1 = serial, no pool)
 * ``--no-cache``    — disable the on-disk result cache
 * ``--cache-dir D`` — cache location (default ``.repro_cache``)
 * ``--smoke``       — tiny grid, for the <30 s CI smoke run
@@ -24,10 +23,6 @@ from repro.engine import ResultCache
 
 def engine_argument_parser(description: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=description)
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="executor workers (1 = serial; default 2)",
-    )
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the on-disk result cache",

@@ -8,7 +8,7 @@ and reports the signal each position collects, plus the area-dependent
 1/f-noise factor for the static mode.
 
 Ported to the batch engine: both tables are built with
-:func:`repro.analysis.run_parallel` (grid fan-out over the executor,
+:func:`repro.analysis.run_parallel` (the grid through the executor,
 optional result cache) and are element-for-element identical to the
 serial :func:`repro.analysis.sweep`.
 
@@ -27,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import run_parallel, sweep
+from repro.analysis import run_parallel
 from repro.engine import ResultCache, StageTimer
 from repro.transduction import BridgePlacement, bridge_average_stress
 
@@ -36,7 +36,7 @@ STATIC_EXTENTS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 
 def resonant_placement_point(start, geometry) -> dict[str, float]:
-    """Equal-area bridge at ``start`` in resonant mode (picklable task)."""
+    """Equal-area bridge at ``start`` in resonant mode (cache-keyable task)."""
     placement = BridgePlacement(start=start, end=start + 0.1)
     signal = abs(
         bridge_average_stress(
@@ -47,7 +47,7 @@ def resonant_placement_point(start, geometry) -> dict[str, float]:
 
 
 def static_extent_point(extent, geometry) -> dict[str, float]:
-    """Clamp-anchored bridge of ``extent`` in static mode (picklable task)."""
+    """Clamp-anchored bridge of ``extent`` in static mode (cache-keyable task)."""
     placement = BridgePlacement(start=0.0, end=extent)
     signal = abs(
         bridge_average_stress(
@@ -62,32 +62,25 @@ def static_extent_point(extent, geometry) -> dict[str, float]:
     }
 
 
-def build_resonant_placement_table(
-    geometry, workers: int = 1, cache: ResultCache | None = None
-):
+def build_resonant_placement_table(geometry, cache: ResultCache | None = None):
     return run_parallel(
         "start_xi",
         RESONANT_STARTS,
         functools.partial(resonant_placement_point, geometry=geometry),
-        workers=workers,
         cache=cache,
     )
 
 
-def build_static_extent_table(
-    geometry, workers: int = 1, cache: ResultCache | None = None
-):
+def build_static_extent_table(geometry, cache: ResultCache | None = None):
     return run_parallel(
         "extent_xi",
         STATIC_EXTENTS,
         functools.partial(static_extent_point, geometry=geometry),
-        workers=workers,
         cache=cache,
     )
 
 
 def run_bench(
-    workers: int = 1,
     cache: ResultCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
@@ -100,11 +93,9 @@ def run_bench(
 
     geometry = build_cantilever(REFERENCE_CANTILEVER, REFERENCE_PROCESS).geometry
     timer = StageTimer()
-    with timer.stage(f"placement tables (workers={workers})"):
-        resonant = build_resonant_placement_table(
-            geometry, workers=workers, cache=cache
-        )
-        static = build_static_extent_table(geometry, workers=workers, cache=cache)
+    with timer.stage("placement tables"):
+        resonant = build_resonant_placement_table(geometry, cache=cache)
+        static = build_static_extent_table(geometry, cache=cache)
     res_signal = resonant.column("signal_kPa")
     headline = {
         "resonant_clamp_kPa": float(res_signal[0]),
@@ -152,21 +143,6 @@ def test_abl_placement(benchmark, reference_device):
     assert np.all(np.diff(snr) > 0.0)
 
 
-def test_abl_placement_parallel_matches_serial(reference_device):
-    """run_parallel == sweep, element-for-element, on the real tables."""
-    geometry = reference_device.geometry
-    serial = sweep(
-        "start_xi",
-        RESONANT_STARTS,
-        functools.partial(resonant_placement_point, geometry=geometry),
-    )
-    parallel = build_resonant_placement_table(geometry, workers=2)
-    assert parallel.parameters == serial.parameters
-    assert list(parallel.columns) == list(serial.columns)
-    for name in serial.columns:
-        np.testing.assert_array_equal(parallel.column(name), serial.column(name))
-
-
 def main(argv=None) -> int:
     from _engine_cli import cache_from_args, engine_argument_parser, report_engine_stats
 
@@ -177,7 +153,7 @@ def main(argv=None) -> int:
     cache = cache_from_args(args)
     timer = StageTimer()
     with timer.stage("bench"):
-        run_bench(workers=args.workers, cache=cache)
+        run_bench(cache=cache)
     report_engine_stats(timer, cache)
     return 0
 

@@ -8,11 +8,11 @@ frequencies spread by percent (so every die needs a frequency search at
 bring-up — the open-loop sweep of EXT4), while the closed loop's
 auto-gain absorbs the same spread without reconfiguration.
 
-Ported to the batch engine: the three Monte-Carlo cases fan out over a
+Ported to the batch engine: the three Monte-Carlo cases run through a
 :class:`repro.engine.BatchExecutor` and memoize through a
-:class:`repro.engine.ResultCache` (``--workers``/``--no-cache``), and
-the parallel results are bit-identical to the serial ones because every
-case carries its own seed.
+:class:`repro.engine.ResultCache` (``--no-cache``), and the cached
+results are bit-identical to fresh ones because every case carries its
+own seed.
 
 Shape targets:
 * frequency spread ~3% (sigma), matching the first-order analytic law
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
 import pytest
 
 from repro.config import REFERENCE_CANTILEVER
@@ -51,7 +50,7 @@ CASES: dict[str, ProcessCorners] = {
 
 
 def monte_carlo_case(case: str, samples: int = 80):
-    """One Monte-Carlo case of the reference beam (module-level: picklable)."""
+    """One Monte-Carlo case of the reference beam (module-level: cache-keyable)."""
     return monte_carlo_devices(
         um(REFERENCE_CANTILEVER.length_um),
         um(REFERENCE_CANTILEVER.width_um),
@@ -62,7 +61,6 @@ def monte_carlo_case(case: str, samples: int = 80):
 
 
 def run_monte_carlo(
-    workers: int = 1,
     samples: int = 80,
     cache: ResultCache | None = None,
     timer: StageTimer | None = None,
@@ -70,14 +68,12 @@ def run_monte_carlo(
     """All three cases through the engine; returns them in CASES order."""
     task = functools.partial(monte_carlo_case, samples=samples)
     timer = timer if timer is not None else StageTimer()
-    with timer.stage(f"monte-carlo x{len(CASES)} (workers={workers})"):
+    with timer.stage(f"monte-carlo x{len(CASES)}"):
         if cache is not None:
             keys = [cache.key_for(task, case) for case in CASES]
             cached = [cache.get(k) for k in keys]
             pending = [c for c, v in zip(CASES, cached) if v is cache.MISS]
-            computed = iter(
-                BatchExecutor(workers=workers).map(task, pending).values()
-            )
+            computed = iter(BatchExecutor().map(task, pending).values())
             results = []
             for case, key, value in zip(CASES, keys, cached):
                 if value is cache.MISS:
@@ -85,12 +81,11 @@ def run_monte_carlo(
                     cache.put(key, value)
                 results.append(value)
         else:
-            results = BatchExecutor(workers=workers).map(task, CASES).values()
+            results = BatchExecutor().map(task, CASES).values()
     return tuple(results)
 
 
 def run_bench(
-    workers: int = 1,
     samples: int = 80,
     cache: ResultCache | None = None,
     quiet: bool = False,
@@ -98,7 +93,7 @@ def run_bench(
     """Full bench through the engine; returns the headline numbers."""
     timer = StageTimer()
     nominal, thickness_only, litho_only = run_monte_carlo(
-        workers=workers, samples=samples, cache=cache, timer=timer
+        samples=samples, cache=cache, timer=timer
     )
     summary = nominal.summary()
     headline = {
@@ -152,20 +147,6 @@ def test_ext_process_variation(benchmark):
     )
 
 
-def test_ext_process_variation_parallel_matches_serial(benchmark):
-    """The engine contract on real physics: workers>=2 is bit-identical."""
-    serial = run_monte_carlo(workers=1)
-    parallel = benchmark.pedantic(
-        run_monte_carlo, kwargs={"workers": 2}, rounds=1, iterations=1
-    )
-    for s, p in zip(serial, parallel):
-        np.testing.assert_array_equal(s.frequencies, p.frequencies)
-        np.testing.assert_array_equal(s.spring_constants, p.spring_constants)
-        np.testing.assert_array_equal(
-            s.static_responsivities, p.static_responsivities
-        )
-
-
 def startup_across_corners():
     """Every corner device must start in the loop with the same policy."""
     from repro.config import REFERENCE_RESONANT_SENSOR, build
@@ -202,7 +183,7 @@ def main(argv=None) -> int:
     timer = StageTimer()
     samples = 12 if args.smoke else 80
     with timer.stage("bench"):
-        run_bench(workers=args.workers, samples=samples, cache=cache)
+        run_bench(samples=samples, cache=cache)
     report_engine_stats(timer, cache)
     return 0
 

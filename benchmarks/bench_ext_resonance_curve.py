@@ -7,9 +7,9 @@ cross-validates the extracted (f0, Q) against the Sader prediction and
 the closed-loop lock — three independent paths to the same numbers.
 
 Ported to the batch engine: each liquid's characterization is an
-independent grid point, fanned out over a
+independent grid point, run through a
 :class:`repro.engine.BatchExecutor` and memoized through a
-:class:`repro.engine.ResultCache` (``--workers``/``--no-cache``).
+:class:`repro.engine.ResultCache` (``--no-cache``).
 
 Shape targets:
 * swept-sine fit recovers the Sader-model f0 within 1% and Q within
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
 import pytest
 
 from repro.analysis import measure_resonance
@@ -49,11 +48,10 @@ def characterize(device, liquid_name, points: int = 31):
 
 
 def characterize_reference(liquid_name: str, points: int = 31):
-    """Characterize the reference beam in one liquid (picklable task).
+    """Characterize the reference beam in one liquid (cache-keyable task).
 
-    Rebuilds the (deterministic) reference cantilever from its spec
-    inside the worker so the task ships only its parameter, not a
-    device object.
+    Rebuilds the (deterministic) reference cantilever from its spec, so
+    the task's cache key holds only its parameter, not a device object.
     """
     from repro.config import (
         REFERENCE_CANTILEVER,
@@ -67,7 +65,6 @@ def characterize_reference(liquid_name: str, points: int = 31):
 
 def characterize_grid(
     liquids,
-    workers: int = 1,
     points: int = 31,
     cache: ResultCache | None = None,
 ) -> dict[str, tuple]:
@@ -87,7 +84,7 @@ def characterize_grid(
             else:
                 results[name] = value
     if pending:
-        computed = BatchExecutor(workers=workers).map(task, pending).values()
+        computed = BatchExecutor().map(task, pending).values()
         for name, value in zip(pending, computed):
             results[name] = value
             if cache is not None:
@@ -96,17 +93,14 @@ def characterize_grid(
 
 
 def run_bench(
-    workers: int = 1,
     points: int = 31,
     cache: ResultCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
     """Air + water bring-up through the engine; returns headline numbers."""
     timer = StageTimer()
-    with timer.stage(f"characterize x2 (workers={workers})"):
-        grid = characterize_grid(
-            ["air", "water"], workers=workers, points=points, cache=cache
-        )
+    with timer.stage("characterize x2"):
+        grid = characterize_grid(["air", "water"], points=points, cache=cache)
     (air_fl, air_fit) = grid["air"]
     (water_fl, water_fit) = grid["water"]
     headline = {
@@ -143,7 +137,7 @@ def test_ext_resonance_curve_water(benchmark, reference_device):
 
 def test_ext_resonance_curve_air_vs_water(benchmark):
     def both():
-        grid = characterize_grid(["air", "water"], workers=2)
+        grid = characterize_grid(["air", "water"])
         return grid["air"], grid["water"]
 
     (air_fl, air_fit), (water_fl, water_fit) = benchmark.pedantic(
@@ -159,16 +153,6 @@ def test_ext_resonance_curve_air_vs_water(benchmark):
     assert air_fit.quality_factor > 20.0 * water_fit.quality_factor
 
 
-def test_ext_resonance_grid_parallel_matches_serial():
-    """Engine contract: the fanned-out grid equals the serial one."""
-    serial = characterize_grid(["air", "water"], workers=1)
-    parallel = characterize_grid(["air", "water"], workers=2)
-    for name in ("air", "water"):
-        s_fit, p_fit = serial[name][1], parallel[name][1]
-        assert p_fit.frequency == s_fit.frequency
-        assert p_fit.quality_factor == s_fit.quality_factor
-
-
 def main(argv=None) -> int:
     from _engine_cli import cache_from_args, engine_argument_parser, report_engine_stats
 
@@ -179,8 +163,7 @@ def main(argv=None) -> int:
     cache = cache_from_args(args)
     timer = StageTimer()
     with timer.stage("bench"):
-        run_bench(workers=args.workers, points=15 if args.smoke else 31,
-                  cache=cache)
+        run_bench(points=15 if args.smoke else 31, cache=cache)
     report_engine_stats(timer, cache)
     return 0
 

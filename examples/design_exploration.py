@@ -48,7 +48,6 @@ table = run_spec_sweep(
     [2.0, 3.0, 4.0, 5.0, 6.0],
     nwell_tradeoff,
     parameter_name="nwell_um",
-    workers=1,
 )
 print("1. etch-stop depth trade-off (500 x 100 um beam):")
 print(table.format_table())
@@ -75,7 +74,6 @@ table = run_spec_sweep(
     [200.0, 300.0, 400.0, 500.0, 700.0],
     length_tradeoff,
     parameter_name="length_um",
-    workers=1,
 )
 print("2. beam length vs in-water mass resolution (10 s counter gate):")
 print(table.format_table())

@@ -6,7 +6,7 @@ columns, and render an aligned text table (the "same rows the paper
 reports" output format required of the benchmark harness).
 
 Two execution paths share one result format: :func:`sweep` is the
-serial loop, :func:`run_parallel` fans the same grid out through
+serial loop, :func:`run_parallel` runs the same grid through
 :class:`repro.engine.BatchExecutor` (optionally memoized through a
 :class:`repro.engine.ResultCache`) and must return element-for-element
 identical results — that determinism is the engine's contract and is
@@ -15,9 +15,6 @@ pinned by ``tests/engine``.
 
 from __future__ import annotations
 
-import copy
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -131,13 +128,13 @@ def run_parallel(
     evaluate: Callable[[object], Mapping[str, object]],
     *,
     workers: int | None = None,
-    backend: str = "process",
+    backend: str = "kernel-batch",
     cache=None,
     cache_extra=None,
     timeout: float | None = None,
     retry=None,
 ) -> SweepResult:
-    """Parallel :func:`sweep`: same grid, same result, fanned out.
+    """:func:`sweep` through the batch engine: same grid, same result.
 
     Runs ``evaluate`` over ``values`` through a
     :class:`repro.engine.BatchExecutor` and returns a
@@ -148,10 +145,11 @@ def run_parallel(
     Parameters
     ----------
     workers / backend:
-        Executor configuration; ``workers<=1`` degrades to the serial
-        path with zero pool overhead.  The ``process`` backend needs a
-        picklable ``evaluate`` (module-level function or a
-        ``functools.partial`` of one).
+        Executor configuration.  On ``"kernel-batch"`` (default) an
+        ``evaluate`` with a ``batch_call`` method (a
+        :class:`LoopSweepTask`) gets the whole pending grid in one call
+        with ``workers`` C-level threads; any other ``evaluate``, and
+        every point on ``"serial"``, runs solo.
     cache:
         Optional :class:`repro.engine.ResultCache`.  Hits skip the
         executor entirely; only the missing grid points are dispatched,
@@ -162,9 +160,10 @@ def run_parallel(
     timeout / retry:
         Per-task watchdog [s] and retry policy
         (:class:`repro.engine.RetryPolicy` or an int), forwarded to the
-        executor: a hung point is killed, a crashed point re-dispatched
-        with deterministic backoff, and only a point that *stays* dead
-        after its retry budget re-raises here.
+        executor: a set ``timeout`` runs the grid point by point, a hung
+        point is abandoned, a crashed point re-dispatched with
+        deterministic backoff, and only a point that *stays* dead after
+        its retry budget re-raises here.
     """
     from ..engine import BatchExecutor
 
@@ -206,7 +205,7 @@ def override_grid(base_spec, path: str, values: Iterable) -> list:
     The grid a spec-first sweep runs over: each point is the *entire*
     device description with exactly one dotted-path field changed.
     Invalid values fail here, eagerly, with the offending path in the
-    error — not mid-sweep inside a worker process.
+    error — not mid-sweep.
     """
     return [base_spec.with_overrides({path: v}) for v in values]
 
@@ -219,7 +218,7 @@ def run_spec_sweep(
     *,
     parameter_name: str | None = None,
     workers: int | None = None,
-    backend: str = "process",
+    backend: str = "kernel-batch",
     cache=None,
     cache_extra=None,
     timeout: float | None = None,
@@ -275,33 +274,12 @@ def plan_chunks(n_points: int, chunk_size: int) -> list[tuple[int, int]]:
     ]
 
 
-#: Pristine built-loop templates, keyed by (device spec hash).  Building
-#: a loop from a spec is the dominant whole-pipeline cost of a batched
-#: closed-loop sweep (mode-shape integrals, Butterworth design inside
-#: auto-gain) and is a pure function of the spec — so the batch path
-#: builds each distinct device once and deep-copies the never-run
-#: template per evaluation.  Copies are bit-identical to fresh builds
-#: (same floats, same pristine state), preserving the engine's
-#: bit-exactness contract; the serial ``__call__`` path stays
-#: memo-free as the reference.
-_LOOP_TEMPLATES: OrderedDict[str, object] = OrderedDict()
-_LOOP_TEMPLATES_LOCK = threading.Lock()
-_LOOP_TEMPLATE_ENTRIES = 128
-
-
-def _reset_loop_templates() -> None:
-    """Drop all memoized loop templates (test isolation)."""
-    with _LOOP_TEMPLATES_LOCK:
-        _LOOP_TEMPLATES.clear()
-
-
 def loop_headline(spec, record) -> dict:
     """Default per-point reduction of one closed-loop run.
 
     Module-level on purpose: the reduce function is part of the cache
-    key (and must be picklable for process pools), so it needs a stable
-    qualified name — closures and lambdas are rejected by
-    :class:`repro.engine.ResultCache`.
+    key, so it needs a stable qualified name — closures and lambdas are
+    rejected by :class:`repro.engine.ResultCache`.
     """
     return {
         "amplitude_m": record.steady_amplitude(),
@@ -314,8 +292,9 @@ class LoopSweepTask:
     """Spec -> headline-numbers task that knows how to run as one batch.
 
     The sweep planner of the batched kernel path: pass an instance as
-    the ``evaluate`` of :func:`run_parallel`/:func:`run_spec_sweep` with
-    ``backend="kernel-batch"`` and the whole pending grid is handed to
+    the ``evaluate`` of :func:`run_parallel`/:func:`run_spec_sweep` on
+    the default ``backend="kernel-batch"`` and the whole pending grid
+    (unless a ``timeout`` asks for the watchdog) is handed to
     :func:`repro.feedback.run_batch` in ONE call — specs whose loops
     lower to the same program shape (:func:`repro.engine.batch_signature`)
     share a single compiled kernel dispatch; non-lowerable specs fall
@@ -336,7 +315,7 @@ class LoopSweepTask:
     reduce:
         ``(spec, record) -> mapping`` turning one
         :class:`~repro.feedback.LoopRecord` into table columns.  Must be
-        a module-level function (cache keying + pickling).
+        a module-level function (cache keying).
     initial_kick:
         Initial tip displacement [m]; ``None`` uses the loop default.
     backend:
@@ -354,41 +333,8 @@ class LoopSweepTask:
 
         return build(spec).build_loop()
 
-    def _amortized_loop_for(self, spec):
-        """A fresh loop via the pristine-template memo (batch path only).
-
-        Falls back to a plain build when the spec cannot hash or the
-        template cannot deep-copy (exotic custom blocks) — amortization
-        must never change which sweeps succeed.
-        """
-        from ..config import spec_hash
-
-        try:
-            key = spec_hash(spec)
-        except Exception:  # noqa: BLE001 - unhashable spec: no memo
-            return self._loop_for(spec)
-        with _LOOP_TEMPLATES_LOCK:
-            template = _LOOP_TEMPLATES.get(key)
-            if template is not None:
-                _LOOP_TEMPLATES.move_to_end(key)
-        if template is None:
-            loop = self._loop_for(spec)
-            try:
-                template = copy.deepcopy(loop)
-            except Exception:  # noqa: BLE001 - uncopyable loop: no memo
-                return loop
-            with _LOOP_TEMPLATES_LOCK:
-                _LOOP_TEMPLATES[key] = template
-                while len(_LOOP_TEMPLATES) > _LOOP_TEMPLATE_ENTRIES:
-                    _LOOP_TEMPLATES.popitem(last=False)
-            return loop
-        try:
-            return copy.deepcopy(template)
-        except Exception:  # noqa: BLE001 - uncopyable loop: no memo
-            return self._loop_for(spec)
-
     def __call__(self, spec) -> Mapping[str, object]:
-        """One grid point, solo — the serial/thread/process path."""
+        """One grid point, solo — the plain-loop and watchdog route."""
         loop = self._loop_for(spec)
         record = loop.run(self.duration, self.initial_kick, backend=self.backend)
         return self.reduce(spec, record)
@@ -408,7 +354,7 @@ class LoopSweepTask:
         errors: dict[int, Exception] = {}
         for i, spec in enumerate(specs):
             try:
-                loops[i] = self._amortized_loop_for(spec)
+                loops[i] = self._loop_for(spec)
             except Exception as err:  # noqa: BLE001 - per-task capture
                 errors[i] = err
 

@@ -642,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="closed-loop spec sweep (batched kernel path with --batch)",
+        help="closed-loop spec sweep (batched kernel path unless --serial)",
     )
     p.add_argument("--path", default="cantilever.length_um",
                    help="dotted spec path to sweep")
@@ -676,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout", type=float, default=None,
-        help="per-point watchdog [s]; a hung point is killed and retried",
+        help="per-point watchdog [s]; the sweep runs point by point and "
+             "a hung point is abandoned and retried",
     )
     p.add_argument(
         "--fabric", action="store_true",

@@ -191,21 +191,16 @@ class BiosensorChip:
         protocol: AssayProtocol,
         sample_interval: float = 2.0,
         include_noise: bool = True,
-        workers: int | None = None,
-        backend: str = "thread",
         timeout: float | None = None,
         retry=None,
     ) -> ArrayAssayResult:
         """Run the protocol on all four channels through the shared chain.
 
         The channels always flow through ONE
-        :meth:`repro.engine.BatchExecutor.map` call — the batch; with
-        ``workers`` <= 1 (default) the executor degrades to its serial
-        path with zero pool overhead, ``workers`` > 1 fans the channels
-        out (``backend="thread"`` by default: the sensors are live
-        objects, so threads — not processes — are the right pool).
-        Every channel is seeded independently (``seed + 100 + i``), so
-        the batched run is bit-identical to the serial one.
+        :meth:`repro.engine.BatchExecutor.map` call — the batch — which
+        runs them one by one, each under the watchdog when ``timeout``
+        is set.  Every channel is seeded independently
+        (``seed + 100 + i``), so both routes give the same bits.
 
         One sick channel never kills the assay: a channel whose task
         crashed or overran ``timeout`` (after exhausting ``retry``, a
@@ -227,12 +222,7 @@ class BiosensorChip:
             )
 
         channel_indices = range(len(self.sensors))
-        executor = BatchExecutor(
-            workers=workers if workers is not None else 1,
-            backend=backend,
-            timeout=timeout,
-            retry=retry,
-        )
+        executor = BatchExecutor(timeout=timeout, retry=retry)
         outcomes = executor.map(run_channel, channel_indices)
 
         times = next(

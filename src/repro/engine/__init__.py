@@ -2,9 +2,9 @@
 
 The scaling substrate under every sweep, bench, and array assay:
 
-* :class:`BatchExecutor` — fan a function out over a parameter grid
-  (serial / thread / process backends, ordered results, per-task error
-  capture);
+* :class:`BatchExecutor` — run a function over a parameter grid as one
+  batch call, point by point under a watchdog, or as a plain loop
+  (ordered results, per-task error capture, retries);
 * :class:`ResultCache` — deterministic on-disk memoization keyed by a
   stable content hash, with versioned invalidation and hit/miss
   counters — and :class:`TieredCache`, its memory → sharded-disk →
@@ -23,11 +23,12 @@ The scaling substrate under every sweep, bench, and array assay:
 * :mod:`~repro.engine.kernel` — the fused closed-loop kernel: circuit
   chains lowered to flat stage programs run by a compiled interpreter
   (``KERNEL_BACKENDS`` names the execution paths; the executor's
-  ``BACKENDS`` names the *parallelism* backends — different axes).
+  ``BACKENDS`` says whether a grid may run as one batch call —
+  different axes).
 
 Entry points elsewhere in the library build on this module:
 :func:`repro.analysis.run_parallel` (grid sweeps),
-:meth:`repro.core.chip.BiosensorChip.run_array_assay` (``workers=``)
+:meth:`repro.core.chip.BiosensorChip.run_array_assay` (``timeout=``)
 and :meth:`repro.feedback.loop.ResonantFeedbackLoop.run`
 (``backend=``) are the main consumers.
 """

@@ -814,9 +814,9 @@ def _allocate_lists(n: int):
 #: Hard ceiling on C-level batch threads (matches the columnar C entry).
 MAX_BATCH_THREADS = 64
 
-#: Environment variable capping C-level batch threads.  Process-pool
-#: sweep workers set it to "1" so a batched kernel inside an outer
-#: ``BatchExecutor(backend="process")`` never multiplies parallelism.
+#: Environment variable capping C-level batch threads.  A spawned
+#: fabric worker process defaults it to "1", so a host running several
+#: workers never multiplies their parallelism by the batch threads.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
 
@@ -827,9 +827,9 @@ def kernel_batch_threads(
 
     ``requested`` wins when given; otherwise the CPU count.  The
     ``REPRO_KERNEL_THREADS`` environment variable acts as a *ceiling*
-    on either (that is how process-pool workers force single-threaded
-    C, see :class:`~repro.engine.executor.BatchExecutor`).  The result
-    is clamped to ``[1, min(n_instances, MAX_BATCH_THREADS)]``.
+    on either (that is how a spawned fabric worker forces
+    single-threaded C).  The result is clamped to
+    ``[1, min(n_instances, MAX_BATCH_THREADS)]``.
     """
     threads = int(requested) if requested is not None else (os.cpu_count() or 1)
     env = os.environ.get(KERNEL_THREADS_ENV, "").strip()

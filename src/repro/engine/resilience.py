@@ -3,7 +3,7 @@
 Real monolithic cantilever arrays ship broken: open bridge resistors,
 unreleased (stuck) beams, loops that fail Barkhausen start-up — and the
 software stack around them fails too: corrupted cache entries, missing
-compilers, crashed or hung pool workers.  This module is the one place
+compilers, crashed or hung sweep tasks.  This module is the one place
 that knows how to *inject* those faults deterministically and how to
 *survive* them:
 
@@ -67,7 +67,7 @@ FAULT_SITES = (
     "cache.entry",        # engine.cache: corrupt the on-disk entry before read
     "kernel.compile",     # engine.kernel: the C engine fails at build/load
     "kernel.lower",       # feedback loop lowering raises LoweringError
-    "executor.task",      # engine.executor: worker crash ("raise") or hang
+    "executor.task",      # engine.executor: task crash ("raise") or hang
     "loop.record",        # feedback.loop: NaN/Inf into recorded waveforms
     "chip.bridge-open",   # core.chip: open bridge resistor rails a channel
     "chip.stuck",         # core.chip: stuck/unreleased beam, flat channel

@@ -7,6 +7,8 @@ rebuilding them per test would dominate the suite's runtime.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,17 @@ def make_loop(geometry, water, pmos_bridge):
         )
 
     return _make
+
+
+@pytest.fixture()
+def join_new_threads():
+    """Join, at teardown, every thread the test started.
+
+    A task the executor's watchdog abandoned still runs its real call
+    once its hang ends; joining keeps that call, and the fault sites it
+    polls, out of the next test.
+    """
+    before = set(threading.enumerate())
+    yield
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=10.0)

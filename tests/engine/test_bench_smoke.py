@@ -1,9 +1,9 @@
 """Tier-1 smoke net over the engine-ported benches.
 
 Runs the three ported benches (`bench_ext_process_variation`,
-`bench_ext_resonance_curve`, `bench_abl_placement`) on tiny grids with
-``workers=2`` and a cache, so breakage of the parallel or cached path
-is caught by the ordinary test run — not only by the (separately
+`bench_ext_resonance_curve`, `bench_abl_placement`) on tiny grids
+through the engine with a cache, so breakage of the engine or cached
+path is caught by the ordinary test run — not only by the (separately
 invoked) benchmark suite.  `make bench-smoke` drives the same three
 benches through their CLIs.
 """
@@ -28,14 +28,12 @@ class TestProcessVariationSmoke:
     def test_parallel_cached_run(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cold = bench_ext_process_variation.run_bench(
-            workers=2, samples=8, cache=cache, quiet=True
+            samples=8, cache=cache, quiet=True
         )
-        serial = bench_ext_process_variation.run_bench(
-            workers=1, samples=8, quiet=True
-        )
-        assert cold == serial  # parallel + cached == serial, bit-identical
+        serial = bench_ext_process_variation.run_bench(samples=8, quiet=True)
+        assert cold == serial  # cached == uncached, bit-identical
         warm = bench_ext_process_variation.run_bench(
-            workers=2, samples=8, cache=cache, quiet=True
+            samples=8, cache=cache, quiet=True
         )
         assert warm == serial
         info = cache.cache_info()
@@ -47,10 +45,10 @@ class TestResonanceCurveSmoke:
     def test_parallel_cached_run(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cold = bench_ext_resonance_curve.run_bench(
-            workers=2, points=15, cache=cache, quiet=True
+            points=15, cache=cache, quiet=True
         )
         warm = bench_ext_resonance_curve.run_bench(
-            workers=2, points=15, cache=cache, quiet=True
+            points=15, cache=cache, quiet=True
         )
         assert warm == cold
         info = cache.cache_info()
@@ -63,10 +61,10 @@ class TestResonanceCurveSmoke:
 class TestPlacementSmoke:
     def test_parallel_cached_run(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cold = bench_abl_placement.run_bench(workers=2, cache=cache, quiet=True)
-        serial = bench_abl_placement.run_bench(workers=1, quiet=True)
+        cold = bench_abl_placement.run_bench(cache=cache, quiet=True)
+        serial = bench_abl_placement.run_bench(quiet=True)
         assert cold == serial
-        warm = bench_abl_placement.run_bench(workers=2, cache=cache, quiet=True)
+        warm = bench_abl_placement.run_bench(cache=cache, quiet=True)
         assert warm == serial
         info = cache.cache_info()
         assert info.hits == len(bench_abl_placement.RESONANT_STARTS) + len(

@@ -1,4 +1,4 @@
-"""Batched multi-channel array assay: workers>1 == serial, channel-exact."""
+"""Batched multi-channel array assay: every route channel-exact."""
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ class TestBatchedArrayAssay:
             protocol, sample_interval=10.0
         )
         batched = build_chip(fabricated, channel_plan).run_array_assay(
-            protocol, sample_interval=10.0, workers=4
+            protocol, sample_interval=10.0
         )
         np.testing.assert_array_equal(batched.times, serial.times)
         for channel in range(4):
@@ -49,20 +49,22 @@ class TestBatchedArrayAssay:
 
     def test_batched_referencing_works(self, fabricated, channel_plan, protocol):
         chip = build_chip(fabricated, channel_plan)
-        result = chip.run_array_assay(protocol, sample_interval=10.0, workers=2)
+        result = chip.run_array_assay(protocol, sample_interval=10.0)
         referenced = result.referenced(0)
         assert referenced.shape == result.times.shape
         # the active channel still shows a binding response after referencing
         assert abs(referenced[-1]) > abs(referenced[0])
 
-    def test_workers_one_uses_serial_path(self, fabricated, channel_plan, protocol):
-        serial = build_chip(fabricated, channel_plan).run_array_assay(
-            protocol, sample_interval=10.0, workers=1
+    def test_watchdog_route_matches_plain_loop(
+        self, fabricated, channel_plan, protocol
+    ):
+        watched = build_chip(fabricated, channel_plan).run_array_assay(
+            protocol, sample_interval=10.0, timeout=60.0
         )
         default = build_chip(fabricated, channel_plan).run_array_assay(
             protocol, sample_interval=10.0
         )
         for channel in range(4):
             np.testing.assert_array_equal(
-                serial.channel_outputs[channel], default.channel_outputs[channel]
+                watched.channel_outputs[channel], default.channel_outputs[channel]
             )

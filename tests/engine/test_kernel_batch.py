@@ -306,31 +306,8 @@ class TestThreadResolution:
         assert kernel_batch_threads(0) == 1
 
 
-def _read_kernel_env(_) -> str | None:
-    """Module-level so the process pool can pickle it."""
-    return os.environ.get(KERNEL_THREADS_ENV)
-
-
 class TestDoubleParallelismGuard:
-    """Batched kernel inside a process-pool sweep degrades to 1 C thread."""
-
-    def test_process_workers_cap_kernel_threads(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
-        values = (
-            BatchExecutor(workers=2, backend="process")
-            .map(_read_kernel_env, [0, 1])
-            .values()
-        )
-        assert values == ["1", "1"]
-        # the parent process is untouched
-        assert KERNEL_THREADS_ENV not in os.environ
-
-    def test_initializer_sets_env(self, monkeypatch):
-        from repro.engine.executor import _limit_worker_kernel_threads
-
-        monkeypatch.setenv(KERNEL_THREADS_ENV, "8")
-        _limit_worker_kernel_threads()
-        assert os.environ[KERNEL_THREADS_ENV] == "1"
+    """The env ceiling (set by spawned fabric workers) caps C threads."""
 
     def test_env_caps_batch_threads_end_to_end(self, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV, "1")

@@ -1,9 +1,10 @@
 """Property test: run_parallel == sweep, element-for-element.
 
-Determinism is the engine's contract: for any grid and any worker
-count, the parallel sweep must reproduce the serial sweep bit-for-bit.
-Seeded random grids (no hypothesis dependency) probe the property over
-sizes, backends, and cache states.
+Determinism is the engine's contract: for any grid, on any of the
+executor's routes and at any thread count, the engine-run sweep must
+reproduce the serial sweep bit-for-bit.  Seeded random grids (no
+hypothesis dependency) probe the property over sizes, routes, and cache
+states.
 """
 
 import functools
@@ -13,6 +14,8 @@ import pytest
 
 from repro.analysis import run_parallel, sweep
 from repro.engine import ResultCache
+
+from .test_executor import Batchy
 
 
 def physics_like_point(x, gain=2.5):
@@ -37,18 +40,28 @@ def assert_sweeps_identical(a, b):
         np.testing.assert_array_equal(a.column(name), b.column(name))
 
 
+#: run_parallel keywords selecting each executor route; the batch route
+#: needs a task with ``batch_call`` (see :class:`Batchy`).
+ROUTES = {
+    "serial": dict(backend="serial"),
+    "kernel-batch": dict(backend="kernel-batch"),
+    "watchdog": dict(timeout=30.0),
+}
+
+
 class TestRandomGrids:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_random_grids_match_serial(self, backend):
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_random_grids_match_serial(self, route):
         rng = np.random.default_rng(987654321)
+        task = Batchy(physics_like_point)
         for trial in range(8):
             size = int(rng.integers(1, 13))
             grid = [float(v) for v in rng.uniform(-5.0, 5.0, size)]
             serial = sweep("x", grid, physics_like_point)
-            parallel = run_parallel(
-                "x", grid, physics_like_point, workers=3, backend=backend
-            )
+            parallel = run_parallel("x", grid, task, workers=3, **ROUTES[route])
             assert_sweeps_identical(parallel, serial)
+        # only the batch route hands the grid to batch_call, once per sweep
+        assert len(task.calls) == (8 if route == "kernel-batch" else 0)
 
     def test_worker_count_irrelevant(self):
         grid = [0.1 * i for i in range(11)]

@@ -237,7 +237,7 @@ class TestExecutorCrashRetry:
             square, range(6)
         ).values()
         with inject_faults(FaultPlan.single("executor.task", at=2)) as inj:
-            result = BatchExecutor(workers=3, backend="thread", retry=1).map(
+            result = BatchExecutor(backend="serial", retry=1).map(
                 square, range(6)
             )
         assert inj.fired["executor.task"] == 1
@@ -248,9 +248,7 @@ class TestExecutorCrashRetry:
 
     def test_crash_without_retry_is_captured_not_raised(self):
         with inject_faults(FaultPlan.single("executor.task", at=1)):
-            result = BatchExecutor(workers=2, backend="thread").map(
-                square, range(4)
-            )
+            result = BatchExecutor(backend="serial").map(square, range(4))
         assert not result.ok
         [failed] = result.errors()
         assert failed.index == 1
@@ -259,18 +257,9 @@ class TestExecutorCrashRetry:
             if o.index != 1:
                 assert o.value == o.index**2
 
-    def test_process_crash_recovered(self):
-        baseline = [x * x for x in range(5)]
-        with inject_faults(FaultPlan.single("executor.task", at=1)):
-            result = BatchExecutor(workers=2, backend="process", retry=1).map(
-                square, range(5)
-            )
-        assert result.ok
-        assert result.values() == baseline
-
     def test_backoff_schedule_is_deterministic(self):
         policy = RetryPolicy(retries=2, seed=3)
-        executor = BatchExecutor(workers=2, backend="thread", retry=policy)
+        executor = BatchExecutor(backend="serial", retry=policy)
         sleeps: list[float] = []
         executor._sleep = sleeps.append
         # occurrences 1 and 2 of round 0 -> tasks 1 and 2 crash once
@@ -297,19 +286,60 @@ class TestExecutorCrashRetry:
 
 
 class TestExecutorWatchdog:
-    def test_thread_hang_killed_and_retried(self):
+    def test_hang_abandoned_and_retried(self):
+        # the default backend: a set timeout still runs the watchdog
         start = time.monotonic()
         plan = FaultPlan.single(
             "executor.task", kind="hang", payload=1.0, at=1
         )
         with inject_faults(plan):
-            result = BatchExecutor(
-                workers=2, backend="thread", timeout=0.25, retry=1
-            ).map(square, range(4))
+            result = BatchExecutor(timeout=0.25, retry=1).map(
+                square, range(4)
+            )
         assert result.ok
         assert result.values() == [x * x for x in range(4)]
         assert result.outcomes[1].retries == 1
         assert time.monotonic() - start < 5.0  # bounded, never stalls
+
+    @pytest.mark.parametrize("retry", [None, 1])
+    def test_hang_times_out_only_the_hung_task(self, retry):
+        """Each deadline counts from its own task's start, so the tasks
+        queued behind a hang run and settle on their first try."""
+        plan = FaultPlan.single(
+            "executor.task", kind="hang", payload=1.0, at=1
+        )
+        with inject_faults(plan):
+            result = BatchExecutor(
+                backend="serial", timeout=0.3, retry=retry
+            ).map(square, range(5))
+        retried = retry is not None
+        assert [o.ok for o in result.outcomes] == [True, retried, True, True, True]
+        assert [o.retries for o in result.outcomes] == [0, int(retried), 0, 0, 0]
+        if not retried:
+            assert isinstance(result.outcomes[1].error, WatchdogTimeout)
+
+    @pytest.mark.usefixtures("join_new_threads")
+    def test_timeout_honoured_on_the_batch_route(self):
+        """A spec sweep on ``kernel-batch`` (the default) raises the
+        watchdog's error well before the hung point would have finished."""
+        from repro.analysis import LoopSweepTask, run_spec_sweep
+        from repro.config import REFERENCE_RESONANT_SENSOR
+
+        def spec_sweep(**kwargs):
+            return run_spec_sweep(
+                REFERENCE_RESONANT_SENSOR, "cantilever.length_um",
+                list(LENGTHS), LoopSweepTask(duration=DURATION),
+                backend="kernel-batch", **kwargs,
+            )
+
+        spec_sweep()  # warm the kernel build and the bridge-noise memo
+        plan = FaultPlan.single(
+            "executor.task", kind="hang", payload=1.0, at=1
+        )
+        start = time.monotonic()
+        with inject_faults(plan), pytest.raises(WatchdogTimeout):
+            spec_sweep(timeout=0.3)
+        assert time.monotonic() - start < 0.9
 
     def test_timeout_without_retry_is_watchdog_outcome(self):
         plan = FaultPlan.single(
@@ -322,20 +352,6 @@ class TestExecutorWatchdog:
         [outcome] = result.outcomes
         assert isinstance(outcome.error, WatchdogTimeout)
         assert "watchdog" in str(outcome.error)
-
-    def test_process_hang_worker_killed_and_retried(self):
-        # the hang is far longer than the test: only terminate() ends it
-        start = time.monotonic()
-        plan = FaultPlan.single(
-            "executor.task", kind="hang", payload=30.0, at=0
-        )
-        with inject_faults(plan):
-            result = BatchExecutor(
-                workers=2, backend="process", timeout=1.0, retry=1
-            ).map(square, range(4))
-        assert result.ok
-        assert result.values() == [x * x for x in range(4)]
-        assert time.monotonic() - start < 20.0
 
 
 # -- cache corruption ---------------------------------------------------------

@@ -99,6 +99,31 @@ class TestCommands:
         assert kernel_info().runs == {}
         assert sorted(tmp_path.rglob("*.pkl")) == files
 
+    @pytest.mark.usefixtures("join_new_threads")
+    def test_sweep_timeout_runs_the_watchdog_and_retries(self, capsys):
+        """--timeout on the default (batch) sweep runs it point by point:
+        a hung point is abandoned and retried, and the table is the
+        fault-free one."""
+        from repro.engine import (
+            FaultPlan,
+            inject_faults,
+            kernel_info,
+            reset_kernel_info,
+        )
+
+        sweep = ["sweep", "--values", "180:220:4", "--duration", "0.004"]
+        assert main([*sweep, "--serial"]) == 0
+        table = capsys.readouterr().out
+        reset_kernel_info()
+        plan = FaultPlan.single(
+            "executor.task", kind="hang", payload=1.0, at=1
+        )
+        with inject_faults(plan) as inj:
+            assert main([*sweep, "--timeout", "0.3", "--retries", "1"]) == 0
+        assert capsys.readouterr().out == table
+        assert inj.fired["executor.task"] == 1
+        assert kernel_info().batch_runs == 0  # never handed to batch_call
+
 
 class TestServiceCommands:
     def test_results_ndjson_against_a_dead_url_is_one_line(self, capsys):

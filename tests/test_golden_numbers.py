@@ -94,9 +94,9 @@ class TestEngineBenchGolden:
     """Headline numbers of the engine-ported benches, pinned.
 
     The three benches (EXT3 process variation, EXT4 resonance curve,
-    ABL1 placement) now run through the batch engine with ``workers=2``;
-    these pins prove the parallel/cached port did not move a single
-    physics result from the serial originals.
+    ABL1 placement) now run through the batch engine; these pins prove
+    the engine/cached port did not move a single physics result from
+    the serial originals.
     """
 
     @pytest.fixture(scope="class")
@@ -118,7 +118,7 @@ class TestEngineBenchGolden:
         )
 
     def test_process_variation_headline(self, bench_modules):
-        headline = bench_modules[0].run_bench(workers=2, quiet=True)
+        headline = bench_modules[0].run_bench(quiet=True)
         assert headline["f_mean_Hz"] == pytest.approx(27370.3, rel=1e-3)
         assert headline["f_spread_pct"] == pytest.approx(2.930, rel=0.01)
         assert headline["thickness_spread_pct"] == pytest.approx(2.966, rel=0.01)
@@ -126,14 +126,14 @@ class TestEngineBenchGolden:
         assert headline["analytic_pct"] == pytest.approx(3.027, rel=1e-3)
 
     def test_resonance_curve_headline(self, bench_modules):
-        headline = bench_modules[1].run_bench(workers=2, quiet=True)
+        headline = bench_modules[1].run_bench(quiet=True)
         assert headline["water_f0_Hz"] == pytest.approx(8919.2, rel=1e-3)
         assert headline["water_Q"] == pytest.approx(5.944, rel=0.01)
         assert headline["air_f0_Hz"] == pytest.approx(27349.2, rel=1e-3)
         assert headline["air_Q"] == pytest.approx(223.4, rel=0.02)
 
     def test_placement_headline(self, bench_modules):
-        headline = bench_modules[2].run_bench(workers=2, quiet=True)
+        headline = bench_modules[2].run_bench(quiet=True)
         assert headline["resonant_clamp_kPa"] == pytest.approx(553.32, rel=1e-3)
         assert headline["clamp_to_tip_ratio"] == pytest.approx(164.57, rel=1e-3)
         assert headline["static_signal_kPa"] == pytest.approx(2.808, rel=1e-3)

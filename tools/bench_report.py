@@ -143,7 +143,7 @@ def _fabric_scaling_section(n_cpu: int) -> dict:
     t0 = time.perf_counter()
     serial = run_spec_sweep(
         REFERENCE_RESONANT_SENSOR, path, values,
-        LoopSweepTask(duration=duration), backend="serial", workers=1,
+        LoopSweepTask(duration=duration), backend="serial",
     )
     serial_wall = time.perf_counter() - t0
 
@@ -267,7 +267,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     def sweep_with(backend):
         return run_spec_sweep(
             REFERENCE_RESONANT_SENSOR, "cantilever.length_um", lengths,
-            task, backend=backend, workers=1 if backend == "serial" else None,
+            task, backend=backend,
         )
 
     loop_serial_wall, loop_serial = _best_of(
@@ -429,10 +429,9 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "note": (
                 "whole-pipeline wall, best-of over one repeated grid: "
                 "the bridge-noise memo is warm on both sides after the "
-                "first round, so neither side pays noise synthesis; the "
-                "loop-template memo is warm on the batch side only, "
-                "which deep-copies each loop where serial builds it — "
-                "see closed_loop_columnar_kernel for the kernel-only "
+                "first round, so neither side pays noise synthesis; "
+                "both sides build every loop from its spec — see "
+                "closed_loop_columnar_kernel for the kernel-only "
                 "comparison"
             ),
         },

@@ -155,7 +155,7 @@ def main() -> int:
         )
         reference = run_spec_sweep(
             REFERENCE_RESONANT_SENSOR, PATH, values,
-            LoopSweepTask(duration=DURATION), workers=0, backend="serial",
+            LoopSweepTask(duration=DURATION), backend="serial",
         )
         for name in reference.columns:
             assert np.array_equal(
