@@ -6,10 +6,19 @@ feedback loop to damp the MOS bridge's low-frequency noise.  Both are
 modeled as Butterworth sections discretized with the bilinear transform,
 with per-sample stepping (transposed direct-form II state) so they can
 run inside the closed loop.
+
+A Butterworth design depends only on its order, its kind and the
+normalized cutoff ``cutoff / (sample_rate / 2)`` — the value SciPy
+itself derives from ``fs=`` — so designs are memoized on that key
+(bounded LRU, process-local).  Loops whose cutoff and sample rate both
+scale with the resonance, as Fig. 5's high-pass pair does, share a few
+designs across a whole length sweep, and every filter gets its own
+copy, bit-identical to a fresh ``sps.butter(..., fs=sample_rate)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +28,15 @@ from ..errors import CircuitError
 from ..units import require_positive
 from .block import Block
 from .signal import Signal
+
+
+@functools.lru_cache(maxsize=128)
+def _butter_sos(order: int, kind: str, wn: float) -> np.ndarray:
+    """The read-only SOS design of a digital Butterworth at normalized
+    cutoff ``wn`` (1 = Nyquist); callers copy it."""
+    sos = sps.butter(order, wn, btype=kind, output="sos")
+    sos.flags.writeable = False
+    return sos
 
 
 class _SOSFilter(Block):
@@ -50,9 +68,10 @@ class _SOSFilter(Block):
             raise CircuitError(
                 f"cutoff {self.cutoff} Hz is at/above Nyquist ({nyquist} Hz)"
             )
-        self._sos = sps.butter(
-            self.order, self.cutoff, btype=self._kind, fs=sample_rate, output="sos"
-        )
+        # sosfilt rejects a read-only SOS array: each filter owns a copy
+        self._sos = _butter_sos(
+            self.order, self._kind, self.cutoff / (sample_rate / 2.0)
+        ).copy()
         self._coeffs = [
             (float(b0), float(b1), float(b2), float(a1), float(a2))
             for b0, b1, b2, _, a1, a2 in self._sos

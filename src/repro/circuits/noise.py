@@ -11,7 +11,13 @@ factor.
 
 All generators take an explicit :class:`numpy.random.Generator` so
 simulations are reproducible and blocks sharing an RNG stay
-uncorrelated.
+uncorrelated.  They call only its ``normal(loc, scale, size)``, in a
+fixed order: :func:`white_noise` draws one normal per sample (none at
+zero density), then :func:`pink_noise` draws the real and then the
+imaginary parts of every positive-frequency bin of the smooth length
+(none at zero density or for one sample).  :mod:`repro.feedback.loop`
+relies on that order to serve a loop's draws from its seed's memoized
+normal stream, bit for bit.
 """
 
 from __future__ import annotations

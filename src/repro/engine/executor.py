@@ -17,7 +17,7 @@ relies on:
   bit-identical results on every route;
 * **resilience** — an optional per-task watchdog ``timeout`` bounds how
   long any one task can stall the sweep (a hung task is abandoned on
-  its thread), and an optional
+  its daemon thread), and an optional
   :class:`~repro.engine.resilience.RetryPolicy` re-dispatches failed
   tasks with deterministic capped-exponential backoff.
 """
@@ -25,9 +25,8 @@ relies on:
 from __future__ import annotations
 
 import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -119,27 +118,39 @@ def _run_task(task: _Task) -> TaskOutcome:
         )
 
 
+def _settle(task: _Task, settled: list) -> None:
+    """Watchdog-thread body: append the task's outcome to ``settled``,
+    or the ``BaseException`` that escaped it, for the caller to raise."""
+    try:
+        settled.append(_run_task(task))
+    except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+        settled.append(exc)
+
+
 class _FaultedCall:
     """Task-fn wrapper applying one injected ``executor.task`` fault.
 
     Built in the calling thread at dispatch time (so fault accounting
     stays global and deterministic in task order); it crashes
     (``"raise"``) or hangs (``"hang"``, ``payload`` seconds) before the
-    real call.
+    real call.  The watchdog sets :attr:`abandoned` when it gives the
+    task up; a hang then returns at once, without the real call, so an
+    abandoned task never runs into what the process does next.
     """
 
-    __slots__ = ("fn", "kind", "payload")
+    __slots__ = ("fn", "kind", "payload", "abandoned")
 
     def __init__(self, fn: Callable, kind: str, payload: float) -> None:
         self.fn = fn
         self.kind = kind
         self.payload = payload
+        self.abandoned = threading.Event()
 
     def __call__(self, parameter: object) -> object:
         if self.kind == "raise":
             raise FaultInjectionError("injected fault at executor.task")
-        if self.kind == "hang":
-            time.sleep(self.payload)
+        if self.kind == "hang" and self.abandoned.wait(self.payload):
+            return None
         return self.fn(parameter)
 
 
@@ -173,7 +184,8 @@ class BatchExecutor:
         counts from its own start; a task still running after
         ``timeout`` is captured as
         :class:`~repro.errors.WatchdogTimeout` and abandoned on its
-        thread (a thread cannot be killed), and the round goes on.  One
+        daemon thread (a thread cannot be killed, but a daemon does not
+        hold the process at exit), and the round goes on.  One
         round of n tasks stalls at most ``n * timeout`` even if every
         task hangs — a sweep never waits forever.
     retry:
@@ -276,25 +288,30 @@ class BatchExecutor:
     def _run_watchdog(self, tasks: list[_Task]) -> list[TaskOutcome]:
         """Run ``tasks`` one at a time, each under its own ``timeout``.
 
-        A task is submitted only once the one before it has settled, so
-        its deadline counts from its own start and a hang never eats
-        the deadlines of the tasks behind it.  After a timeout the hung
-        thread is abandoned with its pool and the round goes on in a
-        fresh one-thread pool.
+        Each task runs on a daemon thread of its own, started once the
+        one before it has settled, so its deadline counts from its own
+        start and a hang never eats the deadlines of the tasks behind
+        it.  A task past its deadline is abandoned: its thread cannot
+        hold the process at exit, and an injected hang on it ends
+        without the real call.
         """
         outcomes: list[TaskOutcome] = []
-        pool = ThreadPoolExecutor(max_workers=1)
-        try:
-            for task in tasks:
-                future = pool.submit(_run_task, task)
-                try:
-                    outcomes.append(future.result(self.timeout))
-                except FutureTimeoutError:
-                    outcomes.append(self._timeout_outcome(task))
-                    pool.shutdown(wait=False)
-                    pool = ThreadPoolExecutor(max_workers=1)
-        finally:
-            pool.shutdown(wait=False)
+        for task in tasks:
+            settled: list = []
+            thread = threading.Thread(
+                target=_settle, args=(task, settled), daemon=True,
+                name=f"repro-watchdog-task-{task.index}",
+            )
+            thread.start()
+            thread.join(self.timeout)
+            if not settled:
+                if isinstance(task.fn, _FaultedCall):
+                    task.fn.abandoned.set()
+                outcomes.append(self._timeout_outcome(task))
+            elif isinstance(settled[0], BaseException):
+                raise settled[0]
+            else:
+                outcomes.append(settled[0])
         return outcomes
 
     def _timeout_outcome(self, task: _Task) -> TaskOutcome:

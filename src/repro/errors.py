@@ -92,10 +92,9 @@ class FaultInjectionError(ReproError, RuntimeError):
 class WatchdogTimeout(ExecutorError):
     """A task exceeded its per-task watchdog timeout.
 
-    The executor kills (process backend) or abandons (thread backend)
-    the hung worker and captures this error as the task's outcome; with
-    a retry policy the task is re-dispatched.  A sweep never stalls
-    past its watchdog.
+    The executor abandons the hung task on its daemon thread and
+    captures this error as the task's outcome; with a retry policy the
+    task is re-dispatched.  A sweep never stalls past its watchdog.
     """
 
 

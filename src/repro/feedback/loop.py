@@ -95,9 +95,9 @@ class LoopRecord:
 
 
 #: Memoized bridge-noise realizations.  A noise block is a pure function
-#: of (seed, scaled white PSD, corner, n, sample_rate) — the RNG is
-#: freshly seeded per synthesis — so identical loops (sweep repeats,
-#: fabric chunk re-runs, best-of bench rounds) can share one pink-noise
+#: of (seed, scaled white PSD, corner, n, sample_rate) — its normal draws
+#: are those of a fresh ``default_rng(seed)`` — so identical loops (sweep
+#: repeats, fabric chunk re-runs, best-of bench rounds) can share one
 #: synthesis instead of paying the FFT shaping every run.  Entries hold
 #: a private copy and hand out copies, so callers may mutate freely;
 #: the cache is bounded LRU and process-local.  The lock guards only the
@@ -106,6 +106,96 @@ class LoopRecord:
 _NOISE_MEMO: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _NOISE_MEMO_LOCK = threading.Lock()
 _NOISE_MEMO_ENTRIES = 64
+
+#: Memoized normal streams, one per ``int`` seed.  The draws of
+#: ``default_rng(seed)`` are prefix-consistent, so the white and pink
+#: draws of every synthesis with one seed are leading slices of one
+#: stream — and every loop of a spec grid shares ``loop.seed``.  A
+#: stream only grows, by drawing more from the generator that drew it,
+#: and each grown array is read-only, so a slice handed out stays valid
+#: while another thread grows the stream.  Growth takes the lock.  The
+#: first :data:`_SEED_STREAM_SEEDS` seeds get a stream, and the streams
+#: hold at most :data:`_SEED_STREAM_DOUBLES` doubles together; a
+#: synthesis past either bound draws from a fresh ``default_rng(seed)``.
+_SEED_STREAMS: dict[int, _SeedStream] = {}
+_SEED_STREAM_LOCK = threading.Lock()
+_SEED_STREAM_SEEDS = 8
+_SEED_STREAM_DOUBLES = 1 << 21
+
+
+class _SeedStream:
+    """The leading standard normals of ``default_rng(seed)`` and the
+    generator that drew them."""
+
+    __slots__ = ("rng", "normals")
+
+    def __init__(self, seed: int) -> None:
+        self.rng = np.random.default_rng(seed)
+        self.normals = np.empty(0)
+        self.normals.flags.writeable = False
+
+    def take(self, start: int, stop: int) -> np.ndarray | None:
+        """Read-only normals ``start:stop`` of the stream, drawing the
+        missing tail; ``None`` when that would pass the doubles bound."""
+        normals = self.normals
+        if stop > len(normals):
+            with _SEED_STREAM_LOCK:
+                normals = self.normals
+                missing = stop - len(normals)
+                if missing > 0:
+                    held = sum(len(s.normals) for s in _SEED_STREAMS.values())
+                    if held + missing > _SEED_STREAM_DOUBLES:
+                        return None
+                    normals = np.concatenate(
+                        (normals, self.rng.standard_normal(missing))
+                    )
+                    normals.flags.writeable = False
+                    self.normals = normals
+        return normals[start:stop]
+
+
+class _StreamCursor:
+    """A stand-in for a fresh ``default_rng(seed)`` that answers the
+    ``normal(loc, scale, size)`` calls of :func:`amplifier_input_noise`,
+    in order, from the seed's memoized stream.
+
+    Each call returns ``loc + scale * z``, the expression NumPy's C
+    ``random_normal`` computes; with ``loc`` 0.0, as every call there
+    has, it rounds once whether or not the C compiler fuses it.  Past
+    the stream's bound the cursor goes on with a fresh generator,
+    advanced past the normals it already handed out.
+    """
+
+    def __init__(self, seed: int, stream: _SeedStream) -> None:
+        self._seed = seed
+        self._stream = stream
+        self._drawn = 0
+        self._rng: np.random.Generator | None = None
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        if self._rng is None:
+            count = int(np.prod(size))
+            z = self._stream.take(self._drawn, self._drawn + count)
+            if z is not None:
+                self._drawn += count
+                return loc + scale * z.reshape(size)
+            self._rng = np.random.default_rng(self._seed)
+            self._rng.standard_normal(self._drawn)
+        return self._rng.normal(loc, scale, size)
+
+
+def _seed_normals(seed: int):
+    """The normal source of one synthesis with an ``int`` seed: a cursor
+    over the seed's stream, or a fresh generator past the seeds bound."""
+    stream = _SEED_STREAMS.get(seed)
+    if stream is None:
+        with _SEED_STREAM_LOCK:
+            stream = _SEED_STREAMS.get(seed)
+            if stream is None:
+                if len(_SEED_STREAMS) >= _SEED_STREAM_SEEDS:
+                    return np.random.default_rng(seed)
+                stream = _SEED_STREAMS[seed] = _SeedStream(seed)
+    return _StreamCursor(seed, stream)
 
 
 def _memoized_bridge_noise(
@@ -125,7 +215,7 @@ def _memoized_bridge_noise(
             _NOISE_MEMO.move_to_end(key)
             return cached.copy()
     noise = amplifier_input_noise(
-        psd_scaled, corner, n, sample_rate, np.random.default_rng(seed)
+        psd_scaled, corner, n, sample_rate, _seed_normals(seed)
     )
     with _NOISE_MEMO_LOCK:
         _NOISE_MEMO[key] = noise.copy()

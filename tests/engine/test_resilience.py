@@ -12,8 +12,12 @@ watchdog, never silently returning damaged numbers.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,7 +322,6 @@ class TestExecutorWatchdog:
         if not retried:
             assert isinstance(result.outcomes[1].error, WatchdogTimeout)
 
-    @pytest.mark.usefixtures("join_new_threads")
     def test_timeout_honoured_on_the_batch_route(self):
         """A spec sweep on ``kernel-batch`` (the default) raises the
         watchdog's error well before the hung point would have finished."""
@@ -340,6 +343,60 @@ class TestExecutorWatchdog:
         with inject_faults(plan), pytest.raises(WatchdogTimeout):
             spec_sweep(timeout=0.3)
         assert time.monotonic() - start < 0.9
+
+    def test_abandoned_hang_never_calls_its_task(self):
+        """Once the watchdog abandons an injected hang, the hang ends
+        without the real call: nothing of the task runs after the
+        sweep has moved on."""
+        calls: list[int] = []
+
+        def spy(x):
+            calls.append(x)
+            return x * x
+
+        plan = FaultPlan.single(
+            "executor.task", kind="hang", payload=0.5, at=1
+        )
+        start = time.monotonic()
+        with inject_faults(plan):
+            result = BatchExecutor(backend="serial", timeout=0.1).map(
+                spy, range(3)
+            )
+        time.sleep(max(0.0, start + 1.0 - time.monotonic()))  # hang over
+        assert isinstance(result.outcomes[1].error, WatchdogTimeout)
+        assert calls == [0, 2]
+
+    @pytest.mark.parametrize("hang", ["injected", "task"])
+    def test_abandoned_hang_does_not_hold_the_process_at_exit(self, hang):
+        """A 30 s hang the watchdog abandoned — an injected one, or the
+        task's own call — does not keep the process alive."""
+        script = textwrap.dedent(f"""
+            import time
+            from repro.engine import BatchExecutor, FaultPlan, inject_faults
+
+            def task(x):
+                if x == 1 and {hang == "task"}:
+                    time.sleep(30.0)
+                return x
+
+            plan = FaultPlan.single(
+                "executor.task", kind="hang", payload=30.0,
+                at=1 if {hang == "injected"} else 99,
+            )
+            with inject_faults(plan):
+                result = BatchExecutor(timeout=0.3).map(task, range(3))
+            print([type(o.error).__name__ for o in result.outcomes])
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, timeout=15.0,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[0] == (
+            "['NoneType', 'WatchdogTimeout', 'NoneType']"
+        )
 
     def test_timeout_without_retry_is_watchdog_outcome(self):
         plan = FaultPlan.single(

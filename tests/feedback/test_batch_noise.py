@@ -9,6 +9,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import repro.feedback.loop as loop_mod
 from repro.config import REFERENCE_RESONANT_SENSOR
@@ -81,8 +82,9 @@ class TestNoisePool:
 
     def test_shared_memo_under_contention(self, fresh_memo, monkeypatch):
         """16 loops, four per spec, on more threads than cores, with a
-        two-entry memo and a fast GIL switch: every record still equals
-        its solo fused run, and the memo stays bounded."""
+        two-entry memo, a seed stream bounded below what the longest
+        records draw, and a fast GIL switch: every record still equals
+        its solo fused run, and the memo and the stream stay bounded."""
         lengths = LENGTHS * 4
         solos = {
             length: build_loop(length).run(DURATION, backend="fused")
@@ -91,6 +93,15 @@ class TestNoisePool:
         loop_mod._NOISE_MEMO.clear()
         monkeypatch.setattr(loop_mod, "_NOISE_MEMO_ENTRIES", 2)
         loops = [build_loop(length) for length in lengths]
+        # the normals a record of n samples draws: n white, then two
+        # per positive-frequency bin of its smooth FFT length
+        draws = sorted(
+            samples(loop) + 2 * (next_fast_len(samples(loop), real=True) // 2)
+            for loop in loops
+        )
+        bound = draws[len(draws) // 2]
+        monkeypatch.setattr(loop_mod, "_SEED_STREAMS", {})
+        monkeypatch.setattr(loop_mod, "_SEED_STREAM_DOUBLES", bound)
         out: dict = {}
 
         def batch():
@@ -115,6 +126,8 @@ class TestNoisePool:
                     getattr(solos[length], name), getattr(record, name)
                 ), f"{length} um: {name} differs from its solo fused run"
         assert len(loop_mod._NOISE_MEMO) <= 2
+        [stream] = loop_mod._SEED_STREAMS.values()
+        assert 0 < len(stream.normals) <= bound < draws[-1]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_synthesis_error_leaves_run_batch(

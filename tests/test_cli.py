@@ -99,7 +99,6 @@ class TestCommands:
         assert kernel_info().runs == {}
         assert sorted(tmp_path.rglob("*.pkl")) == files
 
-    @pytest.mark.usefixtures("join_new_threads")
     def test_sweep_timeout_runs_the_watchdog_and_retries(self, capsys):
         """--timeout on the default (batch) sweep runs it point by point:
         a hung point is abandoned and retried, and the table is the

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -270,18 +271,31 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             task, backend=backend,
         )
 
-    loop_serial_wall, loop_serial = _best_of(
-        repeats, lambda: sweep_with("serial")
-    )
+    # whole-pipeline walls of one grid swing with co-tenant load from one
+    # call to the next, so the routes take turns within every round
+    # (both sample the same machine states, neither always goes first)
+    # and each is reported as the median of its rounds with quartiles
+    routes = ("serial", "kernel-batch")
+    loop_rounds = max(repeats, 7)
+    for backend in routes:
+        sweep_with(backend)  # warm: kernel builds, noise and design memos
     reset_kernel_info()
-    loop_batch_wall, loop_batch = _best_of(
-        repeats, lambda: sweep_with("kernel-batch")
-    )
+    loop_walls: dict[str, list[float]] = {backend: [] for backend in routes}
+    loop_tables = {}
+    for rnd in range(loop_rounds):
+        for backend in routes[::-1] if rnd % 2 else routes:
+            t0 = time.perf_counter()
+            loop_tables[backend] = sweep_with(backend)
+            loop_walls[backend].append(time.perf_counter() - t0)
     loop_info = kernel_info()
+    loop_serial, loop_batch = loop_tables["serial"], loop_tables["kernel-batch"]
     loop_identical = bool(all(
         loop_serial.columns[k] == loop_batch.columns[k]
         for k in loop_serial.columns
     ))
+    (loop_serial_q1, loop_serial_wall, loop_serial_q3), (
+        loop_batch_q1, loop_batch_wall, loop_batch_q3
+    ) = (statistics.quantiles(loop_walls[b], n=4) for b in routes)
 
     # -- columnar kernel family: pre-lowered closed-loop kernels -------------
     # The whole-pipeline sweep above times spec build, loop
@@ -416,7 +430,13 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "points": loop_points,
             "loop_duration_s": task.duration,
             "serial_fused_wall_s": round(loop_serial_wall, 5),
+            "serial_fused_wall_quartiles_s": [
+                round(loop_serial_q1, 5), round(loop_serial_q3, 5)
+            ],
             "kernel_batch_wall_s": round(loop_batch_wall, 5),
+            "kernel_batch_wall_quartiles_s": [
+                round(loop_batch_q1, 5), round(loop_batch_q3, 5)
+            ],
             "serial_points_per_sec": round(loop_points / loop_serial_wall, 2),
             "batched_points_per_sec": round(loop_points / loop_batch_wall, 2),
             "speedup": round(loop_serial_wall / loop_batch_wall, 2),
@@ -426,11 +446,19 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "batch_declined": loop_info.batch_declined,
             "batch_instances": loop_info.batch_instances,
             "fallbacks": loop_info.fallbacks,
+            "sampling": {
+                "rounds": loop_rounds,
+                "strategy": (
+                    "median with quartiles, routes interleaved in every "
+                    "round, order alternating"
+                ),
+            },
             "note": (
-                "whole-pipeline wall, best-of over one repeated grid: "
-                "the bridge-noise memo is warm on both sides after the "
-                "first round, so neither side pays noise synthesis; "
-                "both sides build every loop from its spec — see "
+                "whole-pipeline wall over one repeated grid, after one "
+                "untimed call per route: the bridge-noise and "
+                "Butterworth-design memos are warm on both sides, so "
+                "neither side pays noise synthesis; both sides build "
+                "every loop from its spec — see "
                 "closed_loop_columnar_kernel for the kernel-only "
                 "comparison"
             ),
@@ -452,7 +480,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timing repeats per backend, best-of (default 3)",
+        help="timing repeats per backend, best-of (default 3; the "
+             "closed-loop sweep takes the median of at least 7)",
     )
     parser.add_argument(
         "--quick", action="store_true",
