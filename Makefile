@@ -29,7 +29,10 @@ serve-check:
 # Kill a fabric worker subprocess mid-grid (os._exit, lease still
 # held), resume with two fresh workers against the real SQLite store,
 # and assert zero recomputed points (per-tier cache counters) plus a
-# bit-identical final table.
+# bit-identical final table.  Then run `repro sweep --fabric` (two
+# workers forked from the preloaded forkserver) in its own session:
+# its table must equal --serial, and no process of the session may be
+# left once it has exited.
 fabric-check:
 	PYTHONPATH=src $(PYTHON) tools/fabric_check.py
 

@@ -686,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fabric-workers", type=int, default=2,
                    dest="fabric_workers",
-                   help="worker processes to spawn (0 = run in-process)")
+                   help="worker processes to start (0 = run in-process)")
     p.add_argument("--chunk-size", type=int, default=8, dest="chunk_size",
                    help="grid points per leased chunk")
     p.add_argument("--db", default=".repro_fabric/jobs.sqlite",

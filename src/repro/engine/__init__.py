@@ -10,10 +10,11 @@ The scaling substrate under every sweep, bench, and array assay:
   counters — and :class:`TieredCache`, its memory → sharded-disk →
   remote-store extension with per-tier counters;
 * :mod:`~repro.engine.fabric` — how every job runs:
-  :class:`FabricWorker` nodes (a service pump thread, a spawned
-  process, a ``repro worker``) lease grid chunks from the service job
-  store and stream results through the cache
-  (:func:`run_fabric_sweep` is the one-call coordinator);
+  :class:`FabricWorker` nodes (a service pump thread, a worker
+  process forked from a preloaded forkserver, a ``repro worker``)
+  lease grid chunks from the service job store and stream results
+  through the cache (:func:`run_fabric_sweep` is the one-call
+  coordinator);
 * :class:`StageTimer` — per-stage wall-clock timing so benches report
   real speedups;
 * :mod:`~repro.engine.resilience` — deterministic fault injection

@@ -6,7 +6,7 @@ split into contiguous ``[start, stop)`` **chunks** when it wrote the job
 row (:func:`repro.analysis.plan_chunks`, store schema v3).  One rule set
 runs them, whichever node does it:
 
-* :class:`FabricWorker` — a thread of the service pump, a spawned local
+* :class:`FabricWorker` — a thread of the service pump, a local worker
   process, or a ``repro worker --db|--url`` node — leases one chunk at a
   time (atomic CAS in the store) and writes every point through the
   checksummed cache under exactly the key :func:`repro.analysis.run_parallel`
@@ -36,11 +36,18 @@ runs them, whichever node does it:
   :meth:`~repro.service.store.JobStore.chunk_counts`.
 
 :func:`run_fabric_sweep` is the one-call coordinator behind ``repro
-sweep --fabric``: submit (or resume) the job, spawn N worker processes,
+sweep --fabric``: submit (or resume) the job, start N worker processes,
 wait for the chunk table to settle, and build the
 :class:`~repro.analysis.SweepResult` from the finished job's result
 payload — bit-exact (``np.array_equal``) with the serial reference
 path, because workers compute each point solo, as serial sweeps do.
+
+Workers start from a forkserver that has already imported what a chunk
+needs (``_WORKER_PRELOAD``): the first job of a process pays that
+import once, and every later worker is a fork of a warm interpreter,
+not a fresh one.  The process that starts the forkserver also stops
+and reaps it before it exits (:func:`_stop_forkserver`), so no process
+of the fabric outlives its coordinator.
 
 Workers compute leased points solo, one by one.  Every kernel route is
 bit-exact to solo fused, so a chunk run as one columnar batch would keep
@@ -50,13 +57,18 @@ concurrently, not from per-point batching.
 
 from __future__ import annotations
 
+import atexit
 import logging
 import math
 import os
+import signal
 import socket
 import sys
+import tempfile
+import threading
 import time
 import uuid
+import weakref
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as wait_for_exit
 
@@ -85,6 +97,24 @@ logger = logging.getLogger(__name__)
 #: rehearsal (``os._exit``: no cleanup, exactly like a kill -9 — the
 #: lease stays held until the watchdog expires it).
 CRASH_EXIT_CODE = 43
+
+#: Modules the worker forkserver imports before it forks any worker:
+#: everything a worker's chunk imports.  ``repro.engine.fabric`` brings
+#: ``repro`` and with it ``scipy.signal``; the store, the job context
+#: and the finalizer live in ``repro.service``, which it does not import.
+_WORKER_PRELOAD = ("repro.engine.fabric", "repro.service.store",
+                  "repro.service.pump")
+
+#: Seconds the exit hook waits for terminated workers, and then for the
+#: terminated forkserver, before it kills them.
+_STOP_WAIT_SECONDS = 2.0
+
+#: Worker processes this process started that may still be running.
+_WORKERS: weakref.WeakSet = weakref.WeakSet()
+#: The pid of the process whose exit hook stops the forkserver.
+_STOP_HOOK_PID: int | None = None
+#: Serializes the forkserver start and its ``PYTHONPATH`` edit.
+_START_LOCK = threading.Lock()
 
 
 def fabric_worker_id() -> str:
@@ -523,15 +553,27 @@ def submit_fabric_job(store, base_spec, path: str, values, *,
     return record
 
 
-def _worker_process_main(db_path, cache_dir, worker_kwargs) -> None:
-    """Entry point of one spawned local fabric worker process.
+def _worker_process_main(db_path, cache_dir, worker_kwargs,
+                         environ=None) -> None:
+    """Entry point of one local fabric worker process.
 
     The worker serves its job until the job's last chunk settles, and
     exits then: its exit is what wakes the coordinator.  It never gives
     up while a sibling's lease may still expire back into the queue.
+
+    ``environ`` is the coordinator's environment at the worker's start.
+    A worker forked from the forkserver inherits the server's
+    environment from when the server started; installing ``environ``
+    gives it what a freshly spawned worker would have seen: the fault
+    plan, ``REPRO_KERNEL_THREADS``, ``CC`` and ``TMPDIR`` (the
+    kernel's ``.so`` cache).
     """
     from ..service.store import open_job_store
 
+    if environ is not None:
+        os.environ.clear()
+        os.environ.update(environ)
+        tempfile.tempdir = None  # re-read TMPDIR on next use
     os.environ.setdefault("REPRO_KERNEL_THREADS", "1")
     arm_env_fault_plan()  # chaos harness: plan rides in on the env
     store = open_job_store(db_path)
@@ -545,6 +587,111 @@ def _worker_process_main(db_path, cache_dir, worker_kwargs) -> None:
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(0)
+
+
+def _worker_context():
+    """The forkserver context workers start from, its server running.
+
+    Starts the server with ``_WORKER_PRELOAD`` on first use, and again
+    after it died.  While it starts, the package's source root is on
+    ``PYTHONPATH``: CPython 3.11's forkserver ignores the coordinator's
+    ``sys.path`` and swallows a failed preload import, so a ``repro``
+    that is importable only through a ``sys.path`` insert would
+    otherwise preload nothing.  The first call registers the exit hook
+    that stops the server.
+    """
+    import multiprocessing
+    from multiprocessing import forkserver
+
+    global _STOP_HOOK_PID
+    source_root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    context = multiprocessing.get_context("forkserver")
+    with _START_LOCK:
+        if _STOP_HOOK_PID != os.getpid():
+            _STOP_HOOK_PID = os.getpid()
+            atexit.register(_stop_forkserver)
+        context.set_forkserver_preload(list(_WORKER_PRELOAD))
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            p for p in (source_root, saved) if p)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return context
+
+
+def _stop_forkserver() -> None:
+    """Stop and reap the worker forkserver (the starter's exit hook).
+
+    Live workers hold the server's alive pipe, so they are terminated
+    first; then the pipe closes, the server is terminated, and one
+    still there after ``_STOP_WAIT_SECONDS`` is killed.  The resource
+    tracker the server's start launched ignores SIGTERM: its pipe
+    closes, and it leaves once its last holder is gone.  Both are
+    reaped.
+    """
+    from multiprocessing import forkserver, resource_tracker, util
+
+    if os.getpid() != _STOP_HOOK_PID:
+        return  # a forked copy of the starter: not its server to stop
+    workers = list(_WORKERS)
+    for proc in workers:
+        if proc.is_alive():
+            proc.terminate()
+    deadline = time.monotonic() + _STOP_WAIT_SECONDS
+    for proc in workers:
+        proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        if proc.is_alive():
+            proc.kill()
+            proc.join(timeout=_STOP_WAIT_SECONDS)
+    server = forkserver._forkserver
+    with server._lock:
+        pid, alive_fd = server._forkserver_pid, server._forkserver_alive_fd
+        address = server._forkserver_address
+        server._forkserver_pid = server._forkserver_alive_fd = None
+        server._forkserver_address = None
+    if pid is not None:
+        os.close(alive_fd)
+        # on the pipe's EOF the server would first tear down an
+        # interpreter that holds scipy (~0.3 s); it has nothing to flush
+        try:
+            os.kill(pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass  # reaped already
+        if not _reap(pid, _STOP_WAIT_SECONDS):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if not util.is_abstract_socket_namespace(address):
+            try:
+                os.unlink(address)
+            except OSError:
+                pass
+    tracker = resource_tracker._resource_tracker
+    with tracker._lock:
+        tracker_pid, tracker_fd = tracker._pid, tracker._fd
+        if tracker_pid is not None:
+            tracker._pid = tracker._fd = None
+    if tracker_pid is not None:
+        os.close(tracker_fd)
+        _reap(tracker_pid, _STOP_WAIT_SECONDS)
+
+
+def _reap(pid: int, seconds: float) -> bool:
+    """Wait up to ``seconds`` for a child to exit; whether it was reaped."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            done, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return True  # reaped already
+        if done or time.monotonic() >= deadline:
+            return bool(done)
+        time.sleep(0.01)
 
 
 def run_fabric_sweep(
@@ -563,19 +710,19 @@ def run_fabric_sweep(
     """Run one spec sweep across leased fabric workers; a SweepResult.
 
     The ``repro sweep --fabric`` path: submits (or resumes) the job on
-    the store at ``db``, spawns ``workers`` local worker processes
-    sharing the tiered cache at ``cache_dir``, waits for the chunk
-    table to settle, and builds the table from the finished job's
-    result payload.  Bit-exact with the serial path; any point already
-    cached — by a previous run, a killed worker, or the service pump —
-    is never recomputed.  Raises :class:`~repro.errors.FabricError`
-    when a chunk was parked or a point failed.
+    the store at ``db``, starts ``workers`` local worker processes from
+    the preloaded forkserver, sharing the tiered cache at
+    ``cache_dir``, waits for the chunk table to settle, and builds the
+    table from the finished job's result payload.  Bit-exact with the
+    serial path; any point already cached — by a previous run, a killed
+    worker, or the service pump — is never recomputed.  Raises
+    :class:`~repro.errors.FabricError` when a chunk was parked or a
+    point failed.
 
     ``workers=0`` runs the chunks in-process (no subprocesses), which
-    is also the degraded path when a worker cannot be spawned.
+    is also the degraded path when no worker can be started; when only
+    some start, the job runs on those.
     """
-    import multiprocessing
-
     from ..analysis import SweepResult
     from ..service.pump import finalize_job
     from ..service.store import open_job_store
@@ -589,21 +736,13 @@ def run_fabric_sweep(
     )
 
     procs: list = []
-    if workers > 0:
-        ctx = multiprocessing.get_context("spawn")
-        for _ in range(int(workers)):
-            proc = ctx.Process(
-                target=_worker_process_main,
-                args=(str(db), str(cache_dir),
-                      {"job_id": record.job_id,
-                       "lease_seconds": lease_seconds,
-                       "max_attempts": max_attempts}),
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
-
     try:
+        if workers > 0:
+            _start_workers(procs, int(workers), (
+                str(db), str(cache_dir),
+                {"job_id": record.job_id, "lease_seconds": lease_seconds,
+                 "max_attempts": max_attempts},
+            ))
         _await_settled(store, cache, record.job_id, procs,
                        lease_seconds=lease_seconds,
                        max_attempts=max_attempts,
@@ -646,12 +785,36 @@ def run_fabric_sweep(
     )
 
 
+def _start_workers(procs: list, workers: int, args: tuple) -> None:
+    """Start up to ``workers`` worker processes, appending each to ``procs``.
+
+    Each worker gets ``args`` and the coordinator's current environment.
+    A start that fails is logged and ends the starting: the job runs on
+    the workers that did start, or in this process when none did.
+    """
+    environ = dict(os.environ)
+    try:
+        context = _worker_context()
+        for _ in range(workers):
+            proc = context.Process(target=_worker_process_main,
+                                   args=(*args, environ), daemon=True)
+            proc.start()
+            procs.append(proc)
+            _WORKERS.add(proc)
+    except (OSError, EOFError) as err:
+        logger.warning(
+            "fabric worker %d of %d could not start (%s: %s); running "
+            "the job on %s", len(procs) + 1, workers, type(err).__name__,
+            err, f"{len(procs)} worker(s)" if procs else "this process",
+        )
+
+
 def _await_settled(store, cache, job_id: str, procs: list, *,
                    lease_seconds: float, max_attempts: int,
                    wait_timeout: float, poll_interval: float) -> None:
     """Block until ``job_id`` has settled (the store's rule).
 
-    A spawned worker exits as soon as the job settles, so waiting on
+    A worker process exits as soon as the job settles, so waiting on
     the workers' exit sentinels wakes the coordinator the moment the
     last one leaves; the ``poll_interval`` timeout still re-reads the
     chunk table while they work.  With no live worker (``workers=0``,

@@ -814,9 +814,11 @@ def _allocate_lists(n: int):
 #: Hard ceiling on C-level batch threads (matches the columnar C entry).
 MAX_BATCH_THREADS = 64
 
-#: Environment variable capping C-level batch threads.  A spawned
-#: fabric worker process defaults it to "1", so a host running several
-#: workers never multiplies their parallelism by the batch threads.
+#: Environment variable capping C-level batch threads.  A local fabric
+#: worker process (``run_fabric_sweep``) defaults it to "1" at entry,
+#: over the coordinator's environment it installs, so a host running
+#: several workers never multiplies their parallelism by the batch
+#: threads.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
 
@@ -827,7 +829,7 @@ def kernel_batch_threads(
 
     ``requested`` wins when given; otherwise the CPU count.  The
     ``REPRO_KERNEL_THREADS`` environment variable acts as a *ceiling*
-    on either (that is how a spawned fabric worker forces
+    on either (that is how a local fabric worker forces
     single-threaded C).  The result is clamped to
     ``[1, min(n_instances, MAX_BATCH_THREADS)]``.
     """

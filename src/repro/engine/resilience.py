@@ -305,8 +305,9 @@ def arm_env_fault_plan() -> FaultInjector | None:
     """Activate the :data:`FAULT_PLAN_ENV` plan for the process lifetime.
 
     Called at entry by ``repro worker`` / ``repro serve`` (and the
-    spawn-mode fabric worker main) so the chaos harness can injure real
-    subprocesses with the same seeded determinism as in-process tests.
+    local fabric worker's entry, after it installs the coordinator's
+    environment) so the chaos harness can injure real subprocesses with
+    the same seeded determinism as in-process tests.
     No-op (returns ``None``) when the variable is unset; refuses to
     stack on an already-active injector.
     """

@@ -17,7 +17,7 @@ worker node started, so the job finishes should the node die.
 
 :func:`finalize_job` turns a job whose chunks have all settled into its
 terminal record — whichever node completed the last chunk: this pump's
-thread, a spawned worker process, or, through the HTTP handlers, a
+thread, a local worker process, or, through the HTTP handlers, a
 remote node.  It is idempotent.
 
 The pump is push-driven at both ends: an idle worker sleeps on a wake

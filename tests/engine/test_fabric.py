@@ -170,6 +170,42 @@ class TestBitExactness:
         assert info.misses == 0
 
 
+class TestWorkerStartFailure:
+    """A worker that cannot start degrades the sweep; it never aborts it."""
+
+    def run(self, tmp_path, workers):
+        return run_fabric_sweep(
+            REFERENCE_RESONANT_SENSOR, PATH, values_for(8),
+            db=tmp_path / "jobs.sqlite", cache_dir=tmp_path / "cache",
+            duration=DURATION, workers=workers, chunk_size=4,
+        )
+
+    def test_no_worker_starts_drains_in_process(self, tmp_path, monkeypatch):
+        def refuse(proc):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(mp.process.BaseProcess, "start", refuse)
+        assert_bit_exact(serial_reference(values_for(8)),
+                         self.run(tmp_path, workers=1))
+
+    def test_second_start_fails_first_worker_joined(self, tmp_path,
+                                                     monkeypatch):
+        started = []
+        original = mp.process.BaseProcess.start
+
+        def start_once(proc):
+            if started:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            original(proc)
+            started.append(proc)
+
+        monkeypatch.setattr(mp.process.BaseProcess, "start", start_once)
+        result = self.run(tmp_path, workers=2)
+        assert_bit_exact(serial_reference(values_for(8)), result)
+        assert len(started) == 1
+        assert not started[0].is_alive()
+
+
 class TestKillAndResume:
     def test_killed_worker_resumes_with_zero_recomputes(self, tmp_path):
         values = values_for(16)

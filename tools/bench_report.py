@@ -17,6 +17,8 @@ engine, with its bit-identity flag, and the fabric scaling curve: the
 chunk-leasing worker fabric at 1/2/4 leased workers (points/sec,
 per-tier cache counters, bit-identity vs serial), truncated to one row
 on a 1-CPU box with the same skip-note convention as the thread curve.
+The thread curve, the closed-loop sweep and the fabric curve interleave
+their variants in rounds and report median walls with quartiles.
 
 Usage::
 
@@ -115,17 +117,37 @@ def _best_of(repeats: int, fn):
     return best, result
 
 
-def _fabric_scaling_section(n_cpu: int) -> dict:
+def _interleaved_walls(calls: dict, rounds: int) -> tuple[dict, dict]:
+    """Each call's walls over ``rounds`` rounds, and its last result.
+
+    Every call runs once per round, in alternating order, so all of
+    them sample the same machine states and none always goes first.
+    """
+    walls: dict = {name: [] for name in calls}
+    results: dict = {}
+    for rnd in range(rounds):
+        for name in list(calls)[::-1] if rnd % 2 else calls:
+            t0 = time.perf_counter()
+            results[name] = calls[name]()
+            walls[name].append(time.perf_counter() - t0)
+    return walls, results
+
+
+def _fabric_scaling_section(n_cpu: int, rounds: int) -> dict:
     """Points/sec of the chunk-leasing fabric at 1/2/4 leased workers.
 
-    Every worker count runs against a fresh job db and cache directory —
+    Every fabric call runs against a fresh job db and cache directory —
     a warm cache would serve points instead of computing them and fake
     the scaling curve.  The baseline is the plain in-process serial
-    sweep over the same grid; each fabric row carries the coordinator
-    cache's per-tier counters (worker-process counters live in the
-    worker and die with it) and the bit-identical flag, because a
-    fabric that scales by drifting from the serial answer scales
-    nothing.
+    sweep over the same grid.  The process's first fabric call starts
+    the worker forkserver, which imports the library once; it is
+    reported on its own (``first_call``).  Then every route gets one
+    untimed call, and serial and each worker count are interleaved in
+    ``rounds`` rounds and reported as median walls with quartiles.
+    Each fabric row carries the coordinator cache's per-tier counters
+    (worker-process counters live in the worker and die with it) and
+    the bit-identical flag, because a fabric that scales by drifting
+    from the serial answer scales nothing.
     """
     import tempfile
 
@@ -141,30 +163,16 @@ def _fabric_scaling_section(n_cpu: int) -> dict:
     path = "cantilever.length_um"
     values = [float(v) for v in np.linspace(170.0, 260.0, points)]
 
-    t0 = time.perf_counter()
-    serial = run_spec_sweep(
-        REFERENCE_RESONANT_SENSOR, path, values,
-        LoopSweepTask(duration=duration), backend="serial",
-    )
-    serial_wall = time.perf_counter() - t0
-
-    if n_cpu == 1:
-        worker_counts = [1]
-        fabric_note = (
-            "cpu_count == 1: multi-worker rows skipped (workers would "
-            "time-slice one core; rows would only measure process spawn "
-            "overhead, not scaling)"
+    def serial_call():
+        return run_spec_sweep(
+            REFERENCE_RESONANT_SENSOR, path, values,
+            LoopSweepTask(duration=duration), backend="serial",
         )
-    else:
-        worker_counts = [w for w in (1, 2, 4) if w <= n_cpu] or [1]
-        fabric_note = None
 
-    rows = []
-    for workers in worker_counts:
+    def fabric_call(workers):
         with tempfile.TemporaryDirectory() as td:
             base = Path(td)
             cache = TieredCache(base / "cache")
-            t0 = time.perf_counter()
             result = run_fabric_sweep(
                 REFERENCE_RESONANT_SENSOR, path, values,
                 db=base / "jobs.sqlite", cache_dir=base / "cache",
@@ -172,16 +180,45 @@ def _fabric_scaling_section(n_cpu: int) -> dict:
                 chunk_size=max(1, points // max(2 * workers, 1)),
                 cache=cache,
             )
-            wall = time.perf_counter() - t0
+        return result, cache.cache_info()
+
+    if n_cpu == 1:
+        worker_counts = [1]
+        fabric_note = (
+            "cpu_count == 1: multi-worker rows skipped (workers would "
+            "time-slice one core; rows would only measure process start "
+            "overhead, not scaling)"
+        )
+    else:
+        worker_counts = [w for w in (1, 2, 4) if w <= n_cpu] or [1]
+        fabric_note = None
+
+    t0 = time.perf_counter()
+    fabric_call(worker_counts[0])
+    first_wall = time.perf_counter() - t0
+    calls = {"serial": serial_call}
+    for workers in worker_counts:
+        calls[workers] = lambda workers=workers: fabric_call(workers)
+    for call in calls.values():
+        call()  # warm: kernel builds, memos, a running forkserver
+    walls, results = _interleaved_walls(calls, rounds)
+    serial = results["serial"]
+    serial_q1, serial_wall, serial_q3 = statistics.quantiles(
+        walls["serial"], n=4)
+
+    rows = []
+    for workers in worker_counts:
+        result, info = results[workers]
+        q1, wall, q3 = statistics.quantiles(walls[workers], n=4)
         identical = all(
             np.array_equal(np.asarray(serial.columns[k]),
                            np.asarray(result.columns[k]))
             for k in serial.columns
         )
-        info = cache.cache_info()
         rows.append({
             "workers": workers,
             "wall_s": round(wall, 5),
+            "wall_quartiles_s": [round(q1, 5), round(q3, 5)],
             "points_per_sec": round(points / wall, 2),
             "speedup_vs_serial": round(serial_wall / wall, 2),
             "bit_identical": bool(identical),
@@ -192,14 +229,34 @@ def _fabric_scaling_section(n_cpu: int) -> dict:
         "points": points,
         "loop_duration_s": duration,
         "serial_wall_s": round(serial_wall, 5),
+        "serial_wall_quartiles_s": [round(serial_q1, 5),
+                                    round(serial_q3, 5)],
         "serial_points_per_sec": round(points / serial_wall, 2),
+        "first_call": {
+            "workers": worker_counts[0],
+            "wall_s": round(first_wall, 5),
+            "note": (
+                "the process's first fabric call: it starts the worker "
+                "forkserver, which imports the library once before it "
+                "forks the first worker"
+            ),
+        },
         "note": fabric_note,
         "rows": rows,
+        "sampling": {
+            "rounds": rounds,
+            "strategy": (
+                "median with quartiles, after one untimed call per "
+                "route; serial and every worker count interleaved in "
+                "every round, order alternating"
+            ),
+        },
         "overhead_note": (
-            "fabric rows include worker-process spawn, sqlite chunk "
-            "leasing, and checksummed cache writes — overhead the "
-            "fabric pays to buy crash-resume and multi-node scale-out, "
-            "not to win single-node microbenchmarks"
+            "fabric rows include forking each worker from the "
+            "forkserver, sqlite chunk leasing, and checksummed cache "
+            "writes — overhead the fabric pays to buy crash-resume and "
+            "multi-node scale-out, not to win single-node "
+            "microbenchmarks"
         ),
     }
 
@@ -235,7 +292,6 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     identical = bool(np.array_equal(serial_amps, batch_amps))
 
     # -- thread-scaling curve (C-level pthreads across instances) ------------
-    scaling = []
     n_cpu = os.cpu_count() or 1
     if n_cpu == 1:
         # a 1-CPU box cannot scale C-level threads: multi-thread rows
@@ -248,17 +304,31 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     else:
         thread_counts = sorted({1, 2, 4, min(8, n_cpu)})
         scaling_note = None
+    # each wall is ~15 ms, so a co-tenant burst can swing one by more
+    # than the curve: the counts take turns in every round, and a row
+    # whose quartiles overlap the 1-thread row's is marked unresolved
+    thread_rounds = max(repeats, 7)
+    curve_calls = {
+        t: lambda t=t: swept_sine_response(
+            resonator, frequencies, force, backend="auto", threads=t)
+        for t in thread_counts
+    }
+    for call in curve_calls.values():
+        call()  # warm: one untimed call per count
+    thread_walls, _ = _interleaved_walls(curve_calls, thread_rounds)
+    one_q1, _, one_q3 = statistics.quantiles(thread_walls[1], n=4)
+    scaling = []
     for t in thread_counts:
-        wall, _ = _best_of(
-            repeats,
-            lambda t=t: swept_sine_response(
-                resonator, frequencies, force, backend="auto", threads=t
-            ),
-        )
+        q1, wall, q3 = statistics.quantiles(thread_walls[t], n=4)
         scaling.append({
             "threads": t,
             "wall_s": round(wall, 5),
+            "wall_quartiles_s": [round(q1, 5), round(q3, 5)],
             "points_per_sec": round(points / wall, 1),
+            "vs_one_thread": (
+                None if t == 1 else "faster" if q3 < one_q1
+                else "slower" if q1 > one_q3 else "unresolved"
+            ),
         })
 
     # -- closed-loop spec sweep: serial fused vs kernel-batch ----------------
@@ -277,16 +347,12 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     # and each is reported as the median of its rounds with quartiles
     routes = ("serial", "kernel-batch")
     loop_rounds = max(repeats, 7)
-    for backend in routes:
-        sweep_with(backend)  # warm: kernel builds, noise and design memos
+    loop_calls = {backend: lambda backend=backend: sweep_with(backend)
+                  for backend in routes}
+    for call in loop_calls.values():
+        call()  # warm: kernel builds, noise and design memos
     reset_kernel_info()
-    loop_walls: dict[str, list[float]] = {backend: [] for backend in routes}
-    loop_tables = {}
-    for rnd in range(loop_rounds):
-        for backend in routes[::-1] if rnd % 2 else routes:
-            t0 = time.perf_counter()
-            loop_tables[backend] = sweep_with(backend)
-            loop_walls[backend].append(time.perf_counter() - t0)
+    loop_walls, loop_tables = _interleaved_walls(loop_calls, loop_rounds)
     loop_info = kernel_info()
     loop_serial, loop_batch = loop_tables["serial"], loop_tables["kernel-batch"]
     loop_identical = bool(all(
@@ -399,7 +465,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     }
 
     # -- fabric scaling: leased worker processes over a shared store ---------
-    fabric_scaling = _fabric_scaling_section(n_cpu)
+    fabric_scaling = _fabric_scaling_section(n_cpu, max(repeats, 7))
 
     return {
         "report": "batched multi-instance kernel sweeps",
@@ -424,6 +490,15 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "cpu_count": n_cpu,
             "note": scaling_note,
             "rows": scaling,
+            "sampling": {
+                "rounds": thread_rounds,
+                "strategy": (
+                    "median with quartiles, after one untimed call per "
+                    "thread count; counts interleaved in every round, "
+                    "order alternating; vs_one_thread is unresolved "
+                    "where a row's quartiles overlap the 1-thread row's"
+                ),
+            },
         },
         "closed_loop_columnar_kernel": columnar_family,
         "closed_loop_sweep": {
@@ -481,7 +556,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=3,
         help="timing repeats per backend, best-of (default 3; the "
-             "closed-loop sweep takes the median of at least 7)",
+             "thread curve, the closed-loop sweep and the fabric curve "
+             "take the median of at least 7 rounds)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -516,7 +592,9 @@ def main(argv: list[str] | None = None) -> int:
         if scaling["note"]:
             print(f"  thread scaling: {scaling['note']}")
         for s in scaling["rows"]:
-            print(f"  threads={s['threads']}: {s['points_per_sec']:,.0f} pts/s")
+            print(f"  threads={s['threads']}: {s['points_per_sec']:,.0f} pts/s"
+                  + (f"  ({s['vs_one_thread']})" if s["vs_one_thread"]
+                     else ""))
         ck = report["closed_loop_columnar_kernel"]
         print(f"  columnar kernel ({ck['instances']} instances): "
               f"columnar {ck['columnar_speedup']:.2f}x "
@@ -531,6 +609,9 @@ def main(argv: list[str] | None = None) -> int:
         fabric = report["fabric_scaling"]
         if fabric["note"]:
             print(f"  fabric scaling: {fabric['note']}")
+        first = fabric["first_call"]
+        print(f"  fabric first call (workers={first['workers']}, starts "
+              f"the forkserver): {first['wall_s']:.2f} s")
         print(f"  fabric serial baseline ({fabric['points']} pts): "
               f"{fabric['serial_points_per_sec']:,.2f} pts/s")
         for row in fabric["rows"]:

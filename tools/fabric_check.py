@@ -15,10 +15,14 @@ to survive:
    from the cache, proved per worker by ``cache_info()`` store counts
    in the ``--stats-json`` dumps;
 4. assembles the final table in-process with a zero-miss cache and
-   requires it ``np.array_equal`` to the plain serial sweep.
+   requires it ``np.array_equal`` to the plain serial sweep;
+5. runs ``repro sweep --fabric --fabric-workers 2`` in a session of its
+   own, whose workers fork from the preloaded forkserver: its table
+   must equal ``repro sweep --serial``, and once the command has
+   exited no process of its session may be left (``/proc/*/stat``).
 
 Exit code 0 means kill-and-resume works on this box with zero
-recomputed points.
+recomputed points, and the forkserver leaves with its coordinator.
 """
 
 from __future__ import annotations
@@ -53,6 +57,52 @@ def worker_argv(workdir: Path, job_id: str, **extra: object) -> list[str]:
     for flag, value in extra.items():
         argv += [f"--{flag.replace('_', '-')}", str(value)]
     return argv
+
+
+def session_processes(session: int) -> list[str]:
+    """``pid (state) command`` of every process in ``session``, zombies too."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+            command = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue  # gone meanwhile
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[3]) == session:
+            command = command.replace(b"\0", b" ").decode()[:120]
+            found.append(f"{entry.name} ({fields[0]}) {command}")
+    return found
+
+
+def forkserver_leg(workdir: Path, env: dict) -> None:
+    """``repro sweep --fabric`` equals serial and leaves no process behind."""
+    sweep = [sys.executable, "-m", "repro.cli", "sweep",
+             "--values", f"170:{170 + 0.5 * (POINTS - 1)}:{POINTS}",
+             "--duration", str(DURATION)]
+    fabric = subprocess.Popen(
+        sweep + ["--fabric", "--fabric-workers", "2",
+                 "--db", str(workdir / "forkserver.sqlite"),
+                 "--cache-dir", str(workdir / "forkserver-cache")],
+        cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    table, stderr = fabric.communicate(timeout=300)
+    left = session_processes(fabric.pid)  # its session id is its pid
+    assert fabric.returncode == 0, (
+        f"repro sweep --fabric exited {fabric.returncode}:\n{stderr}"
+    )
+    assert not left, f"processes outlived repro sweep --fabric: {left}"
+    serial = subprocess.run(sweep + ["--serial"], cwd=REPO, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert serial.returncode == 0, serial.stderr
+    assert table == serial.stdout, (
+        f"fabric table differs from serial:\n{table}\n{serial.stdout}"
+    )
+    print("fabric-check: repro sweep --fabric (2 forked workers) equals "
+          "--serial; no process of its session outlived it")
 
 
 def main() -> int:
@@ -163,6 +213,8 @@ def main() -> int:
                 np.asarray(result.columns[name]),
             ), f"column {name} deviates from the serial reference"
         print("fabric-check: table bit-identical to the serial sweep")
+
+        forkserver_leg(workdir, env)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     print("fabric-check: PASS")
