@@ -107,12 +107,16 @@ spec-check:
 	@echo "spec-check: CLI --set override smoke ok"
 
 # Resilience suite: every injected fault either recovers bit-identically
-# or comes back as a flagged degraded channel.  The second pass breaks
-# the C compiler (CC=/bin/false) under a fresh TMPDIR (so no cached .so
-# can hide the failure) and re-runs the golden equivalence suites: the
-# fallback chain must still reproduce every waveform bit-for-bit.
+# or comes back as a flagged degraded channel.  The cache's faults run
+# here too: damaged disk entries (test_cache.py) and the remote tier's
+# brownout, truncated blobs and tampered imports (test_cache_tiered.py).
+# The second pass breaks the C compiler (CC=/bin/false) under a fresh
+# TMPDIR (so no cached .so can hide the failure) and re-runs the golden
+# equivalence suites: the fallback chain must still reproduce every
+# waveform bit-for-bit.
 fault-check:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_resilience.py tests/engine/test_cache.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_resilience.py tests/engine/test_cache.py \
+		tests/engine/test_cache_tiered.py -q
 	@echo "-- no-compiler pass: CC=/bin/false, fallback chain must stay bit-identical --"
 	CC=/bin/false TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_batch.py -q

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.engine import ResultCache
+from repro.engine import TieredCache
 
 
 def engine_argument_parser(description: str) -> argparse.ArgumentParser:
@@ -38,14 +38,14 @@ def engine_argument_parser(description: str) -> argparse.ArgumentParser:
     return parser
 
 
-def cache_from_args(args: argparse.Namespace) -> ResultCache | None:
+def cache_from_args(args: argparse.Namespace) -> TieredCache | None:
     """The bench's cache, or None when ``--no-cache`` was given."""
     if args.no_cache:
         return None
-    return ResultCache(args.cache_dir)
+    return TieredCache(args.cache_dir)
 
 
-def report_engine_stats(timer, cache: ResultCache | None) -> None:
+def report_engine_stats(timer, cache: TieredCache | None) -> None:
     """Print the timing table and cache counters every bench ends with."""
     print("\nengine timing:")
     print(timer.format_report())

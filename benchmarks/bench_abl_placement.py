@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_parallel
-from repro.engine import ResultCache, StageTimer
+from repro.engine import StageTimer, TieredCache
 from repro.transduction import BridgePlacement, bridge_average_stress
 
 RESONANT_STARTS = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
@@ -62,7 +62,7 @@ def static_extent_point(extent, geometry) -> dict[str, float]:
     }
 
 
-def build_resonant_placement_table(geometry, cache: ResultCache | None = None):
+def build_resonant_placement_table(geometry, cache: TieredCache | None = None):
     return run_parallel(
         "start_xi",
         RESONANT_STARTS,
@@ -71,7 +71,7 @@ def build_resonant_placement_table(geometry, cache: ResultCache | None = None):
     )
 
 
-def build_static_extent_table(geometry, cache: ResultCache | None = None):
+def build_static_extent_table(geometry, cache: TieredCache | None = None):
     return run_parallel(
         "extent_xi",
         STATIC_EXTENTS,
@@ -81,7 +81,7 @@ def build_static_extent_table(geometry, cache: ResultCache | None = None):
 
 
 def run_bench(
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
     """Both placement tables through the engine; returns headline numbers."""

@@ -10,7 +10,7 @@ auto-gain absorbs the same spread without reconfiguration.
 
 Ported to the batch engine: the three Monte-Carlo cases run through a
 :class:`repro.engine.BatchExecutor` and memoize through a
-:class:`repro.engine.ResultCache` (``--no-cache``), and the cached
+:class:`repro.engine.TieredCache` (``--no-cache``), and the cached
 results are bit-identical to fresh ones because every case carries its
 own seed.
 
@@ -29,7 +29,7 @@ import functools
 import pytest
 
 from repro.config import REFERENCE_CANTILEVER
-from repro.engine import BatchExecutor, ResultCache, StageTimer
+from repro.engine import BatchExecutor, StageTimer, TieredCache
 from repro.fabrication import (
     ProcessCorners,
     expected_frequency_spread,
@@ -62,7 +62,7 @@ def monte_carlo_case(case: str, samples: int = 80):
 
 def run_monte_carlo(
     samples: int = 80,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     timer: StageTimer | None = None,
 ):
     """All three cases through the engine; returns them in CASES order."""
@@ -87,7 +87,7 @@ def run_monte_carlo(
 
 def run_bench(
     samples: int = 80,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
     """Full bench through the engine; returns the headline numbers."""

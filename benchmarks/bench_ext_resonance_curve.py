@@ -9,7 +9,7 @@ the closed-loop lock — three independent paths to the same numbers.
 Ported to the batch engine: each liquid's characterization is an
 independent grid point, run through a
 :class:`repro.engine.BatchExecutor` and memoized through a
-:class:`repro.engine.ResultCache` (``--no-cache``).
+:class:`repro.engine.TieredCache` (``--no-cache``).
 
 Shape targets:
 * swept-sine fit recovers the Sader-model f0 within 1% and Q within
@@ -25,7 +25,7 @@ import functools
 import pytest
 
 from repro.analysis import measure_resonance
-from repro.engine import BatchExecutor, ResultCache, StageTimer
+from repro.engine import BatchExecutor, StageTimer, TieredCache
 from repro.fluidics import immersed_mode
 from repro.materials import get_liquid
 from repro.mechanics import ModalResonator, analyze_modes
@@ -66,7 +66,7 @@ def characterize_reference(liquid_name: str, points: int = 31):
 def characterize_grid(
     liquids,
     points: int = 31,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
 ) -> dict[str, tuple]:
     """(fl, fit) per liquid through the engine, keyed by liquid name."""
     task = functools.partial(characterize_reference, points=points)
@@ -94,7 +94,7 @@ def characterize_grid(
 
 def run_bench(
     points: int = 31,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
     """Air + water bring-up through the engine; returns headline numbers."""

@@ -8,7 +8,7 @@ reports" output format required of the benchmark harness).
 Two execution paths share one result format: :func:`sweep` is the
 serial loop, :func:`run_parallel` runs the same grid through
 :class:`repro.engine.BatchExecutor` (optionally memoized through a
-:class:`repro.engine.ResultCache`) and must return element-for-element
+:class:`repro.engine.TieredCache`) and must return element-for-element
 identical results — that determinism is the engine's contract and is
 pinned by ``tests/engine``.
 """
@@ -151,7 +151,7 @@ def run_parallel(
         with ``workers`` C-level threads; any other ``evaluate``, and
         every point on ``"serial"``, runs solo.
     cache:
-        Optional :class:`repro.engine.ResultCache`.  Hits skip the
+        Optional :class:`repro.engine.TieredCache`.  Hits skip the
         executor entirely; only the missing grid points are dispatched,
         and their results are stored back — every successful point,
         even when another point fails.  Keys include ``evaluate``'s
@@ -279,7 +279,7 @@ def loop_headline(spec, record) -> dict:
 
     Module-level on purpose: the reduce function is part of the cache
     key, so it needs a stable qualified name — closures and lambdas are
-    rejected by :class:`repro.engine.ResultCache`.
+    rejected by :class:`repro.engine.TieredCache`.
     """
     return {
         "amplitude_m": record.steady_amplitude(),
@@ -301,7 +301,7 @@ class LoopSweepTask:
     back per instance without poisoning the batch.
 
     The planner composes with the cache contract for free:
-    :func:`run_parallel` consults the :class:`repro.engine.ResultCache`
+    :func:`run_parallel` consults the :class:`repro.engine.TieredCache`
     *before* dispatching, so only uncached grid points ever enter the
     batch, and results fan back under the same spec-keyed entries the
     serial path writes.  A frozen dataclass (rather than a closure) so

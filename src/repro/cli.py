@@ -260,8 +260,8 @@ def cmd_sweep(args) -> int:
         print(f"# fabric: workers={args.fabric_workers} "
               f"chunk_size={args.chunk_size} {tiers}", file=sys.stderr)
         return 0
-    # the fabric's cache class: every route writes the same bits, so a
-    # serial or batch sweep may serve, and fill, a fabric sweep's entries
+    # every route writes the same bits, so a serial or batch sweep may
+    # serve, and fill, a fabric sweep's entries
     cache = TieredCache(args.cache_dir) if args.cache_dir else None
     result = run_spec_sweep(
         spec,
@@ -325,7 +325,7 @@ def cmd_worker(args) -> int:
     from .service.transport import transport_report
 
     payload = {"stats": stats.to_dict(),
-               "cache": _cache_info_dict(cache),
+               "cache": cache.cache_info().as_dict(),
                "transport": transport_report()}
     if args.stats_json:
         with open(args.stats_json, "w", encoding="utf-8") as fh:
@@ -336,78 +336,60 @@ def cmd_worker(args) -> int:
     return 3 if stats.quarantined else 0
 
 
-def _cache_info_dict(cache) -> dict:
-    info = cache.cache_info()
-    payload = {
-        "hits": info.hits, "misses": info.misses, "stores": info.stores,
-        "corruptions": info.corruptions,
-    }
-    payload["tiers"] = [t.as_dict() for t in getattr(info, "tiers", ())]
-    return payload
-
-
 def cmd_health(args) -> int:
-    from .engine import breaker_report, cc_available, kernel_info
+    import json
 
     if args.url:
-        import json
-
         from .service import ServiceClient
 
         snapshot = ServiceClient(args.url).health()
         print(json.dumps(snapshot, indent=2, sort_keys=True))
         return 0 if snapshot.get("ok") else 1
+    from .service import health_snapshot
+
+    snapshot = health_snapshot(cache_dir=args.cache_dir, evict=args.evict)
     if args.json:
-        import json
-
-        from .service import health_snapshot
-
-        snapshot = health_snapshot(cache_dir=args.cache_dir, evict=args.evict)
         print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 0 if snapshot["ok"] else 1
+    else:
+        _print_health(snapshot)
+    return 0 if snapshot["ok"] else 1
 
-    info = kernel_info()
-    print(f"compiler        : {'available' if cc_available() else 'absent'}")
-    if info.cc_build_error:
-        print(f"compiler error  : {info.cc_build_error}")
-    print(f"cc quarantined  : {'yes' if info.cc_quarantined else 'no'}")
-    runs = " ".join(f"{k}={v}" for k, v in sorted(info.runs.items())) or "none"
-    print(f"kernel runs     : {runs} (batch {info.batch_runs} / "
-          f"{info.batch_instances} instances)")
-    print(f"fallbacks       : {info.fallbacks}"
-          + (f" (last: {info.last_fallback_reason})"
-             if info.last_fallback_reason else ""))
-    print(f"degrades        : {info.degrades}"
-          + (f" (last: {info.last_degrade_reason})"
-             if info.last_degrade_reason else ""))
-    breakers = breaker_report()
+
+def _print_health(snapshot: dict) -> None:
+    """The text form of ``repro health``: the same snapshot, for humans."""
+    compiler = "available" if snapshot["compiler_available"] else "absent"
+    print(f"compiler        : {compiler}")
+    if snapshot["compiler_error"]:
+        print(f"compiler error  : {snapshot['compiler_error']}")
+    print(f"cc quarantined  : {'yes' if snapshot['cc_quarantined'] else 'no'}")
+    runs = " ".join(f"{k}={v}" for k, v in sorted(
+        snapshot["kernel_runs"].items())) or "none"
+    print(f"kernel runs     : {runs} (batch {snapshot['batch_runs']} / "
+          f"{snapshot['batch_instances']} instances)")
+    last = snapshot["last_fallback_reason"]
+    print(f"fallbacks       : {snapshot['fallbacks']}"
+          + (f" (last: {last})" if last else ""))
+    last = snapshot["last_degrade_reason"]
+    print(f"degrades        : {snapshot['degrades']}"
+          + (f" (last: {last})" if last else ""))
+    breakers = snapshot["breakers"]
     if not breakers:
         print("breakers        : none registered")
-    for b in breakers.values():
-        state = "OPEN" if b.open else "closed"
-        print(f"breaker {b.name:<12s}: {state} "
-              f"(failures {b.failures}, trips {b.trips})")
-    from .service.transport import transport_counters
-
-    t = transport_counters().snapshot()
+    for name, b in breakers.items():
+        state = "OPEN" if b["open"] else "closed"
+        print(f"breaker {name:<12s}: {state} "
+              f"(failures {b['failures']}, trips {b['trips']})")
+    t = snapshot["transport"]
     print(f"transport       : {t['requests']} requests, "
           f"{t['retries']} retries, {t['errors']} errors, "
           f"{t['deadline_sheds']} deadline sheds, "
           f"{t['backpressure_rejections']} backpressure rejections")
-    if args.cache_dir:
-        from .engine import TieredCache
-
-        cache = TieredCache(args.cache_dir)
-        intact, damaged = cache.verify(evict=args.evict)
-        verb = "evicted" if args.evict else "found"
-        print(f"cache           : {intact} intact, {damaged} damaged ({verb})")
-        for tier in cache.cache_info().tiers:
-            print(f"cache tier {tier.name:<6s}: hits {tier.hits}, "
-                  f"misses {tier.misses}, stores {tier.stores}, "
-                  f"promotions {tier.promotions}, "
-                  f"evictions {tier.evictions}, errors {tier.errors}")
-        return 0 if damaged == 0 else 1
-    return 0
+    cache = snapshot.get("cache")
+    if cache is not None:
+        verb = "evicted" if cache["evicted"] else "found"
+        print(f"cache           : {cache['intact']} intact, "
+              f"{cache['damaged']} damaged ({verb})")
+    print(f"ok              : {'yes' if snapshot['ok'] else 'no'}")
 
 
 def cmd_chaos(args) -> int:
@@ -699,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine health: kernel state, breakers, cache integrity",
     )
     p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="also integrity-scan this ResultCache directory")
+                   help="also integrity-scan this cache directory")
     p.add_argument("--evict", action="store_true",
                    help="evict damaged cache entries found by the scan")
     p.add_argument("--json", action="store_true",
@@ -756,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", default=".repro_service/jobs.sqlite",
                    help="job-store location (path or sqlite:///path)")
     p.add_argument("--cache-dir", default=".repro_service/cache",
-                   dest="cache_dir", help="ResultCache directory shared by "
+                   dest="cache_dir", help="cache directory shared by "
                                           "all jobs (the dedup substrate)")
     p.add_argument("--pump-workers", type=int, default=1, dest="pump_workers",
                    help="concurrent jobs run in-process; 0 runs none, so "

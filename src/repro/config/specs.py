@@ -13,7 +13,7 @@ pure value object:
   returns a new spec with nested replacements applied (and re-validated);
 * hashable — :func:`spec_hash` keys a spec by the stable content hash of
   its dict form, so sweep grids and the engine's
-  :class:`~repro.engine.ResultCache` share one principled key.
+  :class:`~repro.engine.TieredCache` share one principled key.
 
 Field units are the laboratory units of the cantilever literature
 (``_um``, ``_v``, ``_hz`` suffixes); builders convert to strict SI at the
@@ -289,7 +289,7 @@ def spec_hash(spec: Spec) -> str:
     """Stable SHA-256 key of a spec: ``stable_hash(spec.to_dict())``.
 
     This is the cache key contract: the engine's
-    :class:`~repro.engine.ResultCache` and every spec-keyed sweep hash
+    :class:`~repro.engine.TieredCache` and every spec-keyed sweep hash
     the *serialized* form, so two specs that round-trip equal always hit
     the same cache entry — across processes and sessions.
     """

@@ -5,10 +5,10 @@ The scaling substrate under every sweep, bench, and array assay:
 * :class:`BatchExecutor` — run a function over a parameter grid as one
   batch call, point by point under a watchdog, or as a plain loop
   (ordered results, per-task error capture, retries);
-* :class:`ResultCache` — deterministic on-disk memoization keyed by a
-  stable content hash, with versioned invalidation and hit/miss
-  counters — and :class:`TieredCache`, its memory → sharded-disk →
-  remote-store extension with per-tier counters;
+* :class:`TieredCache` — deterministic memoization keyed by a stable
+  content hash, with versioned invalidation, kept in a memory LRU, a
+  sharded disk tier and an optional shared remote store, with
+  aggregate and per-tier hit/miss counters;
 * :mod:`~repro.engine.fabric` — how every job runs:
   :class:`FabricWorker` nodes (a service pump thread, a worker
   process forked from a preloaded forkserver, a ``repro worker``)
@@ -39,9 +39,7 @@ from .cache import (
     CacheInfo,
     FilesystemRemoteStore,
     HTTPRemoteStore,
-    ResultCache,
     TieredCache,
-    TieredCacheInfo,
     TierInfo,
     stable_hash,
 )
@@ -130,14 +128,12 @@ __all__ = [
     "KernelRunResult",
     "KernelStage",
     "ModeLowering",
-    "ResultCache",
     "RetryPolicy",
     "StageTimer",
     "StageTiming",
     "TaskOutcome",
     "TierInfo",
     "TieredCache",
-    "TieredCacheInfo",
     "WorkerStats",
     "batch_signature",
     "arm_env_fault_plan",

@@ -1,4 +1,4 @@
-"""Deterministic on-disk result cache for sweep and Monte-Carlo points.
+"""Deterministic result cache for sweep and Monte-Carlo points.
 
 Every simulation in this library is a pure function of its explicit
 parameters (geometry, process knobs, seeds) — which makes results
@@ -13,28 +13,25 @@ content hash of
 * the cache schema version, so bumping :data:`CACHE_VERSION` invalidates
   every old entry at once.
 
-Entries are pickle files written atomically (temp file + ``os.replace``)
-so a killed run never leaves a half-written entry.  The value itself is
-stored as an inner pickle blob with a SHA-256 integrity checksum, so a
-bit-flipped or truncated file — whether it breaks the outer pickle or
-silently damages the payload — is *detected*, counted, evicted, and
-treated as a miss, never returned as data and never raised.  Hit/miss/
-corruption counters are exposed through :meth:`ResultCache.cache_info`
-so benches can *prove* a warm re-run skipped recomputation and fault
-tests can prove a corrupt entry was recomputed.
+:class:`TieredCache` keeps entries in three tiers: an in-process LRU of
+encoded blobs, a local disk tier sharded by hash prefix (so a
+million-entry grid does not put a million files in one directory), and
+an optional *shared* remote store — filesystem-backed
+(:class:`FilesystemRemoteStore`, e.g. an NFS mount) or HTTP-backed
+against a running ``repro serve`` (:class:`HTTPRemoteStore`).  Entries
+flow downward on store and are *promoted* upward on hit.
 
-:class:`TieredCache` extends the flat cache into a three-tier
-hierarchy for distributed sweeps: an in-process LRU of decoded blobs,
-a local disk tier sharded by hash prefix (so a million-entry grid does
-not put a million files in one directory), and an optional *shared*
-remote store — filesystem-backed (:class:`FilesystemRemoteStore`, e.g.
-an NFS mount) or HTTP-backed against a running ``repro serve``
-(:class:`HTTPRemoteStore`).  Entries flow downward on miss and are
-*promoted* upward on hit; every tier keeps its own hit/miss/store/
-promotion/eviction counters (:class:`TierInfo`) surfaced through
-:meth:`TieredCache.cache_info` and ``repro health``.  The remote tier
-transports the *outer checksummed payload* verbatim, so a damaged blob
-is detected at the receiving end exactly like a damaged local file.
+Disk entries are pickle files written atomically (temp file +
+``os.replace``) so a killed run never leaves a half-written entry.  The
+value itself is stored as an inner pickle blob with a SHA-256 integrity
+checksum, so a bit-flipped or truncated file — whether it breaks the
+outer pickle or silently damages the payload — is *detected*, counted,
+evicted, and treated as a miss, never returned as data and never
+raised.  The remote tier transports that outer checksummed payload
+verbatim, so a damaged blob is detected at the receiving end exactly
+like a damaged local file.  Aggregate and per-tier counters
+(:class:`CacheInfo`) let benches *prove* a warm re-run skipped
+recomputation and fault tests prove a corrupt entry was recomputed.
 """
 
 from __future__ import annotations
@@ -73,12 +70,63 @@ logger = logging.getLogger(__name__)
 #: bits of every noisy waveform; older entries hold the old realization.
 CACHE_VERSION = 3
 
+#: LRU capacity of the in-process memory tier, in entries.
+MEMORY_ENTRIES = 256
+#: Hash-prefix length of the shard directories, on the disk tier and on
+#: a :class:`FilesystemRemoteStore`.
+SHARD_WIDTH = 2
+#: Consecutive remote errors that trip the remote tier to local-only.
+REMOTE_TRIP_THRESHOLD = 3
+#: While tripped, every this-many-th remote round-trip is a recovery probe.
+REMOTE_PROBE_INTERVAL = 4
+#: Capacity of the remote tier's write-behind queue (oldest drop first).
+PENDING_LIMIT = 1024
+
 _MISSING = object()
 
 
 @dataclass(frozen=True)
+class TierInfo:
+    """Counters of one tier of a :class:`TieredCache`.
+
+    ``promotions`` counts entries copied *into* this tier after a hit in
+    a slower tier (memory gains one on every disk or remote hit; disk
+    gains one on every remote hit).  ``evictions`` counts LRU drops
+    (memory tier only).  ``errors`` counts failed remote round-trips —
+    the remote tier is best-effort and never fails a lookup or store.
+
+    The brownout counters are remote-tier only: ``trips`` counts
+    error-threshold trips into local-only mode, ``skips`` counts remote
+    round-trips elided while tripped, ``probes`` counts the periodic
+    recovery attempts, and ``pending`` is the current depth of the
+    write-behind queue holding entries stranded by the brownout (see
+    :meth:`TieredCache.flush_remote`).
+    """
+
+    name: str
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    promotions: int = 0
+    evictions: int = 0
+    errors: int = 0
+    trips: int = 0
+    skips: int = 0
+    probes: int = 0
+    pending: int = 0
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+@dataclass(frozen=True)
 class CacheInfo:
-    """Counters of one :class:`ResultCache` instance's activity."""
+    """Counters of one :class:`TieredCache` instance's activity.
+
+    ``hits``/``misses``/``stores`` count one per :meth:`TieredCache.get`
+    / :meth:`TieredCache.put`, whichever tier served it; ``tiers`` holds
+    the per-tier breakdown.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -87,16 +135,33 @@ class CacheInfo:
     #: corruption is also counted as a miss, so hits+misses still totals
     #: the requests.
     corruptions: int = 0
+    tiers: tuple[TierInfo, ...] = ()
 
     @property
     def requests(self) -> int:
         """Total lookups (hits + misses)."""
         return self.hits + self.misses
 
+    def tier(self, name: str) -> TierInfo:
+        """The named tier's counters (``"memory"``/``"disk"``/``"remote"``)."""
+        for info in self.tiers:
+            if info.name == name:
+                return info
+        raise KeyError(f"no cache tier named {name!r}")
+
+    def as_dict(self) -> dict:
+        """JSON-ready counters: the aggregates plus one dict per tier."""
+        payload = dataclasses.asdict(self)
+        payload["tiers"] = list(payload["tiers"])
+        return payload
+
     def __str__(self) -> str:
+        parts = ", ".join(
+            f"{t.name}={t.hits}h/{t.misses}m" for t in self.tiers
+        )
         return (
             f"CacheInfo(hits={self.hits}, misses={self.misses}, "
-            f"stores={self.stores}, corruptions={self.corruptions})"
+            f"stores={self.stores}, corruptions={self.corruptions}, {parts})"
         )
 
 
@@ -214,249 +279,27 @@ def _damage_file(path: Path, fault) -> None:
         path.write_bytes(raw[: len(raw) // 2])
 
 
-class ResultCache:
-    """On-disk memo table keyed by stable content hashes.
+def _sharded(root: Path, key: str) -> Path:
+    """Where ``key`` lives under ``root``: its hash-prefix shard."""
+    return root / key[:SHARD_WIDTH] / f"{key}.pkl"
 
-    Parameters
-    ----------
-    directory:
-        Cache directory (created on first store).  Defaults to the
-        ``REPRO_CACHE_DIR`` environment variable, else ``.repro_cache``
-        under the current working directory.
-    version:
-        Cache schema version folded into every key; defaults to
-        :data:`CACHE_VERSION`.  Bump to orphan all existing entries.
-    """
 
-    def __init__(
-        self, directory: str | os.PathLike | None = None,
-        version: int = CACHE_VERSION,
-    ) -> None:
-        root = directory or os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
-        self.directory = Path(root)
-        self.version = int(version)
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._corruptions = 0
-
-    # -- keys ----------------------------------------------------------------
-
-    def key_for(self, fn: Callable, parameter, extra=None) -> str:
-        """Cache key of one (function, parameter, context) evaluation."""
-        return stable_hash("repro-cache", self.version, fn, parameter, extra)
-
-    def _path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
-
-    # -- storage -------------------------------------------------------------
-
-    def get(self, key: str):
-        """Cached value for ``key``, or the ``MISS`` sentinel.
-
-        A missing, corrupted, or version-mismatched entry counts as a
-        miss; damaged files (broken pickle, wrong key, failed checksum)
-        additionally count as corruptions and are evicted so the next
-        store is clean.  The ``cache.entry`` fault site damages the
-        on-disk file *before* the read, so injection exercises exactly
-        this recovery path.
-        """
-        path = self._path_for(key)
-        fault = poll_fault("cache.entry")
-        if fault is not None and path.is_file():
-            _damage_file(path, fault)
+def _atomic_write(path: Path, raw: bytes) -> None:
+    """Place ``raw`` at ``path`` whole or not at all (temp + rename)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem[:16]}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            value = self._decode_payload(payload, key, path)
-        except FileNotFoundError:
-            self._misses += 1
-            return self.MISS
-        except Exception as err:
-            # corrupted / truncated / incompatible entry: evict + recompute
-            self._misses += 1
-            self._corruptions += 1
-            logger.warning("evicting corrupt cache entry %s: %s", path.name, err)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return self.MISS
-        self._hits += 1
-        return value
-
-    def _decode_payload(self, payload, key: str, path: Path):
-        """Validate one loaded payload dict; raises CacheError on damage."""
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != self.version
-            or payload.get("key") != key
-        ):
-            raise CacheError(f"stale or foreign cache entry {path.name}")
-        blob = payload.get("blob")
-        if not isinstance(blob, bytes):
-            raise CacheError(f"malformed cache entry {path.name}")
-        if hashlib.sha256(blob).hexdigest() != payload.get("sha256"):
-            raise CacheError(f"checksum mismatch in cache entry {path.name}")
-        return pickle.loads(blob)
-
-    def put(self, key: str, value) -> None:
-        """Atomically persist ``value`` under ``key`` (checksummed)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = {
-            "version": self.version,
-            "key": key,
-            "blob": blob,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self._path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._stores += 1
-
-    #: Sentinel returned by :meth:`get` for absent entries (never a value).
-    MISS = _MISSING
-
-    def get_or_compute(self, fn: Callable, parameter, extra=None):
-        """Memoized ``fn(parameter)``: load on hit, compute + store on miss."""
-        key = self.key_for(fn, parameter, extra)
-        value = self.get(key)
-        if value is not self.MISS:
-            return value
-        value = fn(parameter)
-        self.put(key, value)
-        return value
-
-    # -- introspection -------------------------------------------------------
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/store counters since this instance was created."""
-        return CacheInfo(
-            hits=self._hits,
-            misses=self._misses,
-            stores=self._stores,
-            corruptions=self._corruptions,
-        )
-
-    def verify(self, evict: bool = True) -> tuple[int, int]:
-        """Integrity-scan every entry: ``(intact, damaged)`` counts.
-
-        Damaged entries (unreadable pickle, checksum mismatch, wrong
-        schema version) are evicted when ``evict`` is true, so the next
-        lookup recomputes them.  Does not touch the hit/miss counters —
-        this is an audit, not a lookup.
-        """
-        intact = damaged = 0
-        if not self.directory.is_dir():
-            return (0, 0)
-        # rglob, not glob: scans both the flat layout and the sharded
-        # hash-prefix layout TieredCache writes, so one audit covers any
-        # directory regardless of which cache class produced it.
-        for path in sorted(self.directory.rglob("*.pkl")):
-            try:
-                with open(path, "rb") as fh:
-                    payload = pickle.load(fh)
-                self._decode_payload(payload, path.stem, path)
-                intact += 1
-            except Exception as err:
-                damaged += 1
-                logger.warning("cache entry %s is damaged: %s", path.name, err)
-                if evict:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-        return (intact, damaged)
-
-    def clear(self) -> int:
-        """Delete every entry in the cache directory; returns the count."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.rglob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-
-# -- tiered cache -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TierInfo:
-    """Counters of one tier of a :class:`TieredCache`.
-
-    ``promotions`` counts entries copied *into* this tier after a hit in
-    a slower tier (memory gains one on every disk or remote hit; disk
-    gains one on every remote hit).  ``evictions`` counts LRU drops
-    (memory tier only).  ``errors`` counts failed remote round-trips —
-    the remote tier is best-effort and never fails a lookup or store.
-
-    The brownout counters are remote-tier only: ``trips`` counts
-    error-threshold trips into local-only mode, ``skips`` counts remote
-    round-trips elided while tripped, ``probes`` counts the periodic
-    recovery attempts, and ``pending`` is the current depth of the
-    write-behind queue holding entries stranded by the brownout (see
-    :meth:`TieredCache.flush_remote`).
-    """
-
-    name: str
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    promotions: int = 0
-    evictions: int = 0
-    errors: int = 0
-    trips: int = 0
-    skips: int = 0
-    probes: int = 0
-    pending: int = 0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class TieredCacheInfo(CacheInfo):
-    """Aggregate counters plus the per-tier breakdown.
-
-    The inherited ``hits``/``misses``/``stores``/``corruptions`` keep
-    the flat-cache meaning (one count per :meth:`TieredCache.get` /
-    :meth:`TieredCache.put`, whichever tier served it), so every caller
-    written against :class:`CacheInfo` — warm-sweep asserts, the service
-    health snapshot, ``bench_report`` — reads a tiered cache unchanged.
-    """
-
-    tiers: tuple[TierInfo, ...] = ()
-
-    def tier(self, name: str) -> TierInfo:
-        """The named tier's counters (``"memory"``/``"disk"``/``"remote"``)."""
-        for info in self.tiers:
-            if info.name == name:
-                return info
-        raise KeyError(f"no cache tier named {name!r}")
-
-    def __str__(self) -> str:
-        parts = ", ".join(
-            f"{t.name}={t.hits}h/{t.misses}m" for t in self.tiers
-        )
-        return (
-            f"TieredCacheInfo(hits={self.hits}, misses={self.misses}, "
-            f"stores={self.stores}, corruptions={self.corruptions}, {parts})"
-        )
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class _TierCounters:
@@ -490,13 +333,11 @@ class FilesystemRemoteStore:
     coordination beyond the filesystem's own rename atomicity.
     """
 
-    def __init__(self, directory: str | os.PathLike,
-                 shard_width: int = 2) -> None:
+    def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
-        self.shard_width = int(shard_width)
 
     def _path_for(self, key: str) -> Path:
-        return self.directory / key[: self.shard_width] / f"{key}.pkl"
+        return _sharded(self.directory, key)
 
     def get(self, key: str) -> bytes | None:
         try:
@@ -505,27 +346,7 @@ class FilesystemRemoteStore:
             return None
 
     def put(self, key: str, raw: bytes) -> None:
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def delete(self, key: str) -> None:
-        try:
-            self._path_for(key).unlink()
-        except OSError:
-            pass
+        _atomic_write(self._path_for(key), raw)
 
 
 class HTTPRemoteStore:
@@ -610,80 +431,49 @@ class HTTPRemoteStore:
         self._send(request)
 
 
-class TieredCache(ResultCache):
-    """Three-tier result cache: in-process LRU → sharded disk → remote.
+class TieredCache:
+    """Result cache: in-process LRU → sharded disk → optional remote.
 
     Lookups fall through memory → disk → remote and *promote* on hit, so
     a grid point computed on any node is one memory access on its next
-    use anywhere the tiers are shared.  Keys, payload layout, checksums,
-    and the ``cache.entry`` fault site are identical to
-    :class:`ResultCache` — a ``TieredCache`` pointed at an existing flat
-    cache directory still serves (and transparently re-shards) its
-    entries, and every result it stores remains readable by the base
-    class through :meth:`verify`.
+    use anywhere the tiers are shared.  Stores write through every tier.
+    The memory tier holds encoded blobs, not live objects, so a hit
+    always returns a fresh deserialization — callers may mutate results
+    freely.
+
+    The remote tier is best-effort: a failing remote degrades to a
+    two-tier cache, counted under ``tier("remote").errors``, and never
+    raises into a sweep.  After :data:`REMOTE_TRIP_THRESHOLD`
+    *consecutive* remote errors it trips to local-only mode: remote
+    round-trips are skipped (counted under ``tier("remote").skips``)
+    except every :data:`REMOTE_PROBE_INTERVAL`-th one, which goes
+    through as a recovery probe.  Writes made while tripped queue in a
+    write-behind buffer of :data:`PENDING_LIMIT` entries (a drop only
+    costs a future remote miss — the local disk tier already holds the
+    entry) that drains on recovery or via :meth:`flush_remote`.
 
     Parameters
     ----------
-    directory / version:
-        As :class:`ResultCache`.
-    memory_entries:
-        LRU capacity of the in-process tier (0 disables it).  The tier
-        holds encoded blobs, not live objects, so a hit always returns a
-        fresh deserialization — callers may mutate results freely.
+    directory:
+        Disk tier root (created on first store).  Defaults to the
+        ``REPRO_CACHE_DIR`` environment variable, else ``.repro_cache``
+        under the current working directory.
     remote:
         Optional shared store (:class:`FilesystemRemoteStore`,
         :class:`HTTPRemoteStore`, or anything with ``get(key) ->
-        bytes | None`` / ``put(key, raw)``).  Best-effort: a failing
-        remote degrades to a two-tier cache, counted under
-        ``tier("remote").errors``, and never raises into a sweep.
-    shard_width:
-        Hash-prefix length of the disk shard directories.
-    remote_trip_threshold / remote_probe_interval:
-        Brownout protection for the remote tier.  After
-        ``remote_trip_threshold`` *consecutive* remote errors the tier
-        trips to local-only mode: remote round-trips are skipped
-        (counted under ``tier("remote").skips``) except every
-        ``remote_probe_interval``-th one, which goes through as a
-        recovery probe.  Writes made while tripped queue in a bounded
-        write-behind buffer and drain on recovery or via
-        :meth:`flush_remote`.
-    pending_limit:
-        Capacity of the write-behind queue (oldest entries drop first;
-        a drop only costs a future remote miss, never correctness —
-        the local disk tier already holds the entry).
+        bytes | None`` / ``put(key, raw)``).
     """
 
+    #: Sentinel returned by :meth:`get` for absent entries (never a value).
+    MISS = _MISSING
+
     def __init__(
-        self, directory: str | os.PathLike | None = None,
-        version: int = CACHE_VERSION, *,
-        memory_entries: int = 256,
-        remote=None,
-        shard_width: int = 2,
-        remote_trip_threshold: int = 3,
-        remote_probe_interval: int = 4,
-        pending_limit: int = 1024,
+        self, directory: str | os.PathLike | None = None, *, remote=None,
     ) -> None:
-        super().__init__(directory, version)
-        if memory_entries < 0:
-            raise CacheError(
-                f"memory_entries must be >= 0, got {memory_entries}"
-            )
-        if not 1 <= int(shard_width) <= 8:
-            raise CacheError(f"shard_width must be in 1..8, got {shard_width}")
-        if remote_trip_threshold < 1:
-            raise CacheError(
-                f"remote_trip_threshold must be >= 1, got {remote_trip_threshold}"
-            )
-        if remote_probe_interval < 1:
-            raise CacheError(
-                f"remote_probe_interval must be >= 1, got {remote_probe_interval}"
-            )
-        self.memory_entries = int(memory_entries)
-        self.shard_width = int(shard_width)
+        root = directory or os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
+        self.directory = Path(root)
         self.remote = remote
-        self.remote_trip_threshold = int(remote_trip_threshold)
-        self.remote_probe_interval = int(remote_probe_interval)
-        self.pending_limit = int(pending_limit)
+        self._hits = self._misses = self._stores = self._corruptions = 0
         self._mem: OrderedDict[str, bytes] = OrderedDict()
         self._mem_lock = threading.Lock()
         self._remote_lock = threading.Lock()
@@ -697,20 +487,18 @@ class TieredCache(ResultCache):
             "remote": _TierCounters("remote"),
         }
 
-    # -- layout ---------------------------------------------------------------
+    # -- keys -----------------------------------------------------------------
+
+    def key_for(self, fn: Callable, parameter, extra=None) -> str:
+        """Cache key of one (function, parameter, context) evaluation."""
+        return stable_hash("repro-cache", CACHE_VERSION, fn, parameter, extra)
 
     def _path_for(self, key: str) -> Path:
-        return self.directory / key[: self.shard_width] / f"{key}.pkl"
-
-    def _flat_path_for(self, key: str) -> Path:
-        """Legacy flat-layout location (pre-tiering caches)."""
-        return self.directory / f"{key}.pkl"
+        return _sharded(self.directory, key)
 
     # -- memory tier ----------------------------------------------------------
 
     def _mem_get(self, key: str):
-        if self.memory_entries <= 0:
-            return None
         with self._mem_lock:
             blob = self._mem.get(key)
             if blob is not None:
@@ -718,8 +506,6 @@ class TieredCache(ResultCache):
             return blob
 
     def _mem_insert(self, key: str, blob: bytes, *, promotion: bool) -> None:
-        if self.memory_entries <= 0:
-            return
         mem = self._tiers["memory"]
         with self._mem_lock:
             self._mem[key] = blob
@@ -728,14 +514,23 @@ class TieredCache(ResultCache):
                 mem.promotions += 1
             else:
                 mem.stores += 1
-            while len(self._mem) > self.memory_entries:
+            while len(self._mem) > MEMORY_ENTRIES:
                 self._mem.popitem(last=False)
                 mem.evictions += 1
 
     # -- lookups --------------------------------------------------------------
 
     def get(self, key: str):
-        """Tier-walking lookup; same contract as :meth:`ResultCache.get`."""
+        """Cached value for ``key``, or the ``MISS`` sentinel.
+
+        Walks memory → disk → remote.  A missing, corrupted, or
+        version-mismatched entry counts as a miss; damaged entries
+        (broken pickle, wrong key, failed checksum) additionally count
+        as corruptions, and a damaged disk file is evicted so the next
+        store is clean.  The ``cache.entry`` fault site damages the
+        on-disk file *before* the disk read, so injection exercises
+        exactly this recovery path.
+        """
         mem, disk, remote = (
             self._tiers["memory"], self._tiers["disk"], self._tiers["remote"]
         )
@@ -744,12 +539,9 @@ class TieredCache(ResultCache):
             mem.hits += 1
             self._hits += 1
             return pickle.loads(blob)
-        if self.memory_entries > 0:
-            mem.misses += 1
+        mem.misses += 1
 
         path = self._path_for(key)
-        if not path.is_file() and self._flat_path_for(key).is_file():
-            path = self._flat_path_for(key)
         fault = poll_fault("cache.entry")
         if fault is not None and path.is_file():
             _damage_file(path, fault)
@@ -760,6 +552,7 @@ class TieredCache(ResultCache):
         except FileNotFoundError:
             disk.misses += 1
         except Exception as err:
+            # corrupted / truncated / incompatible entry: evict + recompute
             disk.misses += 1
             self._corruptions += 1
             logger.warning("evicting corrupt cache entry %s: %s", path.name, err)
@@ -771,8 +564,6 @@ class TieredCache(ResultCache):
             disk.hits += 1
             self._hits += 1
             self._mem_insert(key, payload["blob"], promotion=True)
-            if path.name == f"{key}.pkl" and path.parent == self.directory:
-                self._reshard(key, path)
             return value
 
         raw = self._remote_get(key)
@@ -797,11 +588,26 @@ class TieredCache(ResultCache):
         self._misses += 1
         return self.MISS
 
+    def _decode_payload(self, payload, key: str, path: Path):
+        """Validate one loaded payload dict; raises CacheError on damage."""
+        if (
+            not isinstance(payload, dict)
+            or payload.get("version") != CACHE_VERSION
+            or payload.get("key") != key
+        ):
+            raise CacheError(f"stale or foreign cache entry {path.name}")
+        blob = payload.get("blob")
+        if not isinstance(blob, bytes):
+            raise CacheError(f"malformed cache entry {path.name}")
+        if hashlib.sha256(blob).hexdigest() != payload.get("sha256"):
+            raise CacheError(f"checksum mismatch in cache entry {path.name}")
+        return pickle.loads(blob)
+
     def put(self, key: str, value) -> None:
-        """Write-through store: disk (atomic) + memory + remote."""
+        """Write-through store: disk (atomic, checksummed) + memory + remote."""
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {
-            "version": self.version,
+            "version": CACHE_VERSION,
             "key": key,
             "blob": blob,
             "sha256": hashlib.sha256(blob).hexdigest(),
@@ -816,21 +622,17 @@ class TieredCache(ResultCache):
 
     def _write_raw(self, key: str, raw: bytes) -> None:
         """Atomically place outer payload bytes at the sharded path."""
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write(self._path_for(key), raw)
+
+    def get_or_compute(self, fn: Callable, parameter, extra=None):
+        """Memoized ``fn(parameter)``: load on hit, compute + store on miss."""
+        key = self.key_for(fn, parameter, extra)
+        value = self.get(key)
+        if value is not self.MISS:
+            return value
+        value = fn(parameter)
+        self.put(key, value)
+        return value
 
     # -- remote tier: brownout gate + write-behind queue ----------------------
 
@@ -843,7 +645,7 @@ class TieredCache(ResultCache):
         """May this operation attempt a remote round-trip right now?
 
         Untripped: always.  Tripped (brownout): every
-        ``remote_probe_interval``-th gated call goes through as a
+        :data:`REMOTE_PROBE_INTERVAL`-th gated call goes through as a
         recovery probe; the rest are skipped and counted.
         """
         remote = self._tiers["remote"]
@@ -851,7 +653,7 @@ class TieredCache(ResultCache):
             if not self._remote_open:
                 return True
             self._remote_skipped += 1
-            if self._remote_skipped % self.remote_probe_interval == 0:
+            if self._remote_skipped % REMOTE_PROBE_INTERVAL == 0:
                 remote.probes += 1
                 return True
             remote.skips += 1
@@ -864,7 +666,7 @@ class TieredCache(ResultCache):
         with self._remote_lock:
             self._remote_consecutive += 1
             if (not self._remote_open
-                    and self._remote_consecutive >= self.remote_trip_threshold):
+                    and self._remote_consecutive >= REMOTE_TRIP_THRESHOLD):
                 self._remote_open = True
                 self._remote_skipped = 0
                 remote.trips += 1
@@ -888,7 +690,7 @@ class TieredCache(ResultCache):
         with self._remote_lock:
             self._pending_remote[key] = raw
             self._pending_remote.move_to_end(key)
-            while len(self._pending_remote) > self.pending_limit:
+            while len(self._pending_remote) > PENDING_LIMIT:
                 dropped, _ = self._pending_remote.popitem(last=False)
                 logger.warning(
                     "pending-remote queue full; dropping %s "
@@ -976,25 +778,14 @@ class TieredCache(ResultCache):
         with self._remote_lock:
             return len(self._pending_remote)
 
-    def _reshard(self, key: str, flat_path: Path) -> None:
-        """Migrate a legacy flat entry into its shard directory."""
-        try:
-            target = self.directory / key[: self.shard_width] / flat_path.name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat_path, target)
-        except OSError:
-            pass
-
     # -- raw entry transport (server blob API) --------------------------------
 
     def export_entry(self, key: str) -> bytes | None:
         """Outer payload bytes for ``key``, or None (no counters touched)."""
-        for path in (self._path_for(key), self._flat_path_for(key)):
-            try:
-                return path.read_bytes()
-            except FileNotFoundError:
-                continue
-        return None
+        try:
+            return self._path_for(key).read_bytes()
+        except FileNotFoundError:
+            return None
 
     def import_entry(self, key: str, raw: bytes) -> bool:
         """Accept uploaded payload bytes after validating the checksum.
@@ -1004,12 +795,10 @@ class TieredCache(ResultCache):
         misbehaving worker from poisoning a shared store.
         """
         try:
-            payload = pickle.loads(raw)
-            blob = self._decode_payload(payload, key, Path(f"{key}.pkl"))
+            self._decode_payload(pickle.loads(raw), key, Path(f"{key}.pkl"))
         except Exception as err:
             logger.warning("rejecting uploaded cache entry %s: %s", key, err)
             return False
-        del blob
         self._write_raw(key, raw)
         self._tiers["disk"].stores += 1
         self._stores += 1
@@ -1017,11 +806,11 @@ class TieredCache(ResultCache):
 
     # -- introspection --------------------------------------------------------
 
-    def cache_info(self) -> TieredCacheInfo:
+    def cache_info(self) -> CacheInfo:
         """Aggregate + per-tier counters since this instance was created."""
         with self._remote_lock:
             pending = len(self._pending_remote)
-        return TieredCacheInfo(
+        return CacheInfo(
             hits=self._hits,
             misses=self._misses,
             stores=self._stores,
@@ -1033,7 +822,45 @@ class TieredCache(ResultCache):
             ),
         )
 
+    def verify(self, evict: bool = True) -> tuple[int, int]:
+        """Integrity-scan every disk entry: ``(intact, damaged)`` counts.
+
+        Damaged entries (unreadable pickle, checksum mismatch, wrong
+        schema version) are evicted when ``evict`` is true, so the next
+        lookup recomputes them.  Does not touch the hit/miss counters —
+        this is an audit, not a lookup.  The scan walks the whole tree,
+        so a stray ``.pkl`` outside its shard is counted (and damaged
+        ones evicted) too.
+        """
+        intact = damaged = 0
+        if not self.directory.is_dir():
+            return (0, 0)
+        for path in sorted(self.directory.rglob("*.pkl")):
+            try:
+                with open(path, "rb") as fh:
+                    payload = pickle.load(fh)
+                self._decode_payload(payload, path.stem, path)
+                intact += 1
+            except Exception as err:
+                damaged += 1
+                logger.warning("cache entry %s is damaged: %s", path.name, err)
+                if evict:
+                    try:
+                        path.unlink()
+                    except OSError:
+                        pass
+        return (intact, damaged)
+
     def clear(self) -> int:
+        """Delete every entry (memory and every ``.pkl`` on disk); the count."""
         with self._mem_lock:
             self._mem.clear()
-        return super().clear()
+        removed = 0
+        if self.directory.is_dir():
+            for path in self.directory.rglob("*.pkl"):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+        return removed

@@ -204,10 +204,10 @@ class FabricWorker:
         :class:`~repro.service.RemoteFabricStore` speaking the same
         chunk interface over HTTP to a ``repro serve``.
     cache:
-        The cache results flow through (a :class:`TieredCache`, or any
-        :class:`~repro.engine.ResultCache`).  Give remote workers an
-        :class:`~repro.engine.HTTPRemoteStore` tier pointed at the
-        coordinator's server — the cache *is* the result transport.
+        The :class:`TieredCache` results flow through.  Give remote
+        workers an :class:`~repro.engine.HTTPRemoteStore` tier pointed
+        at the coordinator's server — the cache *is* the result
+        transport.
     worker_id / lease_seconds / poll_interval:
         Identity, lease TTL (heartbeats extend it; must comfortably
         cover one point's compute time), and idle sleep between lease
@@ -509,10 +509,7 @@ class FabricWorker:
         it requeues, and the re-run serves local hits and retries the
         push on a (hopefully) recovered tier.
         """
-        flush = getattr(self.cache, "flush_remote", None)
-        if flush is None:
-            return
-        pending = flush(force=True)
+        pending = self.cache.flush_remote(force=True)
         if pending:
             raise FabricError(
                 f"{pending} cached point(s) still unpushed to the remote "
@@ -721,7 +718,10 @@ def run_fabric_sweep(
 
     ``workers=0`` runs the chunks in-process (no subprocesses), which
     is also the degraded path when no worker can be started; when only
-    some start, the job runs on those.
+    some start, the job runs on those.  Each worker re-imports the
+    caller's main module, so a script that calls this must do so under
+    ``if __name__ == "__main__":``; without it every worker dies at
+    start, and the job runs in this process with a warning.
     """
     from ..analysis import SweepResult
     from ..service.pump import finalize_job
@@ -819,17 +819,31 @@ def _await_settled(store, cache, job_id: str, procs: list, *,
     last one leaves; the ``poll_interval`` timeout still re-reads the
     chunk table while they work.  With no live worker (``workers=0``,
     crashes, OOM) the remaining chunks run in this process rather than
-    hang.
+    hang; if a worker died with a non-zero exit code, one warning says
+    so.
     """
     deadline = time.monotonic() + wait_timeout
+    warned = False
     while True:
         counts = store.chunk_counts(job_id)
         if counts.settled:
             return
         live = [p for p in procs if p.is_alive()]
-        if not live and _drain_in_process(store, cache, job_id,
-                                          lease_seconds, max_attempts):
-            continue
+        if not live:
+            codes = [p.exitcode for p in procs if p.exitcode]
+            if codes and not warned:
+                warned = True
+                logger.warning(
+                    "fabric worker(s) of job %s exited with code(s) %s; "
+                    "running its remaining chunks in this process.  A "
+                    "worker re-imports the coordinator's main module, so "
+                    "a script that calls run_fabric_sweep must do so "
+                    "under `if __name__ == \"__main__\":`",
+                    job_id, ", ".join(map(str, codes)),
+                )
+            if _drain_in_process(store, cache, job_id, lease_seconds,
+                                 max_attempts):
+                continue
         if time.monotonic() > deadline:
             settled = counts.get("done", 0) + counts.get("failed", 0)
             raise FabricError(

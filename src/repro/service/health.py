@@ -58,11 +58,11 @@ def health_snapshot(
     ----------
     cache_dir:
         When given, also integrity-scan that
-        :class:`~repro.engine.ResultCache` directory and report
+        :class:`~repro.engine.TieredCache` directory and report
         intact/damaged counts (the scan is an audit: hit/miss counters
         are untouched).
     evict:
-        Forwarded to :meth:`~repro.engine.ResultCache.verify` — evict
+        Forwarded to :meth:`~repro.engine.TieredCache.verify` — evict
         damaged entries found by the scan.
 
     The top-level ``"ok"`` field is the readiness verdict: True unless
@@ -87,9 +87,9 @@ def health_snapshot(
         b["open"] for b in resilience["breakers"].values()
     )
     if cache_dir is not None:
-        from ..engine import ResultCache
+        from ..engine import TieredCache
 
-        intact, damaged = ResultCache(cache_dir).verify(evict=evict)
+        intact, damaged = TieredCache(cache_dir).verify(evict=evict)
         snapshot["cache"] = {
             "directory": str(cache_dir),
             "intact": intact,

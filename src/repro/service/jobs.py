@@ -13,7 +13,7 @@ round-trips — for the unit of work the simulation service schedules:
 * :class:`JobState` — one immutable snapshot of a job's lifecycle:
   phase, per-point progress counters, timestamps, error text.
 * :class:`JobRecord` — the durable row: id, spec, state, idempotency
-  key, dedup linkage, and the :class:`~repro.engine.ResultCache` key
+  key, dedup linkage, and the :class:`~repro.engine.TieredCache` key
   the finished result blob lives under.
 
 The idempotency key (:meth:`JobSpec.work_hash`) hashes only the fields
@@ -314,7 +314,7 @@ class JobRecord:
         Id of the earlier job with the same ``work_hash`` this one
         shares a computation with (``None`` = this job is the primary).
     result_key:
-        :class:`~repro.engine.ResultCache` key of the finished result
+        :class:`~repro.engine.TieredCache` key of the finished result
         blob (``None`` until done).  Derived from ``work_hash``, so
         deduplicated jobs point at the same blob.
     resilience:

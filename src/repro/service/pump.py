@@ -29,7 +29,7 @@ with zero workers runs no thread: jobs then run only on ``repro worker
 --url`` nodes, and the server's chunk handlers announce the settles.
 
 Result blobs are written through the checksummed
-:class:`~repro.engine.ResultCache` under a key derived from the job's
+:class:`~repro.engine.TieredCache` under a key derived from the job's
 ``work_hash``; a deduplicated follower job therefore finds both its
 per-point values *and* its finished table already cached, and
 completes with zero recomputes.

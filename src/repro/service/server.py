@@ -308,25 +308,14 @@ class ReproService:
     def health(self) -> dict[str, Any]:
         """Readiness payload: engine snapshot + service vitals."""
         snapshot = health_snapshot()
-        info = self.cache.cache_info()
         snapshot["service"] = {
             "pump_alive": self.pump.alive,
             "pump_workers": self.pump.workers,
             "tenant_quota": self.policy.tenant_quota,
             "uptime_s": round(time.time() - self._started_at, 3),
             "jobs": self.store.counts(),
-            "cache": {
-                "hits": info.hits,
-                "misses": info.misses,
-                "stores": info.stores,
-                "corruptions": info.corruptions,
-            },
+            "cache": self.cache.cache_info().as_dict(),
         }
-        tiers = getattr(info, "tiers", ())
-        if tiers:
-            snapshot["service"]["cache"]["tiers"] = [
-                tier.as_dict() for tier in tiers
-            ]
         transport = self.transport.snapshot()
         with self._inflight_lock:
             transport["inflight"] = self._inflight
@@ -399,17 +388,12 @@ class ReproService:
         }
 
     def cache_export(self, key: str) -> bytes | None:
-        """Raw checksummed cache payload, or None (needs a TieredCache)."""
-        export = getattr(self.cache, "export_entry", None)
-        if export is None:
-            raise ServiceError("cache tier transport needs a TieredCache")
-        return export(key)
+        """Raw checksummed cache payload, or None."""
+        return self.cache.export_entry(key)
 
     def cache_import(self, key: str, raw: bytes) -> bool:
-        imp = getattr(self.cache, "import_entry", None)
-        if imp is None:
-            raise ServiceError("cache tier transport needs a TieredCache")
-        return imp(key, raw)
+        """Store an uploaded payload if its checksum holds; whether it did."""
+        return self.cache.import_entry(key, raw)
 
     def _get(self, job_id: str) -> JobRecord:
         record = self.store.get(job_id)

@@ -24,7 +24,7 @@ Two layers:
   its parent's connections and opens its own.
 
 Result *blobs* do not live here: finished sweep tables are written
-through the checksummed :class:`~repro.engine.ResultCache` and the row
+through the checksummed :class:`~repro.engine.TieredCache` and the row
 keeps only the cache key (``result_key``) — the store stays small and
 the blobs inherit the cache's corruption detection.
 """

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import override_grid, run_spec_sweep, sweep
 from repro.config import REFERENCE_STATIC_SENSOR, StaticSensorSpec
-from repro.engine import ResultCache
+from repro.engine import TieredCache
 from repro.errors import ConfigError
 
 LENGTHS = [300.0, 400.0, 500.0]
@@ -61,7 +61,7 @@ class TestRunSpecSweep:
 
 class TestWarmCache:
     def test_rerun_is_all_hits_zero_stores(self, tmp_path):
-        cold = ResultCache(tmp_path)
+        cold = TieredCache(tmp_path)
         first = run_spec_sweep(
             REFERENCE_STATIC_SENSOR, "cantilever.length_um", LENGTHS,
             evaluate_point, workers=1, cache=cold,
@@ -70,7 +70,7 @@ class TestWarmCache:
         assert info.misses == len(LENGTHS)
         assert info.stores == len(LENGTHS)
 
-        warm = ResultCache(tmp_path)
+        warm = TieredCache(tmp_path)
         second = run_spec_sweep(
             REFERENCE_STATIC_SENSOR, "cantilever.length_um", LENGTHS,
             evaluate_point, workers=1, cache=warm,
@@ -84,7 +84,7 @@ class TestWarmCache:
 
     def test_equal_specs_hit_regardless_of_construction(self, tmp_path):
         """The key is the spec's *content*, not the object or its history."""
-        cache = ResultCache(tmp_path)
+        cache = TieredCache(tmp_path)
         run_spec_sweep(
             REFERENCE_STATIC_SENSOR, "cantilever.length_um", LENGTHS,
             evaluate_point, workers=1, cache=cache,
@@ -93,7 +93,7 @@ class TestWarmCache:
         rebuilt_base = StaticSensorSpec.from_json(
             REFERENCE_STATIC_SENSOR.to_json()
         )
-        warm = ResultCache(tmp_path)
+        warm = TieredCache(tmp_path)
         run_spec_sweep(
             rebuilt_base, "cantilever.length_um", LENGTHS,
             evaluate_point, workers=1, cache=warm,
@@ -102,7 +102,7 @@ class TestWarmCache:
         assert warm.cache_info().stores == 0
 
     def test_different_spec_misses(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = TieredCache(tmp_path)
         run_spec_sweep(
             REFERENCE_STATIC_SENSOR, "cantilever.length_um", LENGTHS,
             evaluate_point, workers=1, cache=cache,
@@ -110,7 +110,7 @@ class TestWarmCache:
         other = REFERENCE_STATIC_SENSOR.with_overrides(
             {"bridge.mismatch_sigma": 1e-3}
         )
-        probe = ResultCache(tmp_path)
+        probe = TieredCache(tmp_path)
         run_spec_sweep(
             other, "cantilever.length_um", LENGTHS,
             evaluate_point, workers=1, cache=probe,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import ResultCache
+from repro.engine import TieredCache
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 if str(BENCH_DIR) not in sys.path:
@@ -26,7 +26,7 @@ bench_ext_resonance_curve = pytest.importorskip("bench_ext_resonance_curve")
 
 class TestProcessVariationSmoke:
     def test_parallel_cached_run(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = TieredCache(tmp_path / "cache")
         cold = bench_ext_process_variation.run_bench(
             samples=8, cache=cache, quiet=True
         )
@@ -43,7 +43,7 @@ class TestProcessVariationSmoke:
 
 class TestResonanceCurveSmoke:
     def test_parallel_cached_run(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = TieredCache(tmp_path / "cache")
         cold = bench_ext_resonance_curve.run_bench(
             points=15, cache=cache, quiet=True
         )
@@ -60,7 +60,7 @@ class TestResonanceCurveSmoke:
 
 class TestPlacementSmoke:
     def test_parallel_cached_run(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = TieredCache(tmp_path / "cache")
         cold = bench_abl_placement.run_bench(cache=cache, quiet=True)
         serial = bench_abl_placement.run_bench(quiet=True)
         assert cold == serial

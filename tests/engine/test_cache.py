@@ -1,4 +1,4 @@
-"""ResultCache contract: hits, invalidation, corruption recovery, hashing."""
+"""TieredCache contract: hits, invalidation, corruption recovery, hashing."""
 
 import functools
 import pickle
@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.engine import CACHE_VERSION, ResultCache, stable_hash
+from repro.engine import CACHE_VERSION, TieredCache, stable_hash
+from repro.engine import cache as cache_module
 from repro.errors import CacheError
 
 CALLS = []
@@ -31,7 +32,7 @@ class Config:
 @pytest.fixture()
 def cache(tmp_path):
     CALLS.clear()
-    return ResultCache(tmp_path / "cache")
+    return TieredCache(tmp_path / "cache")
 
 
 class TestHitMiss:
@@ -54,23 +55,29 @@ class TestHitMiss:
         cache.get_or_compute(expensive, 4, extra=Config(gain=4.0))
         assert CALLS == [4, 4]
 
+    def test_builtin_function_is_memoized(self, cache):
+        assert cache.get_or_compute(len, "abc") == 3
+        assert cache.get_or_compute(len, "abc") == 3
+        assert cache.cache_info().hits == 1
+
     def test_hit_survives_new_cache_instance(self, cache):
         cache.get_or_compute(expensive, 4)
-        reopened = ResultCache(cache.directory)
+        reopened = TieredCache(cache.directory)
         assert reopened.get_or_compute(expensive, 4) == 40
         assert CALLS == [4]
         assert reopened.cache_info().hits == 1
 
 
 class TestInvalidation:
-    def test_miss_after_version_bump(self, cache):
+    def test_miss_after_version_bump(self, cache, monkeypatch):
         cache.get_or_compute(expensive, 4)
-        bumped = ResultCache(cache.directory, version=CACHE_VERSION + 1)
+        monkeypatch.setattr(cache_module, "CACHE_VERSION", CACHE_VERSION + 1)
+        bumped = TieredCache(cache.directory)
         assert bumped.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]  # old entry not visible to the new version
 
     def test_loop_point_cached_before_smooth_length_noise_is_a_miss(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """Version 2 entries hold the 1/f noise synthesized at the record
         length; a default cache must recompute them, not mix them in."""
@@ -83,10 +90,12 @@ class TestInvalidation:
                 LoopSweepTask(duration=0.002), backend="serial", cache=cache,
             )
 
-        old = ResultCache(tmp_path / "cache", version=2)
+        monkeypatch.setattr(cache_module, "CACHE_VERSION", 2)
+        old = TieredCache(tmp_path / "cache")
         sweep(old)
         assert old.cache_info().stores == 1
-        current = ResultCache(tmp_path / "cache")
+        monkeypatch.undo()
+        current = TieredCache(tmp_path / "cache")
         sweep(current)
         info = current.cache_info()
         assert (info.hits, info.misses, info.stores) == (0, 1, 1)
@@ -102,29 +111,38 @@ class TestInvalidation:
 
 
 class TestCorruption:
+    """Damage the disk file, then read it through a fresh instance.
+
+    The writer's memory tier still holds the intact blob, so only a new
+    instance on the same directory reaches the damaged file.
+    """
+
     def test_corrupted_file_falls_back_to_recompute(self, cache):
         key = cache.key_for(expensive, 4)
         cache.get_or_compute(expensive, 4)
         path = cache._path_for(key)
         path.write_bytes(b"not a pickle at all")
-        assert cache.get_or_compute(expensive, 4) == 40
+        reader = TieredCache(cache.directory)
+        assert reader.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]
         # the corrupted entry was replaced with a good one
-        assert cache.get(key) == 40
+        assert TieredCache(cache.directory).get(key) == 40
 
     def test_truncated_pickle_falls_back(self, cache):
         key = cache.key_for(expensive, 4)
         cache.get_or_compute(expensive, 4)
         path = cache._path_for(key)
         path.write_bytes(path.read_bytes()[:10])
-        assert cache.get_or_compute(expensive, 4) == 40
+        reader = TieredCache(cache.directory)
+        assert reader.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]
 
     def test_foreign_payload_rejected(self, cache):
         key = cache.key_for(expensive, 4)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        with open(cache._path_for(key), "wb") as fh:
-            pickle.dump({"version": cache.version, "key": "someone-else"}, fh)
+        path = cache._path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            pickle.dump({"version": CACHE_VERSION, "key": "someone-else"}, fh)
         assert cache.get(key) is cache.MISS
 
     def test_hand_corrupted_blob_counted_evicted_recomputed(self, cache):
@@ -137,13 +155,15 @@ class TestCorruption:
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert cache.get(key) is cache.MISS
-        info = cache.cache_info()
+        reader = TieredCache(cache.directory)
+        assert reader.get(key) is reader.MISS
+        info = reader.cache_info()
         assert info.corruptions == 1
         assert not path.exists()  # evicted, not left to fail again
-        assert cache.get_or_compute(expensive, 4) == 40
+        assert reader.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]
-        assert cache.get(key) == 40  # clean entry back on disk
+        # clean entry back on disk
+        assert TieredCache(cache.directory).get(key) == 40
 
 
 class TestStableHash:

@@ -1,4 +1,4 @@
-"""ResultCache under concurrent writers: two processes, one directory.
+"""TieredCache under concurrent writers: two processes, one directory.
 
 The service layer hangs its dedup guarantee on the cache surviving
 concurrent access — pump workers, a sibling CLI, and a second server
@@ -18,34 +18,38 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 
-from repro.engine import FilesystemRemoteStore, ResultCache, TieredCache
+from repro.engine import FilesystemRemoteStore, TieredCache
+from repro.engine import cache as cache_module
 
 
 def _writer(cache_dir, worker, keys_per_worker, barrier, results):
     """Write ``keys_per_worker`` distinct payloads, then re-read them all."""
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     barrier.wait()  # maximize overlap between the two processes
     wrote, read_back = 0, 0
     for i in range(keys_per_worker):
         key = f"worker{worker}-key{i}"
         cache.put(key, {"worker": worker, "i": i, "blob": list(range(50))})
         wrote += 1
+    reader = TieredCache(cache_dir)  # a cold memory tier: reads hit disk
     for i in range(keys_per_worker):
-        value = cache.get(f"worker{worker}-key{i}")
-        if value is not cache.MISS and value["i"] == i:
+        value = reader.get(f"worker{worker}-key{i}")
+        if value is not reader.MISS and value["i"] == i:
             read_back += 1
     results.put((worker, wrote, read_back))
 
 
 def _same_key_writer(cache_dir, worker, rounds, barrier, results):
     """Hammer one shared key; any surviving value must be intact."""
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     barrier.wait()
     for i in range(rounds):
         cache.put("shared-key", {"worker": worker, "round": i})
-        value = cache.get("shared-key")
-        # a reader may race a writer to a miss/evict, but never to garbage
-        if value is not cache.MISS:
+        # a fresh reader's get reaches the disk the sibling writes to:
+        # it may race a writer to a miss/evict, but never to garbage
+        reader = TieredCache(cache_dir)
+        value = reader.get("shared-key")
+        if value is not reader.MISS:
             assert set(value) == {"worker", "round"}
     results.put(worker)
 
@@ -75,7 +79,7 @@ def test_two_processes_disjoint_keys_no_corruption(tmp_path):
         assert wrote == keys
         assert read_back == keys
 
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     intact, damaged = cache.verify(evict=False)
     assert damaged == 0
     assert intact == 2 * keys
@@ -90,7 +94,7 @@ def test_two_processes_same_key_last_writer_wins_intact(tmp_path):
     cache_dir = str(tmp_path / "cache")
     _spawn(_same_key_writer, (cache_dir, 30))
 
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     intact, damaged = cache.verify(evict=False)
     assert damaged == 0
     value = cache.get("shared-key")
@@ -103,7 +107,7 @@ def test_warm_key_is_cross_process_hit_not_recompute(tmp_path):
     """The dedup substrate: process B finds process A's work already done."""
     cache_dir = str(tmp_path / "cache")
 
-    first = ResultCache(cache_dir)
+    first = TieredCache(cache_dir)
     first.put("expensive", {"answer": 42})
 
     ctx = mp.get_context("spawn")
@@ -119,7 +123,7 @@ def test_warm_key_is_cross_process_hit_not_recompute(tmp_path):
 
 def _probe_entry(cache_dir, queue):
     """Spawn target (must be module-level to be importable by the child)."""
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     value = cache.get("expensive")
     info = cache.cache_info()
     queue.put((value, info.hits, info.misses, info.stores))
@@ -127,7 +131,7 @@ def _probe_entry(cache_dir, queue):
 
 def test_payloads_survive_pickling_boundary(tmp_path):
     """Values round-trip the same whether read in-process or across one."""
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = TieredCache(str(tmp_path / "cache"))
     payload = {"cols": {"a": [1.5, None, 3.25]}, "n": 3}
     cache.put("k", payload)
     assert cache.get("k") == pickle.loads(pickle.dumps(payload))
@@ -143,8 +147,10 @@ def _tiered_writer(cache_dir, worker, keys_per_worker, barrier, results):
     read back their own keys and a sample of the sibling's (which must
     arrive via disk or the shared remote, never torn).
     """
+    # a fresh interpreter: a small memory tier sends most reads to disk
+    cache_module.MEMORY_ENTRIES = 8
     shared = FilesystemRemoteStore(cache_dir + "-remote")
-    cache = TieredCache(cache_dir, memory_entries=8, remote=shared)
+    cache = TieredCache(cache_dir, remote=shared)
     barrier.wait()
     wrote, read_back = 0, 0
     for i in range(keys_per_worker):

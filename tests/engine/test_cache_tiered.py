@@ -3,35 +3,41 @@
 The distributed fabric hangs its zero-recompute guarantee on this
 cache, so the tier mechanics are pinned here:
 
-* shard-by-hash-prefix disk layout (and transparent migration of
-  legacy flat-layout entries);
+* shard-by-hash-prefix disk layout; a ``{key}.pkl`` left at the cache
+  root by the removed flat layout is a miss that recomputes;
 * promotion on hit — a disk hit lands in memory, a remote hit lands on
   disk *and* in memory — observable through per-tier counters;
 * bounded memory with LRU eviction (evictions counted, never lost
   data: the disk copy remains);
 * checksummed raw import/export (the HTTP tier transport) rejecting
   tampered or mislabeled payloads;
-* aggregate ``CacheInfo`` counters staying backward-compatible
-  (``hits + misses == requests`` regardless of which tier answered).
+* aggregate ``CacheInfo`` counters (``hits + misses == requests``
+  regardless of which tier answered).
+
+The tier sizes and brownout thresholds are module constants; tests
+that need other values patch them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.engine import (
     CACHE_VERSION,
     FilesystemRemoteStore,
-    ResultCache,
     TieredCache,
 )
+from repro.engine import cache as cache_module
 
 
 @pytest.fixture
-def cache(tmp_path):
-    return TieredCache(tmp_path / "cache", memory_entries=4)
+def cache(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 4)
+    return TieredCache(tmp_path / "cache")
 
 
 def tier(cache, name):
@@ -43,17 +49,6 @@ class TestShardLayout:
         cache.put("abcdef", {"v": 1})
         path = cache.directory / "ab" / "abcdef.pkl"
         assert path.is_file()
-
-    def test_shard_width_is_respected(self, tmp_path):
-        wide = TieredCache(tmp_path / "w", shard_width=3)
-        wide.put("abcdef", {"v": 1})
-        assert (wide.directory / "abc" / "abcdef.pkl").is_file()
-
-    def test_bad_shard_width_rejected(self, tmp_path):
-        from repro.errors import CacheError
-
-        with pytest.raises(CacheError, match="shard_width"):
-            TieredCache(tmp_path / "bad", shard_width=0)
 
     def test_verify_walks_sharded_layout(self, cache):
         for i in range(6):
@@ -68,25 +63,64 @@ class TestShardLayout:
         assert tier(cache, "memory").hits == 0
 
 
-class TestLegacyFlatLayout:
-    def test_flat_entry_is_found_and_resharded(self, tmp_path):
-        flat = ResultCache(tmp_path / "cache")
-        flat.put("abcdef", {"v": 42})
-        assert (tmp_path / "cache" / "abcdef.pkl").is_file()
+def write_flat_entry(root, key, value) -> None:
+    """Write ``{root}/{key}.pkl`` as the removed flat layout wrote it."""
+    blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = {
+        "version": CACHE_VERSION,
+        "key": key,
+        "blob": blob,
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    root.mkdir(parents=True, exist_ok=True)
+    with open(root / f"{key}.pkl", "wb") as fh:
+        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
-        tiered = TieredCache(tmp_path / "cache")
-        assert tiered.get("abcdef") == {"v": 42}
-        # transparently migrated into its shard; flat copy gone
-        assert (tmp_path / "cache" / "ab" / "abcdef.pkl").is_file()
-        assert not (tmp_path / "cache" / "abcdef.pkl").exists()
-        # and still a hit afterwards
-        assert tiered.get("abcdef") == {"v": 42}
+
+class TestLeftoverFlatEntry:
+    """An intact entry at the cache root, outside its shard."""
+
+    @staticmethod
+    def sweep(cache):
+        from repro.analysis import LoopSweepTask, run_spec_sweep
+        from repro.config import REFERENCE_RESONANT_SENSOR
+
+        return run_spec_sweep(
+            REFERENCE_RESONANT_SENSOR, "cantilever.length_um", [200.0],
+            LoopSweepTask(duration=0.002), backend="serial", cache=cache,
+        )
+
+    def test_flat_entry_is_a_miss_that_recomputes(self, tmp_path):
+        seed = TieredCache(tmp_path / "seed")
+        expected = self.sweep(seed)
+        (entry,) = seed.directory.rglob("*.pkl")
+        key = entry.stem
+        root = tmp_path / "cache"
+        write_flat_entry(root, key, seed.get(key))
+
+        probe = TieredCache(root)
+        assert probe.get(key) is probe.MISS
+        assert probe.export_entry(key) is None
+
+        cache = TieredCache(root)
+        result = self.sweep(cache)
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.stores) == (0, 1, 1)
+        for name in expected.columns:
+            assert np.array_equal(result.columns[name],
+                                  expected.columns[name]), name
+        assert (root / key[:2] / f"{key}.pkl").is_file()
+        assert (root / f"{key}.pkl").is_file()  # not read, not moved
+
+        # verify and clear walk the whole tree, the stray file too
+        assert cache.verify(evict=False) == (2, 0)
+        assert cache.clear() == 2
+        assert list(root.rglob("*.pkl")) == []
 
 
 class TestPromotion:
-    def test_disk_hit_promotes_to_memory(self, tmp_path):
-        TieredCache(tmp_path / "cache").put("k", {"v": 1})
-        cache = TieredCache(tmp_path / "cache", memory_entries=4)
+    def test_disk_hit_promotes_to_memory(self, cache):
+        TieredCache(cache.directory).put("k", {"v": 1})
         assert cache.get("k") == {"v": 1}          # disk hit, promoted
         assert cache.get("k") == {"v": 1}          # memory hit
         info = cache.cache_info()
@@ -106,16 +140,10 @@ class TestPromotion:
         first["v"].append(3)  # caller mutates its copy
         assert cache.get("k") == {"v": [1, 2]}
 
-    def test_memory_disabled_with_zero_entries(self, tmp_path):
-        cache = TieredCache(tmp_path / "cache", memory_entries=0)
-        cache.put("k", {"v": 1})
-        assert cache.get("k") == {"v": 1}
-        assert cache.cache_info().tier("memory").hits == 0
-
 
 class TestLruEviction:
     def test_overflow_evicts_oldest_and_counts(self, cache):
-        for i in range(6):                       # memory_entries=4
+        for i in range(6):                       # MEMORY_ENTRIES=4
             cache.put(f"key-{i}", {"i": i})
         info = cache.cache_info()
         assert info.tier("memory").evictions == 2
@@ -223,13 +251,13 @@ class TestRawTransport:
 
 
 class TestCounterCompat:
-    def test_hits_plus_misses_equals_requests(self, tmp_path):
+    def test_hits_plus_misses_equals_requests(self, tmp_path, monkeypatch):
         shared = FilesystemRemoteStore(tmp_path / "shared")
         seed = TieredCache(tmp_path / "seed", remote=shared)
         seed.put("remote-only", {"v": 3})
 
-        cache = TieredCache(tmp_path / "cache", memory_entries=2,
-                            remote=shared)
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        cache = TieredCache(tmp_path / "cache", remote=shared)
         cache.put("local", {"v": 1})
         assert cache.get("local") == {"v": 1}          # memory hit
         assert cache.get("missing") is cache.MISS      # full miss
@@ -239,31 +267,40 @@ class TestCounterCompat:
         assert info.hits + info.misses == info.requests
         assert info.stores >= 1
 
-    def test_version_bump_still_invalidates(self, tmp_path):
-        old = TieredCache(tmp_path / "cache", version=CACHE_VERSION)
+    def test_version_bump_still_invalidates(self, tmp_path, monkeypatch):
+        old = TieredCache(tmp_path / "cache")
         old.put("k", {"v": 1})
-        newer = TieredCache(tmp_path / "cache", version=CACHE_VERSION + 1)
+        monkeypatch.setattr(cache_module, "CACHE_VERSION", CACHE_VERSION + 1)
+        newer = TieredCache(tmp_path / "cache")
         assert newer.get("k") is newer.MISS
 
-    def test_is_a_result_cache(self, cache):
-        # drop-in for every cache= parameter in the library
-        assert isinstance(cache, ResultCache)
-        assert cache.get_or_compute(len, "abc") == 3
-        assert cache.get_or_compute(len, "abc") == 3
-        assert cache.cache_info().hits == 1
+    def test_as_dict_is_the_health_payload(self, cache):
+        cache.put("k", {"v": 1})
+        assert cache.get("k") == {"v": 1}
+        payload = cache.cache_info().as_dict()
+        assert {k: payload[k] for k in
+                ("hits", "misses", "stores", "corruptions")} == {
+            "hits": 1, "misses": 0, "stores": 1, "corruptions": 0}
+        assert [t["name"] for t in payload["tiers"]] == [
+            "memory", "disk", "remote"]
+        assert payload["tiers"][0]["hits"] == 1
 
 
 class TestRemoteBrownout:
     """Injected remote-tier faults: trip to local-only, probe, drain."""
 
-    def make_cache(self, tmp_path, **kwargs):
+    def make_cache(self, tmp_path, monkeypatch, **constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(cache_module, name, value)
         shared = FilesystemRemoteStore(tmp_path / "shared")
-        return TieredCache(tmp_path / "node", remote=shared, **kwargs), shared
+        return TieredCache(tmp_path / "node", remote=shared), shared
 
-    def test_consecutive_errors_trip_to_local_only(self, tmp_path):
+    def test_consecutive_errors_trip_to_local_only(self, tmp_path,
+                                                   monkeypatch):
         from repro.engine.resilience import FaultPlan, inject_faults
 
-        cache, _ = self.make_cache(tmp_path, remote_trip_threshold=3)
+        cache, _ = self.make_cache(tmp_path, monkeypatch,
+                                   REMOTE_TRIP_THRESHOLD=3)
         with inject_faults(
             FaultPlan.single("cache.remote", count=3)
         ) as inj:
@@ -279,11 +316,12 @@ class TestRemoteBrownout:
         # local service is unimpaired throughout
         assert all(cache.get(f"key-{i}") == {"i": i} for i in range(5))
 
-    def test_recovery_probe_reopens_and_drains(self, tmp_path):
+    def test_recovery_probe_reopens_and_drains(self, tmp_path, monkeypatch):
         from repro.engine.resilience import FaultPlan, inject_faults
 
         cache, shared = self.make_cache(
-            tmp_path, remote_trip_threshold=2, remote_probe_interval=2,
+            tmp_path, monkeypatch,
+            REMOTE_TRIP_THRESHOLD=2, REMOTE_PROBE_INTERVAL=2,
         )
         with inject_faults(FaultPlan.single("cache.remote", count=2)):
             cache.put("k0", {"v": 0})
@@ -301,10 +339,12 @@ class TestRemoteBrownout:
         other = TieredCache(tmp_path / "other", remote=shared)
         assert all(other.get(f"k{i}") == {"v": i} for i in range(4))
 
-    def test_flush_remote_force_drains_while_tripped(self, tmp_path):
+    def test_flush_remote_force_drains_while_tripped(self, tmp_path,
+                                                      monkeypatch):
         from repro.engine.resilience import FaultPlan, inject_faults
 
-        cache, shared = self.make_cache(tmp_path, remote_trip_threshold=1)
+        cache, shared = self.make_cache(tmp_path, monkeypatch,
+                                        REMOTE_TRIP_THRESHOLD=1)
         with inject_faults(FaultPlan.single("cache.remote", count=1)):
             cache.put("k", {"v": 7})
             assert cache.remote_degraded()
@@ -313,21 +353,22 @@ class TestRemoteBrownout:
         other = TieredCache(tmp_path / "other", remote=shared)
         assert other.get("k") == {"v": 7}
 
-    def test_pending_queue_is_bounded(self, tmp_path):
+    def test_pending_queue_is_bounded(self, tmp_path, monkeypatch):
         from repro.engine.resilience import FaultPlan, inject_faults
 
         cache, _ = self.make_cache(
-            tmp_path, remote_trip_threshold=1, pending_limit=2,
+            tmp_path, monkeypatch, REMOTE_TRIP_THRESHOLD=1, PENDING_LIMIT=2,
         )
         with inject_faults(FaultPlan.single("cache.remote", count=1)):
             for i in range(4):
                 cache.put(f"key-{i}", {"i": i})
         assert tier(cache, "remote").pending == 2   # oldest were dropped
 
-    def test_truncated_remote_blob_is_caught_by_checksum(self, tmp_path):
+    def test_truncated_remote_blob_is_caught_by_checksum(self, tmp_path,
+                                                          monkeypatch):
         from repro.engine.resilience import FaultPlan, inject_faults
 
-        cache, shared = self.make_cache(tmp_path)
+        cache, shared = self.make_cache(tmp_path, monkeypatch)
         cache.put("k", {"v": 7})
         reader = TieredCache(tmp_path / "reader", remote=shared)
         with inject_faults(

@@ -16,6 +16,10 @@ every test here:
 * a ``REPRO_FAULT_PLAN`` set after the forkserver started still reaches
   the next worker: its injected crash makes a chunk run twice, and the
   table stays bit-exact.
+
+A second child, a coordinator script without the main-module guard,
+shows what its workers' death at start costs: the job drains in the
+coordinator, bit-exact, with one warning that names the cause.
 """
 
 from __future__ import annotations
@@ -125,6 +129,29 @@ with open(os.path.join(work, "tables.pkl"), "wb") as fh:
 '''
 
 
+#: A coordinator script with no ``if __name__ == "__main__":`` guard.
+#: Each worker re-imports it as its main module, calls run_fabric_sweep
+#: while still bootstrapping, and dies.
+UNGUARDED = '''
+import os
+import pickle
+import sys
+
+sys.path[:0] = [{src!r}]
+
+from repro.config import REFERENCE_RESONANT_SENSOR
+from repro.engine.fabric import run_fabric_sweep
+
+here = os.path.dirname(os.path.abspath(__file__))
+columns = run_fabric_sweep(
+    REFERENCE_RESONANT_SENSOR, {path!r}, {values!r},
+    db=os.path.join(here, "jobs.sqlite"), cache_dir=os.path.join(here, "cache"),
+    duration={duration!r}, workers=1, chunk_size=2).columns
+with open(os.path.join(here, "table.pkl"), "wb") as fh:
+    pickle.dump(columns, fh)
+'''
+
+
 def session_processes(session: int) -> list[str]:
     """``make fabric-check``'s session scan (``tools/fabric_check.py``)."""
     spec = importlib.util.spec_from_file_location(
@@ -189,3 +216,33 @@ def test_fault_plan_set_after_the_server_started_reaches_the_worker(child):
     # expired, and the table is still the serial one
     assert sorted(child["crash_attempts"]) == [1, 2]
     assert_columns_equal(child["reference"], child["tables"]["crashed_worker"])
+
+
+def test_an_unguarded_coordinator_script_drains_inline_and_warns_once(
+        tmp_path):
+    values = values_for(4)
+    # a file, not ``python -c``: only a main module with a ``__file__``
+    # is re-imported by the workers
+    script = tmp_path / "coordinator.py"
+    script.write_text(textwrap.dedent(UNGUARDED).format(
+        src=str(SRC), path=PATH, values=values, duration=DURATION))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "REPRO_FAULT_PLAN")}
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=env, cwd=tmp_path,
+        start_new_session=True, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("exited with code(s) 1;") == 1, proc.stderr
+    assert proc.stderr.count('`if __name__ == "__main__":`') == 1
+    with open(tmp_path / "table.pkl", "rb") as fh:
+        columns = pickle.load(fh)
+    assert_columns_equal(serial_reference(values), columns)
+    from repro.service.store import open_job_store
+
+    store = open_job_store(tmp_path / "jobs.sqlite")
+    (job,) = store.list_jobs()
+    assert all(chunk.worker_id.endswith("-inline")
+               for chunk in store.chunks(job.job_id))
+    store.close()

@@ -410,9 +410,9 @@ class TestLoopSweepTaskPlanner:
             assert info.batch_instances == len(lengths)
 
     def test_warm_cache_skips_the_batch(self, tmp_path):
-        from repro.engine import ResultCache
+        from repro.engine import TieredCache
 
-        cache = ResultCache(str(tmp_path))
+        cache = TieredCache(str(tmp_path))
         cold = self._sweep("kernel-batch", cache=cache)
         assert cache.cache_info().stores == len(LENGTHS)
         reset_kernel_info()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_parallel, sweep
-from repro.engine import ResultCache
+from repro.engine import TieredCache
 
 from .test_executor import Batchy
 
@@ -89,7 +89,7 @@ class TestCachedPath:
     def test_cold_and_warm_cache_match_serial(self, tmp_path):
         grid = [float(i) for i in range(9)]
         serial = sweep("x", grid, physics_like_point)
-        cache = ResultCache(tmp_path / "cache")
+        cache = TieredCache(tmp_path / "cache")
 
         cold = run_parallel("x", grid, physics_like_point, workers=3, cache=cache)
         assert_sweeps_identical(cold, serial)
@@ -102,7 +102,7 @@ class TestCachedPath:
         assert info.stores == len(grid)  # no new stores on the warm run
 
     def test_partially_warm_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = TieredCache(tmp_path / "cache")
         run_parallel("x", [1.0, 2.0], physics_like_point, workers=2, cache=cache)
         mixed = run_parallel(
             "x", [1.0, 2.0, 3.0, 4.0], physics_like_point, workers=2, cache=cache

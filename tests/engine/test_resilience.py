@@ -37,8 +37,8 @@ from repro.engine import (
     CircuitBreaker,
     FaultPlan,
     FaultSpec,
-    ResultCache,
     RetryPolicy,
+    TieredCache,
     breaker_report,
     cc_available,
     cc_usable,
@@ -415,8 +415,12 @@ class TestExecutorWatchdog:
 
 
 class TestCacheCorruption:
+    """The ``cache.entry`` site damages the disk file a read is about to
+    open.  The writer's memory tier still holds the intact blob, so each
+    read that must reach the disk goes through a fresh instance."""
+
     def test_injected_corruption_evicted_and_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        cache = TieredCache(tmp_path / "c")
         calls: list[int] = []
 
         def counted(x, _calls=calls):
@@ -425,33 +429,36 @@ class TestCacheCorruption:
 
         key = cache.key_for(tenx, 4)
         cache.put(key, tenx(4))
-        assert cache.get(key) == 40  # intact entry hits
+        # intact entry hits
+        assert TieredCache(cache.directory).get(key) == 40
+        reader = TieredCache(cache.directory)
         with inject_faults(
             FaultPlan.single("cache.entry", kind="corrupt", seed=11)
         ) as inj:
-            assert cache.get(key) is cache.MISS
+            assert reader.get(key) is reader.MISS
         assert inj.fired["cache.entry"] == 1
-        info = cache.cache_info()
+        info = reader.cache_info()
         assert info.corruptions == 1
         assert info.misses == 1
         # evicted: a recompute-and-store round-trips cleanly again
-        cache.put(key, tenx(4))
-        assert cache.get(key) == 40
+        reader.put(key, tenx(4))
+        assert TieredCache(cache.directory).get(key) == 40
         assert calls == []  # helper never needed (explicit puts)
 
     def test_truncation_fault_also_recovers(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        cache = TieredCache(tmp_path / "c")
         key = cache.key_for(tenx, 2)
         cache.put(key, 20)
+        reader = TieredCache(cache.directory)
         # any non-"corrupt" kind truncates the file to half: the
         # killed-mid-write shape
         with inject_faults(FaultPlan.single("cache.entry", kind="device")):
-            assert cache.get(key) is cache.MISS
-        assert cache.cache_info().corruptions == 1
+            assert reader.get(key) is reader.MISS
+        assert reader.cache_info().corruptions == 1
         assert not cache._path_for(key).exists()  # evicted
 
     def test_verify_scan_counts_and_evicts(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        cache = TieredCache(tmp_path / "c")
         good = cache.key_for(tenx, 1)
         bad = cache.key_for(tenx, 2)
         cache.put(good, 10)
@@ -459,11 +466,13 @@ class TestCacheCorruption:
         raw = cache._path_for(bad).read_bytes()
         cache._path_for(bad).write_bytes(raw[: len(raw) // 2])
         assert cache.verify(evict=True) == (1, 1)
-        assert cache.get(good) == 10
-        assert cache.get(bad) is cache.MISS
-        # verify is an audit: the damaged entry it evicted is a plain
-        # miss now, not another corruption
+        reader = TieredCache(cache.directory)
+        assert reader.get(good) == 10
+        assert reader.get(bad) is reader.MISS
+        # verify is an audit: it counted no corruption, and the damaged
+        # entry it evicted is a plain miss now, not another corruption
         assert cache.cache_info().corruptions == 0
+        assert reader.cache_info().corruptions == 0
 
 
 # -- kernel: compile faults, quarantine, degrade ------------------------------

@@ -30,7 +30,6 @@ from repro.analysis import LoopSweepTask
 from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.engine import (
     HTTPRemoteStore,
-    ResultCache,
     TieredCache,
     breaker_report,
 )
@@ -308,7 +307,7 @@ class TestPump:
         assert len(pump_breakers() - before) <= 1
 
     def test_a_quarantined_job_does_not_quarantine_the_next(self, tmp_path):
-        class FullDisk(ResultCache):
+        class FullDisk(TieredCache):
             """A cache whose first three writes hit a full disk."""
 
             failures = 3
@@ -380,7 +379,7 @@ class TestFinalize:
         assert cancelled.record.state.cancel_requested
         snapshots = {"done": plain, "cancelled": cancelled}
         later = "done" if first == "cancelled" else "cancelled"
-        cache = ResultCache(str(tmp_path / "cache"))
+        cache = TieredCache(str(tmp_path / "cache"))
         winner = finalize_job(store, cache, snapshots[first])
         loser = finalize_job(store, cache, snapshots[later])
         stored = store.get(record.job_id)

@@ -21,7 +21,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from repro.engine import ResultCache
+from repro.engine import TieredCache
 from repro.engine.resilience import RetryPolicy
 from repro.errors import ServiceError
 from repro.service import (
@@ -170,7 +170,7 @@ def test_wait_does_not_spin_when_the_server_ignores_wait():
 
 def test_submit_wakes_an_idle_pump(tmp_path):
     store = open_job_store(tmp_path / "jobs.sqlite")
-    service = ReproService(store, ResultCache(str(tmp_path / "cache")),
+    service = ReproService(store, TieredCache(str(tmp_path / "cache")),
                            poll_interval=5.0)
     service.start()
     try:
@@ -211,7 +211,7 @@ def test_pump_iteration_decodes_no_finished_row(tmp_path, monkeypatch):
         return list_jobs(self, *args, **kwargs)
 
     monkeypatch.setattr(SQLiteJobStore, "list_jobs", counted_list_jobs)
-    pump = WorkerPump(store, ResultCache(str(tmp_path / "cache")),
+    pump = WorkerPump(store, TieredCache(str(tmp_path / "cache")),
                       poll_interval=0.01)
     pump.start()
     time.sleep(0.2)
@@ -223,7 +223,7 @@ def test_pump_iteration_decodes_no_finished_row(tmp_path, monkeypatch):
 def test_hold_reads_nothing_while_this_pump_executes(tmp_path,
                                                      monkeypatch):
     store = SQLiteJobStore(tmp_path / "jobs.sqlite")
-    service = ReproService(store, ResultCache(str(tmp_path / "cache")),
+    service = ReproService(store, TieredCache(str(tmp_path / "cache")),
                            poll_interval=0.01)
     service.start()
     try:
@@ -275,7 +275,7 @@ def test_eight_point_job_makes_at_most_12_store_calls(tmp_path, monkeypatch):
     store = SQLiteJobStore(tmp_path / "jobs.sqlite")
     # a long poll interval keeps idle re-reads out of the count; they
     # are timing, not per-job cost
-    service = ReproService(store, ResultCache(str(tmp_path / "cache")),
+    service = ReproService(store, TieredCache(str(tmp_path / "cache")),
                            poll_interval=5.0)
     service.start()
     try:

@@ -23,7 +23,7 @@ import pytest
 
 from repro.analysis import LoopSweepTask, override_grid
 from repro.config import REFERENCE_RESONANT_SENSOR
-from repro.engine import ResultCache
+from repro.engine import TieredCache
 from repro.errors import ServiceError
 from repro.service import (
     JobSpec,
@@ -59,7 +59,7 @@ def running_service(tmp_path, cache=None, pump_workers=1, **service_kwargs):
     """
     store = open_job_store(tmp_path / "jobs.sqlite")
     if cache is None:
-        cache = ResultCache(str(tmp_path / "cache"))
+        cache = TieredCache(str(tmp_path / "cache"))
     service = ReproService(
         store, cache, SchedulerPolicy(tenant_quota=2),
         pump_workers=pump_workers, poll_interval=0.02, **service_kwargs,

@@ -438,11 +438,11 @@ class TestOneModelMigration:
         return record, row
 
     def test_v3_store_opens_at_v4_and_runs_its_jobs(self, tmp_path):
-        from repro.engine import ResultCache
+        from repro.engine import TieredCache
         from repro.service import ReproService, sweep_result_key
 
         path = tmp_path / "old.sqlite"
-        cache = ResultCache(str(tmp_path / "cache"))
+        cache = TieredCache(str(tmp_path / "cache"))
         done, done_row = self.v3_row("done", (150.0,), completed=1,
                                      finished_at=time.time())
         done_row["result_key"] = sweep_result_key(done.work_hash)

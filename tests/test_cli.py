@@ -1,8 +1,16 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import (
+    TieredCache,
+    get_breaker,
+    reset_breakers,
+    reset_kernel_info,
+)
 
 
 class TestParser:
@@ -144,3 +152,48 @@ class TestServiceCommands:
         assert code == 2
         assert err.startswith("repro: cannot reach service")
         assert err.count("\n") == 1
+
+
+def damaged_cache_dir(root) -> str:
+    """A cache directory of three entries, one of them truncated."""
+    cache = TieredCache(root)
+    for i in range(3):
+        cache.put(f"key-{i}", {"i": i})
+    path = cache._path_for("key-1")
+    path.write_bytes(path.read_bytes()[:10])
+    return str(root)
+
+
+class TestHealth:
+    @pytest.fixture(autouse=True)
+    def _clean_engine_state(self):
+        """Breakers and kernel counters feed the verdict; isolate them."""
+        reset_breakers()
+        reset_kernel_info()
+        yield
+        reset_breakers()
+        reset_kernel_info()
+
+    @pytest.mark.parametrize("evict, code", [(False, 1), (True, 0)])
+    def test_text_and_json_forms_give_one_verdict(self, tmp_path, capsys,
+                                                  evict, code):
+        flags = ["--evict"] if evict else []
+        text = main(["health", "--cache-dir",
+                     damaged_cache_dir(tmp_path / "text"), *flags])
+        out = capsys.readouterr().out
+        verb = "evicted" if evict else "found"
+        assert f"2 intact, 1 damaged ({verb})" in out
+        assert "cache tier" not in out
+        as_json = main(["health", "--json", "--cache-dir",
+                        damaged_cache_dir(tmp_path / "json"), *flags])
+        snapshot = json.loads(capsys.readouterr().out)
+        assert (snapshot["cache"]["intact"], snapshot["cache"]["damaged"]) \
+            == (2, 1)
+        assert text == as_json == code
+
+    def test_an_open_breaker_fails_both_forms(self, capsys):
+        get_breaker("probe", threshold=1).record_failure("injected")
+        assert main(["health"]) == 1
+        assert "breaker probe       : OPEN" in capsys.readouterr().out
+        assert main(["health", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["ok"] is False
