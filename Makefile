@@ -26,10 +26,11 @@ lint:
 serve-check:
 	PYTHONPATH=src $(PYTHON) tools/serve_check.py
 
-# Kill a fabric worker subprocess mid-grid (os._exit, lease still
-# held), resume with two fresh workers against the real SQLite store,
-# and assert zero recomputed points (per-tier cache counters) plus a
-# bit-identical final table.  Then run `repro sweep --fabric` (two
+# Kill a fabric worker subprocess mid-grid (a fabric.crash fault armed
+# through REPRO_FAULT_PLAN: os._exit, lease still held), resume with
+# two fresh workers against the real SQLite store, and assert zero
+# recomputed points (per-tier cache counters) plus a bit-identical
+# final table.  Then run `repro sweep --fabric` (two
 # workers forked from the preloaded forkserver) in its own session:
 # its table must equal --serial, and no process of the session may be
 # left once it has exited.
@@ -69,16 +70,16 @@ kernel-check:
 		tests/circuits/test_butterworth_memo.py tests/feedback/test_seed_stream.py -q
 
 # Columnar SoA engine golden suite, both legs: once with the compiler
-# present (every batch on its shape's megakernel, each instance
-# np.array_equal to its solo fused run) and once with CC pointed at a
-# *nonexistent* binary under a fresh TMPDIR (no cached .so can hide the
-# failure), where every forced-columnar batch must decline to solo
-# fused runs and stay bit-exact.  Note CC=/bin/false would not do: the
-# probe only checks that the compiler exists, so a present-but-broken
-# CC exercises the build *failure* path, not the no-compiler path.
+# present (every batch, whatever its width, on its shape's megakernel,
+# each instance np.array_equal to its solo fused run) and once with CC
+# pointed at a *nonexistent* binary under a fresh TMPDIR (no cached .so
+# can hide the failure), where every batch declines to solo fused runs
+# that must stay bit-exact.  Note CC=/bin/false would not do: the probe
+# only checks that the compiler exists, so a present-but-broken CC
+# exercises the build *failure* path, not the no-compiler path.
 vector-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_columnar.py -q
-	@echo "-- no-compiler pass: CC=no-such-compiler, forced-columnar batches must decline to solo fused, bit-exact --"
+	@echo "-- no-compiler pass: CC=no-such-compiler, every batch must decline to solo fused, bit-exact --"
 	CC=no-such-compiler TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_columnar.py -q
 
@@ -109,14 +110,16 @@ spec-check:
 # Resilience suite: every injected fault either recovers bit-identically
 # or comes back as a flagged degraded channel.  The cache's faults run
 # here too: damaged disk entries (test_cache.py) and the remote tier's
-# brownout, truncated blobs and tampered imports (test_cache_tiered.py).
-# The second pass breaks the C compiler (CC=/bin/false) under a fresh
-# TMPDIR (so no cached .so can hide the failure) and re-runs the golden
+# brownout, truncated blobs and tampered imports (test_cache_tiered.py),
+# and so do the fabric's crash, heartbeat-loss and lease-skew windows
+# around a chunk's batch (test_fabric_faults.py).  The second pass
+# breaks the C compiler (CC=/bin/false) under a fresh TMPDIR (so no
+# cached .so can hide the failure) and re-runs the golden
 # equivalence suites: the fallback chain must still reproduce every
 # waveform bit-for-bit.
 fault-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_resilience.py tests/engine/test_cache.py \
-		tests/engine/test_cache_tiered.py -q
+		tests/engine/test_cache_tiered.py tests/engine/test_fabric_faults.py -q
 	@echo "-- no-compiler pass: CC=/bin/false, fallback chain must stay bit-identical --"
 	CC=/bin/false TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_batch.py -q

@@ -122,6 +122,33 @@ def _cache_parameter(value):
     return value
 
 
+def dispatch_misses(grid: list, evaluate, *, cache=None, cache_extra=None,
+                    **executor) -> tuple[list | None, dict, dict]:
+    """Serve ``grid`` from ``cache``; run its misses in one dispatch.
+
+    Returns each point's cache key (``None`` without a cache), then the
+    hits' values and the misses' :class:`~repro.engine.TaskOutcome` by
+    grid index.  The misses run in one ``BatchExecutor(**executor).map``
+    (one ``batch_call`` for a :class:`LoopSweepTask`); nothing is stored.
+    """
+    from ..engine import BatchExecutor
+
+    keys = None if cache is None else [
+        cache.key_for(evaluate, _cache_parameter(v), cache_extra)
+        for v in grid
+    ]
+    hits = {}
+    for i, key in enumerate(keys or ()):
+        value = cache.get(key)
+        if value is not cache.MISS:
+            hits[i] = value
+    pending = [i for i in range(len(grid)) if i not in hits]
+    if not pending:
+        return keys, hits, {}
+    batch = BatchExecutor(**executor).map(evaluate, [grid[i] for i in pending])
+    return keys, hits, dict(zip(pending, batch.outcomes))
+
+
 def run_parallel(
     parameter_name: str,
     values: Iterable,
@@ -137,10 +164,10 @@ def run_parallel(
     """:func:`sweep` through the batch engine: same grid, same result.
 
     Runs ``evaluate`` over ``values`` through a
-    :class:`repro.engine.BatchExecutor` and returns a
-    :class:`SweepResult` element-for-element identical to the serial
-    :func:`sweep` (results are collected in grid order; any task error
-    is re-raised exactly as the serial loop would have raised it).
+    :class:`repro.engine.BatchExecutor` (:func:`dispatch_misses`) and
+    returns a :class:`SweepResult` element-for-element identical to the
+    serial :func:`sweep` (results are collected in grid order; any task
+    error is re-raised exactly as the serial loop would have raised it).
 
     Parameters
     ----------
@@ -165,38 +192,20 @@ def run_parallel(
         deterministic backoff, and only a point that *stays* dead after
         its retry budget re-raises here.
     """
-    from ..engine import BatchExecutor
-
     grid = list(values)
-    results: list = [None] * len(grid)
-    pending = list(range(len(grid)))
-    keys = None
-    if cache is not None:
-        keys = [
-            cache.key_for(evaluate, _cache_parameter(v), cache_extra)
-            for v in grid
-        ]
-        pending = []
-        for i, key in enumerate(keys):
-            hit = cache.get(key)
-            if hit is cache.MISS:
-                pending.append(i)
-            else:
-                results[i] = hit
-
-    if pending:
-        executor = BatchExecutor(
-            workers=workers, backend=backend, timeout=timeout, retry=retry
-        )
-        batch = executor.map(evaluate, [grid[i] for i in pending])
-        for i, outcome in zip(pending, batch.outcomes):
-            if outcome.ok:
-                results[i] = outcome.value
-                if cache is not None:
-                    cache.put(keys[i], outcome.value)
-        # re-raise the first (grid-order) task error, like the serial loop
-        batch.values()
-    return _collect(grid, results, parameter_name)
+    keys, results, fresh = dispatch_misses(
+        grid, evaluate, cache=cache, cache_extra=cache_extra,
+        workers=workers, backend=backend, timeout=timeout, retry=retry,
+    )
+    for i, outcome in fresh.items():
+        if outcome.ok:
+            results[i] = outcome.value
+            if cache is not None:
+                cache.put(keys[i], outcome.value)
+    # re-raise the first (grid-order) task error, like the serial loop
+    for outcome in fresh.values():
+        outcome.unwrap()
+    return _collect(grid, map(results.get, range(len(grid))), parameter_name)
 
 
 def override_grid(base_spec, path: str, values: Iterable) -> list:
@@ -350,7 +359,7 @@ class LoopSweepTask:
         fallback, reason logged and counted).
         """
         specs = list(specs)
-        loops: list = [None] * len(specs)
+        loops: dict[int, object] = {}
         errors: dict[int, Exception] = {}
         for i, spec in enumerate(specs):
             try:
@@ -358,19 +367,15 @@ class LoopSweepTask:
             except Exception as err:  # noqa: BLE001 - per-task capture
                 errors[i] = err
 
-        good = [i for i in range(len(specs)) if i not in errors]
         records: dict[int, object] = {}
-        if good:
+        if loops:
             from ..feedback.loop import run_batch
 
-            batch_records = run_batch(
-                [loops[i] for i in good],
-                self.duration,
-                initial_kick=self.initial_kick,
-                backend=self.backend,
+            records = dict(zip(loops, run_batch(
+                list(loops.values()), self.duration,
+                initial_kick=self.initial_kick, backend=self.backend,
                 threads=threads,
-            )
-            records.update(zip(good, batch_records))
+            )))
 
         pairs: list[tuple] = []
         for i, spec in enumerate(specs):

@@ -313,7 +313,6 @@ def cmd_worker(args) -> int:
         lease_seconds=args.lease_seconds,
         max_attempts=args.max_attempts,
         job_id=args.job_id,
-        points_limit=args.points_limit,
     )
     print(f"worker {worker.worker_id} leasing "
           f"({'url ' + args.url if args.url else 'db ' + args.db})",
@@ -720,9 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker exits as soon as its job's chunks settle)")
     p.add_argument("--once", action="store_true",
                    help="exit on the first idle poll (drain mode)")
-    p.add_argument("--points-limit", type=int, default=None,
-                   dest="points_limit",
-                   help="crash rehearsal: hard-exit after computing N points")
     p.add_argument("--stats-json", default=None, dest="stats_json",
                    help="write worker stats + cache counters to this file")
     _add_set_flag(p, "set_cmd")

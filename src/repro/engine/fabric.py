@@ -27,10 +27,12 @@ runs them, whichever node does it:
   :func:`repro.service.pump.finalize_job`, turns it into its terminal
   record — on the SQLite side; a remote node's coordinator does it for
   the node.  A worker bound to that job returns at once.
-* Heartbeats extend a lease once a third of its TTL has passed, and a
-  worker that stops heartbeating has its lease expired and requeued by
-  the next :meth:`~repro.service.store.JobStore.lease_chunk` that finds
-  nothing queued.
+* A chunk's misses run in one batch call on one C thread, as a sweep's
+  do (:func:`repro.analysis.sweep.dispatch_misses`), while a heartbeat
+  thread extends the lease every third of its TTL.  A worker that
+  stops heartbeating has its lease expired and requeued by the next
+  :meth:`~repro.service.store.JobStore.lease_chunk` that finds nothing
+  queued.
 * Whether a job has settled is the store's rule alone
   (:func:`~repro.service.store.has_settled`), read through
   :meth:`~repro.service.store.JobStore.chunk_counts`.
@@ -40,7 +42,7 @@ sweep --fabric``: submit (or resume) the job, start N worker processes,
 wait for the chunk table to settle, and build the
 :class:`~repro.analysis.SweepResult` from the finished job's result
 payload — bit-exact (``np.array_equal``) with the serial reference
-path, because workers compute each point solo, as serial sweeps do.
+path, because every kernel route is bit-exact to solo fused.
 
 Workers start from a forkserver that has already imported what a chunk
 needs (``_WORKER_PRELOAD``): the first job of a process pays that
@@ -48,11 +50,6 @@ import once, and every later worker is a fork of a warm interpreter,
 not a fresh one.  The process that starts the forkserver also stops
 and reaps it before it exits (:func:`_stop_forkserver`), so no process
 of the fabric outlives its coordinator.
-
-Workers compute leased points solo, one by one.  Every kernel route is
-bit-exact to solo fused, so a chunk run as one columnar batch would keep
-``fabric == serial`` too; the speed comes from N nodes running N chunks
-concurrently, not from per-point batching.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ import threading
 import time
 import uuid
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing.connection import wait as wait_for_exit
 
 from ..errors import FabricError
@@ -78,6 +75,7 @@ from .resilience import (
     CircuitBreaker,
     RetryPolicy,
     arm_env_fault_plan,
+    faults_muted,
     get_breaker,
     poll_fault,
 )
@@ -93,17 +91,17 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Exit code of a worker process that hit its --points-limit crash
-#: rehearsal (``os._exit``: no cleanup, exactly like a kill -9 — the
-#: lease stays held until the watchdog expires it).
+#: Exit code of a worker process killed by an injected ``fabric.crash``
+#: (``os._exit``: no cleanup, exactly like a kill -9 — the lease stays
+#: held until the watchdog expires it).
 CRASH_EXIT_CODE = 43
 
 #: Modules the worker forkserver imports before it forks any worker:
 #: everything a worker's chunk imports.  ``repro.engine.fabric`` brings
-#: ``repro`` and with it ``scipy.signal``; the store, the job context
-#: and the finalizer live in ``repro.service``, which it does not import.
-_WORKER_PRELOAD = ("repro.engine.fabric", "repro.service.store",
-                  "repro.service.pump")
+#: ``repro`` and with it ``scipy.signal``, but neither the megakernel
+#: module a batch loads lazily nor ``repro.service``.
+_WORKER_PRELOAD = ("repro.engine.fabric", "repro.engine.kernel_columnar",
+                   "repro.service.store", "repro.service.pump")
 
 #: Seconds the exit hook waits for terminated workers, and then for the
 #: terminated forkserver, before it kills them.
@@ -162,16 +160,7 @@ class WorkerStats:
     errors: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "worker_id": self.worker_id,
-            "chunks_done": self.chunks_done,
-            "chunks_failed": self.chunks_failed,
-            "points_computed": self.points_computed,
-            "points_cached": self.points_cached,
-            "leases_lost": self.leases_lost,
-            "quarantined": self.quarantined,
-            "errors": list(self.errors),
-        }
+        return asdict(self)
 
 
 class JobContext:
@@ -209,9 +198,9 @@ class FabricWorker:
         at the coordinator's server — the cache *is* the result
         transport.
     worker_id / lease_seconds / poll_interval:
-        Identity, lease TTL (heartbeats extend it; must comfortably
-        cover one point's compute time), and idle sleep between lease
-        attempts.
+        Identity, lease TTL (a heartbeat thread extends it every third
+        of it while the worker holds a chunk), and idle sleep between
+        lease attempts.
     max_attempts:
         Lease attempts before a chunk is parked ``failed``.
     breaker_threshold:
@@ -223,13 +212,9 @@ class FabricWorker:
         A :class:`JobContext` the caller already built: the worker is
         bound to its job and reads no job row for it.
     cancel:
-        An event polled between points.  Once set, the worker gives
-        its chunk back, settles the job if that was its last open
-        chunk, and returns.
-    points_limit:
-        Crash rehearsal: hard-exit the process (``os._exit``) after
-        computing this many fresh points — mid-chunk, lease still
-        held — to prove resume-with-zero-recomputes.
+        An event polled before each chunk.  Once set, the worker gives
+        the chunk back, settles the job if that was its last open
+        chunk, and returns; a chunk already computing completes first.
     """
 
     def __init__(
@@ -242,7 +227,6 @@ class FabricWorker:
         job_id: str | None = None,
         context: JobContext | None = None,
         cancel=None,
-        points_limit: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.store = store
@@ -253,7 +237,6 @@ class FabricWorker:
         self.max_attempts = int(max_attempts)
         self.job_id = context.job_id if context is not None else job_id
         self.cancel = cancel
-        self.points_limit = points_limit
         self.retry = retry or RetryPolicy(retries=2, base_delay=0.02)
         self.breaker: CircuitBreaker = get_breaker(
             f"fabric-worker:{self.worker_id}", threshold=breaker_threshold
@@ -332,11 +315,18 @@ class FabricWorker:
     # -- one chunk ------------------------------------------------------------
 
     def _execute_chunk(self, lease) -> None:
+        if self.cancel is not None and self.cancel.is_set():
+            # the chunk goes back unleasable
+            logger.info("worker %s stopped %s/%d on cancel", self.worker_id,
+                        lease.job_id, lease.chunk_id)
+            self._done = True
+            self._give_back(lease, "cancelled")
+            return
         try:
             context = self._context_for(lease.job_id)
             # lease-clock-skew fault: this worker's heartbeats extend
             # the lease by almost nothing, so an expiry sweep races
-            # every slow point
+            # every slow batch
             ttl = self.lease_seconds
             skew = poll_fault("fabric.lease")
             if skew is not None:
@@ -347,7 +337,7 @@ class FabricWorker:
                     self.worker_id, lease.job_id, lease.chunk_id, ttl,
                 )
             outcomes = self._run_points(context, lease, ttl)
-            if outcomes is not None and len(outcomes) == lease.size:
+            if outcomes is not None:
                 self._flush_cache_barrier(lease)
         except Exception as err:  # noqa: BLE001 - chunk-level capture
             reason = f"{type(err).__name__}: {err}"
@@ -363,13 +353,6 @@ class FabricWorker:
             # lease lost mid-chunk (counted in _run_points): never ack
             # a chunk someone else may be re-running — the cached
             # points stand and the next owner gets hits
-            return
-        if len(outcomes) < lease.size:
-            # cancelled between points: the chunk goes back unleasable
-            logger.info("worker %s stopped %s/%d on cancel", self.worker_id,
-                        lease.job_id, lease.chunk_id)
-            self._done = True
-            self._give_back(lease, "cancelled")
             return
         if poll_fault("fabric.complete") is not None:
             # lost-ack fault: the completion lands but the worker never
@@ -392,8 +375,8 @@ class FabricWorker:
             self.stats.chunks_done += 1
             self.breaker.record_success()
         else:
-            # lease expired mid-chunk (slow point, expiry sweep): the
-            # points are cached, so whoever re-runs the chunk gets hits
+            # lease expired mid-chunk (a beat too late, expiry sweep):
+            # the points are cached, so whoever re-runs it gets hits
             self.stats.leases_lost += 1
             logger.info("worker %s lost lease on %s/%d after computing it",
                         self.worker_id, lease.job_id, lease.chunk_id)
@@ -430,72 +413,87 @@ class FabricWorker:
 
     def _run_points(self, context: JobContext, lease,
                     lease_ttl: float | None = None) -> list | None:
-        """Compute/serve the chunk's points; their outcome rows.
+        """Serve the chunk's hits, batch its misses; its outcome rows.
 
-        The list is shorter than the chunk when a cancel stopped the
-        worker between points.  None means the lease was lost
-        mid-chunk (heartbeat refused, or the heartbeat itself
-        vanished) — the caller must NOT complete the chunk: every point
-        reached is already cached, and whoever re-leases the chunk
-        re-serves them as hits.
+        The misses run as one batch call on one C thread, then each
+        fresh value is cached in grid order, while :meth:`_keep_alive`
+        holds the lease.  None means the lease was lost (a beat refused,
+        or the heartbeat itself vanished): the caller must NOT complete
+        the chunk, and whoever re-leases it gets the cached points.
         """
-        from ..analysis.sweep import _cache_parameter
+        from ..analysis.sweep import dispatch_misses
 
         ttl = self.lease_seconds if lease_ttl is None else lease_ttl
-        task, grid = context.task, context.grid
+        grid = context.grid
         if not 0 <= lease.start <= lease.stop <= len(grid):
             raise FabricError(
                 f"chunk [{lease.start}:{lease.stop}) is outside the "
                 f"{len(grid)}-point grid of job {lease.job_id!r}"
             )
-        outcomes = []
-        last_beat = time.monotonic()  # the lease is the first beat
-        for index in range(lease.start, lease.stop):
-            if self.cancel is not None and self.cancel.is_set():
-                break
-            spec = grid[index]
-            key = self.cache.key_for(task, _cache_parameter(spec), None)
-            value = self.cache.get(key)
-            if value is not self.cache.MISS:
-                self.stats.points_cached += 1
-                outcomes.append(_point_outcome(index, cached=True))
-            else:
-                outcomes.append(self._compute_point(task, spec, key, index))
-            beat_lost = poll_fault("fabric.heartbeat") is not None
-            if not beat_lost and time.monotonic() - last_beat >= ttl / 3:
-                beat_lost = not self._store_call(
-                    self.store.heartbeat_chunk, lease.job_id, lease.chunk_id,
-                    self.worker_id, ttl,
-                )
-                last_beat = time.monotonic()
-            if beat_lost:
-                # lease lost: stop touching the chunk; cached points stand
-                self.stats.leases_lost += 1
-                logger.info("worker %s lost lease on %s/%d mid-chunk",
-                            self.worker_id, lease.job_id, lease.chunk_id)
-                return None
+        outcomes, vanished = [], False
+        stop, beat = threading.Event(), {}
+        heartbeat = threading.Thread(
+            target=self._keep_alive, args=(lease, ttl, stop, beat),
+            daemon=True, name=f"repro-heartbeat-{lease.job_id}")
+        heartbeat.start()
+        try:
+            keys, hits, fresh = dispatch_misses(
+                grid[lease.start:lease.stop], context.task,
+                cache=self.cache, workers=1,
+            )
+            for i, key in enumerate(keys):
+                index = lease.start + i
+                if i in hits:
+                    self.stats.points_cached += 1
+                    outcomes.append(_point_outcome(index, cached=True))
+                else:
+                    outcomes.append(self._cache_point(fresh[i], key, index))
+                # once per point, where a beat between points was polled
+                vanished = vanished or \
+                    poll_fault("fabric.heartbeat") is not None
+        finally:
+            stop.set()
+            heartbeat.join()
+        if "error" in beat:
+            raise beat["error"]
+        if vanished or beat.get("lost"):
+            # lease lost: stop touching the chunk; cached points stand
+            self.stats.leases_lost += 1
+            logger.info("worker %s lost lease on %s/%d mid-chunk",
+                        self.worker_id, lease.job_id, lease.chunk_id)
+            return None
         return outcomes
 
-    def _compute_point(self, task, spec, key, index: int):
-        """One fresh point, solo — bit-identical to the serial path."""
-        try:
-            value = task(spec)
-        except Exception as err:  # noqa: BLE001 - per-point capture
+    def _keep_alive(self, lease, ttl: float, stop, beat: dict) -> None:
+        """Heartbeat thread: extend the lease every ``ttl / 3`` until
+        ``stop``, polling no fault site.  A refused beat sets
+        ``beat["lost"]``; a store error lands in ``beat["error"]``."""
+        with faults_muted():
+            while not stop.wait(ttl / 3):
+                try:
+                    if not self._store_call(
+                            self.store.heartbeat_chunk, lease.job_id,
+                            lease.chunk_id, self.worker_id, ttl):
+                        beat["lost"] = True
+                        return
+                except BaseException as err:  # noqa: BLE001 - re-raised
+                    beat["error"] = err
+                    return
+
+    def _cache_point(self, outcome, key, index: int):
+        """Cache one point the batch computed; its outcome row."""
+        if not outcome.ok:
+            err = outcome.error
             logger.info("worker %s: point %d raised %s", self.worker_id,
                         index, err)
             return _point_outcome(index, error=f"{type(err).__name__}: {err}")
-        self.cache.put(key, value)
+        self.cache.put(key, outcome.value)
         self.stats.points_computed += 1
         if poll_fault("fabric.crash") is not None:
             # die in the worst window: point cached, chunk not
             # completed — resume must serve it as a hit
             logger.warning("worker %s injected crash after caching point %d",
                            self.worker_id, index)
-            os._exit(CRASH_EXIT_CODE)
-        if self.points_limit is not None and \
-                self.stats.points_computed >= self.points_limit:
-            logger.warning("worker %s crash rehearsal after %d points",
-                           self.worker_id, self.stats.points_computed)
             os._exit(CRASH_EXIT_CODE)
         return _point_outcome(index)
 
@@ -571,7 +569,6 @@ def _worker_process_main(db_path, cache_dir, worker_kwargs,
         os.environ.clear()
         os.environ.update(environ)
         tempfile.tempdir = None  # re-read TMPDIR on next use
-    os.environ.setdefault("REPRO_KERNEL_THREADS", "1")
     arm_env_fault_plan()  # chaos harness: plan rides in on the env
     store = open_job_store(db_path)
     cache = TieredCache(cache_dir)

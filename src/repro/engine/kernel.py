@@ -19,11 +19,11 @@ flat *stage program* and runs it in one allocation-free inner loop:
   Python inner loop generated from the program (no attribute lookups,
   no method dispatch, literal coefficients) — still several times the
   reference path;
-* :class:`KernelBatch` runs N same-shape programs at once: batches at
-  least :data:`COLUMNAR_MIN_INSTANCES` wide run on the code-generated
-  columnar megakernel for their program shape
-  (:mod:`~repro.engine.kernel_columnar`), narrower ones as
-  per-instance solo fused runs.
+* :class:`KernelBatch` runs N same-shape programs at once, whatever N:
+  on the code-generated columnar megakernel for their program shape
+  (:mod:`~repro.engine.kernel_columnar`) when a C engine is trusted,
+  else as per-instance solo fused runs.  Single loops keep the solo
+  interpreter, which is faster than a one-instance megakernel.
 
 Equivalence is the contract, and it is one contract for every route:
 each primitive replicates the reference ``step()`` arithmetic
@@ -65,7 +65,6 @@ __all__ = [
     "BACKENDS",
     "BATCH_AUTO_ORDER",
     "CC_ENV",
-    "COLUMNAR_MIN_INSTANCES",
     "FusedLoopKernel",
     "KERNEL_THREADS_ENV",
     "KernelBatch",
@@ -126,16 +125,9 @@ AUTO_ORDER = ("fused:cc", "fused:codegen")
 
 #: The routes of :meth:`KernelBatch.run`, in the order it tries them:
 #: the shape's columnar megakernel (:mod:`~repro.engine.kernel_columnar`)
-#: when a compiler is trusted and the batch is at least
-#: :data:`COLUMNAR_MIN_INSTANCES` wide, otherwise per-instance solo
-#: fused runs.  Both are bit-identical to running each kernel alone.
+#: when a compiler is trusted, otherwise per-instance solo fused runs.
+#: Both are bit-identical to running each kernel alone.
 BATCH_AUTO_ORDER = ("columnar:cc", "fused:solo")
-
-#: Minimum batch width before a batch routes to the columnar engine —
-#: below this the stride-1 instance sweeps are too narrow to fill the
-#: vector units and pay for assembling the batch's blocks, and the
-#: instances run solo fused instead.
-COLUMNAR_MIN_INSTANCES = 8
 
 
 @dataclass(frozen=True)
@@ -393,10 +385,8 @@ class KernelInfo:
     #: Every ``KernelBatch.run`` counts once in ``batch_runs`` and once
     #: in exactly one of these two: ``batch_columnar_runs`` (the
     #: shape's columnar megakernel) or ``batch_declined`` (per-instance
-    #: solo fused runs: narrower than ``COLUMNAR_MIN_INSTANCES``, or no
-    #: trusted C engine).
+    #: solo fused runs, because no C engine is trusted).
     batch_declined: int = 0
-    last_decline_reason: str | None = None
     batch_columnar_runs: int = 0
     last_batch_engine: str | None = None
     #: Per-op profile histogram: op name -> instance-samples executed
@@ -432,7 +422,6 @@ def reset_kernel_info() -> None:
         degrades=0,
         last_degrade_reason=None,
         batch_declined=0,
-        last_decline_reason=None,
         batch_columnar_runs=0,
         last_batch_engine=None,
         op_samples={},
@@ -461,7 +450,6 @@ def kernel_info() -> KernelInfo:
         degrades=_STATS["degrades"],
         last_degrade_reason=_STATS["last_degrade_reason"],
         batch_declined=_STATS["batch_declined"],
-        last_decline_reason=_STATS["last_decline_reason"],
         batch_columnar_runs=_STATS["batch_columnar_runs"],
         last_batch_engine=_STATS["last_batch_engine"],
         op_samples=dict(_STATS["op_samples"]),
@@ -483,13 +471,13 @@ def record_run(
 def record_batch(
     n_instances: int, threads: int,
     total_samples: int = 0, run_seconds: float = 0.0,
-    engine: str = "solo", reason: str | None = None,
+    engine: str = "solo",
 ) -> None:
     """Account one :meth:`KernelBatch.run` call.
 
     ``engine`` is the batch machinery that ran: ``"columnar"`` (counted
     in ``batch_columnar_runs``) or ``"solo"`` — per-instance solo fused
-    runs, counted in ``batch_declined`` with ``reason``.
+    runs because no C engine is trusted, counted in ``batch_declined``.
     """
     _STATS["batch_runs"] += 1
     _STATS["batch_instances"] += int(n_instances)
@@ -497,11 +485,8 @@ def record_batch(
     _STATS["last_batch_engine"] = str(engine)
     if engine == "solo":
         _STATS["batch_declined"] += 1
-        _STATS["last_decline_reason"] = str(reason)
-        logger.info(
-            "kernel batch of %d instances ran solo fused (%s)",
-            n_instances, reason,
-        )
+        logger.info("kernel batch of %d instances ran solo fused (no "
+                    "trusted C engine)", n_instances)
     else:
         _STATS["batch_columnar_runs"] += 1
     if run_seconds > 0.0 and total_samples:
@@ -814,11 +799,8 @@ def _allocate_lists(n: int):
 #: Hard ceiling on C-level batch threads (matches the columnar C entry).
 MAX_BATCH_THREADS = 64
 
-#: Environment variable capping C-level batch threads.  A local fabric
-#: worker process (``run_fabric_sweep``) defaults it to "1" at entry,
-#: over the coordinator's environment it installs, so a host running
-#: several workers never multiplies their parallelism by the batch
-#: threads.
+#: Environment variable capping C-level batch threads: a ceiling on
+#: whatever thread count a caller requests.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
 
@@ -829,8 +811,7 @@ def kernel_batch_threads(
 
     ``requested`` wins when given; otherwise the CPU count.  The
     ``REPRO_KERNEL_THREADS`` environment variable acts as a *ceiling*
-    on either (that is how a local fabric worker forces
-    single-threaded C).  The result is clamped to
+    on either.  The result is clamped to
     ``[1, min(n_instances, MAX_BATCH_THREADS)]``.
     """
     threads = int(requested) if requested is not None else (os.cpu_count() or 1)
@@ -877,10 +858,10 @@ class KernelBatch:
         Per-instance bridge-noise (or drive-force) waveforms, each at
         least ``ns[i]`` samples.
 
-    ``run()`` executes a batch at least :data:`COLUMNAR_MIN_INSTANCES`
-    wide on its shape's compiled columnar megakernel and any other
-    batch as per-instance solo fused runs; either way every instance is
-    bit-identical to its solo run (pinned with ``np.array_equal``).
+    ``run()`` executes the batch, whatever its width, on its shape's
+    compiled columnar megakernel when a C engine is trusted, and as
+    per-instance solo fused runs otherwise; either way every instance
+    is bit-identical to its solo run (pinned with ``np.array_equal``).
     """
 
     def __init__(
@@ -930,33 +911,28 @@ class KernelBatch:
         input order.
 
         Follows :data:`BATCH_AUTO_ORDER`: the shape's compiled columnar
-        megakernel (built on first use) when the batch is at least
-        :data:`COLUMNAR_MIN_INSTANCES` wide and a C engine is trusted,
+        megakernel (built on first use) when a C engine is trusted,
         else per-instance solo fused runs.
         ``threads`` requests the columnar engine's C thread count
         (resolved by :func:`kernel_batch_threads`).
         """
-        if self.n_instances < COLUMNAR_MIN_INSTANCES:
-            reason = f"{self.n_instances} instances < {COLUMNAR_MIN_INSTANCES}"
-        else:
-            from . import kernel_columnar
+        from . import kernel_columnar
 
-            timer = StageTimer()
-            fn = _load_cc_engine(
-                lambda: kernel_columnar.columnar_interpreter(self.signature),
-                timer, "solo fused runs",
+        timer = StageTimer()
+        fn = _load_cc_engine(
+            lambda: kernel_columnar.columnar_interpreter(self.signature),
+            timer, "solo fused runs",
+        )
+        if fn is not None:
+            return kernel_columnar.run_columnar_cc(
+                self, fn, kernel_batch_threads(threads, self.n_instances),
+                timer,
             )
-            if fn is not None:
-                return kernel_columnar.run_columnar_cc(
-                    self, fn, kernel_batch_threads(threads, self.n_instances),
-                    timer,
-                )
-            reason = "no trusted C engine"
         results = [
             kernel.run(n, noise, backend="fused")
             for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
         ]
-        record_batch(self.n_instances, 1, engine="solo", reason=reason)
+        record_batch(self.n_instances, 1)
         return results
 
 

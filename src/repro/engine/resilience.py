@@ -54,6 +54,7 @@ __all__ = [
     "active_injector",
     "arm_env_fault_plan",
     "breaker_report",
+    "faults_muted",
     "get_breaker",
     "inject_faults",
     "poll_fault",
@@ -248,6 +249,8 @@ class FaultInjector:
 
 _ACTIVE: FaultInjector | None = None
 _ACTIVE_LOCK = threading.Lock()
+#: Per-thread flag: set while a thread runs under :func:`faults_muted`.
+_MUTED = threading.local()
 
 
 def active_injector() -> FaultInjector | None:
@@ -262,7 +265,7 @@ def poll_fault(site: str) -> FaultSpec | None:
     instrumented hot paths pay in production.
     """
     injector = _ACTIVE
-    if injector is None:
+    if injector is None or getattr(_MUTED, "on", False):
         return None
     return injector.poll(site)
 
@@ -270,9 +273,23 @@ def poll_fault(site: str) -> FaultSpec | None:
 def fire_fault(site: str) -> FaultSpec | None:
     """Like :func:`poll_fault` but applies generic raise/hang kinds."""
     injector = _ACTIVE
-    if injector is None:
+    if injector is None or getattr(_MUTED, "on", False):
         return None
     return injector.fire(site)
+
+
+@contextmanager
+def faults_muted():
+    """Keep this thread out of the active fault plan inside the block.
+
+    Its polls neither fire nor count: for a helper thread on its own
+    clock (a fabric heartbeat), so every ``at=`` stays deterministic.
+    """
+    _MUTED.on = True
+    try:
+        yield
+    finally:
+        _MUTED.on = False
 
 
 @contextmanager

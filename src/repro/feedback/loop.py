@@ -628,11 +628,11 @@ def run_batch(
 
     Loops whose chains lower to the same program *shape* (see
     :func:`~repro.engine.kernel.batch_signature`) are grouped into one
-    :class:`~repro.engine.kernel.KernelBatch`.  A group at least
-    :data:`~repro.engine.kernel.COLUMNAR_MIN_INSTANCES` wide runs as one
-    compiled columnar call, pthread-partitioned across instances; a
-    narrower group runs each loop solo fused.  Either way every record
-    is ``np.array_equal`` to the loop's solo fused run.
+    :class:`~repro.engine.kernel.KernelBatch`.  Each group, whatever
+    its width, runs as one call of its shape's compiled columnar
+    megakernel, pthread-partitioned across instances; only where no C
+    engine is trusted does a group run each loop solo fused.  Either way
+    every record is ``np.array_equal`` to the loop's solo fused run.
 
     Parameters
     ----------

@@ -62,7 +62,7 @@ __all__ = ["ChaosReport", "SCHEDULES", "run_chaos_suite"]
 #: Sweep path every schedule exercises (the paper's headline parameter).
 PATH = "cantilever.length_um"
 
-#: Worker exit code of a --points-limit / fabric.crash hard exit.
+#: Worker exit code of an injected ``fabric.crash`` hard exit.
 CRASH_EXIT_CODE = 43
 
 
@@ -273,10 +273,14 @@ def _run_kill(sc: _Scenario) -> dict:
     sc.submit()
     doomed = sc.worker("doomed", lease_seconds=2.0)
     deadline = time.monotonic() + 60.0
-    while sc.server_blobs() < 2:
+    # a chunk's blobs land together after its batch: strike once the
+    # first chunk is done and the next is leased, inside the next batch
+    counts: dict = {}
+    while not (counts.get("done") and counts.get("leased")):
         _require(doomed.poll() is None, "worker exited before the kill")
         _require(time.monotonic() < deadline, "no blobs appeared to kill at")
         time.sleep(0.005)
+        counts = sc.client.fabric_chunks(sc.job_id)["counts"]
     doomed.send_signal(signal.SIGKILL)
     doomed.wait(timeout=30)
     _require(doomed.returncode == -signal.SIGKILL,

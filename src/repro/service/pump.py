@@ -9,11 +9,12 @@ best claimable job with the store's atomic claim, and runs it with
 :func:`execute_job`: an in-process
 :class:`~repro.engine.fabric.FabricWorker` bound to the job leases its
 chunks from the same table ``repro worker`` nodes lease from, and
-computes each point solo through the cache.  Each chunk lands in the
-store as one transaction of outcome rows plus the job's progress, so a
-status poll mid-job shows progress and a crash loses at most the points
-not yet cached.  A thread with nothing to claim joins a running job a
-worker node started, so the job finishes should the node die.
+computes each chunk's cache misses in one batch call.  Each chunk lands
+in the store as one transaction of outcome rows plus the job's
+progress, so a status poll mid-job shows progress and a crash loses at
+most the points not yet cached.  A thread with nothing to claim joins
+a running job a worker node started, so the job finishes should the
+node die.
 
 :func:`finalize_job` turns a job whose chunks have all settled into its
 terminal record — whichever node completed the last chunk: this pump's
@@ -205,14 +206,15 @@ def execute_job(
     Builds the job's grid once — a build error fails the job at once,
     with its error text — then runs a
     :class:`~repro.engine.fabric.FabricWorker` bound to the job on this
-    thread: it leases the job's chunks, computes each point through the
-    cache, and completes each chunk with its outcome rows.  The
-    completion that settles the job finalizes it (:func:`finalize_job`).
-    Per-point task errors are *not* job failures: a job with sick
-    points finishes ``done`` with its casualties flagged.
-    ``cancel_event`` stops the worker between points.  The thread's
-    circuit breaker is reset first, so it caps one job's chunk failures
-    and never carries a quarantine into the next job.  A job that other
+    thread: it leases the job's chunks, computes each chunk's cache
+    misses in one batch call, and completes each chunk with its outcome
+    rows.  The completion that settles the job finalizes it
+    (:func:`finalize_job`).  Per-point task errors are *not* job
+    failures: a job with sick points finishes ``done`` with its
+    casualties flagged.  ``cancel_event`` stops the worker at the next
+    chunk boundary.  The thread's circuit breaker is reset first, so it
+    caps one job's chunk failures and never carries a quarantine into
+    the next job.  A job that other
     nodes still hold chunks of when this thread is done with it is
     settled by their completions instead; its current record is
     returned then.
@@ -322,7 +324,7 @@ class WorkerPump:
         Scheduler fairness knobs (tenant quotas).
     workers:
         Pump worker *threads* (job-level concurrency).  Each runs one
-        job at a time, point by point, until the job settles; the
+        job at a time, chunk by chunk, until the job settles; the
         default of 1 keeps a small box from multiplying parallelism.
         0 runs no thread: jobs then run only on ``repro worker --url``
         nodes.

@@ -269,9 +269,9 @@ class ReproService:
         """Request cancellation; immediate while no chunk is in flight.
 
         A queued job cancels at once.  A running job stops leasing; its
-        pump thread stops between points, and a chunk a remote node
-        holds settles the job when it completes.  With nothing in
-        flight the job settles ``cancelled`` here.
+        pump thread stops at the next chunk boundary, and a chunk a
+        remote node holds settles the job when it completes.  With
+        nothing in flight the job settles ``cancelled`` here.
         """
         record = self.store.request_cancel(job_id)
         if record is None:

@@ -13,12 +13,15 @@ The acceptance criteria of the fabric PR live here:
 * the chunk planner and job submission are idempotent, so resumes
   never duplicate work;
 * a job ends when its last chunk settles: bound workers leave then,
-  not after an idle timer.
+  not after an idle timer;
+* a chunk computes its cache misses in one kernel batch, and holds its
+  lease for as long as that batch takes.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import sqlite3
 import threading
 import time
@@ -28,7 +31,8 @@ import pytest
 
 from repro.analysis import LoopSweepTask, plan_chunks, run_spec_sweep
 from repro.config import REFERENCE_RESONANT_SENSOR
-from repro.engine import TieredCache
+from repro.engine import FusedLoopKernel, KernelBatch, TieredCache, cc_available
+from repro.engine import fabric as fabric_mod
 from repro.engine.fabric import (
     CRASH_EXIT_CODE,
     FabricWorker,
@@ -36,6 +40,7 @@ from repro.engine.fabric import (
     run_fabric_sweep,
     submit_fabric_job,
 )
+from repro.engine.resilience import FAULT_PLAN_ENV, FaultPlan
 from repro.errors import FabricError
 from repro.service import JobRecord, JobSpec, JobState, new_job_id
 from repro.service.store import SQLiteJobStore, open_job_store
@@ -53,6 +58,31 @@ def serial_reference(values):
         REFERENCE_RESONANT_SENSOR, PATH, values,
         LoopSweepTask(duration=DURATION), workers=0, backend="serial",
     )
+
+
+def worker_holding_its_second_lease(db_path, cache_dir, worker_kwargs,
+                                    environ=None):
+    """A fabric worker process that holds its second lease until
+    another worker has leased a chunk of the job.
+
+    The target :func:`run_fabric_sweep` starts when a test swaps it in
+    for ``_worker_process_main``: whichever worker leases first, a
+    second one then leases too, however fast the first computes.
+    """
+    execute_chunk = FabricWorker._execute_chunk
+    leases = []
+
+    def held(self, lease):
+        leases.append(lease)
+        deadline = time.monotonic() + 60.0
+        while len(leases) == 2 and time.monotonic() < deadline and all(
+                chunk.worker_id in (None, self.worker_id)
+                for chunk in self.store.chunks(lease.job_id)):
+            time.sleep(0.005)
+        execute_chunk(self, lease)
+
+    FabricWorker._execute_chunk = held
+    _worker_process_main(db_path, cache_dir, worker_kwargs, environ)
 
 
 def assert_bit_exact(reference, result):
@@ -127,10 +157,15 @@ class TestBitExactness:
         )
         assert_bit_exact(serial_reference(values), result)
 
-    def test_64_points_two_leased_workers_equal_serial(self, tmp_path):
+    def test_64_points_two_leased_workers_equal_serial(self, tmp_path,
+                                                       monkeypatch):
         """The headline acceptance: 64 points, 2 worker processes."""
         values = values_for(64)
         store = open_job_store(tmp_path / "jobs.sqlite")
+        # the first worker to lease holds its second lease until the
+        # other has leased: both compute, whichever starts first
+        monkeypatch.setattr(fabric_mod, "_worker_process_main",
+                            worker_holding_its_second_lease)
         result = run_fabric_sweep(
             REFERENCE_RESONANT_SENSOR, PATH, values,
             db=tmp_path / "jobs.sqlite", cache_dir=tmp_path / "cache",
@@ -218,18 +253,22 @@ class TestKillAndResume:
         )
         store.claim(record.job_id)
 
-        # phase 1: a worker hard-exits (os._exit) after 5 fresh points,
-        # mid-chunk, lease still held
-        ctx = mp.get_context("spawn")
-        proc = ctx.Process(
-            target=_worker_process_main,
-            args=(str(db), str(cache_dir),
-                  {"job_id": record.job_id, "lease_seconds": 5.0,
-                   "points_limit": 5}),
-        )
-        proc.start()
-        proc.join(timeout=180)
-        assert proc.exitcode == CRASH_EXIT_CODE
+        # phase 1: a worker hard-exits (os._exit) after caching its
+        # fifth fresh point, mid-chunk, lease still held
+        plan = FaultPlan.single("fabric.crash", at=4)
+        os.environ[FAULT_PLAN_ENV] = plan.to_json()
+        try:
+            ctx = mp.get_context("spawn")
+            proc = ctx.Process(
+                target=_worker_process_main,
+                args=(str(db), str(cache_dir),
+                      {"job_id": record.job_id, "lease_seconds": 5.0}),
+            )
+            proc.start()
+            proc.join(timeout=180)
+            assert proc.exitcode == CRASH_EXIT_CODE
+        finally:
+            del os.environ[FAULT_PLAN_ENV]
         survivors = sum(1 for _ in cache_dir.rglob("*.pkl"))
         assert survivors == 5
         assert "leased" in store.chunk_counts(record.job_id)
@@ -373,3 +412,80 @@ class TestQuarantine:
         record = store.list_jobs()[0]
         assert record.state.phase == "failed"
         assert record.state.error
+
+
+class TestOneRoute:
+    """A chunk runs its misses the way a sweep does: one batch call."""
+
+    @pytest.mark.skipif(not cc_available(),
+                        reason="the megakernel needs a C compiler")
+    def test_each_chunk_computes_its_misses_in_one_kernel_batch(
+            self, tmp_path, monkeypatch):
+        store = open_job_store(tmp_path / "jobs.sqlite")
+        record = submit_fabric_job(
+            store, REFERENCE_RESONANT_SENSOR, PATH, values_for(8),
+            duration=DURATION, chunk_size=4,
+        )
+        widths, solo_runs = [], []
+        batch_run, solo_run = KernelBatch.run, FusedLoopKernel.run
+
+        def spy_batch(self, *args, **kwargs):
+            widths.append(self.n_instances)
+            return batch_run(self, *args, **kwargs)
+
+        def spy_solo(self, *args, **kwargs):
+            solo_runs.append(self)
+            return solo_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelBatch, "run", spy_batch)
+        monkeypatch.setattr(FusedLoopKernel, "run", spy_solo)
+        worker = FabricWorker(store, TieredCache(tmp_path / "cache"),
+                              job_id=record.job_id)
+        stats = worker.run(idle_exit=None)
+        assert stats.chunks_done == 2
+        assert stats.points_computed == 8
+        assert widths == [4, 4]
+        assert solo_runs == []
+
+    def test_a_batch_that_outlives_the_lease_ttl_keeps_the_lease(
+            self, tmp_path, monkeypatch):
+        store = open_job_store(tmp_path / "jobs.sqlite")
+        values = values_for(2)
+        record = submit_fabric_job(
+            store, REFERENCE_RESONANT_SENSOR, PATH, values,
+            duration=DURATION, chunk_size=2,
+        )
+        built = []
+        loop_for = LoopSweepTask._loop_for
+
+        def slow_loop_for(self, spec):
+            built.append(spec.cantilever.length_um)
+            time.sleep(1.0)  # each point outlives the 0.3 s lease
+            return loop_for(self, spec)
+
+        monkeypatch.setattr(LoopSweepTask, "_loop_for", slow_loop_for)
+        worker = FabricWorker(store, TieredCache(tmp_path / "cache"),
+                              job_id=record.job_id, lease_seconds=0.3)
+        runner = threading.Thread(target=worker.run,
+                                  kwargs={"idle_exit": None})
+        taken = []
+        runner.start()
+        deadline = time.monotonic() + 30.0
+        while store.chunks(record.job_id)[0].worker_id != worker.worker_id:
+            assert time.monotonic() < deadline, "the worker never leased"
+            time.sleep(0.005)
+        # a second worker keeps polling; each empty poll runs the
+        # store's expiry sweep over the first worker's lease
+        while runner.is_alive() and time.monotonic() < deadline:
+            lease = store.lease_chunk("worker-b", 0.3, record.job_id)
+            if lease is not None:
+                taken.append(lease)
+            time.sleep(0.02)
+        runner.join(timeout=30.0)
+        assert not runner.is_alive()
+        assert taken == []
+        assert worker.stats.chunks_done == 1
+        assert worker.stats.leases_lost == 0
+        assert worker.stats.points_computed == 2
+        assert sorted(built) == values
+        assert store.chunk_counts(record.job_id) == {"done": 1}

@@ -72,9 +72,8 @@ class TestClosedLoopBatch:
             for length in LENGTHS
         ]
         reset_kernel_info()
-        # three loops are narrower than COLUMNAR_MIN_INSTANCES, so the
-        # batch runs each instance solo fused (pinned in
-        # tests/engine/test_kernel_columnar.py)
+        # every batch runs its shape's megakernel, whatever its width;
+        # only an untrusted C engine declines it to solo fused runs
         records = run_batch(
             [build_loop(length) for length in LENGTHS], DURATION, threads=2
         )
@@ -86,6 +85,8 @@ class TestClosedLoopBatch:
         info = kernel_info()
         assert info.fallbacks == 0
         assert info.batch_runs == 1
+        # asked after the run: a failed build is memoized by then
+        assert info.batch_columnar_runs == int(kernel_mod.cc_usable())
         assert info.batch_runs == info.batch_columnar_runs + info.batch_declined
         assert info.batch_instances == len(LENGTHS)
         assert info.runs.get("fused", 0) == len(LENGTHS)
@@ -307,13 +308,13 @@ class TestThreadResolution:
 
 
 class TestDoubleParallelismGuard:
-    """The env ceiling (set by spawned fabric workers) caps C threads."""
+    """The env ceiling caps C threads, whatever a caller requests."""
 
     def test_env_caps_batch_threads_end_to_end(self, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV, "1")
         reset_kernel_info()
-        # wide enough for the columnar engine, the one that uses threads
-        lengths = np.linspace(180.0, 220.0, kernel_mod.COLUMNAR_MIN_INSTANCES)
+        # as wide as the threads asked for, so only the ceiling caps them
+        lengths = np.linspace(180.0, 220.0, 4)
         run_batch([build_loop(length) for length in lengths], 0.004, threads=4)
         info = kernel_info()
         assert info.batch_runs == 1
@@ -387,9 +388,8 @@ class TestLoopSweepTaskPlanner:
         )
 
     def test_kernel_batch_equals_serial(self):
-        # three points run per-instance solo fused (narrower than
-        # COLUMNAR_MIN_INSTANCES); sixteen points run the columnar
-        # megakernel when a compiler is trusted
+        # three points and sixteen alike run the columnar megakernel
+        # when a compiler is trusted, and solo fused runs otherwise
         grids = (LENGTHS, np.linspace(170.0, 260.0, 16))
         for lengths in grids:
             serial = self._sweep("serial", lengths=lengths)
@@ -400,10 +400,7 @@ class TestLoopSweepTaskPlanner:
                 assert serial.columns[key] == batched.columns[key], key
             info = kernel_info()
             # asked after the run: a failed build is memoized by then
-            columnar_run = (
-                len(lengths) >= kernel_mod.COLUMNAR_MIN_INSTANCES
-                and kernel_mod.cc_usable()
-            )
+            columnar_run = kernel_mod.cc_usable()
             assert info.batch_runs == 1
             assert info.batch_columnar_runs == int(columnar_run)
             assert info.batch_declined == int(not columnar_run)

@@ -7,10 +7,11 @@ contract on the one columnar engine, each program shape's generated
 megakernel, in cold processes and hot ones (stale scratch), across
 reference-spec variants, liquids, modes, noise on/off, multimode
 stacks, heterogeneous durations, per-instance lowering fallbacks and
-a property-based sweep — plus the batch route order, the narrow-batch
-and untrusted-compiler routes (solo fused), the once-per-shape build,
-the shared ``.so`` build cache, and the profile counters surfaced
-through ``kernel_info()`` and ``repro health``.
+a property-based sweep, at every width from one instance up — plus the
+batch route order, the no-compiler and untrusted-compiler routes (solo
+fused), the once-per-shape build, the shared ``.so`` build cache, and
+the profile counters surfaced through ``kernel_info()`` and ``repro
+health``.
 """
 
 from __future__ import annotations
@@ -109,14 +110,33 @@ def assert_records_equal(ref, rec, label):
         )
 
 
-@pytest.fixture
-def columnar_forced(monkeypatch):
-    """Route every batch, whatever its width, to the columnar engine.
+def assert_batches_ran(n_batches):
+    """Since the last counter reset, ``n_batches`` batches ran, each on
+    its shape's megakernel — or, with no compiler, declined to
+    per-instance solo fused runs."""
+    __tracebackhide__ = True
+    info = kernel_info()
+    assert info.batch_runs == n_batches
+    if cc_available():
+        assert info.batch_columnar_runs == n_batches
+    else:
+        assert info.batch_declined == n_batches
 
-    With a compiler that is the C SoA engine; without one the batch
-    declines to per-instance solo fused runs.
-    """
-    monkeypatch.setattr(kernel_mod, "COLUMNAR_MIN_INSTANCES", 1)
+
+@contextmanager
+def no_compiler():
+    """``CC`` names a compiler that does not exist: no C engine at all."""
+    saved = os.environ.get("CC")
+    os.environ["CC"] = "no-such-compiler"
+    reset_compiler_probe()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("CC", None)
+        else:
+            os.environ["CC"] = saved
+        reset_compiler_probe()
 
 
 @contextmanager
@@ -202,7 +222,7 @@ class TestColumnarGolden:
         monkeypatch.setattr(columnar, "_aligned_rows", stale_rows)
 
     @pytest.mark.parametrize("variant", sorted(SPEC_VARIANTS))
-    def test_spec_variants(self, variant, columnar_forced):
+    def test_spec_variants(self, variant):
         lengths = VARIANT_LENGTHS.get(variant, LENGTHS)
         solos = [
             build_loop(length, variant).run(DURATION, backend="fused")
@@ -220,33 +240,42 @@ class TestColumnarGolden:
             assert solo.sample_rate == rec.sample_rate
         info = kernel_info()
         assert info.fallbacks == 0
-        # columnar with a compiler; without one the batch runs solo
-        if cc_available():
-            assert info.batch_columnar_runs == 1
-        else:
-            assert info.batch_declined == 1
-        assert info.batch_runs == 1
         assert info.batch_instances == len(lengths)
+        assert_batches_ran(1)
 
-    def test_noise_disabled(self, make_loop, columnar_forced):
+    def test_one_instance(self):
+        """A batch of one: what a chunk or a sweep with a single cache
+        miss runs."""
+        solo = build_loop(LENGTHS[2]).run(DURATION, backend="fused")
+        reset_kernel_info()
+        (record,) = run_batch([build_loop(LENGTHS[2])], DURATION,
+                              threads=THREADS)
+        assert_records_equal(solo, record, "one")
+        assert np.array_equal(solo.times, record.times)
+        assert_batches_ran(1)
+
+    def test_noise_disabled(self, make_loop):
         solos = [
             make_loop(include_noise=False).run(DURATION, backend="fused")
             for _ in range(3)
         ]
+        reset_kernel_info()
         records = run_batch(
             [make_loop(include_noise=False) for _ in range(3)], DURATION,
             threads=THREADS,
         )
         for i, (solo, rec) in enumerate(zip(solos, records)):
             assert_records_equal(solo, rec, f"quiet[{i}]")
+        assert_batches_ran(1)
 
-    def test_heterogeneous_durations(self, columnar_forced):
+    def test_heterogeneous_durations(self):
         durations = (0.003, 0.005, 0.002, 0.004)
         lengths = LENGTHS[: len(durations)]
         solos = [
             build_loop(length).run(d, backend="fused")
             for length, d in zip(lengths, durations)
         ]
+        reset_kernel_info()
         records = run_batch(
             [build_loop(length) for length in lengths], durations,
             threads=THREADS,
@@ -255,8 +284,9 @@ class TestColumnarGolden:
         for solo, rec in zip(solos, records):
             assert len(solo.displacement) == len(rec.displacement)
             assert_records_equal(solo, rec, "hetero")
+        assert_batches_ran(1)
 
-    def test_multimode_batch(self, geometry, make_loop, columnar_forced):
+    def test_multimode_batch(self, geometry, make_loop):
         from repro.feedback import run_multimode_batch
         from repro.feedback.multimode import MultiModeLoop
 
@@ -266,14 +296,15 @@ class TestColumnarGolden:
             return mm
 
         solos = [make_mm().run(0.002, backend="fused") for _ in range(2)]
-        records = run_multimode_batch(
-            [make_mm(), make_mm()], 0.002, threads=THREADS
-        )
+        pair = [make_mm(), make_mm()]
+        reset_kernel_info()
+        records = run_multimode_batch(pair, 0.002, threads=THREADS)
         for i, (solo, rec) in enumerate(zip(solos, records)):
             assert_arrays_equal(solo.samples, rec.samples, f"multimode[{i}]")
             assert solo.sample_rate == rec.sample_rate
+        assert_batches_ran(1)
 
-    def test_per_instance_fallback(self, columnar_forced):
+    def test_per_instance_fallback(self):
         solo_ref = build_loop(LENGTHS[1]).run(DURATION, backend="reference")
         solos = [
             build_loop(length).run(DURATION, backend="fused")
@@ -289,12 +320,13 @@ class TestColumnarGolden:
         assert info.fallbacks == 1
         assert "patched" in info.last_fallback_reason
         assert info.batch_instances == 2
+        assert_batches_ran(1)
         assert_records_equal(solos[0], records[0], "columnar[0]")
         assert_records_equal(solo_ref, records[1], "fallback[1]")
         assert_records_equal(solos[1], records[2], "columnar[2]")
 
     @needs_cc
-    def test_compiled_engine_tag_recorded(self, columnar_forced):
+    def test_compiled_engine_tag_recorded(self):
         loops = [build_loop(length) for length in LENGTHS]
         run_batch(loops, DURATION, threads=THREADS)
         for loop in loops:
@@ -312,11 +344,10 @@ class TestColumnarGoldenHot(TestColumnarGolden):
 
 
 class TestEngineSelection:
-    """Batch route order, the width gate, and the solo routes."""
+    """Batch route order and the solo routes."""
 
     def test_batch_engines_pinned(self):
         assert BATCH_AUTO_ORDER == ("columnar:cc", "fused:solo")
-        assert kernel_mod.COLUMNAR_MIN_INSTANCES == 8
 
     @needs_cc
     def test_wide_auto_batch_selects_columnar(self):
@@ -330,44 +361,34 @@ class TestEngineSelection:
         for loop in loops:
             assert loop.last_kernel_info.engine.startswith("cc-columnar")
 
-    @needs_cc
-    def test_columnar_min_env_gates_auto(self, monkeypatch):
-        monkeypatch.setattr(kernel_mod, "COLUMNAR_MIN_INSTANCES", 99)
-        loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
-        reset_kernel_info()
-        run_batch(loops, 0.002)
-        info = kernel_info()
-        assert info.batch_columnar_runs == 0
-        assert info.batch_runs == 1
-        assert info.batch_declined == 1
-
     def test_batch_declined_runs_serial_fused(self):
-        """A batch narrower than COLUMNAR_MIN_INSTANCES runs each
-        instance solo fused at the default thread count: bit-exact,
-        counted once in ``batch_runs`` and once in ``batch_declined``
-        — the regression pin for narrow batches."""
+        """With no C compiler a batch runs each instance solo fused at
+        the default thread count: bit-exact, counted once in
+        ``batch_runs`` and once in ``batch_declined`` — the regression
+        pin for declined batches."""
         lengths = LENGTHS[:3]
         solos = [
             build_loop(length).run(DURATION, backend="fused")
             for length in lengths
         ]
-        reset_kernel_info()
-        loops = [build_loop(length) for length in lengths]
-        records = run_batch(loops, DURATION)
-        info = kernel_info()
+        with no_compiler():
+            reset_kernel_info()
+            loops = [build_loop(length) for length in lengths]
+            records = run_batch(loops, DURATION)
+            info = kernel_info()
         assert info.batch_runs == 1
         assert info.batch_declined == 1
         assert info.batch_columnar_runs == 0
         assert info.last_batch_engine == "solo"
+        assert info.degrades == 0  # no compiler is a platform fact
         assert info.runs.get("fused", 0) == len(lengths)
         for length, solo, rec in zip(lengths, solos, records):
             assert_records_equal(solo, rec, f"declined[{length}]")
         for loop in loops:
-            assert loop.last_kernel_info.engine in ("cc", "codegen")
+            assert loop.last_kernel_info.engine == "codegen"
         assert resilience_snapshot()["batch_declined"] == 1
 
-
-    def test_untrusted_compiler_declines_to_solo(self, tmp_path, columnar_forced):
+    def test_untrusted_compiler_declines_to_solo(self, tmp_path):
         """A columnar batch whose C engine cannot build runs each
         instance solo fused, bit-exact, and says why."""
         lengths = LENGTHS[:3]
@@ -385,7 +406,7 @@ class TestEngineSelection:
         for loop in loops:
             assert loop.last_kernel_info.engine == "codegen"
         assert info.batch_runs == info.batch_declined == 1
-        assert info.last_decline_reason == "no trusted C engine"
+        assert info.last_batch_engine == "solo"
 
 
 class TestFusionProfile:
@@ -401,7 +422,7 @@ class TestFusionProfile:
         assert hist.get("SOS", 0) > 0  # every loop has biquad sections
 
     @needs_cc
-    def test_megakernel_built_once_per_shape(self, columnar_forced, monkeypatch):
+    def test_megakernel_built_once_per_shape(self, monkeypatch):
         """A shape's first batch runs its megakernel, and the next batch
         of that shape reuses it without building again."""
         reset_compiler_probe()
@@ -424,7 +445,7 @@ class TestFusionProfile:
         assert kernel_info().batch_columnar_runs == 2
         assert len(builds) == 1
 
-    def test_health_snapshot_surfaces_columnar_counters(self, columnar_forced):
+    def test_health_snapshot_surfaces_columnar_counters(self):
         reset_kernel_info()
         run_batch([build_loop(length) for length in LENGTHS], 0.002)
         snap = resilience_snapshot()
@@ -487,15 +508,12 @@ from hypothesis import strategies as st  # noqa: E402
 class TestPropertyAgreement:
     """Any geometry mix: columnar bit-identical to solo fused."""
 
-    # columnar_forced holds for every example of the test, which is
-    # what the function-scoped-fixture health check warns about
     @settings(max_examples=6, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow,
-                                     HealthCheck.function_scoped_fixture])
+              suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.floats(min_value=165.0, max_value=235.0,
                               allow_nan=False),
                     min_size=2, max_size=4))
-    def test_columnar_agrees_with_fused(self, columnar_forced, lengths):
+    def test_columnar_agrees_with_fused(self, lengths):
         solos = []
         for length in lengths:
             kern, prep = lowered(build_loop(length), 0.0015)
@@ -506,6 +524,8 @@ class TestPropertyAgreement:
             kernels.append(kern)
             ns.append(prep.n)
             noises.append(prep.bridge_noise)
+        reset_kernel_info()
         records = KernelBatch(kernels, ns, noises).run()
         for length, solo, rec in zip(lengths, solos, records):
             assert_records_equal(solo, rec, f"prop[{length:.1f}]")
+        assert_batches_ran(1)

@@ -1,8 +1,8 @@
 """One job execution model: every job runs as leased chunks.
 
 * a cancel stops a chunked job — no lease is granted after it, and the
-  pump's executor stops between points — on the pump and on a remote
-  node alike, also when the node holding its chunk died; a queued job
+  pump's executor stops at the chunk boundary — on the pump and on a
+  remote node alike, also when the node holding its chunk died; a queued job
   cancelled before any lease is never leased;
 * a point that raises settles as a failed ``task-error`` outcome while
   its chunk completes, on the pump and on a remote node alike, and
@@ -88,15 +88,19 @@ def spy_leases(monkeypatch) -> list:
 
 
 def poison(monkeypatch) -> None:
-    """Make the closed-loop task raise on the ``BAD`` grid point."""
-    original = LoopSweepTask.__call__
+    """Make the closed-loop task raise on the ``BAD`` grid point.
 
-    def call(self, spec):
+    Patched where both routes build a point's loop: the batch call a
+    chunk makes, and the solo call of the serial reference.
+    """
+    original = LoopSweepTask._loop_for
+
+    def loop_for(self, spec):
         if spec.cantilever.length_um == BAD:
             raise RuntimeError("poisoned point")
         return original(self, spec)
 
-    monkeypatch.setattr(LoopSweepTask, "__call__", call)
+    monkeypatch.setattr(LoopSweepTask, "_loop_for", loop_for)
 
 
 class TestCancel:
@@ -331,14 +335,14 @@ class TestPump:
     def test_the_pump_finishes_a_job_a_dead_node_started(self, tmp_path,
                                                           monkeypatch):
         gate = threading.Event()
-        original = LoopSweepTask.__call__
+        original = LoopSweepTask._loop_for
 
-        def call(self, spec):
+        def loop_for(self, spec):
             if spec.cantilever.length_um == 150.0:  # the blocker's point
                 gate.wait(30.0)
             return original(self, spec)
 
-        monkeypatch.setattr(LoopSweepTask, "__call__", call)
+        monkeypatch.setattr(LoopSweepTask, "_loop_for", loop_for)
         with running_service(tmp_path) as box:
             blocker = box.client.submit(make_spec(values=(150.0,)))
             deadline = time.monotonic() + 30.0

@@ -6,7 +6,8 @@ Drives the real distributed path — a SQLite job store on disk and
 to survive:
 
 1. submits a 16-point closed-loop fabric job and claims it;
-2. starts one worker with ``--points-limit 5``: it hard-exits
+2. starts one worker with a ``fabric.crash`` fault armed through
+   ``REPRO_FAULT_PLAN`` at its fifth cached point: it hard-exits
    (``os._exit``) mid-chunk with the lease still held, leaving 5
    checksummed points on disk;
 3. waits out the lease and resumes with **two** concurrent workers,
@@ -117,6 +118,7 @@ def main() -> int:
         run_fabric_sweep,
         submit_fabric_job,
     )
+    from repro.engine.resilience import FAULT_PLAN_ENV, FaultPlan
     from repro.service import open_job_store
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-fabric-check-"))
@@ -133,9 +135,11 @@ def main() -> int:
               f"({POINTS} points, {POINTS // CHUNK_SIZE} chunks)")
 
         # phase 1: a worker dies mid-chunk, lease still held
+        plan = FaultPlan.single("fabric.crash", at=CRASH_AFTER - 1)
         crash = subprocess.run(
-            worker_argv(workdir, record.job_id, points_limit=CRASH_AFTER),
-            cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
+            worker_argv(workdir, record.job_id),
+            cwd=REPO, env={**env, FAULT_PLAN_ENV: plan.to_json()},
+            capture_output=True, text=True, timeout=300,
         )
         assert crash.returncode == CRASH_EXIT_CODE, (
             f"crash worker exited {crash.returncode}, expected "
