@@ -62,9 +62,11 @@ bench-batch:
 # Fused-kernel golden suite: every backend must reproduce the reference
 # closed-loop waveforms bit-for-bit across the reference specs, and
 # non-lowerable chains must fall back cleanly.  Next to it, the loop
-# prelude's two memos: every memoized Butterworth design and every
-# bridge-noise synthesis read from a seed's memoized normal stream must
-# be bit-identical to a fresh design and a fresh generator.  Tier-1.
+# prelude: the Butterworth design and its frequency response are NumPy
+# ports pinned bit-exactly (tobytes) to scipy.signal's butter and
+# sosfreqz, every memoized design must be bit-identical to a fresh one,
+# and every bridge-noise synthesis read from a seed's memoized normal
+# stream must be bit-identical to a fresh generator.  Tier-1.
 kernel-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_lowering.py \
 		tests/circuits/test_butterworth_memo.py tests/feedback/test_seed_stream.py -q

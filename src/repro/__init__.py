@@ -37,36 +37,65 @@ Quickstart::
 
 from __future__ import annotations
 
-from . import (
-    actuation,
-    analysis,
-    biochem,
-    circuits,
-    config,
-    constants,
-    core,
-    engine,
-    environment,
-    errors,
-    fabrication,
-    feedback,
-    fluidics,
-    materials,
-    mechanics,
-    transduction,
-    units,
-)
-from .biochem import Analyte, AssayProtocol, FunctionalizedSurface, get_analyte
-from .core import (
-    BiosensorChip,
-    ChannelConfig,
-    ResonantCantileverSensor,
-    StaticCantileverSensor,
-)
-from .errors import ReproError
-from .fabrication import PostCMOSFlow, fabricate_cantilever
-from .materials import get_liquid, get_material
-from .mechanics import CantileverGeometry
+import importlib
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for the package whose
+    ``globals()`` is ``namespace``: its public names import on first
+    access, so importing one submodule does not import its siblings.
+
+    ``exports`` maps each submodule to the names the package re-exports
+    from it; an ``"alias=name"`` entry renames one.  The submodules
+    themselves resolve as attributes too.  A resolved name is stored in
+    the package, so later reads are plain lookups.
+    """
+    package = namespace["__name__"]
+    sources = {module: (module, None) for module in exports}
+    for module, names in exports.items():
+        for entry in names:
+            alias, _, name = entry.partition("=")
+            sources[alias] = (module, name or alias)
+
+    def __getattr__(name: str):
+        try:
+            module, attr = sources[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        value = importlib.import_module(f"{package}.{module}")
+        if attr is not None:
+            value = getattr(value, attr)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(sources))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "actuation": (),
+    "analysis": (),
+    "biochem": ("Analyte", "AssayProtocol", "FunctionalizedSurface",
+                "get_analyte"),
+    "circuits": (),
+    "config": (),
+    "constants": (),
+    "core": ("BiosensorChip", "ChannelConfig", "ResonantCantileverSensor",
+             "StaticCantileverSensor"),
+    "engine": (),
+    "environment": (),
+    "errors": ("ReproError",),
+    "fabrication": ("PostCMOSFlow", "fabricate_cantilever"),
+    "feedback": (),
+    "fluidics": (),
+    "materials": ("get_liquid", "get_material"),
+    "mechanics": ("CantileverGeometry",),
+    "transduction": (),
+    "units": (),
+})
 
 __version__ = "1.1.0"
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..errors import ConvergenceError, SignalError
 from ..units import require_positive
@@ -150,6 +149,8 @@ def fit_dose_response(
     Sign-agnostic: negative-going responses (the static sensor's
     compressive steps) are folded to magnitudes before fitting.
     """
+    from scipy.optimize import curve_fit
+
     c = np.asarray(concentrations, dtype=float)
     r = np.abs(np.asarray(responses, dtype=float))
     if c.shape != r.shape or len(c) < 3:

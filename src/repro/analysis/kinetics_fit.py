@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..errors import ConvergenceError, SignalError
 
@@ -39,6 +38,8 @@ def fit_transient(times: np.ndarray, response: np.ndarray) -> TransientFit:
     Works on any monotone binding trace (coverage, output volts,
     frequency shift); the sign of ``amplitude`` carries the direction.
     """
+    from scipy.optimize import curve_fit
+
     t = np.asarray(times, dtype=float)
     y = np.asarray(response, dtype=float)
     if t.shape != y.shape or len(t) < 5:

@@ -9,7 +9,6 @@ filters removing the LF shelf.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
 from ..circuits.signal import Signal
 from ..errors import SignalError
@@ -23,11 +22,13 @@ def welch_psd(
     Segment length is chosen from the requested segment count with 50 %
     overlap, Hann windowed — the standard robust estimate.
     """
+    from scipy.signal import welch
+
     n = len(signal)
     if segments < 1:
         raise SignalError("need at least one segment")
     nperseg = max(8, n // segments)
-    freqs, psd = sps.welch(
+    freqs, psd = welch(
         signal.samples,
         fs=signal.sample_rate,
         nperseg=nperseg,

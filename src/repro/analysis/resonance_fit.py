@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..errors import ConvergenceError, SignalError
 from ..mechanics.dynamics import ModalResonator
@@ -55,6 +54,8 @@ def fit_resonance(
     ConvergenceError
         If the optimizer fails or returns unphysical parameters.
     """
+    from scipy.optimize import curve_fit
+
     f = np.asarray(frequencies, dtype=float)
     a = np.asarray(amplitudes, dtype=float)
     if f.shape != a.shape or len(f) < 5:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..errors import AssayError, ConvergenceError
 from ..units import require_nonnegative
@@ -67,6 +66,8 @@ def competitive_transient(
     Concentrations are constant over the segment (chain segments for
     injection/wash protocols, carrying the final coverages across).
     """
+    from scipy.integrate import solve_ivp
+
     if len(analytes) != len(concentrations) or not analytes:
         raise AssayError("need matching non-empty analyte/concentration lists")
     t = np.asarray(times, dtype=float)

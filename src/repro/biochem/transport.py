@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..errors import AssayError, ConvergenceError
 from ..units import require_fraction, require_nonnegative, require_positive
@@ -119,6 +118,8 @@ def transport_limited_transient(
         If the stiff integrator fails (it should not for physical
         parameters).
     """
+    from scipy.integrate import solve_ivp
+
     require_fraction("initial_coverage", initial_coverage)
     t = np.asarray(times, dtype=float)
     if len(t) < 1 or np.any(t < 0.0) or np.any(np.diff(t) <= 0.0):

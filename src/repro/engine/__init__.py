@@ -34,69 +34,31 @@ and :meth:`repro.feedback.loop.ResonantFeedbackLoop.run`
 (``backend=``) are the main consumers.
 """
 
-from .cache import (
-    CACHE_VERSION,
-    CacheInfo,
-    FilesystemRemoteStore,
-    HTTPRemoteStore,
-    TieredCache,
-    TierInfo,
-    stable_hash,
-)
-from .executor import BACKENDS, BatchExecutor, BatchResult, TaskOutcome
-from .fabric import (
-    FabricWorker,
-    WorkerStats,
-    fabric_worker_id,
-    run_fabric_sweep,
-    submit_fabric_job,
-)
-from .kernel import (
-    AUTO_ORDER,
-    BACKENDS as KERNEL_BACKENDS,
-    BATCH_AUTO_ORDER,
-    CC_ENV,
-    FusedLoopKernel,
-    KERNEL_THREADS_ENV,
-    KernelBatch,
-    KernelInfo,
-    KernelOp,
-    KernelRunInfo,
-    KernelRunResult,
-    KernelStage,
-    ModeLowering,
-    batch_signature,
-    cc_available,
-    cc_usable,
-    compose_stages,
-    kernel_batch_threads,
-    kernel_info,
-    lower_block,
-    record_degrade,
-    record_fallback,
-    reset_compiler_probe,
-    reset_kernel_info,
-    resolve_backend,
-)
-from .resilience import (
-    FAULT_KINDS,
-    FAULT_PLAN_ENV,
-    FAULT_SITES,
-    BreakerInfo,
-    CircuitBreaker,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    arm_env_fault_plan,
-    breaker_report,
-    get_breaker,
-    inject_faults,
-    poll_fault,
-    quarantined_backends,
-    reset_breakers,
-)
-from .timing import StageTimer, StageTiming, speedup
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "cache": ("CACHE_VERSION", "CacheInfo", "FilesystemRemoteStore",
+              "HTTPRemoteStore", "TieredCache", "TierInfo", "stable_hash"),
+    "executor": ("BACKENDS", "BatchExecutor", "BatchResult", "TaskOutcome"),
+    "fabric": ("FabricWorker", "WorkerStats", "fabric_worker_id",
+               "run_fabric_sweep", "submit_fabric_job"),
+    "kernel": ("AUTO_ORDER", "KERNEL_BACKENDS=BACKENDS", "BATCH_AUTO_ORDER",
+               "CC_ENV", "FusedLoopKernel", "KERNEL_THREADS_ENV",
+               "KernelBatch", "KernelInfo", "KernelOp", "KernelRunInfo",
+               "KernelRunResult", "KernelStage", "ModeLowering",
+               "batch_signature", "cc_available", "cc_usable",
+               "compose_stages", "kernel_batch_threads", "kernel_info",
+               "lower_block", "record_degrade", "record_fallback",
+               "reset_compiler_probe", "reset_kernel_info",
+               "resolve_backend"),
+    "resilience": ("FAULT_KINDS", "FAULT_PLAN_ENV", "FAULT_SITES",
+                   "BreakerInfo", "CircuitBreaker", "FaultInjector",
+                   "FaultPlan", "FaultSpec", "RetryPolicy",
+                   "arm_env_fault_plan", "breaker_report", "get_breaker",
+                   "inject_faults", "poll_fault", "quarantined_backends",
+                   "reset_breakers"),
+    "timing": ("StageTimer", "StageTiming", "speedup"),
+})
 
 __all__ = [
     "AUTO_ORDER",

@@ -45,11 +45,13 @@ payload — bit-exact (``np.array_equal``) with the serial reference
 path, because every kernel route is bit-exact to solo fused.
 
 Workers start from a forkserver that has already imported what a chunk
-needs (``_WORKER_PRELOAD``): the first job of a process pays that
-import once, and every later worker is a fork of a warm interpreter,
-not a fresh one.  The process that starts the forkserver also stops
-and reaps it before it exits (:func:`_stop_forkserver`), so no process
-of the fabric outlives its coordinator.
+needs (``_WORKER_PRELOAD``, which names every module a chunk reaches,
+since the package inits import their names on first use): the first
+job of a process pays that import once, and every later worker is a
+fork of a warm interpreter, not a fresh one.  The process that starts
+the forkserver also stops and reaps it before it exits
+(:func:`_stop_forkserver`), so no process of the fabric outlives its
+coordinator.
 """
 
 from __future__ import annotations
@@ -97,10 +99,14 @@ logger = logging.getLogger(__name__)
 CRASH_EXIT_CODE = 43
 
 #: Modules the worker forkserver imports before it forks any worker:
-#: everything a worker's chunk imports.  ``repro.engine.fabric`` brings
-#: ``repro`` and with it ``scipy.signal``, but neither the megakernel
-#: module a batch loads lazily nor ``repro.service``.
-_WORKER_PRELOAD = ("repro.engine.fabric", "repro.engine.kernel_columnar",
+#: everything a worker's chunk imports.  The package inits import
+#: their names on first use, so each module a chunk reaches is named,
+#: and so are the two SciPy subpackages that loop functions import
+#: inside their bodies (``scipy.fft`` for the noise synthesis,
+#: ``scipy.linalg`` for the resonator's propagator).
+_WORKER_PRELOAD = ("scipy.fft", "scipy.linalg", "repro.analysis.sweep",
+                   "repro.config", "repro.core", "repro.engine.executor",
+                   "repro.engine.fabric", "repro.engine.kernel_columnar",
                    "repro.service.store", "repro.service.pump")
 
 #: Seconds the exit hook waits for terminated workers, and then for the

@@ -28,38 +28,24 @@ multi-tenant facility:
 Everything is stdlib + the repo's own engine: no new dependencies.
 """
 
-from .chaos import ChaosReport, run_chaos_suite
-from .client import RemoteFabricStore, ServiceClient
-from .health import health_snapshot, resilience_snapshot
-from .jobs import (
-    JOB_PHASES,
-    JOB_TERMINAL_PHASES,
-    JobRecord,
-    JobSpec,
-    JobState,
-    device_spec_from_dict,
-    new_job_id,
-)
-from .pump import WorkerPump, execute_job, finalize_job, sweep_result_key
-from .scheduler import SchedulerPolicy, eligible_jobs, select_next
-from .server import ReproHTTPServer, ReproService, serve
-from .store import (
-    CHUNK_STATES,
-    SCHEMA_VERSION,
-    ChunkCompletion,
-    ChunkRow,
-    JobStore,
-    PointOutcome,
-    SettledJob,
-    SQLiteJobStore,
-    open_job_store,
-)
-from .transport import (
-    TransportCounters,
-    reset_transport,
-    transport_counters,
-    transport_report,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "chaos": ("ChaosReport", "run_chaos_suite"),
+    "client": ("RemoteFabricStore", "ServiceClient"),
+    "health": ("health_snapshot", "resilience_snapshot"),
+    "jobs": ("JOB_PHASES", "JOB_TERMINAL_PHASES", "JobRecord", "JobSpec",
+             "JobState", "device_spec_from_dict", "new_job_id"),
+    "pump": ("WorkerPump", "execute_job", "finalize_job",
+             "sweep_result_key"),
+    "scheduler": ("SchedulerPolicy", "eligible_jobs", "select_next"),
+    "server": ("ReproHTTPServer", "ReproService", "serve"),
+    "store": ("CHUNK_STATES", "SCHEMA_VERSION", "ChunkCompletion",
+              "ChunkRow", "JobStore", "PointOutcome", "SettledJob",
+              "SQLiteJobStore", "open_job_store"),
+    "transport": ("TransportCounters", "reset_transport",
+                  "transport_counters", "transport_report"),
+})
 
 __all__ = [
     "CHUNK_STATES",

@@ -1,11 +1,15 @@
-"""The Butterworth design memo of :mod:`repro.circuits.filters`: designs
-bit-identical to a fresh ``sps.butter(..., fs=)``, one design per key,
-and a private, writable copy in every filter."""
+"""The Butterworth design and its memo in :mod:`repro.circuits.filters`.
+
+The NumPy design and frequency response are bit-identical to SciPy's
+``sps.butter(..., output="sos")`` and ``sps.sosfreqz``; the memo makes
+one design per key and gives every filter a private, writable copy."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 import repro.circuits.filters as filters_mod
@@ -19,23 +23,55 @@ FILTERS = {"lowpass": LowPassFilter, "highpass": HighPassFilter}
 
 @pytest.fixture
 def butter_calls(monkeypatch):
-    """An empty design memo, and the arguments of every ``sps.butter``
-    call the filters make."""
+    """An empty design memo, and the arguments of every design the
+    filters make."""
     filters_mod._butter_sos.cache_clear()
     calls = []
-    butter = sps.butter
+    design = filters_mod._butter_design
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
-        return butter(*args, **kwargs)
+        return design(*args, **kwargs)
 
-    monkeypatch.setattr(sps, "butter", spy)
+    monkeypatch.setattr(filters_mod, "_butter_design", spy)
     yield calls
     filters_mod._butter_sos.cache_clear()
 
 
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(min_value=1, max_value=8),
+       kind=st.sampled_from(sorted(FILTERS)),
+       wn=st.floats(min_value=0.0, max_value=1.0,
+                    exclude_min=True, exclude_max=True))
+def test_port_is_bit_identical_to_scipy_butter(order, kind, wn):
+    want = sps.butter(order, wn, btype=kind, output="sos")
+    got = filters_mod._butter_design(order, kind, wn)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("kind", sorted(FILTERS))
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", range(1, 9))
+def test_response_is_bit_identical_to_scipy_sosfreqz(kind, order):
+    rng = np.random.default_rng(100 + order)
+    for fs in (1e3, 44_100.0, 987_654.321):
+        nyquist = fs / 2.0
+        for fraction in (1e-5, *rng.uniform(1e-3, 0.999, 4), 1.0 - 1e-9):
+            flt = FILTERS[kind](fraction * nyquist, order)
+            flt.prepare(fs)
+            grids = (
+                np.array([0.0, *np.sort(rng.uniform(0.0, nyquist, 6)), nyquist]),
+                np.linspace(0.0, nyquist, 2 * 3 * 5).reshape(2, 3, 5),
+                *(np.asarray(f) for f in (0.0, fraction * nyquist, nyquist)),
+            )
+            for f in grids:
+                want = sps.sosfreqz(flt._sos, worN=f, fs=fs)[1]
+                got = flt.response(f, fs)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(FILTERS))
+@pytest.mark.parametrize("order", range(1, 9))
 def test_design_is_bit_identical_to_a_fresh_design(kind, order):
     rng = np.random.default_rng(order)
     for fs in (1e3, 44_100.0, 987_654.321, 4.2e6):

@@ -9,10 +9,10 @@ every test here:
   the child has exited no process of its session remains: the
   coordinator stopped and reaped the forkserver (and the resource
   tracker its start launched);
-* a process started from that forkserver already holds ``scipy.signal``
-  and the fabric and store modules before its target runs, and running
-  a chunk through :func:`_worker_process_main` imports no ``repro`` or
-  ``scipy`` module;
+* a process started from that forkserver already holds ``scipy.fft``,
+  ``scipy.linalg`` and the fabric and store modules before its target
+  runs, and running a chunk through :func:`_worker_process_main`
+  imports no ``repro`` or ``scipy`` module;
 * a ``REPRO_FAULT_PLAN`` set after the forkserver started still reaches
   the next worker: its injected crash makes a chunk run twice, and the
   table stays bit-exact.
@@ -204,7 +204,7 @@ def test_no_process_outlives_the_coordinator(child):
 def test_forked_worker_starts_with_the_chunk_modules_loaded(child):
     probe = child["probe"]
     assert child["probe_exitcode"] == 0 and probe
-    for module in ("scipy.signal", "repro.engine.fabric",
+    for module in ("scipy.fft", "scipy.linalg", "repro.engine.fabric",
                    "repro.service.store"):
         assert module in probe["before"], module
     assert [m for m in probe["imported"]
