@@ -59,9 +59,11 @@ bench-json:
 bench-batch:
 	PYTHONPATH=src $(PYTHON) tools/bench_report.py --sweep
 
-# Fused-kernel golden suite: every backend must reproduce the reference
-# closed-loop waveforms bit-for-bit across the reference specs, and
-# non-lowerable chains must fall back cleanly.  Next to it, the loop
+# Fused-kernel golden suite: every backend, and both fused engines (the
+# C megakernel, which runs a single loop as a batch of one, and
+# generated Python), must reproduce the reference closed-loop waveforms
+# bit-for-bit across the reference specs, and non-lowerable chains must
+# fall back cleanly.  Next to it, the loop
 # prelude: the Butterworth design and its frequency response are NumPy
 # ports pinned bit-exactly (tobytes) to scipy.signal's butter and
 # sosfreqz, every memoized design must be bit-identical to a fresh one,
@@ -73,15 +75,16 @@ kernel-check:
 
 # Columnar SoA engine golden suite, both legs: once with the compiler
 # present (every batch, whatever its width, on its shape's megakernel,
-# each instance np.array_equal to its solo fused run) and once with CC
-# pointed at a *nonexistent* binary under a fresh TMPDIR (no cached .so
-# can hide the failure), where every batch declines to solo fused runs
-# that must stay bit-exact.  Note CC=/bin/false would not do: the probe
+# each instance np.array_equal to its reference-loop run, or to
+# generated Python where a test lowers kernels directly) and once with
+# CC pointed at a *nonexistent* binary under a fresh TMPDIR (no cached
+# .so can hide the failure), where every batch declines to generated
+# Python runs that must stay bit-exact.  Note CC=/bin/false would not do: the probe
 # only checks that the compiler exists, so a present-but-broken CC
 # exercises the build *failure* path, not the no-compiler path.
 vector-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_columnar.py -q
-	@echo "-- no-compiler pass: CC=no-such-compiler, every batch must decline to solo fused, bit-exact --"
+	@echo "-- no-compiler pass: CC=no-such-compiler, every batch must decline to generated Python, bit-exact --"
 	CC=no-such-compiler TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_columnar.py -q
 
@@ -116,9 +119,10 @@ spec-check:
 # and so do the fabric's crash, heartbeat-loss and lease-skew windows
 # around a chunk's batch (test_fabric_faults.py).  The second pass
 # breaks the C compiler (CC=/bin/false) under a fresh TMPDIR (so no
-# cached .so can hide the failure) and re-runs the golden
-# equivalence suites: the fallback chain must still reproduce every
-# waveform bit-for-bit.
+# cached megakernel .so can hide the failure) and re-runs the golden
+# equivalence suites: single loops and batches alike fall back to
+# generated Python, which must still reproduce every waveform
+# bit-for-bit.
 fault-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_resilience.py tests/engine/test_cache.py \
 		tests/engine/test_cache_tiered.py tests/engine/test_fabric_faults.py -q

@@ -111,15 +111,14 @@ class ResonantArrayChip:
     # -- live measurement ----------------------------------------------------
 
     def measure_frequencies(
-        self, gate_time: float = 0.05, gates: int = 3, batch: bool = True
+        self, gate_time: float = 0.05, gates: int = 3
     ) -> tuple[float, float]:
         """Run both loops and count both beams: (f_sensing, f_reference).
 
-        With ``batch=True`` (default) the sensing and reference loops
-        run as ONE batched kernel call (see
-        :func:`repro.feedback.run_batch`) — bit-identical to the serial
-        pair of :meth:`ResonantCantileverSensor.measure_frequency`
-        runs, which the tests pin.
+        The sensing and reference loops run as ONE batched kernel call
+        (see :func:`repro.feedback.run_batch`) — bit-identical to a pair
+        of :meth:`ResonantCantileverSensor.measure_frequency` runs,
+        which the tests pin.
 
         A beam that fails to oscillate (gain starvation, heavy damping,
         an injected ``loop.no-startup`` fault) or returns a damaged
@@ -127,34 +126,27 @@ class ResonantArrayChip:
         verdict lands in :attr:`last_health` — the other beam's reading
         stays valid, exactly like a yield-limited real array.
         """
-        if batch:
-            from ..feedback.loop import run_batch
+        from ..feedback.loop import run_batch
 
-            duration = ResonantCantileverSensor.measurement_duration(
-                gate_time, gates
-            )
-            loops = [self.sensing.build_loop(), self.reference.build_loop()]
-            for loop in loops:
-                # polled in channel order (0 = sensing, 1 = reference), so
-                # a FaultSpec with at=k starves channel k's loop gain —
-                # the physically honest no-startup symptom: Barkhausen
-                # unsatisfied, amplitude never grows past noise
-                if poll_fault("loop.no-startup") is not None:
-                    loop.limiter.small_signal_gain = 1e-6
-            rec_s, rec_r = run_batch(
-                loops, duration, backend=self.sensing.loop_backend
-            )
-            f_s, h_s = self._count_channel(
-                self.sensing, rec_s, gate_time, 0, "sensing"
-            )
-            f_r, h_r = self._count_channel(
-                self.reference, rec_r, gate_time, 1, "reference"
-            )
-            self.last_health = HealthReport(channels=(h_s, h_r))
-            return f_s, f_r
-        f_s, h_s = self._measure_solo(self.sensing, gate_time, gates, 0, "sensing")
-        f_r, h_r = self._measure_solo(
-            self.reference, gate_time, gates, 1, "reference"
+        duration = ResonantCantileverSensor.measurement_duration(
+            gate_time, gates
+        )
+        loops = [self.sensing.build_loop(), self.reference.build_loop()]
+        for loop in loops:
+            # polled in channel order (0 = sensing, 1 = reference), so
+            # a FaultSpec with at=k starves channel k's loop gain —
+            # the physically honest no-startup symptom: Barkhausen
+            # unsatisfied, amplitude never grows past noise
+            if poll_fault("loop.no-startup") is not None:
+                loop.limiter.small_signal_gain = 1e-6
+        rec_s, rec_r = run_batch(
+            loops, duration, backend=self.sensing.loop_backend
+        )
+        f_s, h_s = self._count_channel(
+            self.sensing, rec_s, gate_time, 0, "sensing"
+        )
+        f_r, h_r = self._count_channel(
+            self.reference, rec_r, gate_time, 1, "reference"
         )
         self.last_health = HealthReport(channels=(h_s, h_r))
         return f_s, f_r
@@ -179,25 +171,6 @@ class ResonantArrayChip:
                 reason="no-oscillation", detail=str(err), label=label,
             )
         return frequency, verdict
-
-    @staticmethod
-    def _measure_solo(
-        sensor: ResonantCantileverSensor,
-        gate_time: float,
-        gates: int,
-        channel: int,
-        label: str,
-    ) -> tuple[float, ChannelHealth]:
-        try:
-            frequency, _ = sensor.measure_frequency(
-                gate_time=gate_time, gates=gates
-            )
-        except OscillationError as err:
-            return float("nan"), ChannelHealth(
-                channel=channel, status=STATUS_DEGRADED,
-                reason="no-oscillation", detail=str(err), label=label,
-            )
-        return frequency, ChannelHealth(channel=channel, label=label)
 
     # -- compensated assay -----------------------------------------------------
 

@@ -22,7 +22,8 @@ The scaling substrate under every sweep, bench, and array assay:
   and the circuit breakers that quarantine a misbehaving compiled
   backend (:func:`get_breaker`, :func:`breaker_report`);
 * :mod:`~repro.engine.kernel` — the fused closed-loop kernel: circuit
-  chains lowered to flat stage programs run by a compiled interpreter
+  chains lowered to flat stage programs run by the compiled megakernel
+  of their program shape, one loop or a whole batch per call
   (``KERNEL_BACKENDS`` names the execution paths; the executor's
   ``BACKENDS`` says whether a grid may run as one batch call —
   different axes).
@@ -42,8 +43,8 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "executor": ("BACKENDS", "BatchExecutor", "BatchResult", "TaskOutcome"),
     "fabric": ("FabricWorker", "WorkerStats", "fabric_worker_id",
                "run_fabric_sweep", "submit_fabric_job"),
-    "kernel": ("AUTO_ORDER", "KERNEL_BACKENDS=BACKENDS", "BATCH_AUTO_ORDER",
-               "CC_ENV", "FusedLoopKernel", "KERNEL_THREADS_ENV",
+    "kernel": ("AUTO_ORDER", "KERNEL_BACKENDS=BACKENDS", "CC_ENV",
+               "FusedLoopKernel", "KERNEL_THREADS_ENV",
                "KernelBatch", "KernelInfo", "KernelOp", "KernelRunInfo",
                "KernelRunResult", "KernelStage", "ModeLowering",
                "batch_signature", "cc_available", "cc_usable",
@@ -63,7 +64,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
 __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
-    "BATCH_AUTO_ORDER",
     "CACHE_VERSION",
     "CC_ENV",
     "FAULT_KINDS",

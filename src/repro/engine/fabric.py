@@ -42,7 +42,7 @@ sweep --fabric``: submit (or resume) the job, start N worker processes,
 wait for the chunk table to settle, and build the
 :class:`~repro.analysis.SweepResult` from the finished job's result
 payload — bit-exact (``np.array_equal``) with the serial reference
-path, because every kernel route is bit-exact to solo fused.
+path, because every kernel route is bit-exact to the reference loop.
 
 Workers start from a forkserver that has already imported what a chunk
 needs (``_WORKER_PRELOAD``, which names every module a chunk reaches,

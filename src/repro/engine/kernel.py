@@ -12,30 +12,27 @@ flat *stage program* and runs it in one allocation-free inner loop:
 * :class:`FusedLoopKernel` composes the stages with the bridge gain,
   the (linear) Lorentz actuator, and the exact-ZOH modal propagators
   into one program;
-* the **fused** backend runs the program through a small C interpreter
-  compiled once per machine with the system C compiler (strict IEEE
-  flags, result cached on disk) — ~50-100x the reference path; when no
-  compiler is available it falls back to a specialized straight-line
-  Python inner loop generated from the program (no attribute lookups,
-  no method dispatch, literal coefficients) — still several times the
-  reference path;
-* :class:`KernelBatch` runs N same-shape programs at once, whatever N:
-  on the code-generated columnar megakernel for their program shape
-  (:mod:`~repro.engine.kernel_columnar`) when a C engine is trusted,
-  else as per-instance solo fused runs.  Single loops keep the solo
-  interpreter, which is faster than a one-instance megakernel.
+* :class:`KernelBatch` runs N same-shape programs at once, whatever N,
+  and a single loop's :meth:`FusedLoopKernel.run` is a batch of one.
+  The **fused** backend runs a batch on the C megakernel generated for
+  its program shape (:mod:`~repro.engine.kernel_columnar`; strict IEEE
+  flags, built once per shape per machine with the system C compiler,
+  cached on disk) — ~50-100x the reference path; when no compiler is
+  trusted it runs each instance on a specialized straight-line Python
+  inner loop generated from the program (no attribute lookups, no
+  method dispatch, literal coefficients) — still several times the
+  reference path.
 
 Equivalence is the contract, and it is one contract for every route:
 each primitive replicates the reference ``step()`` arithmetic
-operation-for-operation, so the fused waveforms match the per-sample
-loop bit-for-bit, and a columnar batch matches its instances' solo
-fused runs bit-for-bit (pinned by the golden test suites,
-``make kernel-check`` and ``make vector-check``).  Blocks that cannot
-lower — unknown user subclasses, instance-patched ``step`` methods,
-amplifiers with per-sample noise — raise
-:class:`~repro.errors.LoweringError`; the loop simulators catch it and
-fall back to the reference path with a logged reason, recorded by
-:func:`kernel_info`.
+operation-for-operation, so on either engine and at any batch width
+the fused waveforms match the per-sample loop bit-for-bit (pinned by
+the golden test suites, ``make kernel-check`` and ``make
+vector-check``).  Blocks that cannot lower — unknown user subclasses,
+instance-patched ``step`` methods, amplifiers with per-sample noise —
+raise :class:`~repro.errors.LoweringError`; the loop simulators catch
+it and fall back to the reference path with a logged reason, recorded
+by :func:`kernel_info`.
 """
 
 from __future__ import annotations
@@ -48,14 +45,13 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import KernelError, LoweringError
-from .resilience import get_breaker, poll_fault
+from .resilience import get_breaker
 from .timing import StageTimer
 
 logger = logging.getLogger(__name__)
@@ -63,7 +59,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
-    "BATCH_AUTO_ORDER",
     "CC_ENV",
     "FusedLoopKernel",
     "KERNEL_THREADS_ENV",
@@ -118,16 +113,13 @@ _N_PARAMS = 5
 BACKENDS = ("auto", "reference", "fused")
 
 #: The engines under the ``fused`` backend (``auto`` resolves to it), in
-#: the order :meth:`FusedLoopKernel.run` tries them, pinned by regression
-#: tests: the C-compiled interpreter when a compiler exists and is
-#: trusted (:func:`cc_usable`), else generated straight-line Python.
-AUTO_ORDER = ("fused:cc", "fused:codegen")
-
-#: The routes of :meth:`KernelBatch.run`, in the order it tries them:
-#: the shape's columnar megakernel (:mod:`~repro.engine.kernel_columnar`)
-#: when a compiler is trusted, otherwise per-instance solo fused runs.
-#: Both are bit-identical to running each kernel alone.
-BATCH_AUTO_ORDER = ("columnar:cc", "fused:solo")
+#: the order :meth:`KernelBatch.run` tries them for a batch of any width,
+#: a single loop's run included; pinned by regression tests.  First the
+#: program shape's columnar C megakernel
+#: (:mod:`~repro.engine.kernel_columnar`) when a compiler exists and is
+#: trusted (:func:`cc_usable`), else generated straight-line Python, one
+#: instance at a time.  Both are bit-identical to the reference loop.
+AUTO_ORDER = ("columnar:cc", "fused:codegen")
 
 
 @dataclass(frozen=True)
@@ -188,10 +180,10 @@ class ModeLowering:
 class KernelRunInfo:
     """How one closed-loop run executed (see also :func:`kernel_info`).
 
-    ``engine`` names the machinery under the backend: ``"cc"`` (the
-    C-compiled interpreter) or ``"codegen"`` (generated Python source)
-    for solo runs; ``"cc-columnar"`` (its program shape's columnar
-    megakernel) for an instance of a columnar batch.
+    ``engine`` names the machinery under the backend:
+    ``"cc-columnar"`` (its program shape's columnar C megakernel, which
+    runs a single loop as a batch of one) or ``"codegen"`` (generated
+    Python source).
     """
 
     backend: str
@@ -226,9 +218,7 @@ class KernelRunResult:
 
 _CC_CHECKED = False
 _CC: str | None = None
-_CC_INTERPRET = None
 _CC_BUILD_ERROR: str | None = None
-_CC_LOCK = threading.Lock()
 
 #: Environment variable overriding compiler discovery (``CC=/bin/false``
 #: is the canonical way to force the build to fail and exercise the
@@ -264,12 +254,10 @@ def reset_compiler_probe() -> None:
     never needs this.  The on-disk ``.so`` cache is untouched — only the
     in-process memoization resets.
     """
-    global _CC_CHECKED, _CC, _CC_INTERPRET, _CC_BUILD_ERROR
-    with _CC_LOCK:
-        _CC_CHECKED = False
-        _CC = None
-        _CC_INTERPRET = None
-        _CC_BUILD_ERROR = None
+    global _CC_CHECKED, _CC, _CC_BUILD_ERROR
+    _CC_CHECKED = False
+    _CC = None
+    _CC_BUILD_ERROR = None
     from . import kernel_columnar
 
     kernel_columnar._reset_engine()
@@ -308,23 +296,23 @@ def cc_usable() -> bool:
 
 
 def _load_cc_engine(
-    build: Callable[[], Callable], timer: StageTimer, fallback: str
+    build: Callable[[], Callable], timer: StageTimer
 ) -> Callable | None:
     """Run ``build()`` under the C engine's trust machinery.
 
     Returns ``None`` when there is no compiler, when the engine is
     blocked (a memoized build failure or an open ``kernel-cc`` breaker),
-    or when ``build()`` fails now.  The blocked and failed cases count
-    as degrades, logged with ``fallback`` (the engine that runs
-    instead); a failed build also counts against the breaker.  The solo
-    interpreter and the columnar engine share this gate.
+    or when ``build()`` fails now; the generated-Python engine then
+    runs instead.  The blocked and failed cases count as degrades; a
+    failed build also counts against the breaker.
     """
     if not cc_available():
         return None
     blocked = _cc_engine_blocked()
     if blocked is not None:
         record_degrade(blocked)
-        logger.info("C kernel engine skipped (%s); using %s", blocked, fallback)
+        logger.info("C kernel engine skipped (%s); using generated Python",
+                    blocked)
         return None
     breaker = get_breaker("kernel-cc")
     try:
@@ -334,7 +322,7 @@ def _load_cc_engine(
         breaker.record_failure(str(err))
         record_degrade(str(err))
         logger.warning(
-            "C kernel engine unavailable (%s); using %s", err, fallback
+            "C kernel engine unavailable (%s); using generated Python", err
         )
         return None
     breaker.record_success()
@@ -345,7 +333,7 @@ def resolve_backend(backend: str) -> str:
     """Validate a requested backend and map ``auto`` to ``fused``.
 
     The engine under ``fused`` is chosen per run by
-    :meth:`FusedLoopKernel.run`, following :data:`AUTO_ORDER`.
+    :meth:`KernelBatch.run`, following :data:`AUTO_ORDER`.
     """
     if backend not in BACKENDS:
         raise KernelError(
@@ -372,8 +360,8 @@ class KernelInfo:
     batch_runs: int = 0
     batch_instances: int = 0
     last_batch_threads: int = 0
-    #: Memoized build failure of a C engine — the solo interpreter or a
-    #: shape's columnar megakernel (probed once per process).
+    #: Memoized build failure of the C engine — a shape's columnar
+    #: megakernel (probed once per process).
     cc_build_error: str | None = None
     #: True while the ``kernel-cc`` circuit breaker quarantines the C engine.
     cc_quarantined: bool = False
@@ -385,7 +373,8 @@ class KernelInfo:
     #: Every ``KernelBatch.run`` counts once in ``batch_runs`` and once
     #: in exactly one of these two: ``batch_columnar_runs`` (the
     #: shape's columnar megakernel) or ``batch_declined`` (per-instance
-    #: solo fused runs, because no C engine is trusted).
+    #: generated-Python runs, because no C engine is trusted).  A single
+    #: loop's run is a batch of one, so it counts here too.
     batch_declined: int = 0
     batch_columnar_runs: int = 0
     last_batch_engine: str | None = None
@@ -476,8 +465,9 @@ def record_batch(
     """Account one :meth:`KernelBatch.run` call.
 
     ``engine`` is the batch machinery that ran: ``"columnar"`` (counted
-    in ``batch_columnar_runs``) or ``"solo"`` — per-instance solo fused
-    runs because no C engine is trusted, counted in ``batch_declined``.
+    in ``batch_columnar_runs``) or ``"solo"`` — each instance run alone
+    on the generated-Python engine because no C engine is trusted,
+    counted in ``batch_declined``.
     """
     _STATS["batch_runs"] += 1
     _STATS["batch_instances"] += int(n_instances)
@@ -485,8 +475,8 @@ def record_batch(
     _STATS["last_batch_engine"] = str(engine)
     if engine == "solo":
         _STATS["batch_declined"] += 1
-        logger.info("kernel batch of %d instances ran solo fused (no "
-                    "trusted C engine)", n_instances)
+        logger.info("kernel batch of %d instances ran on generated "
+                    "Python (no trusted C engine)", n_instances)
     else:
         _STATS["batch_columnar_runs"] += 1
     if run_seconds > 0.0 and total_samples:
@@ -517,7 +507,7 @@ def record_fallback(reason: str) -> None:
 def record_degrade(reason: str) -> None:
     """Account one run that degraded below the compiled C engine.
 
-    Counted whenever a run wanted AUTO_ORDER[0] (``fused:cc``) but
+    Counted whenever a run wanted AUTO_ORDER[0] (``columnar:cc``) but
     executed further down the order for a *runtime* reason — a failed
     build, an injected compile fault, or a quarantined engine.
     """
@@ -693,52 +683,39 @@ class FusedLoopKernel:
         """Execute the program for ``n`` samples.
 
         ``noise`` is the per-sample bridge-noise waveform (zeros when
-        noise is disabled).  The one kernel backend is ``fused``; its
-        engine follows :data:`AUTO_ORDER` — the C-compiled program
-        interpreter when the compiler is trusted, else generated Python.
+        noise is disabled), at least ``n`` samples long.  The one kernel
+        backend is ``fused``.  The run is a one-instance
+        :class:`KernelBatch`, so it takes the batch's checks and its
+        engine follows :data:`AUTO_ORDER`: the shape's C megakernel when
+        the compiler is trusted, else generated Python.
         """
         if backend != "fused":
             raise KernelError(
                 f"kernel backend must be 'fused', got {backend!r}"
             )
+        return KernelBatch([self], [n], [noise]).run()[0]
+
+    def _sync_stages(self, final_state: Sequence[float]) -> None:
+        for stage, start, end in self._slices:
+            if stage.sync is not None:
+                stage.sync(final_state[start:end])
+
+    # -- generated-Python backend -------------------------------------------------
+
+    def _run_codegen(self, n: int, noise: np.ndarray) -> KernelRunResult:
+        """One run on the generated-Python engine (``engine="codegen"``)."""
         timer = StageTimer()
         state = list(self._state0)
         mode_state = [c for m in self.modes for c in (m.x0, m.v0)]
-
-        fn_arrays = _load_cc_engine(_cc_interpreter, timer, "generated Python")
-        if fn_arrays is not None:
-            arrs = self._program_arrays()
-            state_arr = np.asarray(state, dtype=float)
-            mode_coef = np.asarray(
-                [c for m in self.modes
-                 for c in (m.a11, m.a12, m.a21, m.a22, m.b1, m.b2, m.coef)],
-                dtype=float,
-            )
-            mode_arr = np.asarray(mode_state, dtype=float)
-            noise_arr = np.ascontiguousarray(noise, dtype=float)
-            outs = [np.empty(n) for _ in range(5)]
-            with timer.stage("run"):
-                fn_arrays(
-                    n, len(self.modes), *arrs, state_arr, mode_coef, mode_arr,
-                    noise_arr, self.act_r, self.act_imax, self.act_fpc, *outs,
-                )
-            state = [float(s) for s in state_arr]
-            mode_state = [float(s) for s in mode_arr]
-            arrays = outs
-            engine = "cc"
-        else:
-            engine = "codegen"
-            with timer.stage("compile"):
-                fn = self._fused_function()
-            out = _allocate_lists(n)
-            with timer.stage("run"):
-                fn(n, state, mode_state, noise.tolist(), *out)
-            arrays = [np.asarray(o, dtype=float) for o in out]
-
+        with timer.stage("compile"):
+            fn = self._fused_function()
+        out = _allocate_lists(n)
+        with timer.stage("run"):
+            fn(n, state, mode_state, noise.tolist(), *out)
         self._sync_stages(state)
         info = KernelRunInfo(
-            backend=backend,
-            engine=engine,
+            backend="fused",
+            engine="codegen",
             n_samples=n,
             n_ops=self.n_ops,
             n_state=self.n_state,
@@ -747,30 +724,17 @@ class FusedLoopKernel:
             run_seconds=timer.seconds("run"),
         )
         record_op_profile(self._kinds, n)
-        record_run(backend, n, timer.seconds("run"), timer.seconds("compile"))
+        record_run("fused", n, timer.seconds("run"), timer.seconds("compile"))
+        arrays = [np.asarray(o, dtype=float) for o in out]
         return KernelRunResult(
             displacement=arrays[0],
             bridge_voltage=arrays[1],
             limiter_input=arrays[2],
             limiter_output=arrays[3],
             drive_voltage=arrays[4],
-            mode_state=[float(s) for s in mode_state],
+            mode_state=mode_state,
             info=info,
         )
-
-    def _sync_stages(self, final_state: Sequence[float]) -> None:
-        for stage, start, end in self._slices:
-            if stage.sync is not None:
-                stage.sync(final_state[start:end])
-
-    def _program_arrays(self):
-        kinds = np.asarray(self._kinds, dtype=np.int64)
-        p = np.asarray(self._params, dtype=float).reshape(-1, _N_PARAMS)
-        cols = tuple(np.ascontiguousarray(p[:, j]) for j in range(_N_PARAMS))
-        sidx = np.asarray(self._sidx, dtype=np.int64)
-        return (kinds,) + cols + (sidx,)
-
-    # -- generated-Python backend -------------------------------------------------
 
     def _fused_function(self):
         if self._fused_fn is None:
@@ -791,10 +755,12 @@ def _allocate_lists(n: int):
 #
 # A whole sweep as one call: N independent instances of the same
 # program *shape* (op kinds + state layout), each with its own
-# parameter/state/noise/actuator block.  Wide batches run on the
-# columnar engine (:mod:`~repro.engine.kernel_columnar`), partitioned
-# across C pthreads; narrow ones run each instance solo fused, which is
-# bit-identical to running the kernels one by one.
+# parameter/state/noise/actuator block.  Every batch, whatever its
+# width (a single loop's run is a batch of one), runs on its shape's
+# columnar megakernel (:mod:`~repro.engine.kernel_columnar`), partitioned
+# across C pthreads, when a C engine is trusted; otherwise each instance
+# runs on the generated-Python engine.  Both are bit-identical to the
+# reference loop.
 
 #: Hard ceiling on C-level batch threads (matches the columnar C entry).
 MAX_BATCH_THREADS = 64
@@ -859,9 +825,10 @@ class KernelBatch:
         least ``ns[i]`` samples.
 
     ``run()`` executes the batch, whatever its width, on its shape's
-    compiled columnar megakernel when a C engine is trusted, and as
-    per-instance solo fused runs otherwise; either way every instance
-    is bit-identical to its solo run (pinned with ``np.array_equal``).
+    compiled columnar megakernel when a C engine is trusted, and each
+    instance on the generated-Python engine otherwise; either way every
+    instance is bit-identical to its reference-loop run (pinned with
+    ``np.array_equal``).  :meth:`FusedLoopKernel.run` is a batch of one.
     """
 
     def __init__(
@@ -910,10 +877,10 @@ class KernelBatch:
         """Execute all instances; one :class:`KernelRunResult` each, in
         input order.
 
-        Follows :data:`BATCH_AUTO_ORDER`: the shape's compiled columnar
+        Follows :data:`AUTO_ORDER`: the shape's compiled columnar
         megakernel (built on first use) when a C engine is trusted,
-        else per-instance solo fused runs.
-        ``threads`` requests the columnar engine's C thread count
+        else each instance on the generated-Python engine.
+        ``threads`` requests the megakernel's C thread count
         (resolved by :func:`kernel_batch_threads`).
         """
         from . import kernel_columnar
@@ -921,7 +888,7 @@ class KernelBatch:
         timer = StageTimer()
         fn = _load_cc_engine(
             lambda: kernel_columnar.columnar_interpreter(self.signature),
-            timer, "solo fused runs",
+            timer,
         )
         if fn is not None:
             return kernel_columnar.run_columnar_cc(
@@ -929,7 +896,7 @@ class KernelBatch:
                 timer,
             )
         results = [
-            kernel.run(n, noise, backend="fused")
+            kernel._run_codegen(n, noise)
             for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
         ]
         record_batch(self.n_instances, 1)
@@ -1073,104 +1040,12 @@ def _compile_source(source: str) -> Callable:
     return fn
 
 
-# -- C-compiled interpreter (the fused backend's fast engine) ----------------------
+# -- the C build cache ------------------------------------------------------------
 #
-# A generic interpreter of the stage program: every op replicates the
-# generated-Python arithmetic of :func:`_generate_source`.  Compiled once
-# per machine with strict IEEE flags (``-ffp-contract=off`` forbids FMA
-# contraction, no fast-math) so every double operation rounds exactly
-# like the Python reference — the golden suite pins this bit-for-bit.
-# The shared object is cached on disk keyed by the source hash; a cache
-# hit makes "compile time" a dlopen.
-
-_C_SOURCE = """
-#include <math.h>
-
-void run_program(
-    long n, long n_modes, long n_ops,
-    const long *kinds, const double *p0, const double *p1, const double *p2,
-    const double *p3, const double *p4, const long *sidx,
-    double *state, const double *mode_coef, double *mode_state,
-    const double *noise, double act_r, double act_imax, double act_fpc,
-    double *out_disp, double *out_bridge, double *out_limin,
-    double *out_limout, double *out_drive)
-{
-    for (long i = 0; i < n; i++) {
-        double v;
-        if (n_modes == 1) {
-            v = mode_coef[6] * mode_state[0] + noise[i];
-        } else {
-            v = mode_coef[6] * mode_state[0];
-            for (long m = 1; m < n_modes; m++)
-                v = v + mode_coef[7*m + 6] * mode_state[2*m];
-            v = v + noise[i];
-        }
-        out_bridge[i] = v;
-        for (long j = 0; j < n_ops; j++) {
-            long k = kinds[j];
-            if (k == 2) {                       /* OP_SOS */
-                long p = sidx[j];
-                double y = p0[j] * v + state[p];
-                state[p] = p1[j] * v - p3[j] * y + state[p + 1];
-                state[p + 1] = p2[j] * v - p4[j] * y;
-                v = y;
-            } else if (k == 1) {                /* OP_GAIN */
-                v = v * p0[j];
-            } else if (k == 0) {                /* OP_BIAS */
-                v = v + p0[j];
-            } else if (k == 3) {                /* OP_RC */
-                long p = sidx[j];
-                state[p] = state[p] + p0[j] * (v - state[p]);
-                v = state[p];
-            } else if (k == 4) {                /* OP_CLIP */
-                if (v < p0[j]) v = p0[j];
-                else if (v > p1[j]) v = p1[j];
-            } else if (k == 5) {                /* OP_TANH */
-                v = p1[j] * tanh(p0[j] * v / p1[j]);
-            } else if (k == 6) {                /* OP_DIFF */
-                long p = sidx[j];
-                double y = (v - state[p]) * p0[j];
-                state[p] = v;
-                v = y;
-            } else if (k == 7) {                /* OP_DEADZONE */
-                if (v <= p0[j] && v >= p1[j]) v = 0.0;
-                else if (v > 0.0) v = v - p0[j];
-                else v = v - p1[j];
-            } else if (k == 8) {                /* OP_SLEW */
-                long p = sidx[j];
-                double y = v - state[p];
-                if (y > p0[j]) v = state[p] + p0[j];
-                else if (y < p1[j]) v = state[p] + p1[j];
-                state[p] = v;
-            } else if (k == 9) {                /* OP_LATCH */
-                state[sidx[j]] = v;
-            } else if (k == 10) {               /* OP_TAP_LIMIN */
-                out_limin[i] = v;
-            } else if (k == 11) {               /* OP_TAP_LIMOUT */
-                out_limout[i] = v;
-            } else {                            /* OP_TAP_DRIVE */
-                out_drive[i] = v;
-            }
-        }
-        double cur = v / act_r;
-        if (cur > act_imax) cur = act_imax;
-        else if (cur < -act_imax) cur = -act_imax;
-        double f = act_fpc * cur;
-        for (long m = 0; m < n_modes; m++) {
-            long b = 7*m;
-            double x0 = mode_state[2*m];
-            double v0 = mode_state[2*m + 1];
-            mode_state[2*m] =
-                mode_coef[b]*x0 + mode_coef[b+1]*v0 + mode_coef[b+4]*f;
-            mode_state[2*m + 1] =
-                mode_coef[b+2]*x0 + mode_coef[b+3]*v0 + mode_coef[b+5]*f;
-        }
-        out_disp[i] = mode_state[0];
-    }
-}
-"""
-
-_CC_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+# The C engine's shared objects (one megakernel per program shape, see
+# :mod:`~repro.engine.kernel_columnar`) are cached on disk keyed by the
+# hash of their source and flags; a cache hit makes "compile time" a
+# dlopen.
 
 
 def _cc_cache_dir() -> str:
@@ -1187,9 +1062,8 @@ def _cc_compile_so(source: str, flags: Sequence[str], stem: str) -> ctypes.CDLL:
     builders agree and a cache hit makes "compile time" a dlopen.  Each
     build writes its source and output under names private to it, so
     two builders of one source — threads or processes — never share a
-    file before that replace.  The solo interpreter (``stem="kernel"``)
-    and the columnar megakernels (``stem="columnar"``,
-    :mod:`~repro.engine.kernel_columnar`) share this machinery.  Raises
+    file before that replace.  The columnar megakernels build through it
+    (``stem="columnar"``, :mod:`~repro.engine.kernel_columnar`).  Raises
     :class:`KernelError` on build failure.
     """
     digest = hashlib.sha256(
@@ -1222,55 +1096,3 @@ def _cc_compile_so(source: str, flags: Sequence[str], stem: str) -> ctypes.CDLL:
                     os.unlink(path)
         logger.info("C kernel engine compiled to %s", so_path)
     return ctypes.CDLL(so_path)
-
-
-def _cc_build() -> Callable:
-    lib = _cc_compile_so(_C_SOURCE, _CC_FLAGS, "kernel")
-    dbl = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-    idx = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-    lib.run_program.restype = None
-    lib.run_program.argtypes = (
-        [ctypes.c_long, ctypes.c_long, ctypes.c_long]
-        + [idx] + [dbl] * 5 + [idx] + [dbl] * 4
-        + [ctypes.c_double] * 3 + [dbl] * 5
-    )
-    raw = lib.run_program
-
-    def run(n, n_modes, kinds, p0, p1, p2, p3, p4, sidx,
-            state, mode_coef, mode_state, noise,
-            act_r, act_imax, act_fpc, *outs):
-        raw(n, n_modes, len(kinds), kinds, p0, p1, p2, p3, p4, sidx,
-            state, mode_coef, mode_state, noise,
-            act_r, act_imax, act_fpc, *outs)
-
-    run._lib = lib  # keep the CDLL alive alongside the wrapper
-    return run
-
-
-def _cc_interpreter() -> Callable:
-    """The compiled-and-loaded C interpreter (built once, cached on disk).
-
-    Raises :class:`KernelError` when no compiler is on PATH or the
-    build fails; ``FusedLoopKernel.run`` then falls back to the
-    generated-Python engine.  A real build failure is memoized for the
-    process (the broken compiler is invoked once, not per run); an
-    injected ``kernel.compile`` fault is *not* memoized — it fires per
-    its plan and lets later runs recover, which is what the fault suite
-    asserts.
-    """
-    global _CC_INTERPRET, _CC_BUILD_ERROR
-    if poll_fault("kernel.compile") is not None:
-        raise KernelError("injected fault at kernel.compile")
-    if _CC_BUILD_ERROR is not None:
-        raise KernelError(_CC_BUILD_ERROR)
-    if _CC_INTERPRET is None:
-        if not cc_available():
-            raise KernelError("no C compiler on PATH")
-        with _CC_LOCK:
-            if _CC_INTERPRET is None:
-                try:
-                    _CC_INTERPRET = _cc_build()
-                except KernelError as err:
-                    _CC_BUILD_ERROR = str(err)
-                    raise
-    return _CC_INTERPRET

@@ -2,7 +2,8 @@
 
 Running a batch instance by instance walks each program independently,
 which leaves the vector units idle.  This module turns the batch inside
-out:
+out.  It is the one C engine: a single loop runs here too, as a batch
+of one.
 
 * every per-instance block (params, state, mode coefficients, actuator
   constants) is **transposed** to structure-of-arrays — one contiguous
@@ -25,11 +26,12 @@ out:
   flushed to 64-byte-aligned result rows with non-temporal stores.
 
 Contract: every instance of a columnar batch is **bit-identical** to its
-solo fused run — the same contract as every other kernel route, pinned
-with ``np.array_equal`` by ``tests/engine/test_kernel_columnar.py``.
-Each lane runs the solo interpreter's exact per-sample operation
-sequence: FMA contraction is off at every vector width, and the kernel
-calls scalar libm ``tanh``.  glibc's vector ``tanh`` (libmvec) differs
+reference-loop run — the same contract as every other kernel route,
+pinned with ``np.array_equal`` by ``tests/engine/test_kernel_columnar.py``.
+Each lane runs the reference ``step()`` chain's exact per-sample
+operation sequence, the one the generated-Python engine also runs: FMA
+contraction is off at every vector width, and the kernel calls scalar
+libm ``tanh``.  glibc's vector ``tanh`` (libmvec) differs
 from libm's in the last bits, so the kernel does not use it.
 """
 
@@ -79,7 +81,7 @@ __all__ = [
 # -- comparison tolerances ---------------------------------------------------------
 #
 # No engine relies on these: every kernel route, columnar included, is
-# bit-exact to solo fused.  They remain the documented tolerance for a
+# bit-exact to the reference loop.  They remain the documented tolerance for a
 # harness that compares reduced columns (a relative tolerance plus an
 # absolute floor scaled to the column's own peak, since waveform units
 # span volts to nanometres), and max_ulp_distance() says how far apart
@@ -288,7 +290,7 @@ def _package(
             compile_seconds=compile_seconds if i == 0 else 0.0,
             run_seconds=run_seconds if i == 0 else 0.0,
         )
-        record_run("fused", n_i, 0.0, 0.0)
+        record_run("fused", n_i, 0.0, compile_seconds)
         results.append(KernelRunResult(
             displacement=disp_r[col, :n_i],
             bridge_voltage=bridge_r[col, :n_i],
@@ -308,8 +310,8 @@ def _package(
 #
 # One kernel per program shape, generated from its op list (below).
 # IEEE-strict: -O3 but no fast-math, FMA contraction off, tanh left as
-# the scalar libm call — per-lane arithmetic is the exact
-# solo-interpreter sequence.
+# the scalar libm call — per-lane arithmetic is the exact reference
+# sequence.
 
 COLUMNAR_FLAGS = [
     "-O3", "-fPIC", "-shared", "-ffp-contract=off",
@@ -408,9 +410,9 @@ void run_columnar(
 # off one base defeat its alias budget).  The tanh segment calls scalar
 # libm ``tanh`` lane by lane: glibc's libmvec vector ``tanh`` differs
 # from it in the last bits, which would break the bit-exact contract.
-# Every segment keeps the exact per-sample arithmetic order of the solo
-# interpreter, with clamps rewritten as NaN-equivalent ternaries so the
-# bodies stay branch-free.
+# Every segment keeps the exact per-sample arithmetic order of the
+# reference ``step()`` chain, with clamps rewritten as NaN-equivalent
+# ternaries so the bodies stay branch-free.
 #
 # Memory traffic is the kernel's budget.  It reads the batch noise
 # directly from the instance-major block (``nzi[k*nm + i]`` — a strided
@@ -819,12 +821,12 @@ def columnar_interpreter(signature: tuple) -> Callable:
     ``signature`` is the batch's
     :func:`~repro.engine.kernel.batch_signature`.  Each shape is built
     once per process (``.so`` cached on disk, keyed by its source).
-    Shares the solo engine's trust machinery: an injected
+    Under the C engine's trust machinery: an injected
     ``kernel.compile`` fault raises per its plan and is never memoized,
     and a real build failure is memoized into the module-wide
     ``cc_build_error`` (a compiler that cannot build one kernel source
-    cannot build another).  :meth:`KernelBatch.run` degrades to solo
-    fused runs on :class:`KernelError`.
+    cannot build another).  :meth:`KernelBatch.run` degrades to the
+    generated-Python engine on :class:`KernelError`.
     """
     if poll_fault("kernel.compile") is not None:
         raise KernelError("injected fault at kernel.compile")

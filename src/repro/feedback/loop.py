@@ -631,8 +631,9 @@ def run_batch(
     :class:`~repro.engine.kernel.KernelBatch`.  Each group, whatever
     its width, runs as one call of its shape's compiled columnar
     megakernel, pthread-partitioned across instances; only where no C
-    engine is trusted does a group run each loop solo fused.  Either way
-    every record is ``np.array_equal`` to the loop's solo fused run.
+    engine is trusted does a group run each loop on generated Python.
+    Either way every record is ``np.array_equal`` to the loop's solo
+    run, on the fused or the reference backend.
 
     Parameters
     ----------

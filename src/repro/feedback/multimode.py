@@ -267,7 +267,7 @@ def run_multimode_batch(
     The multi-mode analogue of :func:`repro.feedback.loop.run_batch`:
     instances sharing one program shape run in one compiled call; each
     returned bridge waveform is bit-identical to the instance's solo
-    fused run; non-lowerable instances fall back per-instance to the
+    run; non-lowerable instances fall back per-instance to the
     reference path without poisoning the batch.  ``duration`` may be a
     float or a per-instance sequence.
     """

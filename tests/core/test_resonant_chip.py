@@ -35,8 +35,11 @@ class TestConstruction:
 class TestLiveMeasurement:
     def test_batched_equals_serial_pair(self, chip):
         """Both loops as ONE kernel batch == two solo runs, exactly."""
-        batched = chip.measure_frequencies(gate_time=0.02, gates=2, batch=True)
-        serial = chip.measure_frequencies(gate_time=0.02, gates=2, batch=False)
+        batched = chip.measure_frequencies(gate_time=0.02, gates=2)
+        serial = tuple(
+            sensor.measure_frequency(gate_time=0.02, gates=2)[0]
+            for sensor in (chip.sensing, chip.reference)
+        )
         assert batched == serial
 
     def test_both_loops_lock(self, chip):

@@ -73,7 +73,7 @@ class TestClosedLoopBatch:
         ]
         reset_kernel_info()
         # every batch runs its shape's megakernel, whatever its width;
-        # only an untrusted C engine declines it to solo fused runs
+        # only an untrusted C engine declines it to generated Python
         records = run_batch(
             [build_loop(length) for length in LENGTHS], DURATION, threads=2
         )
@@ -263,12 +263,13 @@ class TestAutoResolution:
     """``auto`` resolves to ``fused``, whose engine follows AUTO_ORDER."""
 
     def test_auto_order_pinned(self):
-        assert AUTO_ORDER == ("fused:cc", "fused:codegen")
+        # one order for a single loop and a batch of any width
+        assert AUTO_ORDER == ("columnar:cc", "fused:codegen")
 
     @pytest.mark.parametrize(
         "cc,expected",
         [
-            (True, "fused"),   # AUTO_ORDER[0]: fused:cc
+            (True, "fused"),   # AUTO_ORDER[0]: columnar:cc
             (False, "fused"),  # AUTO_ORDER[1]: fused:codegen
         ],
     )
@@ -389,7 +390,7 @@ class TestLoopSweepTaskPlanner:
 
     def test_kernel_batch_equals_serial(self):
         # three points and sixteen alike run the columnar megakernel
-        # when a compiler is trusted, and solo fused runs otherwise
+        # when a compiler is trusted, and generated Python otherwise
         grids = (LENGTHS, np.linspace(170.0, 260.0, 16))
         for lengths in grids:
             serial = self._sweep("serial", lengths=lengths)

@@ -2,16 +2,18 @@
 
 The columnar engine keeps the fused kernel's contract
 (``docs/FASTPATH.md``): every waveform of every instance is
-``np.array_equal`` to its solo fused run.  This suite pins that
-contract on the one columnar engine, each program shape's generated
-megakernel, in cold processes and hot ones (stale scratch), across
-reference-spec variants, liquids, modes, noise on/off, multimode
-stacks, heterogeneous durations, per-instance lowering fallbacks and
-a property-based sweep, at every width from one instance up — plus the
-batch route order, the no-compiler and untrusted-compiler routes (solo
-fused), the once-per-shape build, the shared ``.so`` build cache, and
-the profile counters surfaced through ``kernel_info()`` and ``repro
-health``.
+``np.array_equal`` to its run on an independent engine — the
+per-sample reference loop, or the generated-Python engine where a test
+lowers kernels directly (a solo fused run would be the same megakernel
+at width one).  This suite pins that contract on the one C engine,
+each program shape's generated megakernel, in cold processes and hot
+ones (stale scratch), across reference-spec variants, liquids, modes,
+noise on/off, multimode stacks, heterogeneous durations, per-instance
+lowering fallbacks and a property-based sweep, at every width from one
+instance up — plus the no-compiler and untrusted-compiler routes
+(generated Python), the once-per-shape build, the shared ``.so`` build
+cache, and the profile counters surfaced through ``kernel_info()`` and
+``repro health``.
 """
 
 from __future__ import annotations
@@ -19,30 +21,29 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-import pathlib
-import shutil
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import repro.engine as engine_pkg
 import repro.engine.kernel as kernel_mod
 import repro.engine.kernel_columnar as columnar
 from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
 from repro.engine import (
-    BATCH_AUTO_ORDER,
     KernelBatch,
     cc_available,
     kernel_info,
-    reset_breakers,
     reset_compiler_probe,
     reset_kernel_info,
 )
-from repro.engine.kernel import OP_NAMES, _cc_cache_dir
+from repro.engine.kernel import OP_NAMES
 from repro.feedback import run_batch
 from repro.service.health import resilience_snapshot
+
+from .test_resilience import broken_compiler
 
 DURATION = 0.004
 LENGTHS = (170.0, 185.0, 200.0, 215.0, 230.0)
@@ -113,7 +114,7 @@ def assert_records_equal(ref, rec, label):
 def assert_batches_ran(n_batches):
     """Since the last counter reset, ``n_batches`` batches ran, each on
     its shape's megakernel — or, with no compiler, declined to
-    per-instance solo fused runs."""
+    per-instance generated-Python runs."""
     __tracebackhide__ = True
     info = kernel_info()
     assert info.batch_runs == n_batches
@@ -139,37 +140,6 @@ def no_compiler():
         reset_compiler_probe()
 
 
-@contextmanager
-def broken_compiler(tmp_path):
-    """CC=/bin/false with every disk-cached ``.so`` stashed away.
-
-    Unlike the resilience suite's kernel-only variant this also stashes
-    the ``columnar-*.so`` artifacts (their cache key does not include
-    the CC path), so the columnar engine genuinely cannot load.
-    """
-    cache = pathlib.Path(_cc_cache_dir())
-    stashed = []
-    if cache.is_dir():
-        for so in cache.glob("*.so"):
-            target = tmp_path / so.name
-            shutil.move(str(so), str(target))
-            stashed.append((so, target))
-    saved = os.environ.get("CC")
-    os.environ["CC"] = "/bin/false"
-    reset_compiler_probe()
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("CC", None)
-        else:
-            os.environ["CC"] = saved
-        for so, target in stashed:
-            shutil.move(str(target), str(so))
-        reset_compiler_probe()
-        reset_breakers()
-
-
 class TestToleranceContract:
     """The comparison tolerances harnesses import, and the ulp-distance
     reporter the bit-exact assertions print on failure."""
@@ -191,8 +161,8 @@ class TestToleranceContract:
 
 
 class TestColumnarGolden:
-    """Columnar vs solo fused, bit for bit, instance for instance: every
-    batch runs on its shape's megakernel.
+    """Columnar vs the reference loop, bit for bit, instance for
+    instance: every batch runs on its shape's megakernel.
 
     Cold process: each test starts with no megakernel loaded and an
     empty scratch pool, so its first batch loads its shape's kernel.
@@ -225,7 +195,7 @@ class TestColumnarGolden:
     def test_spec_variants(self, variant):
         lengths = VARIANT_LENGTHS.get(variant, LENGTHS)
         solos = [
-            build_loop(length, variant).run(DURATION, backend="fused")
+            build_loop(length, variant).run(DURATION, backend="reference")
             for length in lengths
         ]
         reset_kernel_info()
@@ -246,7 +216,7 @@ class TestColumnarGolden:
     def test_one_instance(self):
         """A batch of one: what a chunk or a sweep with a single cache
         miss runs."""
-        solo = build_loop(LENGTHS[2]).run(DURATION, backend="fused")
+        solo = build_loop(LENGTHS[2]).run(DURATION, backend="reference")
         reset_kernel_info()
         (record,) = run_batch([build_loop(LENGTHS[2])], DURATION,
                               threads=THREADS)
@@ -256,7 +226,7 @@ class TestColumnarGolden:
 
     def test_noise_disabled(self, make_loop):
         solos = [
-            make_loop(include_noise=False).run(DURATION, backend="fused")
+            make_loop(include_noise=False).run(DURATION, backend="reference")
             for _ in range(3)
         ]
         reset_kernel_info()
@@ -272,7 +242,7 @@ class TestColumnarGolden:
         durations = (0.003, 0.005, 0.002, 0.004)
         lengths = LENGTHS[: len(durations)]
         solos = [
-            build_loop(length).run(d, backend="fused")
+            build_loop(length).run(d, backend="reference")
             for length, d in zip(lengths, durations)
         ]
         reset_kernel_info()
@@ -295,7 +265,7 @@ class TestColumnarGolden:
             mm.loop.auto_gain(1.0 / mm.resonators[0].timestep)
             return mm
 
-        solos = [make_mm().run(0.002, backend="fused") for _ in range(2)]
+        solos = [make_mm().run(0.002, backend="reference") for _ in range(2)]
         pair = [make_mm(), make_mm()]
         reset_kernel_info()
         records = run_multimode_batch(pair, 0.002, threads=THREADS)
@@ -305,10 +275,9 @@ class TestColumnarGolden:
         assert_batches_ran(1)
 
     def test_per_instance_fallback(self):
-        solo_ref = build_loop(LENGTHS[1]).run(DURATION, backend="reference")
         solos = [
-            build_loop(length).run(DURATION, backend="fused")
-            for length in (LENGTHS[0], LENGTHS[2])
+            build_loop(length).run(DURATION, backend="reference")
+            for length in LENGTHS[:3]
         ]
         loops = [build_loop(length) for length in LENGTHS[:3]]
         original = loops[1].vga.step
@@ -322,8 +291,8 @@ class TestColumnarGolden:
         assert info.batch_instances == 2
         assert_batches_ran(1)
         assert_records_equal(solos[0], records[0], "columnar[0]")
-        assert_records_equal(solo_ref, records[1], "fallback[1]")
-        assert_records_equal(solos[1], records[2], "columnar[2]")
+        assert_records_equal(solos[1], records[1], "fallback[1]")
+        assert_records_equal(solos[2], records[2], "columnar[2]")
 
     @needs_cc
     def test_compiled_engine_tag_recorded(self):
@@ -344,10 +313,15 @@ class TestColumnarGoldenHot(TestColumnarGolden):
 
 
 class TestEngineSelection:
-    """Batch route order and the solo routes."""
+    """The megakernel when a compiler is trusted, generated Python
+    otherwise."""
 
     def test_batch_engines_pinned(self):
-        assert BATCH_AUTO_ORDER == ("columnar:cc", "fused:solo")
+        """A batch follows the one ``AUTO_ORDER`` a single loop follows:
+        there is no batch-only route order."""
+        assert kernel_mod.AUTO_ORDER == ("columnar:cc", "fused:codegen")
+        assert not hasattr(kernel_mod, "BATCH_AUTO_ORDER")
+        assert "BATCH_AUTO_ORDER" not in dir(engine_pkg)
 
     @needs_cc
     def test_wide_auto_batch_selects_columnar(self):
@@ -362,8 +336,8 @@ class TestEngineSelection:
             assert loop.last_kernel_info.engine.startswith("cc-columnar")
 
     def test_batch_declined_runs_serial_fused(self):
-        """With no C compiler a batch runs each instance solo fused at
-        the default thread count: bit-exact, counted once in
+        """With no C compiler a batch runs each instance on generated
+        Python: bit-exact to the megakernel's solo runs, counted once in
         ``batch_runs`` and once in ``batch_declined`` — the regression
         pin for declined batches."""
         lengths = LENGTHS[:3]
@@ -390,7 +364,7 @@ class TestEngineSelection:
 
     def test_untrusted_compiler_declines_to_solo(self, tmp_path):
         """A columnar batch whose C engine cannot build runs each
-        instance solo fused, bit-exact, and says why."""
+        instance on generated Python, bit-exact, and says why."""
         lengths = LENGTHS[:3]
         solos = [
             build_loop(length).run(0.002, backend="fused")
@@ -416,7 +390,7 @@ class TestFusionProfile:
         reset_kernel_info()
         build_loop().run(DURATION, backend="fused")
         hist = kernel_info().op_samples
-        assert hist, "solo fused runs must feed the op profile"
+        assert hist, "a solo fused run must feed the op profile"
         assert set(hist) <= set(OP_NAMES)
         assert all(v > 0 for v in hist.values())
         assert hist.get("SOS", 0) > 0  # every loop has biquad sections
@@ -506,7 +480,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 class TestPropertyAgreement:
-    """Any geometry mix: columnar bit-identical to solo fused."""
+    """Any geometry mix: columnar bit-identical to the generated-Python
+    engine."""
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -515,9 +490,12 @@ class TestPropertyAgreement:
                     min_size=2, max_size=4))
     def test_columnar_agrees_with_fused(self, lengths):
         solos = []
-        for length in lengths:
-            kern, prep = lowered(build_loop(length), 0.0015)
-            solos.append(kern.run(prep.n, prep.bridge_noise, backend="fused"))
+        with no_compiler():
+            for length in lengths:
+                kern, prep = lowered(build_loop(length), 0.0015)
+                solos.append(
+                    kern.run(prep.n, prep.bridge_noise, backend="fused"))
+        assert {s.info.engine for s in solos} == {"codegen"}
         kernels, ns, noises = [], [], []
         for length in lengths:
             kern, prep = lowered(build_loop(length), 0.0015)

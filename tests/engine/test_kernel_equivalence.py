@@ -6,7 +6,7 @@ so every backend must return ``np.array_equal`` waveforms (far stricter
 than the 1e-12 relative tolerance the acceptance bar asks for).  The
 suite pins this across the reference device specs, spec variations
 (liquids, modes, loop rates), noise on/off, the multi-mode loop, and
-both fused engines (compiled C and generated Python).
+both fused engines (the compiled C megakernel and generated Python).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import repro.engine.kernel as kernel_mod
 from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
 from repro.engine import kernel_info, reset_kernel_info
+from repro.errors import KernelError
 
 DURATION = 0.01
 WAVEFORMS = (
@@ -151,7 +152,8 @@ class TestMultiMode:
 
 
 class TestFusedEngines:
-    """Both fused engines (compiled C, generated Python) agree."""
+    """Both fused engines (the compiled C megakernel, generated Python)
+    agree."""
 
     def test_cc_engine_selected_when_compiler_present(self, make_loop):
         loop = make_loop()
@@ -161,7 +163,7 @@ class TestFusedEngines:
         # kernel (CC=/bin/false) has memoized its failure
         if not kernel_mod.cc_usable():
             pytest.skip("no working C compiler on this machine")
-        assert loop.last_kernel_info.engine == "cc"
+        assert loop.last_kernel_info.engine == "cc-columnar"
 
     def test_codegen_engine_matches(self, make_loop, monkeypatch):
         ref = None
@@ -174,13 +176,38 @@ class TestFusedEngines:
             rec = loop.run(DURATION, backend="fused")
             recs[forced_cc] = rec
             engine = loop.last_kernel_info.engine
-            assert engine == ("cc" if forced_cc and kernel_mod.cc_usable()
-                              else "codegen")
+            assert engine == (
+                "cc-columnar" if forced_cc and kernel_mod.cc_usable()
+                else "codegen"
+            )
         ref = make_loop(include_noise=True)
         ref.auto_gain(1.0 / ref.resonator.timestep)
         ref_rec = ref.run(DURATION, backend="reference")
         assert_records_equal(ref_rec, recs[True], "fused-primary")
         assert_records_equal(ref_rec, recs[False], "fused-codegen")
+
+    @pytest.mark.parametrize("engine", ["cc-columnar", "codegen"])
+    def test_run_rejects_short_noise_and_empty_runs(
+        self, make_loop, monkeypatch, engine
+    ):
+        """A solo run checks ``n`` and its noise length as a batch does,
+        on either engine: a short waveform must not be read past its
+        end."""
+        if engine == "codegen":
+            monkeypatch.setattr(kernel_mod, "cc_available", lambda: False)
+        elif not kernel_mod.cc_usable():
+            pytest.skip("no working C compiler on this machine")
+        loop = make_loop()
+        loop.auto_gain(1.0 / loop.resonator.timestep)
+        prep = loop._prepare_run(DURATION, None)
+        kernel = loop._lower_kernel(prep.signed_coefficient)
+        with pytest.raises(KernelError, match="has 10 samples, needs"):
+            kernel.run(prep.n, np.zeros(10))
+        with pytest.raises(KernelError, match="sample count must be >= 1"):
+            kernel.run(0, np.zeros(10))
+        result = kernel.run(prep.n, prep.bridge_noise)
+        assert result.info.engine == engine
+        assert np.all(np.isfinite(result.displacement))
 
 
 class TestKernelCounters:
@@ -194,6 +221,7 @@ class TestKernelCounters:
         assert info.total_samples == len(rec.bridge_voltage)
         assert info.last_backend == "fused"
         assert info.last_samples_per_second > 0.0
+        assert info.last_compile_seconds == loop.last_kernel_info.compile_seconds
         assert info.fallbacks == 0
 
     def test_run_info_reports_program_shape(self, make_loop):

@@ -537,7 +537,9 @@ class TestKernelCompileFault:
 
 @contextmanager
 def broken_compiler(tmp_path):
-    """CC=/bin/false with the disk-cached .so stashed: every build fails."""
+    """CC=/bin/false with every disk-cached ``.so`` stashed away, so
+    every build fails and no cached megakernel can hide it (the cache
+    key does not include the CC path)."""
     import pathlib
     import shutil
 
@@ -546,7 +548,7 @@ def broken_compiler(tmp_path):
     cache = pathlib.Path(_cc_cache_dir())
     stashed = []
     if cache.is_dir():
-        for so in cache.glob("kernel-*.so"):
+        for so in cache.glob("*.so"):
             target = tmp_path / so.name
             shutil.move(str(so), str(target))
             stashed.append((so, target))
@@ -563,6 +565,7 @@ def broken_compiler(tmp_path):
         for so, target in stashed:
             shutil.move(str(target), str(so))
         reset_compiler_probe()
+        reset_breakers()
 
 
 @needs_cc

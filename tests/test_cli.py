@@ -107,21 +107,26 @@ class TestCommands:
         assert kernel_info().runs == {}
         assert sorted(tmp_path.rglob("*.pkl")) == files
 
-    def test_sweep_timeout_runs_the_watchdog_and_retries(self, capsys):
+    def test_sweep_timeout_runs_the_watchdog_and_retries(
+        self, capsys, monkeypatch
+    ):
         """--timeout on the default (batch) sweep runs it point by point:
         a hung point is abandoned and retried, and the table is the
         fault-free one."""
-        from repro.engine import (
-            FaultPlan,
-            inject_faults,
-            kernel_info,
-            reset_kernel_info,
-        )
+        from repro.analysis import LoopSweepTask
+        from repro.engine import FaultPlan, inject_faults
 
         sweep = ["sweep", "--values", "180:220:4", "--duration", "0.004"]
         assert main([*sweep, "--serial"]) == 0
         table = capsys.readouterr().out
-        reset_kernel_info()
+        batch_calls = []
+        batch_call = LoopSweepTask.batch_call
+
+        def spy(task, specs, threads=None):
+            batch_calls.append(len(specs))
+            return batch_call(task, specs, threads=threads)
+
+        monkeypatch.setattr(LoopSweepTask, "batch_call", spy)
         plan = FaultPlan.single(
             "executor.task", kind="hang", payload=1.0, at=1
         )
@@ -129,7 +134,7 @@ class TestCommands:
             assert main([*sweep, "--timeout", "0.3", "--retries", "1"]) == 0
         assert capsys.readouterr().out == table
         assert inj.fired["executor.task"] == 1
-        assert kernel_info().batch_runs == 0  # never handed to batch_call
+        assert batch_calls == []  # never handed to batch_call
 
 
 class TestServiceCommands:

@@ -3,8 +3,9 @@
 Default mode runs the closed-loop backend-throughput experiment plus the
 three FIG5 bench experiments and writes ``BENCH_fig5.json``: samples/sec
 per backend, the fused speedup over the reference path, and the
-wall time of each bench — the numbers the README performance table and
-the perf-trajectory tracking across PRs are built from.
+wall time of each bench (median with quartiles over interleaved
+rounds) — the numbers the README performance table and the
+perf-trajectory tracking across PRs are built from.
 
 ``--sweep`` instead writes ``BENCH_sweep.json``: the batched-kernel
 sweep report — a 64-point resonance curve timed serial-fused vs batched
@@ -17,8 +18,9 @@ engine, with its bit-identity flag, and the fabric scaling curve: the
 chunk-leasing worker fabric at 1/2/4 leased workers (points/sec,
 per-tier cache counters, bit-identity vs serial), truncated to one row
 on a 1-CPU box with the same skip-note convention as the thread curve.
-The thread curve, the closed-loop sweep and the fabric curve interleave
-their variants in rounds and report median walls with quartiles.
+The resonance curve, the thread curve, the closed-loop sweep and the
+fabric curve interleave their variants in rounds and report median
+walls with quartiles.
 
 Usage::
 
@@ -65,12 +67,20 @@ def build_report(duration: float, repeats: int, quick: bool) -> dict:
         device, duration=duration, repeats=repeats
     )
 
-    benches = {}
+    # one call of a ~20 ms experiment swings with co-tenant load, so the
+    # experiments take turns in every round, after one untimed call each
+    rounds = max(repeats, 7)
+    benches, quartiles = {}, {}
     if not quick:
-        for name, experiment in BENCH_EXPERIMENTS.items():
-            t0 = time.perf_counter()
-            experiment(device)
-            benches[name] = round(time.perf_counter() - t0, 4)
+        calls = {name: lambda experiment=experiment: experiment(device)
+                 for name, experiment in BENCH_EXPERIMENTS.items()}
+        for call in calls.values():
+            call()  # warm: noise and design memos, the megakernel build
+        walls, _ = _interleaved_walls(calls, rounds)
+        for name in calls:
+            q1, wall, q3 = statistics.quantiles(walls[name], n=4)
+            benches[name] = round(wall, 4)
+            quartiles[name] = [round(q1, 4), round(q3, 4)]
 
     info = kernel_info()
     by_backend = {r["backend"]: r for r in backends}
@@ -94,6 +104,15 @@ def build_report(duration: float, repeats: int, quick: bool) -> dict:
         ],
         "fused_speedup": round(by_backend["fused"]["speedup"], 2),
         "bench_wall_s": benches,
+        "bench_wall_quartiles_s": quartiles,
+        "bench_sampling": {
+            "rounds": rounds,
+            "strategy": (
+                "median with quartiles, after one untimed call per "
+                "experiment; experiments interleaved in every round, "
+                "order alternating"
+            ),
+        },
         "kernel_runs": dict(info.runs),
         "kernel_fallbacks": info.fallbacks,
     }
@@ -104,17 +123,6 @@ def _reference_wet_resonator():
     from repro.config import REFERENCE_RESONANT_SENSOR, build
 
     return build(REFERENCE_RESONANT_SENSOR).build_resonator()
-
-
-def _best_of(repeats: int, fn):
-    """(best wall seconds, last result) of ``repeats`` timed calls."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
 
 
 def _interleaved_walls(calls: dict, rounds: int) -> tuple[dict, dict]:
@@ -271,25 +279,32 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     from repro.config import REFERENCE_RESONANT_SENSOR
     from repro.engine import kernel_batch_threads, reset_kernel_info
 
+    # every timed section takes the median of at least 7 interleaved
+    # rounds except the columnar kernel family, which takes its best-of
+    rounds = max(repeats, 7)
+
     # -- 64-point resonance curve: serial fused vs one batched call ----------
     resonator = _reference_wet_resonator()
     f0 = resonator.natural_frequency
     frequencies = np.linspace(0.6 * f0, 1.4 * f0, points)
     force = 1e-9
 
-    serial_wall, serial_amps = _best_of(
-        repeats,
-        lambda: swept_sine_response(
-            resonator, frequencies, force, backend="reference"
-        ),
-    )
+    curve_calls = {
+        "serial": lambda: swept_sine_response(
+            resonator, frequencies, force, backend="reference"),
+        "batched": lambda: swept_sine_response(
+            resonator, frequencies, force, backend="auto"),
+    }
+    curve_calls["serial"]()  # warm
     reset_kernel_info()
-    batch_wall, batch_amps = _best_of(
-        repeats,
-        lambda: swept_sine_response(resonator, frequencies, force, backend="auto"),
-    )
+    curve_calls["batched"]()  # warm, and the counters of one batched call
     curve_info = kernel_info()
-    identical = bool(np.array_equal(serial_amps, batch_amps))
+    curve_walls, curve_amps = _interleaved_walls(curve_calls, rounds)
+    identical = bool(np.array_equal(curve_amps["serial"],
+                                    curve_amps["batched"]))
+    (serial_q1, serial_wall, serial_q3), (batch_q1, batch_wall, batch_q3) = (
+        statistics.quantiles(curve_walls[route], n=4) for route in curve_calls
+    )
 
     # -- thread-scaling curve (C-level pthreads across instances) ------------
     n_cpu = os.cpu_count() or 1
@@ -307,15 +322,14 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     # each wall is ~15 ms, so a co-tenant burst can swing one by more
     # than the curve: the counts take turns in every round, and a row
     # whose quartiles overlap the 1-thread row's is marked unresolved
-    thread_rounds = max(repeats, 7)
-    curve_calls = {
+    thread_calls = {
         t: lambda t=t: swept_sine_response(
             resonator, frequencies, force, backend="auto", threads=t)
         for t in thread_counts
     }
-    for call in curve_calls.values():
+    for call in thread_calls.values():
         call()  # warm: one untimed call per count
-    thread_walls, _ = _interleaved_walls(curve_calls, thread_rounds)
+    thread_walls, _ = _interleaved_walls(thread_calls, rounds)
     one_q1, _, one_q3 = statistics.quantiles(thread_walls[1], n=4)
     scaling = []
     for t in thread_counts:
@@ -346,13 +360,12 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     # (both sample the same machine states, neither always goes first)
     # and each is reported as the median of its rounds with quartiles
     routes = ("serial", "kernel-batch")
-    loop_rounds = max(repeats, 7)
     loop_calls = {backend: lambda backend=backend: sweep_with(backend)
                   for backend in routes}
     for call in loop_calls.values():
         call()  # warm: kernel builds, noise and design memos
     reset_kernel_info()
-    loop_walls, loop_tables = _interleaved_walls(loop_calls, loop_rounds)
+    loop_walls, loop_tables = _interleaved_walls(loop_calls, rounds)
     loop_info = kernel_info()
     loop_serial, loop_batch = loop_tables["serial"], loop_tables["kernel-batch"]
     loop_identical = bool(all(
@@ -368,7 +381,10 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     # construction, the run prelude and lowering together with the
     # kernel, so it cannot show what the batch *kernel* buys.  This
     # family lowers the same closed-loop sweep once and times only the
-    # kernel execution: serial fused vs the columnar SoA engine.
+    # kernel execution: serial fused vs the columnar SoA engine.  A
+    # single kernel's run is a one-instance call of the same
+    # megakernel, so this compares one wide call with one call per
+    # instance.
     from repro.core import ResonantCantileverSensor
     from repro.engine import KernelBatch
 
@@ -457,6 +473,11 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         "columnar_speedup": round(col_serial_wall / col_wall, 2),
         "columnar_engine": col_records[0].info.engine,
         "columnar_bit_identical": bool(col_identical),
+        "note": (
+            "the serial side runs each pre-lowered kernel alone, which "
+            "is a one-instance call of the same megakernel; the "
+            "columnar side runs all instances in one call"
+        ),
         "sampling": {
             "rounds": col_repeats,
             "round_gap_s": col_round_gap_s,
@@ -465,7 +486,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     }
 
     # -- fabric scaling: leased worker processes over a shared store ---------
-    fabric_scaling = _fabric_scaling_section(n_cpu, max(repeats, 7))
+    fabric_scaling = _fabric_scaling_section(n_cpu, rounds)
 
     return {
         "report": "batched multi-instance kernel sweeps",
@@ -477,7 +498,13 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         "resonance_curve": {
             "points": points,
             "serial_fused_wall_s": round(serial_wall, 5),
+            "serial_fused_wall_quartiles_s": [
+                round(serial_q1, 5), round(serial_q3, 5)
+            ],
             "batched_wall_s": round(batch_wall, 5),
+            "batched_wall_quartiles_s": [
+                round(batch_q1, 5), round(batch_q3, 5)
+            ],
             "serial_points_per_sec": round(points / serial_wall, 1),
             "batched_points_per_sec": round(points / batch_wall, 1),
             "speedup": round(serial_wall / batch_wall, 2),
@@ -485,13 +512,21 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "batch_runs": curve_info.batch_runs,
             "batch_instances": curve_info.batch_instances,
             "fallbacks": curve_info.fallbacks,
+            "sampling": {
+                "rounds": rounds,
+                "strategy": (
+                    "median with quartiles, after one untimed call per "
+                    "route (the batch counters are that batched call's); "
+                    "routes interleaved in every round, order alternating"
+                ),
+            },
         },
         "thread_scaling": {
             "cpu_count": n_cpu,
             "note": scaling_note,
             "rows": scaling,
             "sampling": {
-                "rounds": thread_rounds,
+                "rounds": rounds,
                 "strategy": (
                     "median with quartiles, after one untimed call per "
                     "thread count; counts interleaved in every round, "
@@ -522,7 +557,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
             "batch_instances": loop_info.batch_instances,
             "fallbacks": loop_info.fallbacks,
             "sampling": {
-                "rounds": loop_rounds,
+                "rounds": rounds,
                 "strategy": (
                     "median with quartiles, routes interleaved in every "
                     "round, order alternating"
@@ -556,8 +591,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--repeats", type=int, default=3,
         help="timing repeats per backend, best-of (default 3; the "
-             "thread curve, the closed-loop sweep and the fabric curve "
-             "take the median of at least 7 rounds)",
+             "FIG5 bench walls, the resonance curve, the thread curve, "
+             "the closed-loop sweep and the fabric curve take the median "
+             "of at least 7 rounds)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -626,11 +662,12 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"wrote {output}")
     for r in report["backends"]:
-        print(f"  {r['backend']:>10s} ({r['engine']:>7s}): "
+        print(f"  {r['backend']:>10s} ({r['engine']:>11s}): "
               f"{r['samples_per_sec']:>12,} samp/s  "
               f"{r['speedup_vs_reference']:6.1f}x")
     for name, wall in report["bench_wall_s"].items():
-        print(f"  {name:>26s}: {wall:.2f} s")
+        q1, q3 = report["bench_wall_quartiles_s"][name]
+        print(f"  {name:>26s}: {wall:.4f} s [{q1:.4f}, {q3:.4f}]")
     return 0
 
 
