@@ -8,7 +8,7 @@ install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Lint with ruff (config in pyproject.toml).  Environments without ruff
 # fall back to a bytecode-compile syntax gate so the target always
@@ -46,7 +46,7 @@ chaos-check:
 	PYTHONPATH=src $(PYTHON) tools/chaos_check.py
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Machine-readable FIG5 performance report: samples/sec per closed-loop
 # backend + bench wall times, written to BENCH_fig5.json.
@@ -134,7 +134,7 @@ fault-check:
 examples:
 	@for ex in examples/*.py; do \
 		echo "== $$ex =="; \
-		$(PYTHON) $$ex || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
 
 docs:

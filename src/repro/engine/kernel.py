@@ -818,8 +818,9 @@ class KernelBatch:
         share one :func:`batch_signature` (group heterogeneous sweeps
         by signature first).
     ns:
-        Per-instance sample counts (durations may differ; shorter
-        instances are padded at the batch level and masked on return).
+        Per-instance sample counts (durations may differ; each
+        instance computes, and holds result memory for, its own
+        samples only).
     noises:
         Per-instance bridge-noise (or drive-force) waveforms, each at
         least ``ns[i]`` samples.

@@ -7,9 +7,8 @@ of one.
 
 * every per-instance block (params, state, mode coefficients, actuator
   constants) is **transposed** to structure-of-arrays — one contiguous
-  row per op-parameter / state-slot, with the instance index as the
-  fastest-moving, stride-1 axis; the bridge noise stays instance-major
-  and the kernel reads it in place;
+  row per op-parameter / state-slot, with the instance index (the
+  *column*) as the fastest-moving, stride-1 axis;
 * each program shape (op kinds, state layout, mode count) runs on its
   own **code-generated megakernel** (:func:`columnar_interpreter`),
   built on first use, once per shape per process, through the
@@ -19,9 +18,15 @@ of one.
   auto-vectorizes (``-O3``, IEEE-strict: no fast-math,
   ``-ffp-contract=off`` so no FMA contraction; ``tanh`` stays the
   scalar libm call);
-* heterogeneous durations are handled by sorting instances by
-  descending sample count — the *active prefix* shrinks as samples pass
-  each instance's end, so every inner sweep stays contiguous;
+* the columns are dealt to one contiguous **block per C thread**
+  (:func:`_thread_blocks`): blocks carry nearly equal sample sums, and
+  each is non-increasing in sample count, so its *active prefix*
+  shrinks as samples pass each instance's end and every inner sweep
+  stays contiguous;
+* waveforms are **packed by sample count**: column ``k``'s samples of
+  each waveform start at ``off[k] = sum(round8(n_j) for j < k)``, and
+  the kernel reads each instance's bridge noise from its own array, so
+  memory follows what each instance computes, not ``n_inst x n_max``;
 * output waveforms go through an 8-sample staging tile per instance,
   flushed to 64-byte-aligned result rows with non-temporal stores.
 
@@ -93,17 +98,16 @@ ATOL_SCALE = 1e-12
 
 # -- allocation reuse --------------------------------------------------------------
 #
-# The engine's scratch arrays (the instance-major noise block, the five
-# 8-sample staging tiles, the value row the tanh split passes between
-# segments) never escape a run.  Allocated fresh, each run would get
-# newly-mmapped pages back from glibc that the OS zero-fills fault by
-# fault on first touch.  They are pooled per-thread instead
-# (thread-local: concurrent KernelBatch runs from the service layer
-# must not share scratch).  The waveform *row* matrices DO escape —
-# each KernelRunResult is a zero-copy view — so they stay freshly
-# allocated, and their first touch lands *inside the timed C call*;
-# _tune_malloc() asks glibc to recycle their pages across result
-# generations rather than returning them to the OS (raises
+# The engine's small scratch arrays (the five 8-sample staging tiles,
+# the value row the tanh split passes between segments) never escape a
+# run.  Allocated fresh, each run would get newly-mmapped pages back
+# from glibc that the OS zero-fills fault by fault on first touch.
+# They are pooled per-thread instead (thread-local: concurrent
+# KernelBatch runs from the service layer must not share scratch).
+# The packed waveform rows DO escape — each KernelRunResult is a
+# zero-copy view — so they are freshly allocated, sized to the batch's
+# own samples; _tune_malloc() asks glibc to recycle their pages across
+# result generations rather than returning them to the OS (raises
 # M_MMAP_THRESHOLD / M_TRIM_THRESHOLD once per process).
 
 _M_TRIM_THRESHOLD = -1   # glibc mallopt() parameter ids
@@ -129,16 +133,16 @@ def _scratch(name: str, shape: tuple) -> np.ndarray:
     return buf
 
 
-def _aligned_rows(n_rows: int, stride: int) -> np.ndarray:
-    """An ``(n_rows, stride)`` float64 matrix whose data pointer is
-    64-byte aligned.  With ``stride`` a multiple of 8 doubles this puts
-    every 8-sample window of every row on one whole cacheline — the
-    property that lets the kernel flush output rows with
-    non-temporal stores.  These escape into run results (zero-copy row
-    views), so they are freshly allocated, never pooled."""
-    raw = np.empty(n_rows * stride + 8)
-    off = (-raw.ctypes.data % 64) // 8
-    return raw[off:off + n_rows * stride].reshape(n_rows, stride)
+def _aligned_rows(size: int) -> np.ndarray:
+    """``size`` float64s whose data pointer is 64-byte aligned.  With
+    every column offset a multiple of 8 doubles this puts every
+    8-sample window of every instance on one whole cacheline — the
+    property that lets the kernel flush output rows with non-temporal
+    stores.  These escape into run results (zero-copy views), so they
+    are freshly allocated, never pooled."""
+    raw = np.empty(size + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + size]
 
 
 def _tune_malloc() -> None:
@@ -182,33 +186,56 @@ def max_ulp_distance(a: np.ndarray, b: np.ndarray) -> int:
 # -- SoA block assembly ------------------------------------------------------------
 
 
+def _thread_blocks(ns: np.ndarray, threads: int) -> tuple:
+    """Deal a batch's instances to ``threads`` contiguous column blocks.
+
+    Returns ``(order, bounds)``: column ``c`` runs instance
+    ``order[c]``, and block ``t`` is columns ``bounds[t]:bounds[t+1]``.
+    The instances are dealt round-robin in descending sample count, so
+    every block is non-increasing in ``n`` (the C worker's shrinking
+    active prefix needs that) and two blocks' sample sums differ by at
+    most the largest ``n``.  One thread makes one descending block.
+    """
+    desc = np.argsort(-ns, kind="stable")
+    blocks = [desc[t::threads] for t in range(threads)]
+    bounds = np.cumsum([0] + [len(b) for b in blocks], dtype=np.int64)
+    return np.concatenate(blocks), bounds
+
+
 @dataclass
 class _Blocks:
-    """One batch transposed to structure-of-arrays (instance-sorted)."""
+    """One batch transposed to structure-of-arrays, in thread-block
+    column order, with its waveforms packed by sample count."""
 
     order: np.ndarray        # column -> original instance index
-    ns_sorted: np.ndarray    # per-column sample counts, non-increasing
+    bounds: np.ndarray       # thread block t is columns bounds[t]:bounds[t+1]
+    ns_sorted: np.ndarray    # per-column sample counts, non-increasing per block
+    off: np.ndarray          # column -> start of its samples in a packed row
+    size: int                # doubles in one packed row: sum of round8(n)
     n_inst: int
-    n_max: int
     n_ops: int
     n_state: int
     p_cols: tuple            # 5 x (n_ops, n_inst)
     state: np.ndarray        # (n_state, n_inst)
     mode_coef: np.ndarray    # (7*n_modes, n_inst)
     mode_state: np.ndarray   # (2*n_modes, n_inst)
-    noise: np.ndarray        # (n_inst, n_max), instance-major
+    noise: np.ndarray        # (n_inst,) uintp: each column's noise array
     act: np.ndarray          # (3, n_inst): r, imax, force-per-ampere
     has_taps: bool
 
 
-def _assemble(batch) -> _Blocks:
+def _assemble(batch, threads: int) -> _Blocks:
     _tune_malloc()
     kernels = batch.kernels
     n_inst = batch.n_instances
     ns = np.asarray(batch.ns, dtype=np.int64)
-    order = np.argsort(-ns, kind="stable")
+    order, bounds = _thread_blocks(ns, threads)
     ns_sorted = ns[order]
-    n_max = int(ns_sorted[0])
+    # every column starts on a cacheline: its full 8-sample windows
+    # stream straight to memory
+    spans = (ns_sorted + 7) & ~7
+    off = np.cumsum(spans) - spans
+    size = int(spans.sum())
     rep = kernels[0]
     n_ops, n_modes, n_state = rep.n_ops, len(rep.modes), rep.n_state
 
@@ -230,20 +257,17 @@ def _assemble(batch) -> _Blocks:
         [[c for m in kernels[i].modes for c in (m.x0, m.v0)]
          for i in order], dtype=float,
     ).reshape(n_inst, 2 * n_modes).T)
-    # noise stays instance-major (contiguous row copies); the kernel
-    # reads it in place (nzi[k*nm + i])
-    noise = _scratch("noise", (n_inst, n_max))
-    for col, i in enumerate(order):
-        n_i = int(ns[i])
-        noise[col, :n_i] = batch.noises[i][:n_i]
-        noise[col, n_i:] = 0.0
+    # the kernel reads each column's noise in place, through one
+    # pointer per column (the batch keeps the arrays alive)
+    noise = np.array([batch.noises[i].ctypes.data for i in order],
+                     dtype=np.uintp)
     act = np.ascontiguousarray(np.asarray(
         [[kernels[i].act_r, kernels[i].act_imax, kernels[i].act_fpc]
          for i in order], dtype=float,
     ).T)
     return _Blocks(
-        order=order, ns_sorted=ns_sorted,
-        n_inst=n_inst, n_max=n_max,
+        order=order, bounds=bounds, ns_sorted=ns_sorted,
+        off=off, size=size, n_inst=n_inst,
         n_ops=n_ops, n_state=n_state,
         p_cols=p_cols, state=state,
         mode_coef=mode_coef, mode_state=mode_state,
@@ -258,9 +282,8 @@ def _package(
     """Un-permute, slice, and sync the columnar outputs back to
     per-instance :class:`~repro.engine.kernel.KernelRunResult`\\ s.
 
-    ``rows`` are the instance-major ``(n_inst, n_max)`` waveform
-    matrices the C kernel wrote — each instance's record is a zero-copy
-    contiguous row slice.
+    ``rows`` are the packed waveform rows the C kernel wrote — each
+    instance's record is a zero-copy slice at its column's offset.
     """
     disp_r, bridge_r, limin_r, limout_r, drive_r = rows
     col_of = np.empty(blocks.n_inst, dtype=np.int64)
@@ -273,11 +296,13 @@ def _package(
     for i, kernel in enumerate(batch.kernels):
         col = int(col_of[i])
         n_i = batch.ns[i]
+        start = int(blocks.off[col])
+        span = slice(start, start + n_i)
         kernel._sync_stages([float(s) for s in blocks.state[:, col]])
         if blocks.has_taps:
-            limin = limin_r[col, :n_i]
-            limout = limout_r[col, :n_i]
-            drive = drive_r[col, :n_i]
+            limin = limin_r[span]
+            limout = limout_r[span]
+            drive = drive_r[span]
         else:
             limin = limout = drive = np.zeros(n_i)
         info = KernelRunInfo(
@@ -292,8 +317,8 @@ def _package(
         )
         record_run("fused", n_i, 0.0, compile_seconds)
         results.append(KernelRunResult(
-            displacement=disp_r[col, :n_i],
-            bridge_voltage=bridge_r[col, :n_i],
+            displacement=disp_r[span],
+            bridge_voltage=bridge_r[span],
             limiter_input=limin,
             limiter_output=limout,
             drive_voltage=drive,
@@ -328,26 +353,29 @@ NATIVE_FLAG = "-march=native"
 
 _C_STRUCT = """
 /* Structure-of-arrays layout: every 2-d block is row-major with the
- * instance index k as the last, stride-1 axis, except the noise block,
- * which is instance-major (n_inst x n_max).  ns is sorted
- * non-increasing, so the set of still-running instances is always a
- * prefix [lo, hi) that shrinks as the sample index passes each
- * instance's end.  Threads own contiguous instance sub-ranges. */
+ * column (instance) index k as the last, stride-1 axis.  Waveform rows
+ * are packed instead: column k's samples start at off[k], a multiple
+ * of 8; its noise is its own array, noise[k].  Each thread owns one
+ * contiguous column
+ * block [lo, hi) whose ns are non-increasing, so its still-running
+ * instances are always a prefix that shrinks as the sample index
+ * passes each instance's end. */
 
 typedef struct {
-    long lo, hi;                 /* this worker's instance block */
-    long n_inst, n_max, row_stride;
-    const long *ns;
+    long lo, hi;                 /* this worker's column block */
+    long n_inst;
+    const long *ns, *off;
     const double *p0, *p1, *p2, *p3, *p4;
     double *state;
     const double *mode_coef;
     double *mode_state;
-    const double *noise, *act;
+    const double *const *noise;  /* one array per column: [k][i] */
+    const double *act;
     double *vbuf;
     /* 8-sample staging tiles, one window per instance: [k*8 + it] */
     double *stg_disp, *stg_bridge;
     double *stg_limin, *stg_limout, *stg_drive;
-    /* result rows, 64-byte aligned, padded stride: [k*row_stride + i] */
+    /* packed result rows, 64-byte aligned: [off[k] + i] */
     double *row_disp, *row_bridge;
     double *row_limin, *row_limout, *row_drive;
 } col_args;
@@ -355,30 +383,27 @@ typedef struct {
 
 _C_ENTRY = """
 void run_columnar(
-    long n_inst, long n_threads, long n_max, long row_stride,
-    const long *ns,
+    long n_inst, long n_blocks, const long *bounds,
+    const long *ns, const long *off,
     const double *p0, const double *p1, const double *p2,
     const double *p3, const double *p4,
     double *state, const double *mode_coef, double *mode_state,
-    const double *noise, const double *act, double *vbuf,
+    const double *const *noise, const double *act, double *vbuf,
     double *stg_disp, double *stg_bridge,
     double *stg_limin, double *stg_limout, double *stg_drive,
     double *row_disp, double *row_bridge,
     double *row_limin, double *row_limout, double *row_drive)
 {
-    if (n_threads > n_inst) n_threads = n_inst;
-    if (n_threads > 64) n_threads = 64;
-    if (n_threads < 1) n_threads = 1;
+    /* one thread per non-empty block [bounds[t], bounds[t + 1]);
+     * n_blocks <= 64 (MAX_BATCH_THREADS) */
     col_args args[64];
     pthread_t tids[64];
-    long chunk = (n_inst + n_threads - 1) / n_threads;
     long nt = 0;
-    for (long t = 0; t < n_threads; t++) {
-        long lo = t * chunk;
-        long hi = lo + chunk < n_inst ? lo + chunk : n_inst;
-        if (lo >= hi) break;
-        col_args a = { lo, hi, n_inst, n_max, row_stride,
-            ns, p0, p1, p2, p3, p4,
+    for (long t = 0; t < n_blocks && t < 64; t++) {
+        long lo = bounds[t], hi = bounds[t + 1];
+        if (lo >= hi) continue;
+        col_args a = { lo, hi, n_inst, ns, off,
+            p0, p1, p2, p3, p4,
             state, mode_coef, mode_state, noise, act, vbuf,
             stg_disp, stg_bridge, stg_limin, stg_limout, stg_drive,
             row_disp, row_bridge, row_limin, row_limout, row_drive };
@@ -414,24 +439,25 @@ void run_columnar(
 # reference ``step()`` chain, with clamps rewritten as NaN-equivalent
 # ternaries so the bodies stay branch-free.
 #
-# Memory traffic is the kernel's budget.  It reads the batch noise
-# directly from the instance-major block (``nzi[k*nm + i]`` — a strided
-# load, L1-resident since each line covers 8 consecutive samples), so
-# no sample-major copy of the noise is ever made.  Output waveforms go
+# Memory traffic is the kernel's budget.  It reads each instance's
+# bridge noise from that instance's own array, through one pointer per
+# column (``nzi[k][i]`` — a gather, L1-resident since each line covers
+# 8 consecutive samples of one instance), so no copy of the noise is
+# ever made.  Output waveforms go
 # through an 8-sample staging tile per instance (``stg[k*8 + it]`` —
 # one cacheline per waveform per instance, about 5 KB of L1 at 16
-# instances) that is flushed to the row matrices once per tile with
+# instances) that is flushed to the packed rows once per tile with
 # non-temporal stores.  The rows are freshly allocated every run (they
 # escape as zero-copy result views), so every row line is cold: a
 # cached store would pay read-for-ownership on all of them (~8.8 MB of
 # reads per 16x19k batch that serve no purpose), while streaming stores
 # retire straight to memory.  This only works because the rows are
-# 64-byte aligned with a stride padded to a multiple of 8 doubles —
+# 64-byte aligned and every column starts at a multiple of 8 doubles —
 # every full window is exactly one whole cacheline.  (An earlier
-# 32-sample tile flushed into *unpadded* rows measured slower than
-# row-direct stores: the tile blew the L1 working set and odd ``n_max``
-# kept windows off line boundaries, degrading the streaming stores to
-# partial write-combining flushes.)
+# 32-sample tile flushed into *unaligned* rows measured slower than
+# row-direct stores: the tile blew the L1 working set and odd sample
+# counts kept windows off line boundaries, degrading the streaming
+# stores to partial write-combining flushes.)
 
 _SPEC_HEADER = """
 #include <math.h>
@@ -439,12 +465,12 @@ _SPEC_HEADER = """
 
 #define NI __attribute__((noinline))
 
-/* Flush one instance's 8-sample staging window to its padded row.
- * Rows are 64-byte aligned with a stride that is a multiple of 8
+/* Flush one instance's 8-sample staging window to its packed row.
+ * Rows are 64-byte aligned and every column starts at a multiple of 8
  * doubles, so every full window lands on one whole cacheline and can
  * be streamed non-temporally — the stores retire without the
  * read-for-ownership a cached store to a never-re-read line pays.
- * Partial windows (batch tails) fall back to plain stores. */
+ * Partial windows (instance tails) fall back to plain stores. */
 #if defined(__x86_64__) && defined(__SSE2__)
 #include <immintrin.h>
 static inline void col_flush8(const double *restrict s,
@@ -505,10 +531,10 @@ def _generate_specialized_source(
     with_v = n_c > 1
 
     def row(params: dict, name: str, expr: str, const: bool,
-            scope: str = "fixed") -> str:
+            ctype: str = "double") -> str:
         p = params.get(name)
         if p is None:
-            params[name] = {"expr": expr, "const": const, "scope": scope}
+            params[name] = {"expr": expr, "const": const, "ctype": ctype}
         elif not const:
             p["const"] = False
         return name
@@ -579,29 +605,30 @@ def _generate_specialized_source(
         if k == OP_LATCH:
             return [f"{s()}[k] = x;"]
         if k == OP_TAP_LIMIN:
-            o = row(params, "sli", "a->stg_limin", False, "rowbase")
+            o = row(params, "sli", "a->stg_limin", False)
             return [f"{o}[k*8 + it] = x;"]
         if k == OP_TAP_LIMOUT:
-            o = row(params, "slo", "a->stg_limout", False, "rowbase")
+            o = row(params, "slo", "a->stg_limout", False)
             return [f"{o}[k*8 + it] = x;"]
-        o = row(params, "sdr", "a->stg_drive", False, "rowbase")
+        o = row(params, "sdr", "a->stg_drive", False)
         return [f"{o}[k*8 + it] = x;"]  # OP_TAP_DRIVE
 
     def emit_bridge(params: dict) -> list:
-        nz = row(params, "nzi", "a->noise", True, "noisebase")
-        ob = row(params, "sbr", "a->stg_bridge", False, "rowbase")
+        # one pointer per column, to that instance's own noise array
+        nz = row(params, "nzi", "a->noise", True, "double *const")
+        ob = row(params, "sbr", "a->stg_bridge", False)
         bc0 = row(params, "bc0", "a->mode_coef + 6*ni", True)
         mx0 = row(params, "mx0", "a->mode_state", True)
         lines = []
         if n_modes == 1:
-            lines.append(f"double x = {bc0}[k]*{mx0}[k] + {nz}[k*nm + i];")
+            lines.append(f"double x = {bc0}[k]*{mx0}[k] + {nz}[k][i];")
         else:
             lines.append(f"double x = {bc0}[k]*{mx0}[k];")
             for m in range(1, n_modes):
                 bcm = row(params, f"bc{m}", f"a->mode_coef + {7*m+6}*ni", True)
                 mxm = row(params, f"mx{m}", f"a->mode_state + {2*m}*ni", True)
                 lines.append(f"x = x + {bcm}[k]*{mxm}[k];")
-            lines.append(f"x = x + {nz}[k*nm + i];")
+            lines.append(f"x = x + {nz}[k][i];")
         lines.append(f"{ob}[k*8 + it] = x;")
         return lines
 
@@ -609,7 +636,7 @@ def _generate_specialized_source(
         ar = row(params, "ar", "a->act", True)
         ai = row(params, "ai", "a->act + ni", True)
         af = row(params, "af", "a->act + 2*ni", True)
-        od = row(params, "sdi", "a->stg_disp", False, "rowbase")
+        od = row(params, "sdi", "a->stg_disp", False)
         lines = [
             f"double cur = x/{ar}[k];",
             f"cur = (cur > {ai}[k]) ? {ai}[k] : cur;",
@@ -662,43 +689,36 @@ def _generate_specialized_source(
 
     # worker-level hoists: same name in two segments is the same row
     # (names encode the op/state index), so constness merges non-const
-    # wins; sample-scope rows hoist their base and derive ``+ i*ni``
-    # at each call site
+    # wins
     hoist: dict = {}
     for params in seg_params:
         for name, p in params.items():
-            h = hoist.setdefault(
-                name, {"expr": p["expr"], "const": p["const"],
-                       "scope": p["scope"]})
+            h = hoist.setdefault(name, dict(p))
             if not p["const"]:
                 h["const"] = False
     for t, jj in enumerate(tanhs):
         hoist[f"tq0_{t}"] = {"expr": f"a->p0 + {jj}*ni", "const": True,
-                             "scope": "fixed"}
+                             "ctype": "double"}
         hoist[f"tq1_{t}"] = {"expr": f"a->p1 + {jj}*ni", "const": True,
-                             "scope": "fixed"}
+                             "ctype": "double"}
 
     funcs: list[str] = []
     calls: list[str] = []
     for t, (params, body) in enumerate(zip(seg_params, chain_bodies)):
-        sig = ["long lo", "long hi", "long i", "long it", "long nm"]
-        args = ["lo", "hi", "i", "it", "nm"]
+        sig = ["long lo", "long hi", "long i", "long it"]
+        args = ["lo", "hi", "i", "it"]
         if with_v:
             sig.append("double *restrict v")
             args.append("v")
         for name, p in params.items():
-            if p["scope"] == "sample":
-                sig.append(f"const double *restrict {name}")
-                args.append(f"{name}_b + i*ni")
-            else:
-                const = "const " if p["const"] else ""
-                sig.append(f"{const}double *restrict {name}")
-                args.append(name)
+            const = "const " if p["const"] else ""
+            sig.append(f"{const}{p['ctype']} *restrict {name}")
+            args.append(name)
         funcs.append("\n".join([
             f"NI static void seg{t}(",
             "    " + ",\n    ".join(sig) + ")",
             "{",
-            "    (void)i; (void)it; (void)nm;",
+            "    (void)i; (void)it;",
             "    for (long k = lo; k < hi; k++) {",
             *["        " + ln for ln in body],
             "    }",
@@ -718,20 +738,18 @@ def _generate_specialized_source(
         "{",
         "    col_args *a = (col_args *)argp;",
         "    const long ni = a->n_inst;",
-        "    const long nm = a->n_max;",
-        "    const long rs = a->row_stride;",
         "    const long lo = a->lo;",
         "    long hi = a->hi;",
         "    const long *ns = a->ns;",
-        "    const long n_i = ns[lo];         /* block max (sorted desc) */",
-        "    (void)ni; (void)nm; (void)rs;",
+        "    const long *off = a->off;",
+        "    const long n_i = ns[lo];         /* block max (non-increasing) */",
+        "    (void)ni;",
     ]
     if with_v:
         w.append("    double *v = a->vbuf;")
     for name, h in hoist.items():
         const = "const " if h["const"] else ""
-        suffix = "_b" if h["scope"] == "sample" else ""
-        w.append(f"    {const}double *{name}{suffix} = {h['expr']};")
+        w.append(f"    {const}{h['ctype']} *{name} = {h['expr']};")
     active_flush = [n for n in flush_rows if n in hoist]
     for name in active_flush:
         w.append(f"    double *{name}_r = {flush_rows[name]};")
@@ -748,7 +766,7 @@ def _generate_specialized_source(
         "            const long ke = ns[k] < iend ? ns[k] : iend;",
         "            const long nv = ke - i0;",
         "            if (nv <= 0) continue;",
-        *[f"            col_flush8({n} + k*8, {n}_r + k*rs + i0, nv);"
+        *[f"            col_flush8({n} + k*8, {n}_r + off[k] + i0, nv);"
           for n in active_flush],
         "        }",
         "    }",
@@ -789,14 +807,17 @@ def _build_so(source: str, flags: Sequence[str], stem: str) -> Callable:
     lib = _k._cc_compile_so(source, list(flags), stem)
     dbl = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     idx = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    ptrs = np.ctypeslib.ndpointer(dtype=np.uintp, flags="C_CONTIGUOUS")
     lib.run_columnar.restype = None
     lib.run_columnar.argtypes = (
-        [ctypes.c_long] * 4     # n_inst, n_threads, n_max, row_stride
-        + [idx]                 # ns
+        [ctypes.c_long] * 2     # n_inst, n_blocks
+        + [idx] * 3             # bounds, ns, off
         + [dbl] * 5             # p0..p4
-        + [dbl] * 6             # state, mode_coef, mode_state, noise, act, vbuf
+        + [dbl] * 3             # state, mode_coef, mode_state
+        + [ptrs]                # noise: one array pointer per column
+        + [dbl] * 2             # act, vbuf
         + [dbl] * 5             # the five 8-sample staging tiles
-        + [dbl] * 5             # the five instance-major waveform row matrices
+        + [dbl] * 5             # the five packed waveform rows
     )
     raw = lib.run_columnar
 
@@ -858,22 +879,22 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
     ``fn`` is what :func:`columnar_interpreter` returned for the
     :class:`~repro.engine.kernel.KernelBatch`'s signature.
     """
-    blocks = _assemble(batch)
-    n_inst, n_max = blocks.n_inst, blocks.n_max
-    row_stride = (n_max + 7) & ~7
+    blocks = _assemble(batch, threads_used)
+    n_inst = blocks.n_inst
     # each staging tile holds one 8-sample window per instance, [k*8 + it]
     stg = [_scratch(f"stg{j}", (n_inst, 8)) for j in range(2)]
-    rows = [_aligned_rows(n_inst, row_stride) for _ in range(2)]
+    rows = [_aligned_rows(blocks.size) for _ in range(2)]
     if blocks.has_taps:
         stg += [_scratch(f"stg{j}", (n_inst, 8)) for j in range(2, 5)]
-        rows += [_aligned_rows(n_inst, row_stride) for _ in range(3)]
+        rows += [_aligned_rows(blocks.size) for _ in range(3)]
     else:
         stg += [np.zeros(1) for _ in range(3)]
         rows += [np.zeros(1) for _ in range(3)]
     vbuf = _scratch("vbuf", (n_inst,))
     with timer.stage("run"):
         fn(
-            n_inst, threads_used, n_max, row_stride, blocks.ns_sorted,
+            n_inst, len(blocks.bounds) - 1, blocks.bounds,
+            blocks.ns_sorted, blocks.off,
             *blocks.p_cols,
             blocks.state, blocks.mode_coef, blocks.mode_state,
             blocks.noise, blocks.act, vbuf, *stg, *rows,

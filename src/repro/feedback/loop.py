@@ -26,7 +26,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,7 +229,8 @@ def _synthesize_bridge_noise(n: int, noise: tuple | None) -> np.ndarray:
 
     Reads nothing but its arguments — numbers taken off the loop by
     :meth:`ResonantFeedbackLoop._prepare_blocks` — so :func:`run_batch`
-    can run it on a pool thread while the calling thread lowers loops.
+    can run it on a pool thread once the calling thread has lowered
+    every loop.
     """
     return np.zeros(n) if noise is None else _memoized_bridge_noise(*noise)
 
@@ -641,8 +641,8 @@ def run_batch(
         The :class:`ResonantFeedbackLoop` instances.
     duration:
         Seconds to simulate — one float for all loops, or a sequence
-        with one entry per loop (shorter instances are padded inside
-        the batch and masked on return).
+        with one entry per loop (each instance computes, and holds
+        memory for, its own samples only).
     initial_kick:
         Initial tip displacement [m] applied to every loop (default:
         the same 1 pm thermal kick as :meth:`ResonantFeedbackLoop.run`).
@@ -655,9 +655,11 @@ def run_batch(
         see ``docs/FASTPATH.md`` on double-parallelism).  The same
         width, resolved by
         :func:`~repro.engine.kernel.kernel_batch_threads`, sizes the
-        thread pool that synthesizes each loop's bridge noise while
-        this thread lowers the loops in grid order; a width of 1
-        synthesizes inline.  The pool ends with the call.
+        thread pool that synthesizes the bridge noise of every loop
+        that lowered, once this thread has prepared and lowered all of
+        them in grid order; this thread waits for the results in grid
+        order.  A width of 1 synthesizes inline.  The pool ends with
+        the call.
 
     Loops that cannot lower (patched ``step``, custom actuators, noisy
     amplifiers) fall back *per instance* to the reference path with the
@@ -683,30 +685,34 @@ def run_batch(
     groups: dict[tuple, list[int]] = {}
     kernels: list[FusedLoopKernel | None] = [None] * len(loops)
     preps: list[_PreparedRun | None] = [None] * len(loops)
+    synthesis: dict[int, tuple] = {}
+    for i, loop in enumerate(loops):
+        prep, noise = loop._prepare_blocks(durations[i], initial_kick)
+        loop.last_kernel_info = None
+        try:
+            kernels[i] = loop._lower_kernel(prep.signed_coefficient)
+        except LoweringError as err:
+            record_fallback(str(err))
+            records[i] = loop.run(durations[i], initial_kick,
+                                  backend="reference")
+        else:
+            preps[i] = prep
+            synthesis[i] = (prep.n, noise)
+            groups.setdefault(batch_signature(kernels[i]), []).append(i)
+
+    # Synthesis starts only once every loop has lowered: the pure-Python
+    # lowering and the pool's threads would otherwise contend for the GIL.
     width = kernel_batch_threads(threads, len(loops))
-    with ThreadPoolExecutor(width) if width > 1 else nullcontext() as pool:
-        noises = []
-        for i, loop in enumerate(loops):
-            prep, noise = loop._prepare_blocks(durations[i], initial_kick)
-            noises.append(
-                pool.submit(_synthesize_bridge_noise, prep.n, noise)
-                if pool is not None
-                else _synthesize_bridge_noise(prep.n, noise)
-            )
-            loop.last_kernel_info = None
-            try:
-                kernels[i] = loop._lower_kernel(prep.signed_coefficient)
-            except LoweringError as err:
-                record_fallback(str(err))
-                records[i] = loop.run(durations[i], initial_kick,
-                                      backend="reference")
-            else:
-                preps[i] = prep
-                groups.setdefault(batch_signature(kernels[i]), []).append(i)
-        # every result, in grid order: a synthesis error leaves here as
-        # it left the inline prelude
-        if pool is not None:
-            noises = [future.result() for future in noises]
+    if width == 1:
+        noises = {i: _synthesize_bridge_noise(*args)
+                  for i, args in synthesis.items()}
+    else:
+        with ThreadPoolExecutor(width) as pool:
+            futures = {i: pool.submit(_synthesize_bridge_noise, *args)
+                       for i, args in synthesis.items()}
+            # every result, in grid order: a synthesis error leaves here
+            # as it leaves the inline synthesis
+            noises = {i: future.result() for i, future in futures.items()}
 
     for indices in groups.values():
         batch = KernelBatch(

@@ -92,19 +92,35 @@ class TestClosedLoopBatch:
         assert info.runs.get("fused", 0) == len(LENGTHS)
 
     def test_heterogeneous_durations_pad_and_mask(self):
-        durations = (0.004, 0.008, 0.006)
+        """Five durations on 1, 2 and 3 C threads: every instance stops
+        at its own end inside its thread's block, so its waveforms and
+        its loop's final resonator state equal its solo run's."""
+        lengths = (180.0, 190.0, 200.0, 210.0, 220.0)
+        durations = (0.004, 0.008, 0.006, 0.003, 0.005)
+        solo_loops = [build_loop(length) for length in lengths]
         solos = [
-            build_loop(length).run(d, backend="fused")
-            for length, d in zip(LENGTHS, durations)
+            loop.run(d, backend="fused")
+            for loop, d in zip(solo_loops, durations)
         ]
-        records = run_batch(
-            [build_loop(length) for length in LENGTHS], durations
-        )
-        lengths = {len(r.displacement) for r in records}
-        assert len(lengths) == 3, "per-instance durations must differ"
-        for solo, rec in zip(solos, records):
-            assert len(solo.displacement) == len(rec.displacement)
-            assert_records_equal(solo, rec, "hetero")
+        for threads in (1, 2, 3):
+            loops = [build_loop(length) for length in lengths]
+            records = run_batch(loops, durations, threads=threads)
+            samples = {len(r.displacement) for r in records}
+            assert len(samples) == 5, "per-instance durations must differ"
+            for solo_loop, solo, loop, rec in zip(
+                solo_loops, solos, loops, records
+            ):
+                label = f"hetero[{threads} threads]"
+                assert len(solo.displacement) == len(rec.displacement)
+                assert_records_equal(solo, rec, label)
+                assert (
+                    loop.resonator.state.displacement
+                    == solo_loop.resonator.state.displacement
+                ), f"{label}: final displacement"
+                assert (
+                    loop.resonator.state.velocity
+                    == solo_loop.resonator.state.velocity
+                ), f"{label}: final velocity"
 
     def test_batch_absorbs_final_loop_state(self):
         solo_loop = build_loop(200.0)

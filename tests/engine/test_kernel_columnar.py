@@ -10,10 +10,10 @@ each program shape's generated megakernel, in cold processes and hot
 ones (stale scratch), across reference-spec variants, liquids, modes,
 noise on/off, multimode stacks, heterogeneous durations, per-instance
 lowering fallbacks and a property-based sweep, at every width from one
-instance up — plus the no-compiler and untrusted-compiler routes
-(generated Python), the once-per-shape build, the shared ``.so`` build
-cache, and the profile counters surfaced through ``kernel_info()`` and
-``repro health``.
+instance up — plus the packed rows' memory, the columns' thread blocks,
+the no-compiler and untrusted-compiler routes (generated Python), the
+once-per-shape build, the shared ``.so`` build cache, and the profile
+counters surfaced through ``kernel_info()`` and ``repro health``.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ class TestColumnarGolden:
             buf.fill(np.nan)
             return buf
 
-        def stale_rows(n_rows, stride):
-            rows = aligned_rows(n_rows, stride)
+        def stale_rows(size):
+            rows = aligned_rows(size)
             rows.fill(np.nan)
             return rows
 
@@ -310,6 +310,58 @@ class TestColumnarGoldenHot(TestColumnarGolden):
     shows up as a mismatch."""
 
     HOT = True
+
+
+@needs_cc
+class TestPackedRows:
+    """Each instance's waveforms hold the memory of its own samples, not
+    of the batch's longest instance."""
+
+    def test_memory_follows_samples(self):
+        ns = (50_000, 40, 8)
+        sample_rate = 1.0 / build_loop().resonator.timestep
+        durations = [n / sample_rate for n in ns]
+        solos = [build_loop().run(d, backend="reference") for d in durations]
+        records = run_batch([build_loop() for _ in ns], durations,
+                            threads=THREADS)
+        packed = sum((n + 7) // 8 * 8 for n in ns) + 8
+        for n, solo, record in zip(ns, solos, records):
+            assert len(record.displacement) == n
+            assert_records_equal(solo, record, f"n={n}")
+            for name in WAVEFORMS:
+                root = getattr(record, name)
+                while root.base is not None:
+                    root = root.base
+                assert root.size <= packed, (
+                    f"n={n}: {name} sits in a buffer of {root.size} "
+                    f"doubles, more than the batch's {packed} packed ones"
+                )
+
+
+class TestThreadBlocks:
+    """The columns dealt to C threads: every instance once, each block
+    non-increasing in sample count, block sums within the largest
+    instance of each other."""
+
+    @pytest.mark.parametrize("width, threads", [(5, 2), (10, 4), (3, 8)])
+    def test_blocks_cover_descend_and_balance(self, width, threads):
+        ns = np.random.default_rng(width).integers(1, 50_000, width)
+        ns[-1] = ns[0]  # a tie
+        order, bounds = columnar._thread_blocks(ns, threads)
+        assert sorted(order.tolist()) == list(range(width))
+        assert (bounds[0], bounds[-1], len(bounds)) == (0, width, threads + 1)
+        sums = []
+        for t in range(threads):
+            block = ns[order[bounds[t]:bounds[t + 1]]]
+            assert np.all(np.diff(block) <= 0), f"block {t}: {block}"
+            sums.append(int(block.sum()))
+        assert max(sums) - min(sums) <= ns.max()
+
+    def test_one_thread_is_one_descending_block(self):
+        ns = np.array([3, 9, 9, 1, 5])
+        order, bounds = columnar._thread_blocks(ns, 1)
+        assert bounds.tolist() == [0, 5]
+        assert order.tolist() == [1, 2, 4, 0, 3]
 
 
 class TestEngineSelection:

@@ -68,6 +68,33 @@ class TestNoisePool:
         assert len(synthesis_threads) == len(LENGTHS)
         assert threading.get_ident() not in synthesis_threads
 
+    def test_every_loop_lowers_before_synthesis_starts(
+        self, fresh_memo, monkeypatch
+    ):
+        """The pure-Python lowering runs alone: no pool thread
+        synthesizes while it holds the GIL."""
+        loops = [build_loop(length) for length in LENGTHS]
+        events = []
+        lower = loop_mod.ResonantFeedbackLoop._lower_kernel
+        synthesize = loop_mod.amplifier_input_noise
+
+        def lower_spy(self, *args):
+            kernel = lower(self, *args)
+            events.append("lowered")
+            return kernel
+
+        def synthesis_spy(*args):
+            events.append("synthesis")
+            return synthesize(*args)
+
+        monkeypatch.setattr(loop_mod.ResonantFeedbackLoop, "_lower_kernel",
+                            lower_spy)
+        monkeypatch.setattr(loop_mod, "amplifier_input_noise", synthesis_spy)
+        run_batch(loops, DURATION, threads=2)
+        assert events == (
+            ["lowered"] * len(LENGTHS) + ["synthesis"] * len(LENGTHS)
+        )
+
     def test_one_thread_synthesizes_inline(self, synthesis_threads):
         run_batch([build_loop(length) for length in LENGTHS], DURATION,
                   threads=1)

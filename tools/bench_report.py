@@ -8,11 +8,12 @@ rounds) — the numbers the README performance table and the
 perf-trajectory tracking across PRs are built from.
 
 ``--sweep`` instead writes ``BENCH_sweep.json``: the batched-kernel
-sweep report — a 64-point resonance curve timed serial-fused vs batched
-(points/sec, speedup, bit-identical flag), a closed-loop spec sweep
-serial-fused vs ``kernel-batch``, the C-level thread-scaling curve
-(annotated and truncated to one row on a 1-CPU box, where multi-thread
-rows measure nothing), the columnar kernel family: a pre-lowered
+sweep report — a 64-point resonance curve timed serial-reference (the
+per-sample Python path) vs batched (points/sec, speedup, bit-identical
+flag), a closed-loop spec sweep serial-fused vs ``kernel-batch``, the
+C-level thread-scaling curve (annotated and truncated to one row on a
+1-CPU box, where multi-thread rows measure nothing), the columnar
+kernel family: a pre-lowered
 16-instance closed-loop batch timed serial-fused vs the columnar SoA
 engine, with its bit-identity flag, and the fabric scaling curve: the
 chunk-leasing worker fabric at 1/2/4 leased workers (points/sec,
@@ -283,7 +284,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     # rounds except the columnar kernel family, which takes its best-of
     rounds = max(repeats, 7)
 
-    # -- 64-point resonance curve: serial fused vs one batched call ----------
+    # -- 64-point resonance curve: serial reference vs one batched call ------
     resonator = _reference_wet_resonator()
     f0 = resonator.natural_frequency
     frequencies = np.linspace(0.6 * f0, 1.4 * f0, points)
@@ -497,15 +498,15 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         "default_batch_threads": kernel_batch_threads(),
         "resonance_curve": {
             "points": points,
-            "serial_fused_wall_s": round(serial_wall, 5),
-            "serial_fused_wall_quartiles_s": [
+            "serial_reference_wall_s": round(serial_wall, 5),
+            "serial_reference_wall_quartiles_s": [
                 round(serial_q1, 5), round(serial_q3, 5)
             ],
             "batched_wall_s": round(batch_wall, 5),
             "batched_wall_quartiles_s": [
                 round(batch_q1, 5), round(batch_q3, 5)
             ],
-            "serial_points_per_sec": round(points / serial_wall, 1),
+            "serial_reference_points_per_sec": round(points / serial_wall, 1),
             "batched_points_per_sec": round(points / batch_wall, 1),
             "speedup": round(serial_wall / batch_wall, 2),
             "waveforms_identical": identical,
@@ -620,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {output}")
         curve = report["resonance_curve"]
         print(f"  resonance curve ({curve['points']} pts): "
-              f"{curve['serial_points_per_sec']:,.0f} -> "
+              f"{curve['serial_reference_points_per_sec']:,.0f} -> "
               f"{curve['batched_points_per_sec']:,.0f} pts/s  "
               f"{curve['speedup']:.1f}x  "
               f"identical={curve['waveforms_identical']}")
