@@ -59,9 +59,10 @@ bench-json:
 bench-batch:
 	PYTHONPATH=src $(PYTHON) tools/bench_report.py --sweep
 
-# Fused-kernel golden suite: every backend, and both fused engines (the
-# C megakernel, which runs a single loop as a batch of one, and
-# generated Python), must reproduce the reference closed-loop waveforms
+# Fused-kernel golden suite: every backend, and both routes under fused
+# (the C megakernel, which runs a single loop as a batch of one, and the
+# reference loop every fused entry point falls back to with no trusted
+# compiler), must reproduce the reference closed-loop waveforms
 # bit-for-bit across the reference specs, and non-lowerable chains must
 # fall back cleanly.  Next to it, the loop
 # prelude: the Butterworth design and its frequency response are NumPy
@@ -75,16 +76,16 @@ kernel-check:
 
 # Columnar SoA engine golden suite, both legs: once with the compiler
 # present (every batch, whatever its width, on its shape's megakernel,
-# each instance np.array_equal to its reference-loop run, or to
-# generated Python where a test lowers kernels directly) and once with
+# each instance np.array_equal to its reference-loop run) and once with
 # CC pointed at a *nonexistent* binary under a fresh TMPDIR (no cached
-# .so can hide the failure), where every batch declines to generated
-# Python runs that must stay bit-exact.  Note CC=/bin/false would not do: the probe
+# .so can hide the failure), where every batch declines and each of its
+# loops must run the reference loop, bit-exact, with exact declined and
+# fallback counts.  Note CC=/bin/false would not do: the probe
 # only checks that the compiler exists, so a present-but-broken CC
 # exercises the build *failure* path, not the no-compiler path.
 vector-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_columnar.py -q
-	@echo "-- no-compiler pass: CC=no-such-compiler, every batch must decline to generated Python, bit-exact --"
+	@echo "-- no-compiler pass: CC=no-such-compiler, every batch must decline to the reference loop, bit-exact --"
 	CC=no-such-compiler TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_columnar.py -q
 
@@ -120,13 +121,13 @@ spec-check:
 # around a chunk's batch (test_fabric_faults.py).  The second pass
 # breaks the C compiler (CC=/bin/false) under a fresh TMPDIR (so no
 # cached megakernel .so can hide the failure) and re-runs the golden
-# equivalence suites: single loops and batches alike fall back to
-# generated Python, which must still reproduce every waveform
-# bit-for-bit.
+# equivalence suites: single loops and batches alike fall back to the
+# reference loop, and every fused run must still reproduce every
+# waveform bit-for-bit.
 fault-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_resilience.py tests/engine/test_cache.py \
 		tests/engine/test_cache_tiered.py tests/engine/test_fabric_faults.py -q
-	@echo "-- no-compiler pass: CC=/bin/false, fallback chain must stay bit-identical --"
+	@echo "-- broken-compiler pass: CC=/bin/false, every fused run must fall back to the reference loop, bit-identical --"
 	CC=/bin/false TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_batch.py -q
 	@echo "fault-check: all injected faults recovered or flagged"

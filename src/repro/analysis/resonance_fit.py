@@ -115,7 +115,8 @@ def _swept_sine_batched(
     displacement waveform is bit-identical to the per-sample Python
     drive, which the golden suite pins.  Raises
     :class:`~repro.errors.LoweringError` for subclassed/patched
-    resonators (the caller falls back to the Python loop).
+    resonators and when no C engine is trusted (the caller falls back
+    to the Python loop).
     """
     from ..engine.kernel import FusedLoopKernel, KernelBatch
     from ..feedback.loop import lower_resonator_mode
@@ -166,8 +167,8 @@ def swept_sine_response(
     call (bit-identical to the per-sample drive, ~10-40x faster);
     ``backend="reference"`` forces the per-sample Python path.
     Resonators the kernel cannot prove equivalent (subclassed or
-    patched ``step``) fall back to the reference path with the reason
-    logged and counted.
+    patched ``step``), and machines with no trusted C compiler, fall
+    back to the reference path with the reason logged and counted.
     """
     require_positive("force_amplitude", force_amplitude)
     f = np.asarray(frequencies, dtype=float)

@@ -17,22 +17,19 @@ flat *stage program* and runs it in one allocation-free inner loop:
   The **fused** backend runs a batch on the C megakernel generated for
   its program shape (:mod:`~repro.engine.kernel_columnar`; strict IEEE
   flags, built once per shape per machine with the system C compiler,
-  cached on disk) — ~50-100x the reference path; when no compiler is
-  trusted it runs each instance on a specialized straight-line Python
-  inner loop generated from the program (no attribute lookups, no
-  method dispatch, literal coefficients) — still several times the
-  reference path.
+  cached on disk) — ~50-100x the reference path.  When no compiler is
+  trusted the batch declines with :class:`~repro.errors.LoweringError`
+  and the loop simulators run the reference loop instead.
 
-Equivalence is the contract, and it is one contract for every route:
-each primitive replicates the reference ``step()`` arithmetic
-operation-for-operation, so on either engine and at any batch width
+Equivalence is the contract: each primitive replicates the reference
+``step()`` arithmetic operation-for-operation, so at any batch width
 the fused waveforms match the per-sample loop bit-for-bit (pinned by
 the golden test suites, ``make kernel-check`` and ``make
 vector-check``).  Blocks that cannot lower — unknown user subclasses,
 instance-patched ``step`` methods, amplifiers with per-sample noise —
-raise :class:`~repro.errors.LoweringError`; the loop simulators catch
-it and fall back to the reference path with a logged reason, recorded
-by :func:`kernel_info`.
+raise :class:`~repro.errors.LoweringError` too; the loop simulators
+catch it and fall back to the reference path with a logged reason,
+recorded by :func:`kernel_info`.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
-import math
 import os
 import shutil
 import subprocess
@@ -112,14 +108,14 @@ _N_PARAMS = 5
 #: Loop-level backend choices accepted by ``run(..., backend=)``.
 BACKENDS = ("auto", "reference", "fused")
 
-#: The engines under the ``fused`` backend (``auto`` resolves to it), in
-#: the order :meth:`KernelBatch.run` tries them for a batch of any width,
-#: a single loop's run included; pinned by regression tests.  First the
-#: program shape's columnar C megakernel
+#: The routes under the ``fused`` backend (``auto`` resolves to it), in
+#: the order :meth:`KernelBatch.run` and the loop simulators take them
+#: for a batch of any width, a single loop's run included; pinned by
+#: regression tests.  First the program shape's columnar C megakernel
 #: (:mod:`~repro.engine.kernel_columnar`) when a compiler exists and is
-#: trusted (:func:`cc_usable`), else generated straight-line Python, one
-#: instance at a time.  Both are bit-identical to the reference loop.
-AUTO_ORDER = ("columnar:cc", "fused:codegen")
+#: trusted (:func:`cc_usable`), else the per-sample reference loop.  Both
+#: give the reference loop's bits.
+AUTO_ORDER = ("columnar:cc", "reference")
 
 
 @dataclass(frozen=True)
@@ -180,10 +176,9 @@ class ModeLowering:
 class KernelRunInfo:
     """How one closed-loop run executed (see also :func:`kernel_info`).
 
-    ``engine`` names the machinery under the backend:
-    ``"cc-columnar"`` (its program shape's columnar C megakernel, which
-    runs a single loop as a batch of one) or ``"codegen"`` (generated
-    Python source).
+    ``engine`` names the machinery under the backend: always
+    ``"cc-columnar"``, its program shape's columnar C megakernel, which
+    runs a single loop as a batch of one.
     """
 
     backend: str
@@ -222,7 +217,7 @@ _CC_BUILD_ERROR: str | None = None
 
 #: Environment variable overriding compiler discovery (``CC=/bin/false``
 #: is the canonical way to force the build to fail and exercise the
-#: fallback chain end-to-end).
+#: fallback to the reference loop end-to-end).
 CC_ENV = "CC"
 
 
@@ -297,23 +292,23 @@ def cc_usable() -> bool:
 
 def _load_cc_engine(
     build: Callable[[], Callable], timer: StageTimer
-) -> Callable | None:
+) -> Callable:
     """Run ``build()`` under the C engine's trust machinery.
 
-    Returns ``None`` when there is no compiler, when the engine is
-    blocked (a memoized build failure or an open ``kernel-cc`` breaker),
-    or when ``build()`` fails now; the generated-Python engine then
-    runs instead.  The blocked and failed cases count as degrades; a
-    failed build also counts against the breaker.
+    Raises :class:`LoweringError` when there is no compiler, when the
+    engine is blocked (a memoized build failure or an open ``kernel-cc``
+    breaker), or when ``build()`` fails now; the loop simulators then
+    run the reference loop.  The blocked and failed cases count as
+    degrades; a failed build also counts against the breaker.
     """
     if not cc_available():
-        return None
+        raise LoweringError("no C compiler available")
     blocked = _cc_engine_blocked()
     if blocked is not None:
         record_degrade(blocked)
-        logger.info("C kernel engine skipped (%s); using generated Python",
-                    blocked)
-        return None
+        logger.info("C kernel engine skipped (%s); running the reference "
+                    "loop", blocked)
+        raise LoweringError(f"C kernel engine skipped: {blocked}")
     breaker = get_breaker("kernel-cc")
     try:
         with timer.stage("compile"):
@@ -322,9 +317,10 @@ def _load_cc_engine(
         breaker.record_failure(str(err))
         record_degrade(str(err))
         logger.warning(
-            "C kernel engine unavailable (%s); using generated Python", err
+            "C kernel engine unavailable (%s); running the reference loop",
+            err,
         )
-        return None
+        raise LoweringError(f"C kernel engine unavailable: {err}") from err
     breaker.record_success()
     return fn
 
@@ -372,9 +368,10 @@ class KernelInfo:
     last_degrade_reason: str | None = None
     #: Every ``KernelBatch.run`` counts once in ``batch_runs`` and once
     #: in exactly one of these two: ``batch_columnar_runs`` (the
-    #: shape's columnar megakernel) or ``batch_declined`` (per-instance
-    #: generated-Python runs, because no C engine is trusted).  A single
-    #: loop's run is a batch of one, so it counts here too.
+    #: shape's columnar megakernel) or ``batch_declined`` (no C engine
+    #: is trusted, so each instance runs the reference loop and counts
+    #: in ``fallbacks``).  A single loop's run is a batch of one, so it
+    #: counts here too.
     batch_declined: int = 0
     batch_columnar_runs: int = 0
     last_batch_engine: str | None = None
@@ -465,9 +462,9 @@ def record_batch(
     """Account one :meth:`KernelBatch.run` call.
 
     ``engine`` is the batch machinery that ran: ``"columnar"`` (counted
-    in ``batch_columnar_runs``) or ``"solo"`` — each instance run alone
-    on the generated-Python engine because no C engine is trusted,
-    counted in ``batch_declined``.
+    in ``batch_columnar_runs``) or ``"solo"`` — declined because no C
+    engine is trusted, so each instance runs alone on the reference
+    loop; counted in ``batch_declined``.
     """
     _STATS["batch_runs"] += 1
     _STATS["batch_instances"] += int(n_instances)
@@ -475,8 +472,8 @@ def record_batch(
     _STATS["last_batch_engine"] = str(engine)
     if engine == "solo":
         _STATS["batch_declined"] += 1
-        logger.info("kernel batch of %d instances ran on generated "
-                    "Python (no trusted C engine)", n_instances)
+        logger.info("kernel batch of %d instances declined to the "
+                    "reference loop (no trusted C engine)", n_instances)
     else:
         _STATS["batch_columnar_runs"] += 1
     if run_seconds > 0.0 and total_samples:
@@ -498,7 +495,11 @@ def record_op_profile(kinds: Sequence[int], samples: int) -> None:
 
 
 def record_fallback(reason: str) -> None:
-    """Account one lowering failure (loop simulators call this)."""
+    """Account one fused run that took the reference path instead.
+
+    Its loop did not lower, or no C engine is trusted (loop simulators
+    call this).
+    """
     _STATS["fallbacks"] += 1
     _STATS["last_fallback_reason"] = str(reason)
     logger.info("fused kernel fallback to reference path: %s", reason)
@@ -655,7 +656,6 @@ class FusedLoopKernel:
         self._sidx = sidx
         self._state0 = state
         self._slices = slices
-        self._fused_fn = None
 
     @property
     def n_ops(self) -> int:
@@ -685,9 +685,9 @@ class FusedLoopKernel:
         ``noise`` is the per-sample bridge-noise waveform (zeros when
         noise is disabled), at least ``n`` samples long.  The one kernel
         backend is ``fused``.  The run is a one-instance
-        :class:`KernelBatch`, so it takes the batch's checks and its
-        engine follows :data:`AUTO_ORDER`: the shape's C megakernel when
-        the compiler is trusted, else generated Python.
+        :class:`KernelBatch`, so it takes the batch's checks and runs on
+        the shape's C megakernel; with no trusted compiler it raises
+        :class:`LoweringError`, and the caller runs the reference loop.
         """
         if backend != "fused":
             raise KernelError(
@@ -700,56 +700,6 @@ class FusedLoopKernel:
             if stage.sync is not None:
                 stage.sync(final_state[start:end])
 
-    # -- generated-Python backend -------------------------------------------------
-
-    def _run_codegen(self, n: int, noise: np.ndarray) -> KernelRunResult:
-        """One run on the generated-Python engine (``engine="codegen"``)."""
-        timer = StageTimer()
-        state = list(self._state0)
-        mode_state = [c for m in self.modes for c in (m.x0, m.v0)]
-        with timer.stage("compile"):
-            fn = self._fused_function()
-        out = _allocate_lists(n)
-        with timer.stage("run"):
-            fn(n, state, mode_state, noise.tolist(), *out)
-        self._sync_stages(state)
-        info = KernelRunInfo(
-            backend="fused",
-            engine="codegen",
-            n_samples=n,
-            n_ops=self.n_ops,
-            n_state=self.n_state,
-            lower_seconds=0.0,
-            compile_seconds=timer.seconds("compile"),
-            run_seconds=timer.seconds("run"),
-        )
-        record_op_profile(self._kinds, n)
-        record_run("fused", n, timer.seconds("run"), timer.seconds("compile"))
-        arrays = [np.asarray(o, dtype=float) for o in out]
-        return KernelRunResult(
-            displacement=arrays[0],
-            bridge_voltage=arrays[1],
-            limiter_input=arrays[2],
-            limiter_output=arrays[3],
-            drive_voltage=arrays[4],
-            mode_state=mode_state,
-            info=info,
-        )
-
-    def _fused_function(self):
-        if self._fused_fn is None:
-            source = _generate_source(
-                self._kinds, self._params, self._sidx,
-                len(self._state0), self.modes,
-                self.act_r, self.act_imax, self.act_fpc,
-            )
-            self._fused_fn = _compile_source(source)
-        return self._fused_fn
-
-
-def _allocate_lists(n: int):
-    return tuple([0.0] * n for _ in range(5))
-
 
 # -- batched multi-instance execution ----------------------------------------------
 #
@@ -758,9 +708,9 @@ def _allocate_lists(n: int):
 # parameter/state/noise/actuator block.  Every batch, whatever its
 # width (a single loop's run is a batch of one), runs on its shape's
 # columnar megakernel (:mod:`~repro.engine.kernel_columnar`), partitioned
-# across C pthreads, when a C engine is trusted; otherwise each instance
-# runs on the generated-Python engine.  Both are bit-identical to the
-# reference loop.
+# across C pthreads, when a C engine is trusted; otherwise it declines,
+# and each instance runs the reference loop.  Either way every instance
+# gets the reference loop's bits.
 
 #: Hard ceiling on C-level batch threads (matches the columnar C entry).
 MAX_BATCH_THREADS = 64
@@ -826,10 +776,11 @@ class KernelBatch:
         least ``ns[i]`` samples.
 
     ``run()`` executes the batch, whatever its width, on its shape's
-    compiled columnar megakernel when a C engine is trusted, and each
-    instance on the generated-Python engine otherwise; either way every
-    instance is bit-identical to its reference-loop run (pinned with
-    ``np.array_equal``).  :meth:`FusedLoopKernel.run` is a batch of one.
+    compiled columnar megakernel, and every instance is bit-identical to
+    its reference-loop run (pinned with ``np.array_equal``).  With no
+    trusted C engine it raises :class:`LoweringError` instead, and the
+    loop simulators run the reference loop.
+    :meth:`FusedLoopKernel.run` is a batch of one.
     """
 
     def __init__(
@@ -870,175 +821,31 @@ class KernelBatch:
     def n_instances(self) -> int:
         return len(self.kernels)
 
-    @property
-    def n_max(self) -> int:
-        return max(self.ns)
-
     def run(self, threads: int | None = None) -> list[KernelRunResult]:
         """Execute all instances; one :class:`KernelRunResult` each, in
         input order.
 
-        Follows :data:`AUTO_ORDER`: the shape's compiled columnar
-        megakernel (built on first use) when a C engine is trusted,
-        else each instance on the generated-Python engine.
-        ``threads`` requests the megakernel's C thread count
-        (resolved by :func:`kernel_batch_threads`).
+        Runs the shape's compiled columnar megakernel (built on first
+        use); ``threads`` requests its C thread count (resolved by
+        :func:`kernel_batch_threads`).  With no trusted C engine the
+        batch is counted as declined and raises :class:`LoweringError`
+        before any instance runs, which sends its loops down
+        :data:`AUTO_ORDER` to the reference loop.
         """
         from . import kernel_columnar
 
         timer = StageTimer()
-        fn = _load_cc_engine(
-            lambda: kernel_columnar.columnar_interpreter(self.signature),
-            timer,
-        )
-        if fn is not None:
-            return kernel_columnar.run_columnar_cc(
-                self, fn, kernel_batch_threads(threads, self.n_instances),
+        try:
+            fn = _load_cc_engine(
+                lambda: kernel_columnar.columnar_interpreter(self.signature),
                 timer,
             )
-        results = [
-            kernel._run_codegen(n, noise)
-            for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
-        ]
-        record_batch(self.n_instances, 1)
-        return results
-
-
-# -- code generation ---------------------------------------------------------------
-
-_SOURCE_CACHE: dict[str, Callable] = {}
-_SOURCE_CACHE_MAX = 256
-
-
-def _lit(x: float) -> str:
-    """An exact round-trip literal for a float, parenthesized if signed."""
-    r = repr(float(x))
-    return f"({r})" if r.startswith("-") else r
-
-
-def _generate_source(kinds, params, sidx, n_state, modes, act_r, act_imax, act_fpc):
-    """Specialized straight-line inner loop for one stage program.
-
-    Coefficients are embedded as exact literals; state lives in local
-    variables; the only per-sample indexing is the five output writes
-    and the noise read.
-    """
-    lines = [
-        "def _fused(n, state, mode_state, noise, out_disp, out_bridge, "
-        "out_limin, out_limout, out_drive):",
-        "    _tanh = tanh",
-    ]
-    for s in range(n_state):
-        lines.append(f"    s{s} = state[{s}]")
-    for m in range(len(modes)):
-        lines.append(f"    mx{m} = mode_state[{2 * m}]")
-        lines.append(f"    mv{m} = mode_state[{2 * m + 1}]")
-    lines.append("    i = 0")
-    lines.append("    while i < n:")
-
-    # bridge: coefficient-weighted mode sum plus the noise sample
-    if len(modes) == 1:
-        lines.append(f"        v = {_lit(modes[0].coef)}*mx0 + noise[i]")
-    else:
-        lines.append(f"        v = {_lit(modes[0].coef)}*mx0")
-        for m in range(1, len(modes)):
-            lines.append(f"        v = v + {_lit(modes[m].coef)}*mx{m}")
-        lines.append("        v = v + noise[i]")
-    lines.append("        out_bridge[i] = v")
-
-    for j, kind in enumerate(kinds):
-        p = params[j]
-        s = sidx[j]
-        if kind == OP_BIAS:
-            lines.append(f"        v = v + {_lit(p[0])}")
-        elif kind == OP_GAIN:
-            lines.append(f"        v = v*{_lit(p[0])}")
-        elif kind == OP_SOS:
-            lines.append(f"        y = {_lit(p[0])}*v + s{s}")
-            lines.append(
-                f"        s{s} = {_lit(p[1])}*v - {_lit(p[3])}*y + s{s + 1}"
-            )
-            lines.append(f"        s{s + 1} = {_lit(p[2])}*v - {_lit(p[4])}*y")
-            lines.append("        v = y")
-        elif kind == OP_RC:
-            lines.append(f"        s{s} = s{s} + {_lit(p[0])}*(v - s{s})")
-            lines.append(f"        v = s{s}")
-        elif kind == OP_CLIP:
-            lines.append(f"        if v < {_lit(p[0])}: v = {_lit(p[0])}")
-            lines.append(f"        elif v > {_lit(p[1])}: v = {_lit(p[1])}")
-        elif kind == OP_TANH:
-            lines.append(
-                f"        v = {_lit(p[1])}*_tanh({_lit(p[0])}*v/{_lit(p[1])})"
-            )
-        elif kind == OP_DIFF:
-            lines.append(f"        y = (v - s{s})*{_lit(p[0])}")
-            lines.append(f"        s{s} = v")
-            lines.append("        v = y")
-        elif kind == OP_DEADZONE:
-            lines.append(f"        if v <= {_lit(p[0])} and v >= {_lit(p[1])}:")
-            lines.append("            v = 0.0")
-            lines.append(f"        elif v > 0.0: v = v - {_lit(p[0])}")
-            lines.append(f"        else: v = v - {_lit(p[1])}")
-        elif kind == OP_SLEW:
-            lines.append(f"        y = v - s{s}")
-            lines.append(f"        if y > {_lit(p[0])}: v = s{s} + {_lit(p[0])}")
-            lines.append(
-                f"        elif y < {_lit(p[1])}: v = s{s} + {_lit(p[1])}"
-            )
-            lines.append(f"        s{s} = v")
-        elif kind == OP_LATCH:
-            lines.append(f"        s{s} = v")
-        elif kind == OP_TAP_LIMIN:
-            lines.append("        out_limin[i] = v")
-        elif kind == OP_TAP_LIMOUT:
-            lines.append("        out_limout[i] = v")
-        elif kind == OP_TAP_DRIVE:
-            lines.append("        out_drive[i] = v")
-        else:  # pragma: no cover - defensive
-            raise KernelError(f"unknown op kind {kind}")
-
-    # actuator: current limit, then force per ampere
-    lines.append(f"        cur = v/{_lit(act_r)}")
-    lines.append(f"        if cur > {_lit(act_imax)}: cur = {_lit(act_imax)}")
-    lines.append(
-        f"        elif cur < {_lit(-act_imax)}: cur = {_lit(-act_imax)}"
-    )
-    lines.append(f"        f = {_lit(act_fpc)}*cur")
-
-    # exact-ZOH mode propagation
-    for m, mode in enumerate(modes):
-        lines.append(f"        x0 = mx{m}")
-        lines.append(f"        v0 = mv{m}")
-        lines.append(
-            f"        mx{m} = {_lit(mode.a11)}*x0 + {_lit(mode.a12)}*v0 "
-            f"+ {_lit(mode.b1)}*f"
+        except LoweringError:
+            record_batch(self.n_instances, 1)
+            raise
+        return kernel_columnar.run_columnar_cc(
+            self, fn, kernel_batch_threads(threads, self.n_instances), timer,
         )
-        lines.append(
-            f"        mv{m} = {_lit(mode.a21)}*x0 + {_lit(mode.a22)}*v0 "
-            f"+ {_lit(mode.b2)}*f"
-        )
-    lines.append("        out_disp[i] = mx0")
-    lines.append("        i += 1")
-
-    for s in range(n_state):
-        lines.append(f"    state[{s}] = s{s}")
-    for m in range(len(modes)):
-        lines.append(f"    mode_state[{2 * m}] = mx{m}")
-        lines.append(f"    mode_state[{2 * m + 1}] = mv{m}")
-    return "\n".join(lines) + "\n"
-
-
-def _compile_source(source: str) -> Callable:
-    fn = _SOURCE_CACHE.get(source)
-    if fn is None:
-        # repr(float("inf")) in _lit() emits the bare names inf/nan
-        namespace = {"tanh": math.tanh, "inf": math.inf, "nan": math.nan}
-        exec(compile(source, "<repro.engine.kernel generated>", "exec"), namespace)
-        fn = namespace["_fused"]
-        if len(_SOURCE_CACHE) >= _SOURCE_CACHE_MAX:
-            _SOURCE_CACHE.pop(next(iter(_SOURCE_CACHE)))
-        _SOURCE_CACHE[source] = fn
-    return fn
 
 
 # -- the C build cache ------------------------------------------------------------

@@ -26,15 +26,15 @@ of one.
 * waveforms are **packed by sample count**: column ``k``'s samples of
   each waveform start at ``off[k] = sum(round8(n_j) for j < k)``, and
   the kernel reads each instance's bridge noise from its own array, so
-  memory follows what each instance computes, not ``n_inst x n_max``;
+  memory follows what each instance computes, not the batch's width
+  times its longest instance;
 * output waveforms go through an 8-sample staging tile per instance,
   flushed to 64-byte-aligned result rows with non-temporal stores.
 
 Contract: every instance of a columnar batch is **bit-identical** to its
-reference-loop run — the same contract as every other kernel route,
-pinned with ``np.array_equal`` by ``tests/engine/test_kernel_columnar.py``.
-Each lane runs the reference ``step()`` chain's exact per-sample
-operation sequence, the one the generated-Python engine also runs: FMA
+reference-loop run, pinned with ``np.array_equal`` by
+``tests/engine/test_kernel_columnar.py``.  Each lane runs the reference
+``step()`` chain's exact per-sample operation sequence: FMA
 contraction is off at every vector width, and the kernel calls scalar
 libm ``tanh``.  glibc's vector ``tanh`` (libmvec) differs
 from libm's in the last bits, so the kernel does not use it.
@@ -96,50 +96,35 @@ RTOL = 1e-9
 ATOL_SCALE = 1e-12
 
 
-# -- allocation reuse --------------------------------------------------------------
+# -- allocation --------------------------------------------------------------------
 #
-# The engine's small scratch arrays (the five 8-sample staging tiles,
-# the value row the tanh split passes between segments) never escape a
-# run.  Allocated fresh, each run would get newly-mmapped pages back
-# from glibc that the OS zero-fills fault by fault on first touch.
-# They are pooled per-thread instead (thread-local: concurrent
-# KernelBatch runs from the service layer must not share scratch).
-# The packed waveform rows DO escape — each KernelRunResult is a
-# zero-copy view — so they are freshly allocated, sized to the batch's
-# own samples; _tune_malloc() asks glibc to recycle their pages across
-# result generations rather than returning them to the OS (raises
-# M_MMAP_THRESHOLD / M_TRIM_THRESHOLD once per process).
+# Every buffer a run hands the kernel is allocated for that run through
+# _aligned_rows(): the packed waveform rows, which escape as zero-copy
+# result views, and the five 8-sample staging tiles and the value row
+# the tanh split passes between segments, which are a few KB and never
+# escape.  _tune_malloc() raises glibc's M_MMAP_THRESHOLD and
+# M_TRIM_THRESHOLD once per process, so freed rows and a loop's own
+# arrays go back to the heap and are reused there instead of being
+# unmapped and zero-filled again, page fault by page fault, on the
+# next run.  It pays on serial sweeps, which run one short batch per
+# loop: eight 16-point serial sweeps at 0.1 s per point took 0.143 s
+# each with it and 0.161 s without (medians, faster in 9 of 10
+# alternating process rounds on a 2-vCPU Xeon), for 0.8 MB more peak
+# RSS; 96-instance batches did not move beyond their spread.
 
 _M_TRIM_THRESHOLD = -1   # glibc mallopt() parameter ids
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 64 << 20
 _TRIM_THRESHOLD_BYTES = 128 << 20
 _MALLOC_TUNED = False
-_SCRATCH_TLS = threading.local()
-
-
-def _scratch(name: str, shape: tuple) -> np.ndarray:
-    """A pooled float64 scratch array (per-thread, latest shape kept).
-
-    Contents are unspecified on return, like :func:`np.empty` — every
-    caller fully overwrites the region it reads back.
-    """
-    pool = getattr(_SCRATCH_TLS, "pool", None)
-    if pool is None:
-        pool = _SCRATCH_TLS.pool = {}
-    buf = pool.get(name)
-    if buf is None or buf.shape != shape:
-        buf = pool[name] = np.empty(shape)
-    return buf
 
 
 def _aligned_rows(size: int) -> np.ndarray:
-    """``size`` float64s whose data pointer is 64-byte aligned.  With
-    every column offset a multiple of 8 doubles this puts every
+    """``size`` fresh float64s whose data pointer is 64-byte aligned.
+    With every column offset a multiple of 8 doubles this puts every
     8-sample window of every instance on one whole cacheline — the
     property that lets the kernel flush output rows with non-temporal
-    stores.  These escape into run results (zero-copy views), so they
-    are freshly allocated, never pooled."""
+    stores."""
     raw = np.empty(size + 8)
     start = (-raw.ctypes.data % 64) // 8
     return raw[start:start + size]
@@ -449,15 +434,15 @@ void run_columnar(
 # instances) that is flushed to the packed rows once per tile with
 # non-temporal stores.  The rows are freshly allocated every run (they
 # escape as zero-copy result views), so every row line is cold: a
-# cached store would pay read-for-ownership on all of them (~8.8 MB of
-# reads per 16x19k batch that serve no purpose), while streaming stores
-# retire straight to memory.  This only works because the rows are
-# 64-byte aligned and every column starts at a multiple of 8 doubles —
-# every full window is exactly one whole cacheline.  (An earlier
-# 32-sample tile flushed into *unaligned* rows measured slower than
-# row-direct stores: the tile blew the L1 working set and odd sample
-# counts kept windows off line boundaries, degrading the streaming
-# stores to partial write-combining flushes.)
+# cached store would pay read-for-ownership on all of them, while
+# streaming stores retire straight to memory.  This only works because
+# the rows are 64-byte aligned and every column starts at a multiple of
+# 8 doubles — every full window is exactly one whole cacheline.
+# Measured against plain row-direct stores into unaligned rows packed
+# without the round8 spacing (2-vCPU Xeon, 8 alternating process
+# rounds): a 96-instance batch of 0.1 s loops took 0.121 s of C time
+# against 0.200 s, and its 96-point sweep 0.453 s against 0.509 s, both
+# faster in 8 of 8 rounds.
 
 _SPEC_HEADER = """
 #include <math.h>
@@ -796,9 +781,6 @@ def _reset_engine() -> None:
     """Forget the loaded megakernels (reset_compiler_probe hook)."""
     with _LOCK:
         _ENGINES.clear()
-    pool = getattr(_SCRATCH_TLS, "pool", None)
-    if pool is not None:
-        pool.clear()
 
 
 def _build_so(source: str, flags: Sequence[str], stem: str) -> Callable:
@@ -846,8 +828,9 @@ def columnar_interpreter(signature: tuple) -> Callable:
     ``kernel.compile`` fault raises per its plan and is never memoized,
     and a real build failure is memoized into the module-wide
     ``cc_build_error`` (a compiler that cannot build one kernel source
-    cannot build another).  :meth:`KernelBatch.run` degrades to the
-    generated-Python engine on :class:`KernelError`.
+    cannot build another).  On :class:`KernelError`,
+    :meth:`KernelBatch.run` declines, and the loops run the reference
+    loop.
     """
     if poll_fault("kernel.compile") is not None:
         raise KernelError("injected fault at kernel.compile")
@@ -882,15 +865,12 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
     blocks = _assemble(batch, threads_used)
     n_inst = blocks.n_inst
     # each staging tile holds one 8-sample window per instance, [k*8 + it]
-    stg = [_scratch(f"stg{j}", (n_inst, 8)) for j in range(2)]
-    rows = [_aligned_rows(blocks.size) for _ in range(2)]
-    if blocks.has_taps:
-        stg += [_scratch(f"stg{j}", (n_inst, 8)) for j in range(2, 5)]
-        rows += [_aligned_rows(blocks.size) for _ in range(3)]
-    else:
-        stg += [np.zeros(1) for _ in range(3)]
-        rows += [np.zeros(1) for _ in range(3)]
-    vbuf = _scratch("vbuf", (n_inst,))
+    waves = 5 if blocks.has_taps else 2
+    stg = [_aligned_rows(n_inst * 8) for _ in range(waves)]
+    rows = [_aligned_rows(blocks.size) for _ in range(waves)]
+    stg += [np.zeros(1) for _ in range(5 - waves)]
+    rows += [np.zeros(1) for _ in range(5 - waves)]
+    vbuf = _aligned_rows(n_inst)
     with timer.stage("run"):
         fn(
             n_inst, len(blocks.bounds) - 1, blocks.bounds,

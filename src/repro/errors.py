@@ -70,11 +70,14 @@ class KernelError(ReproError, RuntimeError):
 
 
 class LoweringError(KernelError):
-    """A loop block cannot be lowered to a fused kernel stage.
+    """A loop cannot run on the fused kernel.
 
-    Raised during kernel construction; the closed-loop simulators catch
-    it and fall back to the per-sample reference path, so it is a
-    performance event, never a correctness failure.
+    Raised during kernel construction, when a block cannot be lowered to
+    a fused kernel stage, and by a kernel run before any sample is
+    computed, when no trusted C engine can run the lowered program.  The
+    closed-loop simulators catch it and fall back to the per-sample
+    reference path, so it is a performance event, never a correctness
+    failure.
     """
 
 

@@ -406,9 +406,10 @@ class ResonantFeedbackLoop:
             sample-by-sample; ``"fused"`` lowers the loop to the fused
             kernel (same waveforms, ~20x faster); ``"auto"`` (default)
             means ``"fused"``.  Blocks that cannot lower (custom
-            subclasses, patched ``step``, per-sample noise sources)
-            make the kernel fall back to the reference path with a
-            logged reason — never an error.  See ``docs/FASTPATH.md``.
+            subclasses, patched ``step``, per-sample noise sources),
+            and machines with no trusted C compiler, make the kernel
+            fall back to the reference path with a logged reason —
+            never an error.  See ``docs/FASTPATH.md``.
         """
         resolved = resolve_backend(backend)
         prep = self._prepare_run(duration, initial_kick)
@@ -421,11 +422,10 @@ class ResonantFeedbackLoop:
         if resolved != "reference":
             try:
                 kernel = self._lower_kernel(prep.signed_coefficient)
+                result = kernel.run(n, bridge_noise, backend=resolved)
             except LoweringError as err:
                 record_fallback(str(err))
-                resolved = "reference"
             else:
-                result = kernel.run(n, bridge_noise, backend=resolved)
                 self._absorb_kernel_result(result)
                 return _record_from_result(prep, result)
 
@@ -630,10 +630,10 @@ def run_batch(
     :func:`~repro.engine.kernel.batch_signature`) are grouped into one
     :class:`~repro.engine.kernel.KernelBatch`.  Each group, whatever
     its width, runs as one call of its shape's compiled columnar
-    megakernel, pthread-partitioned across instances; only where no C
-    engine is trusted does a group run each loop on generated Python.
-    Either way every record is ``np.array_equal`` to the loop's solo
-    run, on the fused or the reference backend.
+    megakernel, pthread-partitioned across instances; where no C engine
+    is trusted the group declines and each of its loops runs the
+    reference loop.  Either way every record is ``np.array_equal`` to
+    the loop's solo run, on the fused or the reference backend.
 
     Parameters
     ----------
@@ -664,7 +664,8 @@ def run_batch(
     Loops that cannot lower (patched ``step``, custom actuators, noisy
     amplifiers) fall back *per instance* to the reference path with the
     reason logged and counted — they never poison the rest of the
-    batch.
+    batch.  A declined group's loops count the same way, one fallback
+    each.
     """
     loops = list(loops)
     if np.isscalar(duration):
@@ -682,6 +683,11 @@ def run_batch(
             records[i] = loop.run(durations[i], initial_kick, backend=backend)
         return records
 
+    def fall_back(i: int, err: LoweringError) -> None:
+        record_fallback(str(err))
+        records[i] = loops[i].run(durations[i], initial_kick,
+                                  backend="reference")
+
     groups: dict[tuple, list[int]] = {}
     kernels: list[FusedLoopKernel | None] = [None] * len(loops)
     preps: list[_PreparedRun | None] = [None] * len(loops)
@@ -692,9 +698,7 @@ def run_batch(
         try:
             kernels[i] = loop._lower_kernel(prep.signed_coefficient)
         except LoweringError as err:
-            record_fallback(str(err))
-            records[i] = loop.run(durations[i], initial_kick,
-                                  backend="reference")
+            fall_back(i, err)
         else:
             preps[i] = prep
             synthesis[i] = (prep.n, noise)
@@ -720,7 +724,13 @@ def run_batch(
             [preps[i].n for i in indices],
             [noises[i] for i in indices],
         )
-        for i, result in zip(indices, batch.run(threads=threads)):
+        try:
+            results = batch.run(threads=threads)
+        except LoweringError as err:  # declined: no trusted C engine
+            for i in indices:
+                fall_back(i, err)
+            continue
+        for i, result in zip(indices, results):
             loops[i]._absorb_kernel_result(result)
             records[i] = _record_from_result(preps[i], result)
     return records

@@ -133,11 +133,10 @@ class MultiModeLoop:
         if resolved != "reference":
             try:
                 kernel = self._lower_kernel(bridge_sens)
+                result = kernel.run(n, np.zeros(n), backend=resolved)
             except LoweringError as err:
                 record_fallback(str(err))
-                resolved = "reference"
             else:
-                result = kernel.run(n, np.zeros(n), backend=resolved)
                 self._absorb_kernel_result(result)
                 return Signal(result.bridge_voltage, sample_rate)
 
@@ -268,8 +267,9 @@ def run_multimode_batch(
     instances sharing one program shape run in one compiled call; each
     returned bridge waveform is bit-identical to the instance's solo
     run; non-lowerable instances fall back per-instance to the
-    reference path without poisoning the batch.  ``duration`` may be a
-    float or a per-instance sequence.
+    reference path without poisoning the batch, and a group declined
+    for want of a trusted C engine runs each of its instances there.
+    ``duration`` may be a float or a per-instance sequence.
     """
     loops = list(loops)
     if np.isscalar(duration):
@@ -287,6 +287,11 @@ def run_multimode_batch(
             signals[i] = mm.run(durations[i], initial_kick, backend=backend)
         return signals
 
+    def fall_back(i: int, err: LoweringError) -> None:
+        record_fallback(str(err))
+        signals[i] = loops[i].run(durations[i], initial_kick,
+                                  backend="reference")
+
     groups: dict[tuple, list[int]] = {}
     kernels = [None] * len(loops)
     ns = [0] * len(loops)
@@ -297,9 +302,7 @@ def run_multimode_batch(
         try:
             kernels[i] = mm._lower_kernel(bridge_sens)
         except LoweringError as err:
-            record_fallback(str(err))
-            signals[i] = mm.run(durations[i], initial_kick,
-                                backend="reference")
+            fall_back(i, err)
         else:
             ns[i], rates[i] = n, sample_rate
             groups.setdefault(batch_signature(kernels[i]), []).append(i)
@@ -310,7 +313,13 @@ def run_multimode_batch(
             [ns[i] for i in indices],
             [np.zeros(ns[i]) for i in indices],
         )
-        for i, result in zip(indices, batch.run(threads=threads)):
+        try:
+            results = batch.run(threads=threads)
+        except LoweringError as err:  # declined: no trusted C engine
+            for i in indices:
+                fall_back(i, err)
+            continue
+        for i, result in zip(indices, results):
             loops[i]._absorb_kernel_result(result)
             signals[i] = Signal(result.bridge_voltage, rates[i])
     return signals

@@ -2,18 +2,18 @@
 
 The columnar engine keeps the fused kernel's contract
 (``docs/FASTPATH.md``): every waveform of every instance is
-``np.array_equal`` to its run on an independent engine — the
-per-sample reference loop, or the generated-Python engine where a test
-lowers kernels directly (a solo fused run would be the same megakernel
-at width one).  This suite pins that contract on the one C engine,
-each program shape's generated megakernel, in cold processes and hot
-ones (stale scratch), across reference-spec variants, liquids, modes,
-noise on/off, multimode stacks, heterogeneous durations, per-instance
-lowering fallbacks and a property-based sweep, at every width from one
-instance up — plus the packed rows' memory, the columns' thread blocks,
-the no-compiler and untrusted-compiler routes (generated Python), the
-once-per-shape build, the shared ``.so`` build cache, and the profile
-counters surfaced through ``kernel_info()`` and ``repro health``.
+``np.array_equal`` to its run on the per-sample reference loop (a solo
+fused run would be the same megakernel at width one).  This suite pins
+that contract on the one C engine, each program shape's generated
+megakernel, in cold processes and hot ones (stale buffers), across
+reference-spec variants, liquids, modes, noise on/off, multimode
+stacks, heterogeneous durations, per-instance lowering fallbacks and a
+property-based sweep, at every width from one instance up — plus the
+packed rows' memory, the columns' thread blocks, the no-compiler and
+untrusted-compiler routes (declined batches that run the reference
+loop), the once-per-shape build, the shared ``.so`` build cache, and
+the profile counters surfaced through ``kernel_info()`` and ``repro
+health``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import repro.engine.kernel_columnar as columnar
 from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
 from repro.engine import (
-    KernelBatch,
     cc_available,
     kernel_info,
     reset_compiler_probe,
@@ -85,11 +84,6 @@ def build_loop(length_um: float = 200.0, variant: str = "reference"):
     return ResonantCantileverSensor.from_spec(spec).build_loop()
 
 
-def lowered(loop, duration=DURATION):
-    prep = loop._prepare_run(duration, None)
-    return loop._lower_kernel(prep.signed_coefficient), prep
-
-
 def assert_arrays_equal(a, b, label):
     """``b`` is bit-identical to reference ``a``."""
     __tracebackhide__ = True
@@ -111,17 +105,22 @@ def assert_records_equal(ref, rec, label):
         )
 
 
-def assert_batches_ran(n_batches):
-    """Since the last counter reset, ``n_batches`` batches ran, each on
-    its shape's megakernel — or, with no compiler, declined to
-    per-instance generated-Python runs."""
+def assert_batches_ran(n_batches, n_instances, lowering_fallbacks=0):
+    """Since the last counter reset, ``n_batches`` batches of
+    ``n_instances`` loops in all ran, each on its shape's megakernel —
+    or, with no compiler, declined, so each of those loops ran the
+    reference loop and counts as a fallback, next to the
+    ``lowering_fallbacks`` loops that did not lower."""
     __tracebackhide__ = True
     info = kernel_info()
     assert info.batch_runs == n_batches
+    assert info.batch_instances == n_instances
     if cc_available():
         assert info.batch_columnar_runs == n_batches
+        assert info.fallbacks == lowering_fallbacks
     else:
         assert info.batch_declined == n_batches
+        assert info.fallbacks == lowering_fallbacks + n_instances
 
 
 @contextmanager
@@ -164,8 +163,8 @@ class TestColumnarGolden:
     """Columnar vs the reference loop, bit for bit, instance for
     instance: every batch runs on its shape's megakernel.
 
-    Cold process: each test starts with no megakernel loaded and an
-    empty scratch pool, so its first batch loads its shape's kernel.
+    Cold process: each test starts with no megakernel loaded, so its
+    first batch loads its shape's kernel.
     """
 
     ENGINE = "cc-columnar"
@@ -176,19 +175,13 @@ class TestColumnarGolden:
         if not self.HOT:
             reset_compiler_probe()
             return
-        scratch, aligned_rows = columnar._scratch, columnar._aligned_rows
-
-        def stale_scratch(name, shape):
-            buf = scratch(name, shape)
-            buf.fill(np.nan)
-            return buf
+        aligned_rows = columnar._aligned_rows
 
         def stale_rows(size):
             rows = aligned_rows(size)
             rows.fill(np.nan)
             return rows
 
-        monkeypatch.setattr(columnar, "_scratch", stale_scratch)
         monkeypatch.setattr(columnar, "_aligned_rows", stale_rows)
 
     @pytest.mark.parametrize("variant", sorted(SPEC_VARIANTS))
@@ -208,10 +201,7 @@ class TestColumnarGolden:
             assert_records_equal(solo, rec, f"{variant}[{length}]")
             assert np.array_equal(solo.times, rec.times)
             assert solo.sample_rate == rec.sample_rate
-        info = kernel_info()
-        assert info.fallbacks == 0
-        assert info.batch_instances == len(lengths)
-        assert_batches_ran(1)
+        assert_batches_ran(1, len(lengths))
 
     def test_one_instance(self):
         """A batch of one: what a chunk or a sweep with a single cache
@@ -222,7 +212,7 @@ class TestColumnarGolden:
                               threads=THREADS)
         assert_records_equal(solo, record, "one")
         assert np.array_equal(solo.times, record.times)
-        assert_batches_ran(1)
+        assert_batches_ran(1, 1)
 
     def test_noise_disabled(self, make_loop):
         solos = [
@@ -236,7 +226,7 @@ class TestColumnarGolden:
         )
         for i, (solo, rec) in enumerate(zip(solos, records)):
             assert_records_equal(solo, rec, f"quiet[{i}]")
-        assert_batches_ran(1)
+        assert_batches_ran(1, 3)
 
     def test_heterogeneous_durations(self):
         durations = (0.003, 0.005, 0.002, 0.004)
@@ -254,7 +244,7 @@ class TestColumnarGolden:
         for solo, rec in zip(solos, records):
             assert len(solo.displacement) == len(rec.displacement)
             assert_records_equal(solo, rec, "hetero")
-        assert_batches_ran(1)
+        assert_batches_ran(1, len(durations))
 
     def test_multimode_batch(self, geometry, make_loop):
         from repro.feedback import run_multimode_batch
@@ -272,7 +262,7 @@ class TestColumnarGolden:
         for i, (solo, rec) in enumerate(zip(solos, records)):
             assert_arrays_equal(solo.samples, rec.samples, f"multimode[{i}]")
             assert solo.sample_rate == rec.sample_rate
-        assert_batches_ran(1)
+        assert_batches_ran(1, 2)
 
     def test_per_instance_fallback(self):
         solos = [
@@ -285,11 +275,10 @@ class TestColumnarGolden:
 
         reset_kernel_info()
         records = run_batch(loops, DURATION, threads=THREADS)
-        info = kernel_info()
-        assert info.fallbacks == 1
-        assert "patched" in info.last_fallback_reason
-        assert info.batch_instances == 2
-        assert_batches_ran(1)
+        # with no compiler the declined batch's fallbacks come last
+        reason = "patched" if cc_available() else "no C compiler"
+        assert reason in kernel_info().last_fallback_reason
+        assert_batches_ran(1, 2, lowering_fallbacks=1)
         assert_records_equal(solos[0], records[0], "columnar[0]")
         assert_records_equal(solos[1], records[1], "fallback[1]")
         assert_records_equal(solos[2], records[2], "columnar[2]")
@@ -304,10 +293,10 @@ class TestColumnarGolden:
 
 
 class TestColumnarGoldenHot(TestColumnarGolden):
-    """The same cases in a hot process: the pooled scratch tiles and the
-    recycled output pages a batch gets still hold an earlier batch's
-    values (NaN here), so any sample the kernel reads before writing
-    shows up as a mismatch."""
+    """The same cases in a hot process: every buffer the kernel gets —
+    staging tiles, value row and output rows — still holds an earlier
+    batch's values (NaN here), as recycled heap pages can, so any sample
+    the kernel reads before writing shows up as a mismatch."""
 
     HOT = True
 
@@ -365,13 +354,13 @@ class TestThreadBlocks:
 
 
 class TestEngineSelection:
-    """The megakernel when a compiler is trusted, generated Python
+    """The megakernel when a compiler is trusted, the reference loop
     otherwise."""
 
     def test_batch_engines_pinned(self):
         """A batch follows the one ``AUTO_ORDER`` a single loop follows:
         there is no batch-only route order."""
-        assert kernel_mod.AUTO_ORDER == ("columnar:cc", "fused:codegen")
+        assert kernel_mod.AUTO_ORDER == ("columnar:cc", "reference")
         assert not hasattr(kernel_mod, "BATCH_AUTO_ORDER")
         assert "BATCH_AUTO_ORDER" not in dir(engine_pkg)
 
@@ -387,14 +376,14 @@ class TestEngineSelection:
         for loop in loops:
             assert loop.last_kernel_info.engine.startswith("cc-columnar")
 
-    def test_batch_declined_runs_serial_fused(self):
-        """With no C compiler a batch runs each instance on generated
-        Python: bit-exact to the megakernel's solo runs, counted once in
-        ``batch_runs`` and once in ``batch_declined`` — the regression
-        pin for declined batches."""
+    def test_batch_declined_runs_reference(self):
+        """With no C compiler a batch declines, and each of its loops
+        runs the reference loop: bit-exact, counted once in
+        ``batch_runs``, once in ``batch_declined`` and once per loop in
+        ``fallbacks`` — the regression pin for declined batches."""
         lengths = LENGTHS[:3]
         solos = [
-            build_loop(length).run(DURATION, backend="fused")
+            build_loop(length).run(DURATION, backend="reference")
             for length in lengths
         ]
         with no_compiler():
@@ -407,19 +396,22 @@ class TestEngineSelection:
         assert info.batch_columnar_runs == 0
         assert info.last_batch_engine == "solo"
         assert info.degrades == 0  # no compiler is a platform fact
-        assert info.runs.get("fused", 0) == len(lengths)
+        assert info.runs.get("fused", 0) == 0
+        assert info.fallbacks == len(lengths)
+        assert "no C compiler" in info.last_fallback_reason
         for length, solo, rec in zip(lengths, solos, records):
             assert_records_equal(solo, rec, f"declined[{length}]")
         for loop in loops:
-            assert loop.last_kernel_info.engine == "codegen"
+            assert loop.last_kernel_info is None
         assert resilience_snapshot()["batch_declined"] == 1
 
     def test_untrusted_compiler_declines_to_solo(self, tmp_path):
-        """A columnar batch whose C engine cannot build runs each
-        instance on generated Python, bit-exact, and says why."""
+        """A columnar batch whose C engine cannot build declines: each
+        loop runs the reference loop, bit-exact, and the counters say
+        why."""
         lengths = LENGTHS[:3]
         solos = [
-            build_loop(length).run(0.002, backend="fused")
+            build_loop(length).run(0.002, backend="reference")
             for length in lengths
         ]
         with broken_compiler(tmp_path):
@@ -430,9 +422,12 @@ class TestEngineSelection:
         for length, solo, rec in zip(lengths, solos, records):
             assert_records_equal(solo, rec, f"untrusted[{length}]")
         for loop in loops:
-            assert loop.last_kernel_info.engine == "codegen"
+            assert loop.last_kernel_info is None
         assert info.batch_runs == info.batch_declined == 1
         assert info.last_batch_engine == "solo"
+        assert info.fallbacks == len(lengths)
+        assert info.degrades == 1  # a failed build is a runtime reason
+        assert "compilation failed" in info.last_degrade_reason
 
 
 class TestFusionProfile:
@@ -442,6 +437,9 @@ class TestFusionProfile:
         reset_kernel_info()
         build_loop().run(DURATION, backend="fused")
         hist = kernel_info().op_samples
+        if not cc_available():
+            assert hist == {}, "a reference-loop run runs no kernel op"
+            return
         assert hist, "a solo fused run must feed the op profile"
         assert set(hist) <= set(OP_NAMES)
         assert all(v > 0 for v in hist.values())
@@ -532,30 +530,21 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 class TestPropertyAgreement:
-    """Any geometry mix: columnar bit-identical to the generated-Python
-    engine."""
+    """Any geometry mix: columnar bit-identical to the reference loop."""
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.floats(min_value=165.0, max_value=235.0,
                               allow_nan=False),
                     min_size=2, max_size=4))
-    def test_columnar_agrees_with_fused(self, lengths):
-        solos = []
-        with no_compiler():
-            for length in lengths:
-                kern, prep = lowered(build_loop(length), 0.0015)
-                solos.append(
-                    kern.run(prep.n, prep.bridge_noise, backend="fused"))
-        assert {s.info.engine for s in solos} == {"codegen"}
-        kernels, ns, noises = [], [], []
-        for length in lengths:
-            kern, prep = lowered(build_loop(length), 0.0015)
-            kernels.append(kern)
-            ns.append(prep.n)
-            noises.append(prep.bridge_noise)
+    def test_columnar_agrees_with_reference(self, lengths):
+        solos = [
+            build_loop(length).run(0.0015, backend="reference")
+            for length in lengths
+        ]
         reset_kernel_info()
-        records = KernelBatch(kernels, ns, noises).run()
+        records = run_batch([build_loop(length) for length in lengths],
+                            0.0015)
         for length, solo, rec in zip(lengths, solos, records):
             assert_records_equal(solo, rec, f"prop[{length:.1f}]")
-        assert_batches_ran(1)
+        assert_batches_ran(1, len(lengths))

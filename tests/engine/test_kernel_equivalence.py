@@ -6,7 +6,9 @@ so every backend must return ``np.array_equal`` waveforms (far stricter
 than the 1e-12 relative tolerance the acceptance bar asks for).  The
 suite pins this across the reference device specs, spec variations
 (liquids, modes, loop rates), noise on/off, the multi-mode loop, and
-both fused engines (the compiled C megakernel and generated Python).
+both routes under ``fused``: the compiled C megakernel, and the
+reference loop every fused entry point runs when no C compiler is
+trusted.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import numpy as np
 import pytest
 
 import repro.engine.kernel as kernel_mod
-from repro.config import REFERENCE_RESONANT_SENSOR
+from repro.config import REFERENCE_RESONANT_SENSOR, build
 from repro.core import ResonantCantileverSensor
 from repro.engine import kernel_info, reset_kernel_info
-from repro.errors import KernelError
+from repro.errors import KernelError, LoweringError
 
 DURATION = 0.01
 WAVEFORMS = (
@@ -71,7 +73,8 @@ class TestGoldenSpecs:
         ref = build_spec_loop("reference").run(DURATION, backend="reference")
         loop = build_spec_loop("reference")
         rec = loop.run(DURATION, backend="auto")
-        assert loop.last_kernel_info is not None, "auto fell back unexpectedly"
+        # asked after the run: a failed build is memoized by then
+        assert (loop.last_kernel_info is not None) == kernel_mod.cc_usable()
         assert_records_equal(ref, rec, "auto")
 
 
@@ -152,8 +155,8 @@ class TestMultiMode:
 
 
 class TestFusedEngines:
-    """Both fused engines (the compiled C megakernel, generated Python)
-    agree."""
+    """The two routes under ``fused``: the compiled C megakernel when a
+    compiler is trusted, the reference loop otherwise."""
 
     def test_cc_engine_selected_when_compiler_present(self, make_loop):
         loop = make_loop()
@@ -165,35 +168,72 @@ class TestFusedEngines:
             pytest.skip("no working C compiler on this machine")
         assert loop.last_kernel_info.engine == "cc-columnar"
 
-    def test_codegen_engine_matches(self, make_loop, monkeypatch):
-        ref = None
-        recs = {}
-        for forced_cc in (True, False):
-            if not forced_cc:
-                monkeypatch.setattr(kernel_mod, "cc_available", lambda: False)
+    def test_no_compiler_runs_the_reference_loop(
+        self, geometry, make_loop, monkeypatch
+    ):
+        """With no compiler every fused entry point runs the reference
+        loop: a loop, a batch, a multimode loop and batch, and a swept
+        sine each return the reference run's bits and no kernel run
+        info, and count one declined batch per call and one fallback
+        per loop (the swept sine falls back as one call)."""
+        from repro.analysis import swept_sine_response
+        from repro.feedback import run_batch, run_multimode_batch
+        from repro.feedback.multimode import MultiModeLoop
+
+        def make():
             loop = make_loop(include_noise=True)
             loop.auto_gain(1.0 / loop.resonator.timestep)
-            rec = loop.run(DURATION, backend="fused")
-            recs[forced_cc] = rec
-            engine = loop.last_kernel_info.engine
-            assert engine == (
-                "cc-columnar" if forced_cc and kernel_mod.cc_usable()
-                else "codegen"
-            )
-        ref = make_loop(include_noise=True)
-        ref.auto_gain(1.0 / ref.resonator.timestep)
-        ref_rec = ref.run(DURATION, backend="reference")
-        assert_records_equal(ref_rec, recs[True], "fused-primary")
-        assert_records_equal(ref_rec, recs[False], "fused-codegen")
+            return loop
 
-    @pytest.mark.parametrize("engine", ["cc-columnar", "codegen"])
+        def make_mm():
+            mm = MultiModeLoop.for_geometry(geometry, [20.0, 10.0], make_loop())
+            mm.loop.auto_gain(1.0 / mm.resonators[0].timestep)
+            return mm
+
+        ref = make().run(DURATION, backend="reference")
+        ref_mm = make_mm().run(0.002, backend="reference")
+        resonator = build(REFERENCE_RESONANT_SENSOR).build_resonator()
+        tones = np.linspace(0.8, 1.2, 7) * resonator.natural_frequency
+        ref_sine = swept_sine_response(resonator, tones, 1e-9,
+                                       backend="reference")
+        monkeypatch.setattr(kernel_mod, "cc_available", lambda: False)
+
+        def counted(call, declined, fallbacks):
+            reset_kernel_info()
+            out = call()
+            info = kernel_info()
+            assert (info.batch_declined, info.fallbacks) == (
+                declined, fallbacks)
+            assert info.batch_columnar_runs == info.degrades == 0
+            assert "no C compiler" in info.last_fallback_reason
+            return out
+
+        loop = make()
+        assert_records_equal(ref, counted(lambda: loop.run(DURATION), 1, 1),
+                             "loop")
+        loops = [make() for _ in range(3)]
+        for rec in counted(lambda: run_batch(loops, DURATION), 1, 3):
+            assert_records_equal(ref, rec, "batch")
+        mm = make_mm()
+        signal = counted(lambda: mm.run(0.002), 1, 1)
+        assert np.array_equal(ref_mm.samples, signal.samples)
+        pair = [make_mm(), make_mm()]
+        for signal in counted(lambda: run_multimode_batch(pair, 0.002), 1, 2):
+            assert np.array_equal(ref_mm.samples, signal.samples)
+        for ran in (loop, *loops, mm, *pair):
+            assert ran.last_kernel_info is None
+        sine = counted(lambda: swept_sine_response(resonator, tones, 1e-9),
+                       1, 1)
+        assert np.array_equal(ref_sine, sine)
+
+    @pytest.mark.parametrize("engine", ["cc-columnar", "no-compiler"])
     def test_run_rejects_short_noise_and_empty_runs(
         self, make_loop, monkeypatch, engine
     ):
         """A solo run checks ``n`` and its noise length as a batch does,
-        on either engine: a short waveform must not be read past its
-        end."""
-        if engine == "codegen":
+        with or without a compiler: a short waveform must not be read
+        past its end.  With no compiler a valid run declines."""
+        if engine == "no-compiler":
             monkeypatch.setattr(kernel_mod, "cc_available", lambda: False)
         elif not kernel_mod.cc_usable():
             pytest.skip("no working C compiler on this machine")
@@ -205,6 +245,10 @@ class TestFusedEngines:
             kernel.run(prep.n, np.zeros(10))
         with pytest.raises(KernelError, match="sample count must be >= 1"):
             kernel.run(0, np.zeros(10))
+        if engine == "no-compiler":
+            with pytest.raises(LoweringError, match="no C compiler"):
+                kernel.run(prep.n, prep.bridge_noise)
+            return
         result = kernel.run(prep.n, prep.bridge_noise)
         assert result.info.engine == engine
         assert np.all(np.isfinite(result.displacement))
@@ -217,6 +261,10 @@ class TestKernelCounters:
         loop.auto_gain(1.0 / loop.resonator.timestep)
         rec = loop.run(DURATION, backend="fused")
         info = kernel_info()
+        if not kernel_mod.cc_usable():  # the reference loop ran instead
+            assert (info.runs, info.total_samples, info.fallbacks) == ({}, 0, 1)
+            assert loop.last_kernel_info is None
+            return
         assert info.runs.get("fused") == 1
         assert info.total_samples == len(rec.bridge_voltage)
         assert info.last_backend == "fused"
@@ -229,6 +277,9 @@ class TestKernelCounters:
         loop.auto_gain(1.0 / loop.resonator.timestep)
         loop.run(DURATION, backend="fused")
         info = loop.last_kernel_info
+        if not kernel_mod.cc_usable():  # the reference loop ran instead
+            assert info is None
+            return
         assert info.n_ops > 5          # DDA + HPs + phase + VGA + ...
         assert info.n_samples == len(loop.run(DURATION).bridge_voltage)
         assert info.samples_per_second > 0.0

@@ -494,6 +494,7 @@ class TestKernelCompileFault:
         assert_records_equal(baseline, record, "compile-faulted")
         info = kernel_info()
         assert info.degrades == 1
+        assert info.fallbacks == 1  # the faulted run took the reference loop
         assert "kernel.compile" in info.last_degrade_reason
         assert get_breaker("kernel-cc").consecutive == 1
 

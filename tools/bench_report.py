@@ -270,6 +270,125 @@ def _fabric_scaling_section(n_cpu: int, rounds: int) -> dict:
     }
 
 
+def _columnar_kernel_section(col_points: int, repeats: int) -> dict:
+    """The columnar kernel family: pre-lowered closed-loop kernels.
+
+    The whole-pipeline closed-loop sweep times spec build, loop
+    construction, the run prelude and lowering together with the
+    kernel, so it cannot show what the batch *kernel* buys.  This
+    family lowers the same closed-loop sweep once and times only the
+    kernel execution: serial fused vs the columnar SoA engine.  A
+    single kernel's run is a one-instance call of the same megakernel,
+    so this compares one wide call with one call per instance.  With no
+    trusted C compiler there is no kernel to time.
+    """
+    import numpy as np
+
+    from repro.config import REFERENCE_RESONANT_SENSOR
+    from repro.core import ResonantCantileverSensor
+    from repro.engine import KernelBatch, cc_usable
+
+    if not cc_usable():
+        return {"skipped": "no trusted C compiler: a declined batch runs "
+                           "the reference loop, not a kernel"}
+
+    col_lengths = np.linspace(170.0, 260.0, col_points)
+    # the golden-suite batch duration (tests/engine): short enough that
+    # the working set stays cache-friendly
+    col_duration = 0.006
+
+    def make_loops():
+        out = []
+        for length in col_lengths:
+            spec = REFERENCE_RESONANT_SENSOR.with_overrides(
+                {"cantilever.length_um": float(length)}
+            )
+            out.append(ResonantCantileverSensor.from_spec(spec).build_loop())
+        return out
+
+    preps = [
+        loop._prepare_run(col_duration, None) for loop in make_loops()
+    ]
+    ns = [p.n for p in preps]
+    noises = [p.bridge_noise for p in preps]
+
+    def fresh_kernels():
+        # a lowered kernel shares state with its loop's filters and a
+        # run writes final state back, so every timed run prepares and
+        # lowers freshly built loops (outside the timed region); noise
+        # and coefficients are deterministic per spec, so ns/noises
+        # from the first prep set stay valid
+        loops = make_loops()
+        fresh = [loop._prepare_run(col_duration, None) for loop in loops]
+        return [
+            loop._lower_kernel(p.signed_coefficient)
+            for loop, p in zip(loops, fresh)
+        ]
+
+    def run_engine(engine):
+        kernels = fresh_kernels()
+        if engine == "serial":
+            t0 = time.perf_counter()
+            result = [
+                k.run(n, noise, backend="fused")
+                for k, n, noise in zip(kernels, ns, noises)
+            ]
+            return time.perf_counter() - t0, result
+        batch = KernelBatch(kernels, ns, noises)
+        t0 = time.perf_counter()
+        result = batch.run()
+        return time.perf_counter() - t0, result
+
+    # kernel-only walls are a few ms and the columnar engine streams a
+    # multi-MB working set, so co-tenant memory pressure can double a
+    # single wall: interleave the engines round-robin (both sample the
+    # same machine states) and take best-of, with the rounds spread
+    # across a multi-second window (contention comes in bursts — spaced
+    # sampling gives every engine a shot at a quiet slice of the
+    # machine, where back-to-back repeats would all land in one burst)
+    col_repeats = max(repeats, 12)
+    col_round_gap_s = 1.5
+    run_engine("columnar")  # warm: engine build
+    walls = dict.fromkeys(("serial", "columnar"), float("inf"))
+    outputs = {}
+    for rnd in range(col_repeats):
+        if rnd:
+            time.sleep(col_round_gap_s)
+        for engine in walls:
+            wall, result = run_engine(engine)
+            if wall < walls[engine]:
+                walls[engine], outputs[engine] = wall, result
+    col_serial_wall, col_serial = walls["serial"], outputs["serial"]
+    col_wall, col_records = walls["columnar"], outputs["columnar"]
+
+    waveforms = ("displacement", "bridge_voltage", "limiter_input",
+                 "limiter_output", "drive_voltage")
+    col_identical = all(
+        np.array_equal(getattr(s, w), getattr(r, w))
+        for s, r in zip(col_serial, col_records) for w in waveforms
+    )
+    return {
+        "instances": col_points,
+        "loop_duration_s": col_duration,
+        "samples_per_instance": int(np.mean(ns)),
+        "serial_fused_wall_s": round(col_serial_wall, 5),
+        "columnar_wall_s": round(col_wall, 5),
+        "columnar_speedup": round(col_serial_wall / col_wall, 2),
+        "columnar_engine": col_records[0].info.engine,
+        "columnar_bit_identical": bool(col_identical),
+        "note": (
+            "the serial side runs each pre-lowered kernel alone, which "
+            "is a one-instance call of the same megakernel; the "
+            "columnar side runs all instances in one call"
+        ),
+        "sampling": {
+            "rounds": col_repeats,
+            "round_gap_s": col_round_gap_s,
+            "strategy": "best-of, engines interleaved, rounds spaced",
+        },
+    }
+
+
 def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
     """The batched-kernel sweep report (``BENCH_sweep.json``)."""
     import os
@@ -377,114 +496,7 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         loop_batch_q1, loop_batch_wall, loop_batch_q3
     ) = (statistics.quantiles(loop_walls[b], n=4) for b in routes)
 
-    # -- columnar kernel family: pre-lowered closed-loop kernels -------------
-    # The whole-pipeline sweep above times spec build, loop
-    # construction, the run prelude and lowering together with the
-    # kernel, so it cannot show what the batch *kernel* buys.  This
-    # family lowers the same closed-loop sweep once and times only the
-    # kernel execution: serial fused vs the columnar SoA engine.  A
-    # single kernel's run is a one-instance call of the same
-    # megakernel, so this compares one wide call with one call per
-    # instance.
-    from repro.core import ResonantCantileverSensor
-    from repro.engine import KernelBatch
-
-    col_points = loop_points
-    col_lengths = np.linspace(170.0, 260.0, col_points)
-    # the golden-suite batch duration (tests/engine): short enough that
-    # the working set stays cache-friendly
-    col_duration = 0.006
-
-    def make_loops():
-        out = []
-        for length in col_lengths:
-            spec = REFERENCE_RESONANT_SENSOR.with_overrides(
-                {"cantilever.length_um": float(length)}
-            )
-            out.append(ResonantCantileverSensor.from_spec(spec).build_loop())
-        return out
-
-    preps = [
-        loop._prepare_run(col_duration, None) for loop in make_loops()
-    ]
-    ns = [p.n for p in preps]
-    noises = [p.bridge_noise for p in preps]
-
-    def fresh_kernels():
-        # a lowered kernel shares state with its loop's filters and a
-        # run writes final state back, so every timed run prepares and
-        # lowers freshly built loops (outside the timed region); noise
-        # and coefficients are deterministic per spec, so ns/noises
-        # from the first prep set stay valid
-        loops = make_loops()
-        fresh = [loop._prepare_run(col_duration, None) for loop in loops]
-        return [
-            loop._lower_kernel(p.signed_coefficient)
-            for loop, p in zip(loops, fresh)
-        ]
-
-    def run_engine(engine):
-        kernels = fresh_kernels()
-        if engine == "serial":
-            t0 = time.perf_counter()
-            result = [
-                k.run(n, noise, backend="fused")
-                for k, n, noise in zip(kernels, ns, noises)
-            ]
-            return time.perf_counter() - t0, result
-        batch = KernelBatch(kernels, ns, noises)
-        t0 = time.perf_counter()
-        result = batch.run()
-        return time.perf_counter() - t0, result
-
-    # kernel-only walls are a few ms and the columnar engine streams a
-    # multi-MB working set, so co-tenant memory pressure can double a
-    # single wall: interleave the engines round-robin (both sample the
-    # same machine states) and take best-of, with the rounds spread
-    # across a multi-second window (contention comes in bursts — spaced
-    # sampling gives every engine a shot at a quiet slice of the
-    # machine, where back-to-back repeats would all land in one burst)
-    col_repeats = max(repeats, 12)
-    col_round_gap_s = 1.5
-    run_engine("columnar")  # warm: engine build
-    walls = dict.fromkeys(("serial", "columnar"), float("inf"))
-    outputs = {}
-    for rnd in range(col_repeats):
-        if rnd:
-            time.sleep(col_round_gap_s)
-        for engine in walls:
-            wall, result = run_engine(engine)
-            if wall < walls[engine]:
-                walls[engine], outputs[engine] = wall, result
-    col_serial_wall, col_serial = walls["serial"], outputs["serial"]
-    col_wall, col_records = walls["columnar"], outputs["columnar"]
-
-    waveforms = ("displacement", "bridge_voltage", "limiter_input",
-                 "limiter_output", "drive_voltage")
-    col_identical = all(
-        np.array_equal(getattr(s, w), getattr(r, w))
-        for s, r in zip(col_serial, col_records) for w in waveforms
-    )
-    columnar_family = {
-        "instances": col_points,
-        "loop_duration_s": col_duration,
-        "samples_per_instance": int(np.mean(ns)),
-        "serial_fused_wall_s": round(col_serial_wall, 5),
-        "columnar_wall_s": round(col_wall, 5),
-        "columnar_speedup": round(col_serial_wall / col_wall, 2),
-        "columnar_engine": col_records[0].info.engine,
-        "columnar_bit_identical": bool(col_identical),
-        "note": (
-            "the serial side runs each pre-lowered kernel alone, which "
-            "is a one-instance call of the same megakernel; the "
-            "columnar side runs all instances in one call"
-        ),
-        "sampling": {
-            "rounds": col_repeats,
-            "round_gap_s": col_round_gap_s,
-            "strategy": "best-of, engines interleaved, rounds spaced",
-        },
-    }
+    columnar_family = _columnar_kernel_section(loop_points, repeats)
 
     # -- fabric scaling: leased worker processes over a shared store ---------
     fabric_scaling = _fabric_scaling_section(n_cpu, rounds)
@@ -633,10 +645,13 @@ def main(argv: list[str] | None = None) -> int:
                   + (f"  ({s['vs_one_thread']})" if s["vs_one_thread"]
                      else ""))
         ck = report["closed_loop_columnar_kernel"]
-        print(f"  columnar kernel ({ck['instances']} instances): "
-              f"columnar {ck['columnar_speedup']:.2f}x "
-              f"({ck['columnar_engine']}, "
-              f"identical={ck['columnar_bit_identical']})")
+        if "skipped" in ck:
+            print(f"  columnar kernel: skipped ({ck['skipped']})")
+        else:
+            print(f"  columnar kernel ({ck['instances']} instances): "
+                  f"columnar {ck['columnar_speedup']:.2f}x "
+                  f"({ck['columnar_engine']}, "
+                  f"identical={ck['columnar_bit_identical']})")
         loop = report["closed_loop_sweep"]
         print(f"  closed-loop sweep ({loop['points']} pts): "
               f"{loop['serial_points_per_sec']:,.2f} -> "
